@@ -68,6 +68,6 @@ from .photostats import (
     poisson,
     thermal,
 )
-from .units import PathDelay, SpectralMode, coherence_time, delay_to_path, path_to_delay
+from .units import SpectralMode, coherence_time, delay_to_path
 
 __version__ = "0.1.0"

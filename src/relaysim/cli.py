@@ -48,10 +48,12 @@ def _table_text(headers, rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _emit(args, headers, rows) -> None:
-    content = (
-        _table_csv(headers, rows) if args.format == "csv" else _table_text(headers, rows)
-    )
+def _fields_text(headers, rows) -> str:
+    return "".join(f"{k}: {_fmt(v)}\n" for k, v in rows)
+
+
+def _emit(args, headers, rows, text_format=_table_text) -> None:
+    content = _table_csv(headers, rows) if args.format == "csv" else text_format(headers, rows)
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(content)
@@ -87,16 +89,8 @@ def _cmd_coupler_curve(args) -> int:
     anchors2 = cfg.coupler_c2_anchors
     if args.anchors_csv:
         anchors1 = anchors2 = load_anchor_csv(args.anchors_csv)
-    cal1 = calibrate_coupler(
-        anchors1,
-        kappa_lc_rad=cfg.coupler_kappa_lc_rad,
-        interaction_length_mm=cfg.coupler_interaction_length_mm,
-    )
-    cal2 = calibrate_coupler(
-        anchors2,
-        kappa_lc_rad=cfg.coupler_kappa_lc_rad,
-        interaction_length_mm=cfg.coupler_interaction_length_mm,
-    )
+    cal1 = calibrate_coupler(anchors1, kappa_lc_rad=cfg.coupler_kappa_lc_rad)
+    cal2 = calibrate_coupler(anchors2, kappa_lc_rad=cfg.coupler_kappa_lc_rad)
     volts = np.linspace(cfg.coupler_curve_min_v, cfg.coupler_curve_max_v, cfg.coupler_curve_points)
     rows = [
         (float(v), coupler_ratio(cal1.model, float(v)), coupler_ratio(cal2.model, float(v)))
@@ -218,16 +212,7 @@ def _cmd_mc_run(args) -> int:
     scenario = cfg.to_scenario()
     report = run(scenario, args.pulses, seed=args.seed, workers=args.workers)
     net = subtract_accidentals(report)
-    rows = _report_rows(report, net)
-    if args.format == "csv":
-        content = _table_csv(["field", "value"], rows)
-    else:
-        content = "".join(f"{k}: {_fmt(v)}\n" for k, v in rows)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(content)
-    else:
-        sys.stdout.write(content)
+    _emit(args, ["field", "value"], _report_rows(report, net), _fields_text)
     return 0
 
 

@@ -89,7 +89,6 @@ class CouplerModel:
 
     kappa_lc_rad: float = math.pi / 2.0
     gamma_rad_per_v: float = 0.0
-    interaction_length_mm: float = 9.0
     gamma_constrained: bool = True
 
     def __post_init__(self) -> None:
@@ -114,8 +113,6 @@ class CouplerCalibration:
 
     model: CouplerModel
     residual_rms: float
-    residual_max: float
-    anchors: tuple[tuple[float, float], ...]
 
     @property
     def gamma_constrained(self) -> bool:
@@ -126,7 +123,6 @@ def calibrate_coupler(
     anchor_points,
     kappa_lc_rad: float = math.pi / 2.0,
     fit_kappa: bool = False,
-    interaction_length_mm: float = 9.0,
 ) -> CouplerCalibration:
     """Least-squares fit of the detuning slope gamma (optionally kappa*Lc) to anchors.
 
@@ -156,27 +152,22 @@ def calibrate_coupler(
             )
 
     nonzero = [(v, r) for v, r in anchors if v != 0.0]
-    if not nonzero:
-        model = CouplerModel(kappa_lc_rad, 0.0, interaction_length_mm, gamma_constrained=False)
-        res = [coupler_ratio(model, v) - r for v, r in anchors]
-        rms = math.sqrt(sum(x * x for x in res) / len(res))
-        return CouplerCalibration(model, rms, max(abs(x) for x in res), anchors)
+    if nonzero:
+        def residuals(params):
+            m = CouplerModel(kappa_lc_rad, params[0])
+            return [coupler_ratio(m, v) - r for v, r in nonzero]
 
-    def residuals(params):
-        gamma = params[0]
-        m = CouplerModel(kappa_lc_rad, gamma, interaction_length_mm)
-        return [coupler_ratio(m, v) - r for v, r in nonzero]
-
-    # Initial slope: detuning comparable to coupling at the largest anchor voltage.
-    v_ref = max(abs(v) for v, _ in nonzero)
-    fit = least_squares(
-        residuals, x0=[0.8 * kappa_lc_rad / v_ref], bounds=([0.0], [np.inf]),
-        xtol=1e-15, ftol=1e-15, gtol=1e-15,
-    )
-    model = CouplerModel(kappa_lc_rad, float(fit.x[0]), interaction_length_mm)
+        # Initial slope: detuning comparable to coupling at the largest anchor voltage.
+        v_ref = max(abs(v) for v, _ in nonzero)
+        fit = least_squares(
+            residuals, x0=[0.8 * kappa_lc_rad / v_ref], bounds=([0.0], [np.inf]),
+            xtol=1e-15, ftol=1e-15, gtol=1e-15,
+        )
+        model = CouplerModel(kappa_lc_rad, float(fit.x[0]))
+    else:
+        model = CouplerModel(kappa_lc_rad, 0.0, gamma_constrained=False)
     res = [coupler_ratio(model, v) - r for v, r in anchors]
-    rms = math.sqrt(sum(x * x for x in res) / len(res))
-    return CouplerCalibration(model, rms, max(abs(x) for x in res), anchors)
+    return CouplerCalibration(model, math.sqrt(sum(x * x for x in res) / len(res)))
 
 
 # ---------------------------------------------------------------------------
@@ -205,28 +196,6 @@ class FilterModel:
         half = self.fwhm_pm * 1e-3 / 2.0
         return abs(wavelength_nm - self.center_nm) <= half
 
-    def transmission(self, wavelength_nm: float) -> float:
-        """Survival probability for a photon at the given wavelength."""
-        return db_to_linear(self.insertion_loss_db) if self.passes(wavelength_nm) else 0.0
-
-    def band_overlap(self, source: SpdcSource, n_points: int = 8001) -> float:
-        """Fraction of the source envelope falling inside the passband.
-
-        Integrated over +/- 8 source FWHM; for sinc^2 envelopes the slowly
-        decaying tails make this a few-percent-level approximation.
-        """
-        half = self.fwhm_pm * 1e-3 / 2.0
-        span = source.spectrum.fwhm_pm * 1e-3 * 8.0
-        lam = np.linspace(
-            source.spectrum.center_wavelength_nm - span,
-            source.spectrum.center_wavelength_nm + span,
-            n_points,
-        )
-        dens = spdc_spectral_density(source, lam)
-        inside = np.abs(lam - self.center_nm) <= half
-        total = np.trapezoid(dens, lam)
-        return float(np.trapezoid(np.where(inside, dens, 0.0), lam) / total)
-
 
 # ---------------------------------------------------------------------------
 # Detectors
@@ -234,12 +203,11 @@ class FilterModel:
 
 @dataclass(frozen=True)
 class DetectorModel:
-    """Gated avalanche photodiode: efficiency, dark counts, gate timing."""
+    """Gated avalanche photodiode: efficiency, dark counts, gate window."""
 
     efficiency: float = 0.10
     dark_prob_per_ns: float = 1e-5
     gate_window_ns: float = 1.0
-    gate_rate_hz: float = 600e3
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.efficiency <= 1.0:
@@ -319,19 +287,24 @@ class ChipLayout:
                     )
         if "insertion" not in self.paths:
             raise ConfigurationError("layout must define an 'insertion' path")
-
-    def _scale(self) -> float:
-        if self.measured_insertion_db is None:
-            return 1.0
-        nominal = sum(self.segments[s] for s in self.paths["insertion"])
-        if nominal <= 0:
+        measured = self.measured_insertion_db
+        if measured is not None and measured < 0:
+            raise ConfigurationError(f"measured insertion loss must be >= 0 dB, got {measured}")
+        if measured and sum(self.segments[s] for s in self.paths["insertion"]) <= 0:
             raise ConfigurationError("cannot rescale a zero-loss insertion path")
-        return self.measured_insertion_db / nominal
 
     def path_loss_db(self, path: str) -> float:
         if path not in self.paths:
             raise ConfigurationError(f"unknown path {path!r}")
-        return self._scale() * sum(self.segments[s] for s in self.paths[path])
+        loss = sum(self.segments[s] for s in self.paths[path])
+        if self.measured_insertion_db is None:
+            return loss
+        if self.measured_insertion_db == 0.0:
+            return 0.0
+        nominal = sum(self.segments[s] for s in self.paths["insertion"])
+        # The path's share of the nominal insertion loss, times the measured
+        # figure; the key-rate reference output was computed in this order.
+        return self.measured_insertion_db * (loss / nominal)
 
     def path_transmission(self, path: str) -> float:
         return db_to_linear(self.path_loss_db(path))

@@ -28,7 +28,7 @@ from .linkbudget import LinkParams
 from .montecarlo import Scenario
 from .units import SpectralMode
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 PRESET_NAMES = ("paper-fig2", "paper-fig3", "paper-fig4", "paper-fig5", "paper-fig6")
 
@@ -65,7 +65,6 @@ class ScenarioConfig:
     delay_mm: float = 0.0
 
     # Electro-optic couplers
-    coupler_interaction_length_mm: float = 9.0
     coupler_kappa_lc_rad: float = math.pi / 2.0
     coupler_c1_anchors: tuple[tuple[float, float], ...] = ((0.0, 1.0), (30.0, 0.5))
     coupler_c2_anchors: tuple[tuple[float, float], ...] = ((0.0, 1.0), (30.0, 0.5))
@@ -99,11 +98,9 @@ class ScenarioConfig:
     link_detector_efficiency: float = 0.10
     link_dark_prob_per_ns: float = 1e-6
     link_gate_window_ns: float = 1.0
-    link_pulse_rate_hz: float = 76e6
     mean_photon_per_pulse: float = 1.0
     relay_pair_mean: float = 1.0
     teleport_fidelity: float = 0.8
-    chip_insertion_loss_db: float = 9.0
     relay_position: float | None = None
     sweep_min_km: float = 0.0
     sweep_max_km: float = 500.0
@@ -146,19 +143,13 @@ class ScenarioConfig:
         )
 
     def coupler(self, anchors) -> CouplerModel:
-        cal = calibrate_coupler(
-            anchors,
-            kappa_lc_rad=self.coupler_kappa_lc_rad,
-            interaction_length_mm=self.coupler_interaction_length_mm,
-        )
-        return cal.model
+        return calibrate_coupler(anchors, kappa_lc_rad=self.coupler_kappa_lc_rad).model
 
     def detector(self) -> DetectorModel:
         return DetectorModel(
             efficiency=self.detector_efficiency,
             dark_prob_per_ns=self.detector_dark_prob_per_ns,
             gate_window_ns=self.detector_gate_window_ns,
-            gate_rate_hz=self.gate_rate_hz,
         )
 
     def spdc_mode(self) -> SpectralMode:
@@ -216,11 +207,10 @@ class ScenarioConfig:
                 dark_prob_per_ns=self.link_dark_prob_per_ns,
                 gate_window_ns=self.link_gate_window_ns,
             ),
-            pulse_rate_hz=self.link_pulse_rate_hz,
             mean_photon_per_pulse=self.mean_photon_per_pulse,
             relay_pair_mean=self.relay_pair_mean,
             teleport_fidelity=self.teleport_fidelity,
-            chip_insertion_loss_db=self.chip_insertion_loss_db,
+            layout=self.chip_layout(),
         )
 
     # ------------------------------------------------------------------
@@ -240,61 +230,72 @@ class ScenarioConfig:
         return json.dumps(self.to_dict(), indent=2) + "\n"
 
 
-_PAIR_LIST_KEYS = {"coupler_c1_anchors", "coupler_c2_anchors"}
-_FLOAT_LIST_KEYS = {"map_na_values", "map_nb_values"}
-_OPTIONAL_FLOAT_KEYS = {
-    "dip_fwhm_time_ps",
-    "measured_insertion_loss_db",
-    "relay_position",
-    "map_herald_efficiency",
-}
-_INT_KEYS = {"schema_version", "pair_number_cutoff", "dip_scan_points", "spectrum_points", "coupler_curve_points"}
-_STR_KEYS = {"spdc_lineshape", "photon_lineshape"}
-_BOOL_KEYS = {"monitor_enabled"}
-
-
-def _coerce(key: str, value):
-    if key in _PAIR_LIST_KEYS:
-        try:
-            return tuple((float(v), float(r)) for v, r in value)
-        except (TypeError, ValueError) as exc:
-            raise ConfigurationError(f"{key} must be a list of [voltage, ratio] pairs") from exc
-    if key in _FLOAT_LIST_KEYS:
-        try:
-            return tuple(float(x) for x in value)
-        except (TypeError, ValueError) as exc:
-            raise ConfigurationError(f"{key} must be a list of numbers") from exc
-    if key in _OPTIONAL_FLOAT_KEYS:
-        return None if value is None else float(value)
-    if key in _INT_KEYS:
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise ConfigurationError(f"{key} must be an integer, got {value!r}")
-        return value
-    if key in _BOOL_KEYS:
-        if not isinstance(value, bool):
-            raise ConfigurationError(f"{key} must be a boolean, got {value!r}")
-        return value
-    if key in _STR_KEYS:
-        if not isinstance(value, str):
-            raise ConfigurationError(f"{key} must be a string, got {value!r}")
-        return value
+def _number(key: str, value) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigurationError(f"{key} must be a number, got {value!r}")
     return float(value)
+
+
+def _exact(kind: type, noun: str):
+    def coerce(key: str, value):
+        if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+            raise ConfigurationError(f"{key} must be {noun}, got {value!r}")
+        return value
+
+    return coerce
+
+
+def _pair(item) -> tuple[float, float]:
+    v, r = item
+    return float(v), float(r)
+
+
+def _list_of(convert, noun: str):
+    def coerce(key: str, value) -> tuple:
+        try:
+            return tuple(convert(x) for x in value)
+        except (TypeError, ValueError) as exc:
+            raise ConfigurationError(f"{key} must be a list of {noun}") from exc
+
+    return coerce
+
+
+# Coercion per ScenarioConfig field annotation (annotations are strings here).
+_COERCE = {
+    "float": _number,
+    "float | None": lambda key, value: None if value is None else _number(key, value),
+    "int": _exact(int, "an integer"),
+    "bool": _exact(bool, "a boolean"),
+    "str": _exact(str, "a string"),
+    "tuple[float, ...]": _list_of(float, "numbers"),
+    "tuple[tuple[float, float], ...]": _list_of(_pair, "[voltage, ratio] pairs"),
+}
+_FIELD_TYPES = {f.name: f.type for f in fields(ScenarioConfig)}
+
+# Keys of schema version 1 that version 2 dropped, with what replaces them.
+_REMOVED_KEYS = {
+    "chip_insertion_loss_db": (
+        "the link budget now reads the chip layout; set measured_insertion_loss_db "
+        "or the loss_* segments instead"
+    ),
+    "link_pulse_rate_hz": "it was never read; key rates are per pulse",
+    "coupler_interaction_length_mm": "it was never read; coupler_kappa_lc_rad sets the coupling",
+}
 
 
 def parse_config(document: dict) -> ScenarioConfig:
     """Validate a raw dict against the schema and build a ScenarioConfig."""
     if not isinstance(document, dict):
         raise ConfigurationError("configuration must be a JSON object")
-    known = {f.name for f in fields(ScenarioConfig)}
     values = {}
     for key, value in document.items():
         if key.startswith("_"):
             continue
-        if key not in known:
+        if key in _REMOVED_KEYS:
+            raise ConfigurationError(f"configuration key {key!r} was removed: {_REMOVED_KEYS[key]}")
+        if key not in _FIELD_TYPES:
             raise ConfigurationError(f"unknown configuration key {key!r}")
-        values[key] = _coerce(key, value)
+        values[key] = _COERCE[_FIELD_TYPES[key]](key, value)
     version = values.get("schema_version", SCHEMA_VERSION)
     if version != SCHEMA_VERSION:
         raise ConfigurationError(

@@ -16,7 +16,7 @@ import numpy as np
 from scipy.optimize import OptimizeWarning, curve_fit
 
 from .photostats import PhotonNumberDistribution, HeraldModel, herald_condition, thermal
-from .units import SPEED_OF_LIGHT_M_PER_S
+from .units import delay_to_path
 
 FOUR_LN2 = 4.0 * math.log(2.0)
 
@@ -131,7 +131,7 @@ def dip_profile(
         raise ValueError(f"visibility must be in [0, 1], got {v_total}")
     if tau_fwhm_ps <= 0:
         raise ValueError(f"dip FWHM time must be > 0, got {tau_fwhm_ps}")
-    fwhm_mm = tau_fwhm_ps * 1e-12 * SPEED_OF_LIGHT_M_PER_S * 1e3
+    fwhm_mm = delay_to_path(tau_fwhm_ps)
     pos = tuple(float(x) for x in positions_mm)
     rates = tuple(
         baseline * (1.0 - v_total * math.exp(-FOUR_LN2 * (x / fwhm_mm) ** 2)) for x in pos

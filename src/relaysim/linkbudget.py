@@ -30,13 +30,6 @@ from dataclasses import dataclass, field, replace
 
 from .components import ChipLayout, DetectorModel
 
-_DEFAULT_LAYOUT = ChipLayout()
-# Fraction of the full port-to-port insertion loss seen by photons born on
-# chip (no input fiber coupling): 5.5 dB of 8.5 dB for the default layout.
-_ONCHIP_LOSS_FRACTION = (
-    _DEFAULT_LAYOUT.path_loss_db("chipsrc_to_c") / _DEFAULT_LAYOUT.path_loss_db("insertion")
-)
-
 MAX_SEARCH_KM = 1e4
 
 VARIANTS = ("direct", "standard_relay", "folded_relay")
@@ -52,11 +45,10 @@ class LinkParams:
             efficiency=0.10, dark_prob_per_ns=1e-6, gate_window_ns=1.0
         )
     )
-    pulse_rate_hz: float = 76e6
     mean_photon_per_pulse: float = 1.0
     relay_pair_mean: float = 1.0
     teleport_fidelity: float = 0.8
-    chip_insertion_loss_db: float = 0.0
+    layout: ChipLayout = field(default_factory=ChipLayout)
 
     def __post_init__(self) -> None:
         if self.fiber_loss_db_per_km < 0:
@@ -67,8 +59,6 @@ class LinkParams:
             )
         if self.mean_photon_per_pulse < 0 or self.relay_pair_mean < 0:
             raise ValueError("mean photon numbers must be >= 0")
-        if self.chip_insertion_loss_db < 0:
-            raise ValueError("chip insertion loss must be >= 0 dB")
 
 
 @dataclass(frozen=True)
@@ -106,23 +96,26 @@ class LinkRates:
     relay_position: float | None
 
 
-def _chip_losses_db(model: LinkModel, params: LinkParams) -> tuple[float, float, float]:
-    """(loss_a, loss_b, loss_c) in dB for the three photon paths."""
-    if model.variant == "direct":
-        return 0.0, 0.0, 0.0
+def _chip_transmissions(model: LinkModel, params: LinkParams) -> tuple[float, float, float]:
+    """(g_a, g_b, g_c): chip transmissions of the incoming, measured and teleported photons."""
     if model.variant == "standard_relay":
-        total = 0.0
-    else:
-        total = (
-            model.chip_loss_override_db
-            if model.chip_loss_override_db is not None
-            else params.chip_insertion_loss_db
-        )
-    return total, total * _ONCHIP_LOSS_FRACTION, total * _ONCHIP_LOSS_FRACTION
+        return 1.0, 1.0, 1.0
+    layout = params.layout
+    if model.chip_loss_override_db is not None:
+        layout = replace(layout, measured_insertion_db=model.chip_loss_override_db)
+    return (
+        layout.path_transmission("insertion"),
+        layout.path_transmission("chipsrc_to_c2") * layout.path_transmission("c2_to_out"),
+        layout.path_transmission("chipsrc_to_c"),
+    )
 
 
 def _relay_probs(
-    model: LinkModel, params: LinkParams, distance_km: float, position: float
+    model: LinkModel,
+    params: LinkParams,
+    chip: tuple[float, float, float],
+    distance_km: float,
+    position: float,
 ) -> tuple[float, float]:
     """(signal, accidental) per pulse for a relay at the given position."""
     alpha = params.fiber_loss_db_per_km
@@ -132,8 +125,7 @@ def _relay_probs(
     d_r = d
     mu = params.mean_photon_per_pulse
     nu = params.relay_pair_mean
-    loss_a, loss_b, loss_c = _chip_losses_db(model, params)
-    g_a, g_b, g_c = (10.0 ** (-x / 10.0) for x in (loss_a, loss_b, loss_c))
+    g_a, g_b, g_c = chip
 
     t1 = 10.0 ** (-alpha * position * distance_km / 10.0)
     t2 = 10.0 ** (-alpha * (1.0 - position) * distance_km / 10.0)
@@ -153,13 +145,15 @@ def _relay_probs(
     return signal, accidental
 
 
-def _best_position(model: LinkModel, params: LinkParams, distance_km: float) -> float:
+def _best_position(
+    model: LinkModel, params: LinkParams, chip: tuple[float, float, float], distance_km: float
+) -> float:
     """Golden-section maximization of SNR over the relay position."""
     if distance_km <= 0:
         return 0.5
 
     def snr(f: float) -> float:
-        s, a = _relay_probs(model, params, distance_km, f)
+        s, a = _relay_probs(model, params, chip, distance_km, f)
         return s / a if a > 0 else math.inf
 
     inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
@@ -195,12 +189,13 @@ def link_rates(model: LinkModel, params: LinkParams, distance_km: float) -> Link
         e_intrinsic = 0.0
         position = None
     else:
+        chip = _chip_transmissions(model, params)
         position = (
             model.relay_position
             if model.relay_position is not None
-            else _best_position(model, params, distance_km)
+            else _best_position(model, params, chip, distance_km)
         )
-        signal, accidental = _relay_probs(model, params, distance_km, position)
+        signal, accidental = _relay_probs(model, params, chip, distance_km, position)
         e_intrinsic = (1.0 - params.teleport_fidelity) / 2.0
 
     total = signal + accidental
@@ -266,7 +261,7 @@ def max_distance(
     if model.variant != "direct":
         midpoint = solve(replace(model, relay_position=0.5))
         if position is None:
-            position = _best_position(model, params, dist)
+            position = _best_position(model, params, _chip_transmissions(model, params), dist)
     return MaxDistanceResult(dist, criterion, position, midpoint, False)
 
 

@@ -37,7 +37,7 @@ from .photostats import (
     herald_condition,
     thermal,
 )
-from .units import SPEED_OF_LIGHT_M_PER_S, SpectralMode, coherence_time, db_to_linear
+from .units import SpectralMode, coherence_time, db_to_linear, delay_to_path
 
 # ---------------------------------------------------------------------------
 # Counter-based RNG
@@ -283,7 +283,7 @@ def compile_scenario(scenario: Scenario) -> SimParams:
 
     tau_c_ps = coherence_time(scenario.photon_mode)
     peak = v_timing(scenario.pump_duration_ps, tau_c_ps)
-    fwhm_mm = scenario.tau_fwhm_ps * 1e-12 * SPEED_OF_LIGHT_M_PER_S * 1e3
+    fwhm_mm = delay_to_path(scenario.tau_fwhm_ps)
 
     return SimParams(
         p_gate=scenario.gate_rate_hz / scenario.pump_repetition_rate_hz,
@@ -776,6 +776,17 @@ def expected_rates(scenario: Scenario, overlap: float | None = None) -> Expected
     )
 
 
+def _c2_visibility(scenario: Scenario, heralded: bool) -> VisibilityBreakdown:
+    params = compile_scenario(scenario)
+    cutoff = params.cutoff
+    dist_a = _pair_distribution(scenario.external_distribution, scenario.external_source, cutoff)
+    dist_b = _pair_distribution(scenario.chip_distribution, scenario.chip_source, cutoff)
+    if heralded:
+        dist_b = herald_condition(dist_b, HeraldModel(params.p_c_arrive * params.eta_c, params.dark_c))
+    v_stat = v_statistics(apply_loss(dist_a, params.q_a), apply_loss(dist_b, params.q_b))
+    return VisibilityBreakdown(v_statistics=v_stat, v_timing=params.overlap_peak)
+
+
 def analytic_visibility(scenario: Scenario) -> VisibilityBreakdown:
     """Timing-and-statistics visibility prediction for the three-fold dip.
 
@@ -784,25 +795,12 @@ def analytic_visibility(scenario: Scenario) -> VisibilityBreakdown:
     distribution against the chip distribution conditioned on the herald
     click and thinned by the b-arm survival.
     """
-    params = compile_scenario(scenario)
-    cutoff = params.cutoff
-    dist_a = _pair_distribution(scenario.external_distribution, scenario.external_source, cutoff)
-    dist_b = _pair_distribution(scenario.chip_distribution, scenario.chip_source, cutoff)
-    herald = HeraldModel(params.p_c_arrive * params.eta_c, params.dark_c)
-    dist_a_c2 = apply_loss(dist_a, params.q_a)
-    dist_b_c2 = apply_loss(herald_condition(dist_b, herald), params.q_b)
-    v_stat = v_statistics(dist_a_c2, dist_b_c2)
-    return VisibilityBreakdown(v_statistics=v_stat, v_timing=params.overlap_peak)
+    return _c2_visibility(scenario, heralded=True)
 
 
 def analytic_twofold_visibility(scenario: Scenario) -> VisibilityBreakdown:
     """As analytic_visibility but without herald conditioning (two-fold regime)."""
-    params = compile_scenario(scenario)
-    cutoff = params.cutoff
-    dist_a = _pair_distribution(scenario.external_distribution, scenario.external_source, cutoff)
-    dist_b = _pair_distribution(scenario.chip_distribution, scenario.chip_source, cutoff)
-    v_stat = v_statistics(apply_loss(dist_a, params.q_a), apply_loss(dist_b, params.q_b))
-    return VisibilityBreakdown(v_statistics=v_stat, v_timing=params.overlap_peak)
+    return _c2_visibility(scenario, heralded=False)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 DEFAULT_N_MAX = 20
-TRUNCATION_TOL = 1e-12
 
 
 class UndefinedConditioningError(ValueError):
@@ -128,16 +127,6 @@ def herald_condition(
     pmf = tuple(w / total for w in weights)
     mean = sum(n * p for n, p in enumerate(pmf))
     return PhotonNumberDistribution(pmf, mean, "conditional")
-
-
-def herald_click_prob(dist: PhotonNumberDistribution, model: HeraldModel) -> float:
-    """Unconditional probability that the herald detector clicks on a pulse."""
-    if model.efficiency is None:
-        raise ValueError("click probability is infinitesimal in the low-efficiency limit")
-    eta, dark = model.efficiency, model.dark_prob
-    return sum(
-        p * (1.0 - (1.0 - eta) ** n * (1.0 - dark)) for n, p in enumerate(dist.pmf)
-    )
 
 
 def apply_loss(dist: PhotonNumberDistribution, survival_prob: float) -> PhotonNumberDistribution:

@@ -49,26 +49,6 @@ class SpectralMode:
         return coherence_time(self)
 
 
-@dataclass(frozen=True)
-class PathDelay:
-    """A free-space path difference and its equivalent vacuum delay.
-
-    The two fields satisfy equivalent_delay_ps = path_difference_mm / c
-    exactly; construct via from_path or from_delay to keep them consistent.
-    """
-
-    path_difference_mm: float
-    equivalent_delay_ps: float
-
-    @classmethod
-    def from_path(cls, path_difference_mm: float) -> "PathDelay":
-        return cls(path_difference_mm, path_to_delay(path_difference_mm))
-
-    @classmethod
-    def from_delay(cls, equivalent_delay_ps: float) -> "PathDelay":
-        return cls(delay_to_path(equivalent_delay_ps), equivalent_delay_ps)
-
-
 def coherence_time(mode: SpectralMode) -> float:
     """Transform-limited coherence time in ps: K * lambda^2 / (c * dlambda).
 
@@ -83,15 +63,8 @@ def coherence_time(mode: SpectralMode) -> float:
     return k * lam_m**2 / (SPEED_OF_LIGHT_M_PER_S * dlam_m) * 1e12
 
 
-def path_to_delay(path_difference_mm: float) -> float:
-    """Vacuum delay in ps for a path difference in mm (6 mm -> 20.0 ps)."""
-    if not math.isfinite(path_difference_mm):
-        raise ValueError(f"path difference must be finite, got {path_difference_mm}")
-    return path_difference_mm * 1e-3 / SPEED_OF_LIGHT_M_PER_S * 1e12
-
-
 def delay_to_path(delay_ps: float) -> float:
-    """Inverse of path_to_delay: path difference in mm for a vacuum delay in ps."""
+    """Path difference in mm for a vacuum delay in ps (20 ps -> 6.0 mm)."""
     if not math.isfinite(delay_ps):
         raise ValueError(f"delay must be finite, got {delay_ps}")
     return delay_ps * 1e-12 * SPEED_OF_LIGHT_M_PER_S * 1e3
@@ -100,10 +73,3 @@ def delay_to_path(delay_ps: float) -> float:
 def db_to_linear(loss_db: float) -> float:
     """Power transmission for a loss in dB (3 dB -> 0.501)."""
     return 10.0 ** (-loss_db / 10.0)
-
-
-def linear_to_db(transmission: float) -> float:
-    """Loss in dB for a power transmission in (0, 1]."""
-    if transmission <= 0:
-        raise ValueError(f"transmission must be > 0, got {transmission}")
-    return -10.0 * math.log10(transmission)

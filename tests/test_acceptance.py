@@ -141,7 +141,7 @@ def test_criterion_09_loss_budget():
 
 def test_criterion_10_keyrate_gains():
     with criterion(10, "keyrate-gains") as detail:
-        params = LinkParams(chip_insertion_loss_db=9.0)
+        params = LinkParams(layout=ChipLayout(measured_insertion_db=9.0))
         direct = max_distance(LinkModel("direct"), params).distance_km
         lossless = max_distance(
             LinkModel("folded_relay", chip_loss_override_db=0.0), params

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from relaysim.components import (
     detector_click_prob,
     spdc_spectral_density,
 )
+from relaysim.montecarlo import Scenario, compile_scenario
 from relaysim.units import SpectralMode
 
 # Detuning-to-coupling ratio at the 50/50 point, from the root of
@@ -99,6 +101,8 @@ def test_zeroed_segments_give_zero_loss():
         segments={"fiber_to_chip": 0.0, "chip_to_fiber": 0.0, "prop_front": 0.0, "prop_back": 0.0}
     )
     assert chip_insertion_loss(layout) == 0.0
+    # A measured 0 dB figure (the lossless key-rate curve) needs no rescaling.
+    assert replace(layout, measured_insertion_db=0.0).path_loss_db("chipsrc_to_c") == 0.0
 
 
 def test_measured_override_used_verbatim():
@@ -122,6 +126,13 @@ def test_missing_segment_rejected():
         ChipLayout(segments={"fiber_to_chip": 3.0}, paths={"insertion": ("fiber_to_chip", "ghost")})
     with pytest.raises(ConfigurationError):
         ChipLayout(segments={"fiber_to_chip": -1.0, "chip_to_fiber": 3.0, "prop_front": 1.0, "prop_back": 1.0})
+    with pytest.raises(ConfigurationError):
+        ChipLayout(measured_insertion_db=-1.0)
+    with pytest.raises(ConfigurationError):
+        ChipLayout(
+            segments={"fiber_to_chip": 0.0, "chip_to_fiber": 0.0, "prop_front": 0.0, "prop_back": 0.0},
+            measured_insertion_db=9.0,
+        )
 
 
 def test_unknown_path_rejected():
@@ -178,23 +189,20 @@ def test_filter_band_edges():
     assert f.passes(1530.0)
     assert f.passes(1530.0 + 0.0999)
     assert not f.passes(1530.0 + 0.11)
-    assert f.transmission(1534.0) == 0.0
+    assert not f.passes(1534.0)
 
 
 def test_filter_insertion_loss_applied_in_band():
-    f = FilterModel(1530.0, 200.0, insertion_loss_db=3.0)
-    assert f.transmission(1530.0) == pytest.approx(10 ** -0.3, rel=1e-12)
-
-
-def test_filter_band_overlap_fraction():
-    # Gaussian envelope for the wide-band check: negligible tails.
-    src = SpdcSource(spectrum=SpectralMode(1532.0, 80_000.0, "gaussian"))
-    wide = FilterModel(1532.0, 400_000.0)  # 400 nm: passes essentially everything
-    narrow = FilterModel(1532.0, 200.0)
-    assert wide.band_overlap(src) == pytest.approx(1.0, abs=1e-6)
-    frac = narrow.band_overlap(src)
-    assert 0.0 < frac < 0.01  # 200 pm out of an 80 nm envelope
-    assert narrow.band_overlap(default_source()) < 0.01  # sinc^2 likewise
+    # In-band photons survive with the filters' insertion-loss transmission.
+    base = Scenario()
+    lossy = replace(
+        base,
+        filter_ab=FilterModel(1530.0, 200.0, insertion_loss_db=3.0),
+        filter_c=FilterModel(1534.0, 800.0, insertion_loss_db=3.0),
+    )
+    p0, p1 = compile_scenario(base), compile_scenario(lossy)
+    assert p1.s_post == pytest.approx(p0.s_post * 10 ** -0.3, rel=1e-12)
+    assert p1.p_c_arrive == pytest.approx(p0.p_c_arrive * 10 ** -0.3, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import sys
 import pytest
 
 from relaysim.cli import main
-from relaysim.components import ConfigurationError
+from relaysim.components import ConfigurationError, chip_insertion_loss
 from relaysim.config import (
     PRESET_NAMES,
     SCHEMA_VERSION,
@@ -40,19 +40,36 @@ def test_round_trip_is_identity():
 
 def test_unknown_keys_rejected_and_annotations_ignored():
     with pytest.raises(ConfigurationError):
-        parse_config({"schema_version": 1, "fiber_loss_per_km": 0.2})
-    cfg = parse_config({"schema_version": 1, "_note": "annotation", "fiber_loss_db_per_km": 0.25})
+        parse_config({"schema_version": SCHEMA_VERSION, "fiber_loss_per_km": 0.2})
+    cfg = parse_config(
+        {"schema_version": SCHEMA_VERSION, "_note": "annotation", "fiber_loss_db_per_km": 0.25}
+    )
     assert cfg.fiber_loss_db_per_km == 0.25
 
 
 def test_missing_keys_get_defaults():
-    cfg = parse_config({"schema_version": 1})
+    cfg = parse_config({"schema_version": SCHEMA_VERSION})
     assert cfg == ScenarioConfig()
 
 
 def test_wrong_schema_version_rejected():
     with pytest.raises(ConfigurationError):
         parse_config({"schema_version": SCHEMA_VERSION + 1})
+    with pytest.raises(ConfigurationError):
+        parse_config({"schema_version": SCHEMA_VERSION - 1})
+
+
+@pytest.mark.parametrize(
+    "key,reason",
+    [
+        ("chip_insertion_loss_db", "measured_insertion_loss_db"),
+        ("link_pulse_rate_hz", "never read"),
+        ("coupler_interaction_length_mm", "never read"),
+    ],
+)
+def test_removed_keys_rejected_with_reason(key, reason):
+    with pytest.raises(ConfigurationError, match=reason):
+        parse_config({"schema_version": SCHEMA_VERSION, key: 9.0})
 
 
 def test_type_validation():
@@ -97,7 +114,7 @@ def test_preset_fig2_pins_link_parameters():
     assert params.fiber_loss_db_per_km == 0.2
     assert params.detector.efficiency == 0.1
     assert params.teleport_fidelity == 0.8
-    assert params.chip_insertion_loss_db == 9.0
+    assert chip_insertion_loss(params.layout) == 9.0
 
 
 def test_unknown_preset_rejected():
@@ -201,6 +218,20 @@ def test_keyrate_sweep_summary(tmp_path, capsys):
     assert 200.0 <= summary["max_distance_direct_km"] <= 300.0
     assert 1.6 <= summary["gain_lossless"] <= 2.0
     assert 1.25 <= summary["gain_realistic_chip"] <= 1.55
+
+
+def test_config_segment_losses_reach_keyrate_sweep(tmp_path, capsys):
+    # The link budget reads the configured chip layout: a lossier
+    # chip-to-fiber segment must shorten the folded relay's reach.
+    reach = {}
+    for loss_db in (3.0, 6.0):
+        path = tmp_path / f"chip_to_fiber_{loss_db}.json"
+        path.write_text(ScenarioConfig(loss_chip_to_fiber_db=loss_db).dumps(), encoding="utf-8")
+        assert run_cli("keyrate-sweep", "--config", str(path)) == 0
+        summary = capsys.readouterr().out.splitlines()
+        line = next(l for l in summary if l.startswith("max_distance_folded_relay_km="))
+        reach[loss_db] = float(line.partition("=")[2])
+    assert reach[6.0] < reach[3.0]
 
 
 def test_mc_run_byte_identical(tmp_path):

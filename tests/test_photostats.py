@@ -9,7 +9,6 @@ from relaysim.photostats import (
     apply_loss,
     custom,
     herald_condition,
-    herald_click_prob,
     poisson,
     thermal,
 )
@@ -134,12 +133,6 @@ def test_undefined_conditioning_raises():
         herald_condition(thermal(0.0), HeraldModel(1.0, 0.0))
     with pytest.raises(UndefinedConditioningError):
         herald_condition(thermal(0.0), HeraldModel(None, 0.0))
-
-
-def test_herald_click_prob():
-    d = thermal(0.02)
-    assert herald_click_prob(d, HeraldModel(1.0, 0.0)) == pytest.approx(1.0 - d.p(0), rel=1e-12)
-    assert herald_click_prob(d, HeraldModel(0.0, 0.25)) == pytest.approx(0.25, rel=1e-12)
 
 
 def test_herald_model_validation():
