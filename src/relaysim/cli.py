@@ -24,7 +24,7 @@ from .components import (
 from .config import PRESET_NAMES, ScenarioConfig, load_anchor_csv, load_config, load_preset
 from .interference import FitFailureError, UndefinedVisibilityError, v_statistics, visibility_map
 from .linkbudget import LinkModel, fig2_models, max_distance, sweep
-from .montecarlo import CountsReport, NetRates, run, scan_dip, subtract_accidentals
+from .montecarlo import CountsReport, NetRates, resolution_warning, run, scan_dip, subtract_accidentals
 from .photostats import HeraldModel, UndefinedConditioningError, herald_condition, thermal
 
 VISIBILITY_REFERENCE_TARGET = 0.75  # design-target dip visibility at the operating point
@@ -124,11 +124,19 @@ def _cmd_visibility_map(args) -> int:
     return 0
 
 
+def _warn_unresolved(scenario, pulses: int) -> None:
+    warning = resolution_warning(scenario, pulses)
+    if warning is not None:
+        print(warning, file=sys.stderr)
+
+
 def _cmd_hom_dip(args) -> int:
     cfg = _load(args)
     scenario = cfg.to_scenario()
     positions = np.linspace(cfg.dip_scan_min_mm, cfg.dip_scan_max_mm, cfg.dip_scan_points)
     result = scan_dip(scenario, positions, args.pulses, seed=args.seed, workers=args.workers)
+    if args.pulses > 0:
+        _warn_unresolved(scenario, args.pulses)
     rows = list(zip(result.positions_mm, result.rates, result.errors))
     _emit(args, ["position_mm", "threefold_rate", "error"], rows)
     if result.fit is not None:
@@ -211,6 +219,7 @@ def _cmd_mc_run(args) -> int:
     cfg = _load(args)
     scenario = cfg.to_scenario()
     report = run(scenario, args.pulses, seed=args.seed, workers=args.workers)
+    _warn_unresolved(scenario, args.pulses)
     net = subtract_accidentals(report)
     _emit(args, ["field", "value"], _report_rows(report, net), _fields_text)
     return 0
@@ -257,7 +266,12 @@ def build_parser() -> argparse.ArgumentParser:
             default="csv" if name != "mc-run" else "structured-text",
             help="output format",
         )
-        p.add_argument("--workers", type=int, default=1, help="parallel workers (default 1)")
+        p.add_argument(
+            "--workers",
+            type=int,
+            default=1,
+            help="accepted for compatibility; has no effect (sampling cost does not grow with --pulses)",
+        )
         if name == "coupler-curve":
             p.add_argument(
                 "--anchors-csv",

@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .units import SpectralMode, db_to_linear
 
@@ -153,6 +152,8 @@ def calibrate_coupler(
 
     nonzero = [(v, r) for v, r in anchors if v != 0.0]
     if nonzero:
+        from scipy.optimize import least_squares  # deferred: costs most of `import relaysim`
+
         def residuals(params):
             m = CouplerModel(kappa_lc_rad, params[0])
             return [coupler_ratio(m, v) - r for v, r in nonzero]

@@ -13,7 +13,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import OptimizeWarning, curve_fit
 
 from .photostats import PhotonNumberDistribution, HeraldModel, herald_condition, thermal
 from .units import delay_to_path
@@ -162,6 +161,8 @@ def fit_dip(positions_mm, rates, errors=None, fwhm_guess_mm: float | None = None
     FitFailureError on non-convergence; callers that must preserve raw
     samples catch it and report the failure alongside the data.
     """
+    from scipy.optimize import OptimizeWarning, curve_fit  # deferred: costs most of `import relaysim`
+
     x = np.asarray(positions_mm, dtype=float)
     y = np.asarray(rates, dtype=float)
     if x.size < 4:

@@ -1,4 +1,4 @@
-"""Pulse-by-pulse stochastic simulation of the relay interference apparatus.
+"""Exact-law Monte Carlo of the relay interference apparatus.
 
 One external heralded-style source feeds chip port 1; the on-chip source
 feeds pairs through coupler C1; the surviving photons interfere at coupler
@@ -7,15 +7,24 @@ herald at port C).  Reported tallies are singles, two-fold and three-fold
 coincidences, at the scenario delay and at a far-delay reference, from which
 raw and accidental-subtracted dip visibilities follow.
 
-Randomness is per-pulse counter-based: pulse i, draw slot j reads a 64-bit
-hash of (stream key, i * SLOTS + j), so any decomposition of the pulse range
-over batches or workers reproduces identical tallies.
+Gated pulses are independent and identically distributed, and every tally
+is a function of one pulse's joint click pattern (A, B, C, and the monitor
+when enabled).  `joint_law` gives that pattern's exact law, truncated at the
+pair cutoff.  A leg of n pulses is then exactly Binomial(n, p_gate) gated
+pulses split over the 8 (16 with the monitor) click cells by one multinomial
+draw, so its cost does not depend on n.  Each leg draws from a numpy
+Generator seeded with `derive_key(seed, leg)`.  The photon ledger is not a
+function of the click pattern; it holds expected flows, gated pulses times
+the per-gate expectation.
+
+`CounterRng` is a stateless counter hash: pulse i, draw slot j reads a
+64-bit hash of (stream key, i * SLOTS + j), so a per-pulse sampler drawing
+from it gives the same draws for any split of the pulse range.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -48,35 +57,12 @@ _GOLDEN = 0x9E3779B97F4A7C15
 _MIX_A = 0xBF58476D1CE4E5B9
 _MIX_B = 0x94D049BB133111EB
 
-# Draw slots reserved per pulse; pulse i's draws live at counters
-# [i*SLOTS, (i+1)*SLOTS).  Bounds the per-pulse photon loops at
-# MAX_PAIR_CUTOFF pairs per source.
+# Counters per pulse: pulse i's draw j reads counter i*SLOTS + j.
 SLOTS = 512
+
+# Largest accepted pair-number truncation; it keeps the (k_a, x, k_b, y)
+# routing table behind joint_law at most 21**4 entries.
 MAX_PAIR_CUTOFF = 20
-
-_S_GATE = 0
-_S_NA = 1
-_S_NB = 2
-_S_A_SURV = 3                      # 20 slots
-_S_B_SURV = 23                     # 20
-_S_C_ARR = 43                      # 20
-_S_C_DET = 63                      # 20
-_S_COINC = 83
-_S_SIDE = 84
-_S_ROUTE_A = 85                    # 20
-_S_ROUTE_B = 105                   # 20
-_S_POST_A = 125                    # 40
-_S_POST_B = 165                    # 40
-_S_DET_A = 205                     # 40
-_S_DET_B = 245                     # 40
-_S_DARK_A = 285
-_S_DARK_B = 286
-_S_DARK_C = 287
-_S_DARK_MON = 288
-_S_MON_ARR = 289                   # 20
-_S_MON_DET = 309                   # 20
-
-_BATCH_PULSES = 1 << 21
 
 
 def _mix_int(x: int) -> int:
@@ -314,211 +300,165 @@ def compile_scenario(scenario: Scenario) -> SimParams:
 
 
 # ---------------------------------------------------------------------------
-# Tallies
+# Joint click law and tallies
 # ---------------------------------------------------------------------------
+
+_COMB = np.array(
+    [[math.comb(n, k) for k in range(MAX_PAIR_CUTOFF + 1)] for n in range(MAX_PAIR_CUTOFF + 1)],
+    dtype=float,
+)
+
+
+def _pair_pmf(cdf: np.ndarray, cutoff: int) -> np.ndarray:
+    """Normalised pair-number pmf with the mass above the cutoff folded onto it."""
+    pmf = np.diff(cdf, prepend=0.0)
+    pmf = pmf / pmf.sum()
+    if pmf.shape[0] > cutoff + 1:
+        pmf = np.append(pmf[:cutoff], pmf[cutoff:].sum())
+    return pmf
+
+
+def _binomial(n_max: int, p: float) -> np.ndarray:
+    """B[n, k]: probability that k of n photons survive, each with probability p."""
+    n, k = np.ogrid[: n_max + 1, : n_max + 1]
+    return _COMB[: n_max + 1, : n_max + 1] * p**k * (1.0 - p) ** np.maximum(n - k, 0)
+
+
+def _clicks(m_max: int, p_det: float, dark: float) -> np.ndarray:
+    """P[no click, click] of a gated detector reached by m = 0..m_max photons."""
+    quiet = (1.0 - p_det) ** np.arange(m_max + 1) * (1.0 - dark)
+    return np.stack([quiet, 1.0 - quiet], axis=-1)
+
+
+def _source_weights(pmf: np.ndarray, survive: float, clicks: np.ndarray | None) -> np.ndarray:
+    """w[k, X] = sum_n P(n) Bin(k | n, survive) P(X | n), X the partner photons' click."""
+    if clicks is None:
+        clicks = np.ones((pmf.shape[0], 1))
+    return np.einsum("n,nk,nx->kx", pmf, _binomial(pmf.shape[0] - 1, survive), clicks)
+
+
+def joint_law(params: SimParams, overlap: float) -> np.ndarray:
+    """Exact law of one gated pulse's click pattern, indexed [A, B, C(, M)].
+
+    The external photons reaching C2 (k_a) and the monitor click M depend on
+    the external pair number only; the chip photons reaching C2 (k_b) and the
+    herald click C on the chip pair number only.  C2 routes every pattern's
+    photons independently by its cross ratio, except the one-plus-one
+    pattern, which interferes at the given temporal overlap.  The monitor
+    axis is present only when the monitor is enabled.
+    """
+    pmf_a = _pair_pmf(params.cdf_a, params.cutoff)
+    pmf_b = _pair_pmf(params.cdf_b, params.cutoff)
+    i, j = pmf_a.shape[0], pmf_b.shape[0]
+    monitor = (
+        _clicks(i - 1, params.p_mon_arrive * params.eta_mon, params.dark_mon)
+        if params.monitor_enabled
+        else None
+    )
+    w_a = _source_weights(pmf_a, params.q_a, monitor)
+    herald = _clicks(j - 1, params.p_c_arrive * params.eta_c, params.dark_c)
+    w_b = _source_weights(pmf_b, params.q_b, herald)
+
+    # C2 routing table T[k_a, k_b, A, B]: x of the k_a photons cross to
+    # output B, y of the k_b photons cross to output A.
+    m_max = max(i + j - 2, 2)
+    click_a = _clicks(m_max, params.s_post * params.eta_a, params.dark_a)
+    click_b = _clicks(m_max, params.s_post * params.eta_b, params.dark_b)
+    k_a, x = np.ogrid[:i, :i]
+    k_b, y = np.ogrid[:j, :j]
+    m_a = np.clip(k_a[:, :, None, None] - x[:, :, None, None] + y[None, None], 0, m_max)
+    m_b = np.clip(x[:, :, None, None] + k_b[None, None] - y[None, None], 0, m_max)
+    cross = params.cross2
+    table = np.einsum(
+        "ix,jy,ixjya,ixjyb->ijab",
+        _binomial(i - 1, cross), _binomial(j - 1, cross), click_a[m_a], click_b[m_b],
+        optimize=True,
+    )
+    if i > 1 and j > 1:
+        bar = 1.0 - cross
+        p_coinc = bar * bar + cross * cross - 2.0 * bar * cross * overlap
+        table[1, 1] = p_coinc * np.outer(click_a[1], click_b[1]) + (1.0 - p_coinc) / 2.0 * (
+            np.outer(click_a[2], click_b[0]) + np.outer(click_a[0], click_b[2])
+        )
+    law = np.einsum("im,jc,ijab->abcm", w_a, w_b, table)
+    return law if params.monitor_enabled else law[..., 0]
+
+
+def _ledger_per_gate(params: SimParams) -> tuple[float, float, float, float]:
+    """Expected (generated, lost, undetected, detected) photons per gated pulse.
+
+    The C2 outputs carry k_a (1 - cross) + k_b cross and k_a cross +
+    k_b (1 - cross) photons on average; the interfering one-plus-one pattern
+    has the same means as independent routing.
+    """
+    n_a, n_b = (
+        float(np.arange(pmf.shape[0]) @ pmf)
+        for pmf in (_pair_pmf(params.cdf_a, params.cutoff), _pair_pmf(params.cdf_b, params.cutoff))
+    )
+    k_a, k_b, cross = params.q_a * n_a, params.q_b * n_b, params.cross2
+    out_a = (1.0 - cross) * k_a + cross * k_b
+    out_b = cross * k_a + (1.0 - cross) * k_b
+    generated = n_a + 2.0 * n_b
+    lost = (
+        (n_a - k_a)
+        + (n_b - k_b)
+        + (out_a + out_b) * (1.0 - params.s_post)
+        + n_b * (1.0 - params.p_c_arrive)
+    )
+    # (photons reaching a detector, its efficiency)
+    arrivals = [
+        (params.s_post * out_a, params.eta_a),
+        (params.s_post * out_b, params.eta_b),
+        (params.p_c_arrive * n_b, params.eta_c),
+    ]
+    if params.monitor_enabled:
+        generated += n_a
+        lost += n_a * (1.0 - params.p_mon_arrive)
+        arrivals.append((params.p_mon_arrive * n_a, params.eta_mon))
+    undetected = sum(m * (1.0 - eta) for m, eta in arrivals)
+    detected = sum(m * eta for m, eta in arrivals)
+    return generated, lost, undetected, detected
+
 
 @dataclass(frozen=True)
 class Tally:
-    """Integer counters accumulated over gated pulses; merged by addition."""
+    """One leg's counts over its gated pulses, and its expected photon ledger.
 
-    gated: int = 0
-    singles_a: int = 0
-    singles_b: int = 0
-    singles_c: int = 0
-    singles_monitor: int = 0
-    twofold_ab: int = 0
-    threefold_abc: int = 0
-    generated: int = 0
-    lost: int = 0
-    undetected: int = 0
-    detected: int = 0
+    The click counters are sampled integers.  generated, lost, undetected and
+    detected are expected photon flows (gated pulses times the per-gate
+    expectation), so they balance to float precision.
+    """
 
-    def __add__(self, other: "Tally") -> "Tally":
-        return Tally(
-            self.gated + other.gated,
-            self.singles_a + other.singles_a,
-            self.singles_b + other.singles_b,
-            self.singles_c + other.singles_c,
-            self.singles_monitor + other.singles_monitor,
-            self.twofold_ab + other.twofold_ab,
-            self.threefold_abc + other.threefold_abc,
-            self.generated + other.generated,
-            self.lost + other.lost,
-            self.undetected + other.undetected,
-            self.detected + other.detected,
-        )
+    gated: int
+    singles_a: int
+    singles_b: int
+    singles_c: int
+    singles_monitor: int
+    twofold_ab: int
+    threefold_abc: int
+    generated: float
+    lost: float
+    undetected: float
+    detected: float
 
 
-def _survivor_counts(rng, idx, n, base_slot, p):
-    """Count per-pulse Bernoulli survivors among n generated photons."""
-    k = np.zeros(idx.shape[0], dtype=np.int64)
-    top = int(n.max()) if idx.shape[0] else 0
-    for j in range(top):
-        m = n > j
-        if not m.any():
-            break
-        k[m] += rng.uniform(idx[m], base_slot + j) < p
-    return k
-
-
-def _arrive_detect_counts(rng, idx, n, arr_slot, det_slot, p_arrive, eta):
-    """Per-photon arrival then detection draws; returns (arrived, detected)."""
-    arrived = np.zeros(idx.shape[0], dtype=np.int64)
-    detected = np.zeros(idx.shape[0], dtype=np.int64)
-    top = int(n.max()) if idx.shape[0] else 0
-    for j in range(top):
-        m = n > j
-        if not m.any():
-            break
-        sub = idx[m]
-        arr = rng.uniform(sub, arr_slot + j) < p_arrive
-        det = arr & (rng.uniform(sub, det_slot + j) < eta)
-        arrived[m] += arr
-        detected[m] += det
-    return arrived, detected
-
-
-def _simulate_batch(params: SimParams, rng: CounterRng, idx: np.ndarray, overlap: float) -> Tally:
-    """Simulate one batch of gated pulses at a fixed temporal overlap."""
-    n_g = idx.shape[0]
-    if n_g == 0:
-        return Tally()
-
-    n_a = np.searchsorted(params.cdf_a, rng.uniform(idx, _S_NA), side="right")
-    n_b = np.searchsorted(params.cdf_b, rng.uniform(idx, _S_NB), side="right")
-    np.minimum(n_a, params.cutoff, out=n_a)
-    np.minimum(n_b, params.cutoff, out=n_b)
-
-    k_a = _survivor_counts(rng, idx, n_a, _S_A_SURV, params.q_a)
-    k_b = _survivor_counts(rng, idx, n_b, _S_B_SURV, params.q_b)
-    arr_c, det_c = _arrive_detect_counts(
-        rng, idx, n_b, _S_C_ARR, _S_C_DET, params.p_c_arrive, params.eta_c
-    )
-
-    # Coupler C2: quantum interference for the 1+1 pattern, independent
-    # routing for every other pattern.
-    cross = params.cross2
-    bar = 1.0 - cross
-    p_coinc = bar * bar + cross * cross - 2.0 * bar * cross * overlap
-
-    m_a_out = np.zeros(n_g, dtype=np.int64)
-    m_b_out = np.zeros(n_g, dtype=np.int64)
-
-    pat11 = (k_a == 1) & (k_b == 1)
-    if pat11.any():
-        sub = idx[pat11]
-        coinc = rng.uniform(sub, _S_COINC) < p_coinc
-        both_a = ~coinc & (rng.uniform(sub, _S_SIDE) < 0.5)
-        both_b = ~coinc & ~both_a
-        w = np.flatnonzero(pat11)
-        m_a_out[w] += coinc + 2 * both_a
-        m_b_out[w] += coinc + 2 * both_b
-
-    other = ~pat11
-    if other.any():
-        for j in range(int(k_a.max()) if n_g else 0):
-            m = other & (k_a > j)
-            if not m.any():
-                continue
-            to_b = rng.uniform(idx[m], _S_ROUTE_A + j) < cross
-            m_b_out[m] += to_b
-            m_a_out[m] += ~to_b
-        for j in range(int(k_b.max()) if n_g else 0):
-            m = other & (k_b > j)
-            if not m.any():
-                continue
-            to_a = rng.uniform(idx[m], _S_ROUTE_B + j) < cross
-            m_a_out[m] += to_a
-            m_b_out[m] += ~to_a
-
-    arr_a, det_a = _arrive_detect_counts(
-        rng, idx, m_a_out, _S_POST_A, _S_DET_A, params.s_post, params.eta_a
-    )
-    arr_b, det_b = _arrive_detect_counts(
-        rng, idx, m_b_out, _S_POST_B, _S_DET_B, params.s_post, params.eta_b
-    )
-
-    def _with_dark(detected, slot, dark):
-        clicks = detected > 0
-        if dark > 0.0:
-            quiet = ~clicks
-            clicks[quiet] = rng.uniform(idx[quiet], slot) < dark
-        return clicks
-
-    click_a = _with_dark(det_a, _S_DARK_A, params.dark_a)
-    click_b = _with_dark(det_b, _S_DARK_B, params.dark_b)
-    click_c = _with_dark(det_c, _S_DARK_C, params.dark_c)
-
-    generated = int(n_a.sum() + 2 * n_b.sum())
-    lost = int(
-        (n_a - k_a).sum()
-        + (n_b - k_b).sum()
-        + (n_b - arr_c).sum()
-        + (m_a_out - arr_a).sum()
-        + (m_b_out - arr_b).sum()
-    )
-    undetected = int((arr_a - det_a).sum() + (arr_b - det_b).sum() + (arr_c - det_c).sum())
-    detected = int(det_a.sum() + det_b.sum() + det_c.sum())
-
-    singles_mon = 0
-    if params.monitor_enabled:
-        arr_m, det_m = _arrive_detect_counts(
-            rng, idx, n_a, _S_MON_ARR, _S_MON_DET, params.p_mon_arrive, params.eta_mon
-        )
-        click_m = _with_dark(det_m, _S_DARK_MON, params.dark_mon)
-        singles_mon = int(click_m.sum())
-        generated += int(n_a.sum())
-        lost += int((n_a - arr_m).sum())
-        undetected += int((arr_m - det_m).sum())
-        detected += int(det_m.sum())
-
-    ab = click_a & click_b
+def _sample_leg(params: SimParams, n_pulses: int, key: int, overlap: float) -> Tally:
+    """Draw one leg's gated pulses and their click-pattern counts."""
+    law = joint_law(params, overlap)
+    rng = np.random.default_rng(key)
+    gated = int(rng.binomial(n_pulses, params.p_gate))
+    cells = rng.multinomial(gated, law.ravel()).reshape(law.shape)
+    ledger = _ledger_per_gate(params)
     return Tally(
-        gated=n_g,
-        singles_a=int(click_a.sum()),
-        singles_b=int(click_b.sum()),
-        singles_c=int(click_c.sum()),
-        singles_monitor=singles_mon,
-        twofold_ab=int(ab.sum()),
-        threefold_abc=int((ab & click_c).sum()),
-        generated=generated,
-        lost=lost,
-        undetected=undetected,
-        detected=detected,
+        gated,
+        int(cells[1].sum()),
+        int(cells[:, 1].sum()),
+        int(cells[:, :, 1].sum()),
+        int(cells[..., 1].sum()) if params.monitor_enabled else 0,
+        int(cells[1, 1].sum()),
+        int(cells[1, 1, 1].sum()),
+        *(gated * flow for flow in ledger),
     )
-
-
-def _simulate_range(params: SimParams, key: int, start: int, stop: int, overlap: float) -> Tally:
-    rng = CounterRng(key)
-    total = Tally()
-    for lo in range(start, stop, _BATCH_PULSES):
-        hi = min(lo + _BATCH_PULSES, stop)
-        pulse_idx = np.arange(lo, hi, dtype=np.uint64)
-        if params.p_gate < 1.0:
-            gated = rng.uniform(pulse_idx, _S_GATE) < params.p_gate
-            pulse_idx = pulse_idx[gated]
-        total = total + _simulate_batch(params, rng, pulse_idx, overlap)
-    return total
-
-
-def _simulate_range_star(args) -> Tally:
-    return _simulate_range(*args)
-
-
-def _simulate(params: SimParams, n_pulses: int, key: int, overlap: float, workers: int) -> Tally:
-    if workers <= 1:
-        return _simulate_range(params, key, 0, n_pulses, overlap)
-    # Fixed batch grid: the decomposition (hence every draw) is independent
-    # of the worker count; merging integer tallies is order-independent.
-    tasks = [
-        (params, key, lo, min(lo + _BATCH_PULSES, n_pulses), overlap)
-        for lo in range(0, n_pulses, _BATCH_PULSES)
-    ]
-    total = Tally()
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        for tally in pool.map(_simulate_range_star, tasks):
-            total = total + tally
-    return total
 
 
 # ---------------------------------------------------------------------------
@@ -542,28 +482,20 @@ class CountsReport:
     def gated_pulses(self) -> int:
         return self.dip.gated
 
-    def _vis(self, c0: int, g0: int, c1: int, g1: int) -> tuple[float, float]:
-        if c0 <= 0 or c1 <= 0 or g0 <= 0 or g1 <= 0:
-            return float("nan"), float("nan")
-        r = (c0 / g0) / (c1 / g1)
-        err = r * math.sqrt(1.0 / c0 + 1.0 / c1)
-        return 1.0 - r, err
+    raw_visibility = property(lambda self: _raw_visibility(self, "threefold_abc")[0])
+    raw_visibility_err = property(lambda self: _raw_visibility(self, "threefold_abc")[1])
+    raw_twofold_visibility = property(lambda self: _raw_visibility(self, "twofold_ab")[0])
+    raw_twofold_visibility_err = property(lambda self: _raw_visibility(self, "twofold_ab")[1])
 
-    @property
-    def raw_visibility(self) -> float:
-        return self._vis(self.dip.threefold_abc, self.dip.gated, self.ref.threefold_abc, self.ref.gated)[0]
 
-    @property
-    def raw_visibility_err(self) -> float:
-        return self._vis(self.dip.threefold_abc, self.dip.gated, self.ref.threefold_abc, self.ref.gated)[1]
-
-    @property
-    def raw_twofold_visibility(self) -> float:
-        return self._vis(self.dip.twofold_ab, self.dip.gated, self.ref.twofold_ab, self.ref.gated)[0]
-
-    @property
-    def raw_twofold_visibility_err(self) -> float:
-        return self._vis(self.dip.twofold_ab, self.dip.gated, self.ref.twofold_ab, self.ref.gated)[1]
+def _raw_visibility(report: CountsReport, count: str) -> tuple[float, float]:
+    """1 - (dip rate / reference rate) of one coincidence count, with its Poisson error."""
+    c0, c1 = getattr(report.dip, count), getattr(report.ref, count)
+    g0, g1 = report.dip.gated, report.ref.gated
+    if c0 <= 0 or c1 <= 0 or g0 <= 0 or g1 <= 0:
+        return float("nan"), float("nan")
+    r = (c0 / g0) / (c1 / g1)
+    return 1.0 - r, r * math.sqrt(1.0 / c0 + 1.0 / c1)
 
 
 @dataclass(frozen=True)
@@ -644,27 +576,55 @@ def subtract_accidentals(report: CountsReport) -> NetRates:
 def run(scenario: Scenario, n_pulses: int, seed: int = 1, workers: int = 1) -> CountsReport:
     """Simulate n_pulses laser pulses at the scenario delay and at far delay.
 
-    Deterministic for fixed (scenario, n_pulses, seed) regardless of the
-    worker count.  The far-delay reference leg (temporal overlap zero) uses
-    an independent stream and provides the out-of-dip baseline from which
-    the report's visibilities are derived.
+    Deterministic for fixed (scenario, n_pulses, seed); the cost does not
+    grow with n_pulses.  The far-delay reference leg (temporal overlap zero)
+    uses an independent stream and provides the out-of-dip baseline from
+    which the report's visibilities are derived.  `workers` is accepted for
+    compatibility and has no effect: each leg is two draws in one process.
     """
     if n_pulses <= 0:
         raise ValueError(f"n_pulses must be > 0, got {n_pulses}")
     params = compile_scenario(scenario)
     overlap = params.overlap_at(params.delay_mm)
-    dip = _simulate(params, n_pulses, derive_key(seed, "dip"), overlap, workers)
-    ref = _simulate(params, n_pulses, derive_key(seed, "ref"), 0.0, workers)
     return CountsReport(
         pulses_simulated=n_pulses,
         seed=seed,
         delay_mm=scenario.delay_mm,
-        dip=dip,
-        ref=ref,
+        dip=_sample_leg(params, n_pulses, derive_key(seed, "dip"), overlap),
+        ref=_sample_leg(params, n_pulses, derive_key(seed, "ref"), 0.0),
         dark_a=params.dark_a,
         dark_b=params.dark_b,
         dark_c=params.dark_c,
     )
+
+
+TARGET_SIGMA_V = 0.05
+RESOLVABLE_REF_TRIPLES = 10.0
+
+
+def resolution_warning(scenario: Scenario, n_pulses: int) -> str | None:
+    """A one-line warning when n_pulses per leg cannot resolve the dip, else None.
+
+    The reference leg is expected to hold n_pulses * p_gate * P[ABC]
+    three-folds.  Below RESOLVABLE_REF_TRIPLES the warning names the pulse
+    count that gives a raw-visibility sigma of TARGET_SIGMA_V,
+    r sqrt(1/c_dip + 1/c_ref) with r = P_dip / P_ref, and at least
+    RESOLVABLE_REF_TRIPLES reference three-folds (a full dip has sigma 0).
+    """
+    params = compile_scenario(scenario)
+    p_dip = float(joint_law(params, params.overlap_at(params.delay_mm))[1, 1, 1].sum())
+    p_ref = float(joint_law(params, 0.0)[1, 1, 1].sum())
+    ref_triples = n_pulses * params.p_gate * p_ref
+    if ref_triples >= RESOLVABLE_REF_TRIPLES:
+        return None
+    head = f"warning: {n_pulses} pulses give {ref_triples:.3g} expected reference three-folds"
+    if p_ref <= 0.0:
+        return head + "; the reference three-fold probability is zero"
+    needed = max(
+        p_dip * (p_dip + p_ref) / p_ref**3 / (params.p_gate * TARGET_SIGMA_V**2),
+        RESOLVABLE_REF_TRIPLES / (params.p_gate * p_ref),
+    )
+    return head + f"; sigma_V = {TARGET_SIGMA_V} needs about {needed:.2g} pulses"
 
 
 # ---------------------------------------------------------------------------
@@ -836,7 +796,8 @@ def scan_dip(
     evaluated exactly at each position instead of sampling pulses.
     Requires at least 3 positions spanning more than twice the expected dip
     width.  Fit non-convergence is reported in the result, with the raw
-    samples preserved.
+    samples preserved.  `workers` is accepted for compatibility and has no
+    effect.
     """
     positions = [float(x) for x in positions_mm]
     if len(positions) < 3:
@@ -858,12 +819,8 @@ def scan_dip(
             errors.append(0.0)
         else:
             pos_params = compile_scenario(pos_scenario)
-            tally = _simulate(
-                pos_params,
-                n_pulses_per_point,
-                derive_key(seed, "scan", i),
-                pos_params.overlap_at(pos),
-                workers,
+            tally = _sample_leg(
+                pos_params, n_pulses_per_point, derive_key(seed, "scan", i), pos_params.overlap_at(pos)
             )
             if tally.gated == 0:
                 rates.append(0.0)

@@ -1,8 +1,8 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
-lines and measured values.  Monte Carlo criteria use fixed seeds and a
-fixed batch grid, so every run reproduces the same numbers exactly.
+lines and measured values.  Monte Carlo criteria use fixed seeds, so every
+run reproduces the same numbers exactly.
 """
 
 import math

@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 
@@ -263,6 +264,34 @@ def test_mc_run_csv_format(tmp_path):
     assert lines[1].startswith("pulses_simulated,")
 
 
+def test_mc_run_warns_when_dip_unresolvable(capsys):
+    # paper-fig6 expects about 6e-6 reference three-folds from 3e5 pulses.
+    assert run_cli("mc-run", "--preset", "paper-fig6", "--pulses", "300000") == 0
+    captured = capsys.readouterr()
+    assert captured.err.startswith("warning: 300000 pulses give ")
+    assert captured.err.count("\n") == 1 and "sigma_V = 0.05 needs about" in captured.err
+    # The warning stays off stdout, which is one "field: value" per line.
+    assert all(": " in line for line in captured.out.splitlines())
+
+
+def test_mc_run_resolves_paper_dip(capsys):
+    # 5e12 pulses, about 18 h of the experiment at 76 MHz: about 100
+    # reference three-folds, so the net visibility is finite and no warning.
+    assert run_cli("mc-run", "--preset", "paper-fig6", "--pulses", "5000000000000") == 0
+    captured = capsys.readouterr()
+    fields = dict(line.split(": ", 1) for line in captured.out.splitlines())
+    assert 50 <= int(fields["ref_threefold_abc"]) <= 200
+    assert math.isfinite(float(fields["net_visibility"]))
+    assert captured.err == ""
+
+
+def test_hom_dip_warns_only_in_monte_carlo_mode(capsys):
+    assert run_cli("hom-dip", "--preset", "paper-fig6", "--pulses", "0") == 0
+    assert capsys.readouterr().err == ""
+    assert run_cli("hom-dip", "--preset", "paper-fig6", "--pulses", "1000") == 0
+    assert capsys.readouterr().err.startswith("warning: 1000 pulses give ")
+
+
 def test_config_flag_round_trip(tmp_path):
     config_path = tmp_path / "custom.json"
     config_path.write_text(ScenarioConfig(delay_mm=2.5).dumps(), encoding="utf-8")
@@ -295,3 +324,15 @@ def test_cli_entry_point_installed():
     )
     assert proc.returncode == 0
     assert "gain_lossless" in proc.stdout
+
+
+def test_import_defers_scipy_optimize():
+    # scipy.optimize is most of the import time; only fits need it.
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, relaysim; print('scipy.optimize' in sys.modules)"],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
