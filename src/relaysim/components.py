@@ -106,6 +106,56 @@ def coupler_ratio(model: CouplerModel, voltage_v: float) -> float:
     return (a / s) ** 2 * math.sin(s) ** 2
 
 
+# Gauss-Newton steps allowed in the detuning-slope fit of calibrate_coupler.
+_GAMMA_FIT_MAX_STEPS = 100
+
+
+def _gamma_fit_state(anchors, kappa_lc_rad: float, gamma: float) -> tuple[float, float]:
+    """Sum of squared anchor residuals at gamma, and the Gauss-Newton step from there.
+
+    The slope of the cross ratio is dT/dgamma = dT/ds * gamma V^2 / s, with
+    s = hypot(kappa*Lc, gamma V) and T = (kappa*Lc / s)^2 sin^2(s).
+    """
+    model = CouplerModel(kappa_lc_rad, gamma)
+    cost = num = den = 0.0
+    for v, r in anchors:
+        res = coupler_ratio(model, v) - r
+        s = math.hypot(kappa_lc_rad, gamma * v)
+        sin_s = math.sin(s)
+        dt_ds = 2.0 * (kappa_lc_rad / s) ** 2 * sin_s * (math.cos(s) - sin_s / s)
+        slope = dt_ds * (gamma * v * v / s)
+        cost += res * res
+        num += res * slope
+        den += slope * slope
+    return cost, (-num / den if den else 0.0)
+
+
+def _fit_gamma(anchors, kappa_lc_rad: float, gamma: float) -> float:
+    """Least-squares detuning slope gamma > 0 by Gauss-Newton from a starting slope.
+
+    Each step is clamped so gamma at most halves or doubles, which keeps it
+    off the gamma = 0 bound (a stationary point of every residual) and in the
+    fringe of T(V) it started in, then halved until the squared residual
+    does not grow.  The fit stops when an iterate repeats, or after
+    _GAMMA_FIT_MAX_STEPS steps.
+    """
+    cost, step = _gamma_fit_state(anchors, kappa_lc_rad, gamma)
+    seen = set()
+    for _ in range(_GAMMA_FIT_MAX_STEPS):
+        seen.add(gamma)
+        step = min(max(step, -0.5 * gamma), gamma)
+        while True:
+            trial = gamma + step
+            if trial in seen:
+                return gamma
+            trial_cost, trial_step = _gamma_fit_state(anchors, kappa_lc_rad, trial)
+            if trial_cost <= cost:
+                break
+            step *= 0.5
+        gamma, cost, step = trial, trial_cost, trial_step
+    return gamma
+
+
 @dataclass(frozen=True)
 class CouplerCalibration:
     """Result of fitting a CouplerModel to measured (voltage, ratio) anchors."""
@@ -134,6 +184,8 @@ def calibrate_coupler(
     if not anchors:
         raise CalibrationError("at least one (voltage, ratio) anchor is required")
     for v, r in anchors:
+        if not math.isfinite(v):
+            raise CalibrationError(f"anchor voltage {v} is not finite")
         if not 0.0 <= r <= 1.0:
             raise CalibrationError(f"anchor ratio {r} at {v} V is outside [0, 1]")
 
@@ -152,19 +204,9 @@ def calibrate_coupler(
 
     nonzero = [(v, r) for v, r in anchors if v != 0.0]
     if nonzero:
-        from scipy.optimize import least_squares  # deferred: costs most of `import relaysim`
-
-        def residuals(params):
-            m = CouplerModel(kappa_lc_rad, params[0])
-            return [coupler_ratio(m, v) - r for v, r in nonzero]
-
         # Initial slope: detuning comparable to coupling at the largest anchor voltage.
         v_ref = max(abs(v) for v, _ in nonzero)
-        fit = least_squares(
-            residuals, x0=[0.8 * kappa_lc_rad / v_ref], bounds=([0.0], [np.inf]),
-            xtol=1e-15, ftol=1e-15, gtol=1e-15,
-        )
-        model = CouplerModel(kappa_lc_rad, float(fit.x[0]))
+        model = CouplerModel(kappa_lc_rad, _fit_gamma(nonzero, kappa_lc_rad, 0.8 * kappa_lc_rad / v_ref))
     else:
         model = CouplerModel(kappa_lc_rad, 0.0, gamma_constrained=False)
     res = [coupler_ratio(model, v) - r for v, r in anchors]

@@ -647,7 +647,7 @@ def _click(m: int, p_det: float, dark: float) -> float:
 
 
 def expected_rates(scenario: Scenario, overlap: float | None = None) -> ExpectedRates:
-    """Enumerate the pulse model exactly (truncated at the pair cutoff).
+    """Enumerate the pulse model exactly, pair mass above the cutoff counted at it.
 
     This is the n -> infinity surrogate for the Monte Carlo engine: the same
     source statistics, routing rules, and detection model, summed over all
@@ -658,12 +658,11 @@ def expected_rates(scenario: Scenario, overlap: float | None = None) -> Expected
         overlap = params.overlap_at(params.delay_mm)
 
     cutoff = params.cutoff
-    pmf_a_pairs = np.diff(params.cdf_a, prepend=0.0)
-    pmf_b_pairs = np.diff(params.cdf_b, prepend=0.0)
+    pmf_b_pairs = _pair_pmf(params.cdf_b, cutoff)
 
     # Photons from the external source at C2 input a: binomial thinning.
     dist_a = apply_loss(
-        PhotonNumberDistribution(tuple(pmf_a_pairs / pmf_a_pairs.sum()), float(params.mean_a)),
+        PhotonNumberDistribution(tuple(_pair_pmf(params.cdf_a, cutoff)), float(params.mean_a)),
         params.q_a,
     )
     pk_a = np.asarray(dist_a.pmf)
@@ -671,10 +670,9 @@ def expected_rates(scenario: Scenario, overlap: float | None = None) -> Expected
     # Joint law of (photons at C2 input b, herald click), correlated through
     # the chip pair number n.
     h_det = params.p_c_arrive * params.eta_c
-    pk_b_herald = np.zeros(cutoff + 1)
-    pk_b = np.zeros(cutoff + 1)
-    for n in range(cutoff + 1):
-        pn = pmf_b_pairs[n] / pmf_b_pairs.sum()
+    pk_b_herald = np.zeros(pmf_b_pairs.shape[0])
+    pk_b = np.zeros(pmf_b_pairs.shape[0])
+    for n, pn in enumerate(pmf_b_pairs):
         if pn == 0.0:
             continue
         p_click_c = 1.0 - (1.0 - h_det) ** n * (1.0 - params.dark_c)
@@ -719,10 +717,10 @@ def expected_rates(scenario: Scenario, overlap: float | None = None) -> Expected
         return pa, pb, pab
 
     p_single_a = p_single_b = p_two = p_three = 0.0
-    for ka in range(cutoff + 1):
+    for ka in range(pk_a.shape[0]):
         if pk_a[ka] == 0.0:
             continue
-        for kb in range(cutoff + 1):
+        for kb in range(pk_b.shape[0]):
             if pk_b[kb] == 0.0 and pk_b_herald[kb] == 0.0:
                 continue
             pa, pb, pab = output_stats(ka, kb)

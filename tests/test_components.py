@@ -18,7 +18,7 @@ from relaysim.components import (
     detector_click_prob,
     spdc_spectral_density,
 )
-from relaysim.montecarlo import Scenario, compile_scenario
+from relaysim.montecarlo import Scenario, _default_coupler, compile_scenario
 from relaysim.units import SpectralMode
 
 # Detuning-to-coupling ratio at the 50/50 point, from the root of
@@ -85,6 +85,96 @@ def test_fit_kappa_from_partial_transfer_anchor():
     cal = calibrate_coupler([(0.0, 0.9), (30.0, 0.5)], fit_kappa=True)
     assert coupler_ratio(cal.model, 0.0) == pytest.approx(0.9, abs=1e-9)
     assert coupler_ratio(cal.model, 30.0) == pytest.approx(0.5, abs=1e-6)
+
+
+def test_default_coupler_literal_is_the_calibration():
+    assert calibrate_coupler([(0, 1), (30, 0.5)]).model == _default_coupler()
+
+
+def test_nonfinite_anchor_voltage_rejected():
+    with pytest.raises(CalibrationError):
+        calibrate_coupler([(0.0, 1.0), (math.inf, 0.5)])
+    with pytest.raises(CalibrationError):
+        calibrate_coupler([(math.nan, 0.5)])
+
+
+# Oracle for the slope fit: scipy's bounded least squares from the same start,
+# with the tolerances calibrate_coupler once passed to it.
+
+def least_squares_gamma(anchors, kappa_lc_rad):
+    from scipy.optimize import least_squares
+
+    nonzero = [(v, r) for v, r in anchors if v != 0.0]
+
+    def residuals(params):
+        model = CouplerModel(kappa_lc_rad, params[0])
+        return [coupler_ratio(model, v) - r for v, r in nonzero]
+
+    v_ref = max(abs(v) for v, _ in nonzero)
+    fit = least_squares(
+        residuals, x0=[0.8 * kappa_lc_rad / v_ref], bounds=([0.0], [np.inf]),
+        xtol=1e-15, ftol=1e-15, gtol=1e-15,
+    )
+    return float(fit.x[0])
+
+
+def half_squared_residual(anchors, model):
+    return 0.5 * sum((coupler_ratio(model, v) - r) ** 2 for v, r in anchors)
+
+
+def rms_residual(anchors, model):
+    return math.sqrt(2.0 * half_squared_residual(anchors, model) / len(anchors))
+
+
+@pytest.mark.parametrize(
+    "anchors",
+    [((0, 1), (15, 0.85), (30, 0.5), (45, 0.2)), ((0, 1), (10, 0.9), (50, 0.1))],
+    ids=["four_anchors", "three_anchors"],
+)
+def test_overdetermined_fit_cost_at_most_least_squares(anchors):
+    cal = calibrate_coupler(anchors)
+    oracle = CouplerModel(cal.model.kappa_lc_rad, least_squares_gamma(anchors, cal.model.kappa_lc_rad))
+    assert half_squared_residual(anchors, cal.model) <= half_squared_residual(anchors, oracle) + 1e-15
+
+
+@pytest.mark.parametrize("anchor", [(30.0, 1.0), (30.0, 0.0)])
+def test_double_root_fit_residual_at_most_least_squares(anchor):
+    # Cross ratio 1 is reached only at gamma = 0 and 0 only at sin(s) = 0;
+    # both are tangent zeros of the residual.
+    cal = calibrate_coupler([anchor])
+    oracle = CouplerModel(cal.model.kappa_lc_rad, least_squares_gamma([anchor], cal.model.kappa_lc_rad))
+    assert cal.gamma_constrained
+    assert cal.residual_rms <= rms_residual([anchor], oracle)
+
+
+@pytest.mark.parametrize(
+    "anchors,fit_kappa",
+    [
+        (((0, 1), (-30, 0.5)), False),
+        (((0, 0.9), (30, 0.5)), True),
+        (((0, 0.8), (-20, 0.3)), True),
+    ],
+    ids=["negative_voltage", "kappa_from_0.9", "kappa_from_0.8_negative_voltage"],
+)
+def test_exact_fit_matches_least_squares(anchors, fit_kappa):
+    cal = calibrate_coupler(anchors, fit_kappa=fit_kappa)
+    if fit_kappa:
+        assert cal.model.kappa_lc_rad != pytest.approx(math.pi / 2)
+    oracle = least_squares_gamma(anchors, cal.model.kappa_lc_rad)
+    assert cal.model.gamma_rad_per_v == pytest.approx(oracle, rel=1e-9)
+    assert cal.residual_rms < 1e-12
+
+
+def test_fit_whose_best_slope_is_zero_terminates():
+    # Both anchors sit above the kappa*Lc = 1 zero-bias maximum, inside the
+    # 1e-9 tolerance: every gamma > 0 fits worse than gamma = 0.
+    t0 = math.sin(1.0) ** 2
+    anchors = [(10.0, t0 + 5e-10), (30.0, t0 + 5e-10)]
+    cal = calibrate_coupler(anchors, kappa_lc_rad=1.0)
+    assert 0.0 <= cal.model.gamma_rad_per_v < 1e-12
+    assert cal.residual_rms == pytest.approx(5e-10, rel=1e-6)
+    oracle = CouplerModel(1.0, least_squares_gamma(anchors, 1.0))
+    assert cal.residual_rms <= rms_residual(anchors, oracle)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from relaysim.config import (
     load_preset,
     parse_config,
 )
-from relaysim.montecarlo import compile_scenario
+from relaysim.montecarlo import Scenario, compile_scenario
 
 
 # ---------------------------------------------------------------------------
@@ -29,6 +29,12 @@ def test_defaults_build_valid_models():
     params = cfg.to_link_params()
     assert params.fiber_loss_db_per_km == 0.2
     assert params.detector.dark_prob_per_gate == pytest.approx(1e-6, rel=1e-6)
+
+
+def test_default_config_calibrates_the_default_couplers():
+    scenario, default = ScenarioConfig().to_scenario(), Scenario()
+    assert scenario.coupler_c1 == default.coupler_c1
+    assert scenario.coupler_c2 == default.coupler_c2
 
 
 def test_round_trip_is_identity():
@@ -336,3 +342,20 @@ def test_import_defers_scipy_optimize():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_monte_carlo_and_coupler_curve_run_without_scipy_optimize():
+    # Both calibrate the couplers; only the hom-dip fit needs scipy.optimize.
+    script = (
+        "import sys\n"
+        "from relaysim.cli import main\n"
+        "assert main(['mc-run', '--preset', 'paper-fig6', '--pulses', '1000']) == 0\n"
+        "assert main(['coupler-curve', '--preset', 'paper-fig4']) == 0\n"
+        "print('scipy.optimize' in sys.modules)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "ref_threefold_abc: " in proc.stdout and "c1: gamma_rad_per_V=" in proc.stdout
+    assert proc.stdout.splitlines()[-1] == "False"

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from scipy.stats import chi2
 
-from helpers import bench_scenario, oracle_scenarios
+from helpers import bench_scenario, oracle_scenarios, single_photon_scenario
 from pulse_reference import LEDGER, click_table
 from relaysim.config import load_preset
 from relaysim.montecarlo import compile_scenario, derive_key, expected_rates, joint_law, run
@@ -29,6 +29,17 @@ def law_cases():
         ("unbalanced_c2", replace(bench_scenario(0.05, 0.02), coupler_c2_voltage_v=20.0)),
         ("monitor", replace(bench_scenario(0.05, 0.02, dark_per_ns=1e-4), monitor_enabled=True)),
         ("paper-fig6", load_preset("paper-fig6").to_scenario()),
+        # Pair distributions shorter and longer than cutoff + 1.
+        ("single_photon", single_photon_scenario(0.0)),
+        (
+            "folded_above_cutoff",
+            replace(
+                bench_scenario(0.1, 0.1),
+                external_distribution=custom([0.5, 0.3, 0.2]),
+                chip_distribution=custom([0.6, 0.3, 0.1]),
+                pair_number_cutoff=1,
+            ),
+        ),
     ]
 
 
