@@ -52,7 +52,6 @@ from .montecarlo import (
     ExpectedRates,
     NetRates,
     Scenario,
-    analytic_twofold_visibility,
     analytic_visibility,
     expected_rates,
     run,

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -23,7 +24,7 @@ from .components import (
 )
 from .config import PRESET_NAMES, ScenarioConfig, load_anchor_csv, load_config, load_preset
 from .interference import FitFailureError, UndefinedVisibilityError, v_statistics, visibility_map
-from .linkbudget import LinkModel, fig2_models, max_distance, sweep
+from .linkbudget import fig2_models, max_distance, sweep
 from .montecarlo import CountsReport, NetRates, resolution_warning, run, scan_dip, subtract_accidentals
 from .photostats import HeraldModel, UndefinedConditioningError, herald_condition, thermal
 
@@ -134,7 +135,7 @@ def _cmd_hom_dip(args) -> int:
     cfg = _load(args)
     scenario = cfg.to_scenario()
     positions = np.linspace(cfg.dip_scan_min_mm, cfg.dip_scan_max_mm, cfg.dip_scan_points)
-    result = scan_dip(scenario, positions, args.pulses, seed=args.seed, workers=args.workers)
+    result = scan_dip(scenario, positions, args.pulses, seed=args.seed)
     if args.pulses > 0:
         _warn_unresolved(scenario, args.pulses)
     rows = list(zip(result.positions_mm, result.rates, result.errors))
@@ -152,13 +153,13 @@ def _cmd_hom_dip(args) -> int:
 
 def _cmd_keyrate_sweep(args) -> int:
     cfg = _load(args)
+    if not cfg.sweep_step_km > 0:
+        raise ConfigurationError(f"sweep_step_km must be > 0, got {cfg.sweep_step_km}")
     params = cfg.to_link_params()
     models = fig2_models(params)
     if cfg.relay_position is not None:
         models = [
-            LinkModel(m.variant, cfg.relay_position, m.chip_loss_override_db, m.label)
-            if m.variant != "direct"
-            else m
+            replace(m, relay_position=cfg.relay_position) if m.variant != "direct" else m
             for m in models
         ]
     distances = np.arange(cfg.sweep_min_km, cfg.sweep_max_km + cfg.sweep_step_km / 2, cfg.sweep_step_km)
@@ -218,7 +219,7 @@ def _report_rows(report: CountsReport, net: NetRates) -> list[tuple[str, object]
 def _cmd_mc_run(args) -> int:
     cfg = _load(args)
     scenario = cfg.to_scenario()
-    report = run(scenario, args.pulses, seed=args.seed, workers=args.workers)
+    report = run(scenario, args.pulses, seed=args.seed)
     _warn_unresolved(scenario, args.pulses)
     net = subtract_accidentals(report)
     _emit(args, ["field", "value"], _report_rows(report, net), _fields_text)
@@ -253,12 +254,13 @@ def build_parser() -> argparse.ArgumentParser:
         group.add_argument("--config", help="path to a JSON configuration document")
         group.add_argument("--preset", choices=PRESET_NAMES, help="bundled parameter preset")
         p.add_argument("--seed", type=int, default=1, help="random stream seed (default 1)")
-        p.add_argument(
-            "--pulses",
-            type=int,
-            default=_DEFAULT_PULSES.get(name, 0),
-            help="laser pulses to simulate (hom-dip: per scan point; 0 = analytic mode)",
-        )
+        if name in _DEFAULT_PULSES:
+            p.add_argument(
+                "--pulses",
+                type=int,
+                default=_DEFAULT_PULSES[name],
+                help="laser pulses to simulate (hom-dip: per scan point; 0 = analytic mode)",
+            )
         p.add_argument("--out", help="output file path (default: stdout)")
         p.add_argument(
             "--format",
@@ -266,12 +268,13 @@ def build_parser() -> argparse.ArgumentParser:
             default="csv" if name != "mc-run" else "structured-text",
             help="output format",
         )
-        p.add_argument(
-            "--workers",
-            type=int,
-            default=1,
-            help="accepted for compatibility; has no effect (sampling cost does not grow with --pulses)",
-        )
+        if name == "mc-run":
+            p.add_argument(
+                "--workers",
+                type=int,
+                default=1,
+                help="accepted for compatibility; has no effect (sampling cost does not grow with --pulses)",
+            )
         if name == "coupler-curve":
             p.add_argument(
                 "--anchors-csv",

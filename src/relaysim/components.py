@@ -171,9 +171,8 @@ class CouplerCalibration:
 def calibrate_coupler(
     anchor_points,
     kappa_lc_rad: float = math.pi / 2.0,
-    fit_kappa: bool = False,
 ) -> CouplerCalibration:
-    """Least-squares fit of the detuning slope gamma (optionally kappa*Lc) to anchors.
+    """Least-squares fit of the detuning slope gamma to anchors at fixed kappa*Lc.
 
     Anchors are (voltage_V, cross_ratio) pairs; the default pair
     {(0, 1.0), (30, 0.5)} pins full transfer at zero bias and the 50/50 point.
@@ -188,12 +187,6 @@ def calibrate_coupler(
             raise CalibrationError(f"anchor voltage {v} is not finite")
         if not 0.0 <= r <= 1.0:
             raise CalibrationError(f"anchor ratio {r} at {v} V is outside [0, 1]")
-
-    if fit_kappa:
-        zero_anchors = [r for v, r in anchors if v == 0.0]
-        if zero_anchors:
-            r0 = zero_anchors[0]
-            kappa_lc_rad = math.asin(math.sqrt(r0))
 
     t0 = math.sin(kappa_lc_rad) ** 2
     for v, r in anchors:

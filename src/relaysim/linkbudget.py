@@ -68,7 +68,6 @@ class LinkModel:
     variant: str = "direct"
     relay_position: float | None = None
     chip_loss_override_db: float | None = None
-    label: str | None = None
 
     def __post_init__(self) -> None:
         if self.variant not in VARIANTS:
@@ -78,8 +77,6 @@ class LinkModel:
 
     @property
     def name(self) -> str:
-        if self.label:
-            return self.label
         if self.variant == "folded_relay" and self.chip_loss_override_db == 0.0:
             return "folded_relay_lossless"
         return self.variant
@@ -205,48 +202,36 @@ def link_rates(model: LinkModel, params: LinkParams, distance_km: float) -> Link
 
 @dataclass(frozen=True)
 class MaxDistanceResult:
-    """Maximum distance under a failure criterion, with relay placement info."""
+    """Maximum distance before SNR unity, with relay placement info."""
 
     distance_km: float
-    criterion: str
     relay_position: float | None
     midpoint_distance_km: float | None
     unbounded: bool
 
 
-def _criterion_fails(
-    model: LinkModel, params: LinkParams, distance_km: float, criterion: str, qber_threshold: float
-) -> bool:
+def _below_snr_unity(model: LinkModel, params: LinkParams, distance_km: float) -> bool:
     rates = link_rates(model, params, distance_km)
-    if criterion == "snr_unity":
-        return rates.signal_prob < rates.accidental_prob
-    if criterion == "qber_threshold":
-        return rates.qber > qber_threshold
-    raise ValueError(f"unknown criterion {criterion!r}")
+    return rates.signal_prob < rates.accidental_prob
 
 
-def max_distance(
-    model: LinkModel,
-    params: LinkParams,
-    criterion: str = "snr_unity",
-    qber_threshold: float = 0.11,
-) -> MaxDistanceResult:
-    """Smallest distance where the criterion fails, bisected to 0.1 km.
+def max_distance(model: LinkModel, params: LinkParams) -> MaxDistanceResult:
+    """Smallest distance where the signal falls below the accidentals, bisected to 0.1 km.
 
     The relay position is optimized per distance unless the model fixes it;
     for relay variants the symmetric-midpoint result is also computed.  If
-    the criterion never fails within 10^4 km the result is flagged unbounded.
+    the SNR stays above unity within 10^4 km the result is flagged unbounded.
     """
 
     def solve(m: LinkModel) -> float | None:
-        if not _criterion_fails(m, params, MAX_SEARCH_KM, criterion, qber_threshold):
+        if not _below_snr_unity(m, params, MAX_SEARCH_KM):
             return None
-        if _criterion_fails(m, params, 0.0, criterion, qber_threshold):
+        if _below_snr_unity(m, params, 0.0):
             return 0.0
         lo, hi = 0.0, MAX_SEARCH_KM
         while hi - lo > 0.1:
             mid = (lo + hi) / 2.0
-            if _criterion_fails(m, params, mid, criterion, qber_threshold):
+            if _below_snr_unity(m, params, mid):
                 hi = mid
             else:
                 lo = mid
@@ -254,7 +239,7 @@ def max_distance(
 
     dist = solve(model)
     if dist is None:
-        return MaxDistanceResult(math.inf, criterion, model.relay_position, None, True)
+        return MaxDistanceResult(math.inf, model.relay_position, None, True)
 
     midpoint = None
     position = model.relay_position
@@ -262,7 +247,7 @@ def max_distance(
         midpoint = solve(replace(model, relay_position=0.5))
         if position is None:
             position = _best_position(model, params, _chip_transmissions(model, params), dist)
-    return MaxDistanceResult(dist, criterion, position, midpoint, False)
+    return MaxDistanceResult(dist, position, midpoint, False)
 
 
 @dataclass(frozen=True)
@@ -293,5 +278,5 @@ def fig2_models(params: LinkParams) -> list[LinkModel]:
         LinkModel("direct"),
         LinkModel("standard_relay"),
         LinkModel("folded_relay"),
-        LinkModel("folded_relay", chip_loss_override_db=0.0, label="folded_relay_lossless"),
+        LinkModel("folded_relay", chip_loss_override_db=0.0),
     ]

@@ -25,7 +25,7 @@ from it gives the same draws for any split of the pulse range.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -63,6 +63,9 @@ SLOTS = 512
 # Largest accepted pair-number truncation; it keeps the (k_a, x, k_b, y)
 # routing table behind joint_law at most 21**4 entries.
 MAX_PAIR_CUTOFF = 20
+
+# Largest pulse count per leg: numpy's binomial draw takes an int64 count.
+MAX_PULSES = 2**63 - 1
 
 
 def _mix_int(x: int) -> int:
@@ -181,10 +184,8 @@ class SimParams:
     """Scenario compiled to per-arm probabilities and routing fractions."""
 
     p_gate: float
-    cdf_a: np.ndarray
-    cdf_b: np.ndarray
-    mean_a: float
-    mean_b: float
+    pmf_a: np.ndarray     # external pair number, mass above the cutoff folded onto it
+    pmf_b: np.ndarray     # chip pair number, likewise
     q_a: float            # external photon survives to C2 input a
     q_b: float            # chip photon b routed up and surviving to C2 input b
     p_c_arrive: float     # chip photon c routed down and surviving to D_c input
@@ -216,6 +217,20 @@ def _pair_distribution(
     if override is not None:
         return override
     return thermal(source.mean_pairs, cutoff)
+
+
+def _pair_pmf(pmf, cutoff: int) -> np.ndarray:
+    """Normalised pair-number pmf with the mass above the cutoff folded onto it.
+
+    The differences of the cumulative sum are normalised, not pmf itself:
+    they differ from it by up to 1.1e-16, and the enumeration and Monte
+    Carlo outputs are defined from them to the last bit.
+    """
+    pmf = np.diff(np.cumsum(pmf), prepend=0.0)
+    pmf = pmf / pmf.sum()
+    if pmf.shape[0] > cutoff + 1:
+        pmf = np.append(pmf[:cutoff], pmf[cutoff:].sum())
+    return pmf
 
 
 def compile_scenario(scenario: Scenario) -> SimParams:
@@ -273,10 +288,8 @@ def compile_scenario(scenario: Scenario) -> SimParams:
 
     return SimParams(
         p_gate=scenario.gate_rate_hz / scenario.pump_repetition_rate_hz,
-        cdf_a=np.cumsum(np.asarray(dist_a.pmf, dtype=float)),
-        cdf_b=np.cumsum(np.asarray(dist_b.pmf, dtype=float)),
-        mean_a=dist_a.mean,
-        mean_b=dist_b.mean,
+        pmf_a=_pair_pmf(dist_a.pmf, cutoff),
+        pmf_b=_pair_pmf(dist_b.pmf, cutoff),
         q_a=q_a,
         q_b=q_b,
         p_c_arrive=p_c,
@@ -309,15 +322,6 @@ _COMB = np.array(
 )
 
 
-def _pair_pmf(cdf: np.ndarray, cutoff: int) -> np.ndarray:
-    """Normalised pair-number pmf with the mass above the cutoff folded onto it."""
-    pmf = np.diff(cdf, prepend=0.0)
-    pmf = pmf / pmf.sum()
-    if pmf.shape[0] > cutoff + 1:
-        pmf = np.append(pmf[:cutoff], pmf[cutoff:].sum())
-    return pmf
-
-
 def _binomial(n_max: int, p: float) -> np.ndarray:
     """B[n, k]: probability that k of n photons survive, each with probability p."""
     n, k = np.ogrid[: n_max + 1, : n_max + 1]
@@ -347,8 +351,7 @@ def joint_law(params: SimParams, overlap: float) -> np.ndarray:
     pattern, which interferes at the given temporal overlap.  The monitor
     axis is present only when the monitor is enabled.
     """
-    pmf_a = _pair_pmf(params.cdf_a, params.cutoff)
-    pmf_b = _pair_pmf(params.cdf_b, params.cutoff)
+    pmf_a, pmf_b = params.pmf_a, params.pmf_b
     i, j = pmf_a.shape[0], pmf_b.shape[0]
     monitor = (
         _clicks(i - 1, params.p_mon_arrive * params.eta_mon, params.dark_mon)
@@ -391,10 +394,7 @@ def _ledger_per_gate(params: SimParams) -> tuple[float, float, float, float]:
     k_b (1 - cross) photons on average; the interfering one-plus-one pattern
     has the same means as independent routing.
     """
-    n_a, n_b = (
-        float(np.arange(pmf.shape[0]) @ pmf)
-        for pmf in (_pair_pmf(params.cdf_a, params.cutoff), _pair_pmf(params.cdf_b, params.cutoff))
-    )
+    n_a, n_b = (float(np.arange(pmf.shape[0]) @ pmf) for pmf in (params.pmf_a, params.pmf_b))
     k_a, k_b, cross = params.q_a * n_a, params.q_b * n_b, params.cross2
     out_a = (1.0 - cross) * k_a + cross * k_b
     out_b = cross * k_a + (1.0 - cross) * k_b
@@ -582,8 +582,8 @@ def run(scenario: Scenario, n_pulses: int, seed: int = 1, workers: int = 1) -> C
     which the report's visibilities are derived.  `workers` is accepted for
     compatibility and has no effect: each leg is two draws in one process.
     """
-    if n_pulses <= 0:
-        raise ValueError(f"n_pulses must be > 0, got {n_pulses}")
+    if not 1 <= n_pulses <= MAX_PULSES:
+        raise ValueError(f"n_pulses must be in [1, {MAX_PULSES}], got {n_pulses}")
     params = compile_scenario(scenario)
     overlap = params.overlap_at(params.delay_mm)
     return CountsReport(
@@ -651,28 +651,24 @@ def expected_rates(scenario: Scenario, overlap: float | None = None) -> Expected
 
     This is the n -> infinity surrogate for the Monte Carlo engine: the same
     source statistics, routing rules, and detection model, summed over all
-    photon patterns instead of sampled.
+    photon patterns instead of sampled.  overlap defaults to the scenario
+    delay's.
     """
     params = compile_scenario(scenario)
-    if overlap is None:
-        overlap = params.overlap_at(params.delay_mm)
+    return _expected_rates(params, params.overlap_at(params.delay_mm) if overlap is None else overlap)
 
-    cutoff = params.cutoff
-    pmf_b_pairs = _pair_pmf(params.cdf_b, cutoff)
 
+def _expected_rates(params: SimParams, overlap: float) -> ExpectedRates:
+    """expected_rates of a compiled scenario at one temporal overlap."""
     # Photons from the external source at C2 input a: binomial thinning.
-    dist_a = apply_loss(
-        PhotonNumberDistribution(tuple(_pair_pmf(params.cdf_a, cutoff)), float(params.mean_a)),
-        params.q_a,
-    )
-    pk_a = np.asarray(dist_a.pmf)
+    pk_a = np.asarray(apply_loss(PhotonNumberDistribution(tuple(params.pmf_a)), params.q_a).pmf)
 
     # Joint law of (photons at C2 input b, herald click), correlated through
     # the chip pair number n.
     h_det = params.p_c_arrive * params.eta_c
-    pk_b_herald = np.zeros(pmf_b_pairs.shape[0])
-    pk_b = np.zeros(pmf_b_pairs.shape[0])
-    for n, pn in enumerate(pmf_b_pairs):
+    pk_b_herald = np.zeros(params.pmf_b.shape[0])
+    pk_b = np.zeros(params.pmf_b.shape[0])
+    for n, pn in enumerate(params.pmf_b):
         if pn == 0.0:
             continue
         p_click_c = 1.0 - (1.0 - h_det) ** n * (1.0 - params.dark_c)
@@ -688,7 +684,7 @@ def expected_rates(scenario: Scenario, overlap: float | None = None) -> Expected
     bar = 1.0 - cross
     p_coinc = bar * bar + cross * cross - 2.0 * bar * cross * overlap
 
-    max_m = 2 * cutoff + 1
+    max_m = 2 * params.cutoff + 1
     click_a = np.array([_click(m, p_det_a, params.dark_a) for m in range(max_m)])
     click_b = np.array([_click(m, p_det_b, params.dark_b) for m in range(max_m)])
 
@@ -734,17 +730,6 @@ def expected_rates(scenario: Scenario, overlap: float | None = None) -> Expected
     )
 
 
-def _c2_visibility(scenario: Scenario, heralded: bool) -> VisibilityBreakdown:
-    params = compile_scenario(scenario)
-    cutoff = params.cutoff
-    dist_a = _pair_distribution(scenario.external_distribution, scenario.external_source, cutoff)
-    dist_b = _pair_distribution(scenario.chip_distribution, scenario.chip_source, cutoff)
-    if heralded:
-        dist_b = herald_condition(dist_b, HeraldModel(params.p_c_arrive * params.eta_c, params.dark_c))
-    v_stat = v_statistics(apply_loss(dist_a, params.q_a), apply_loss(dist_b, params.q_b))
-    return VisibilityBreakdown(v_statistics=v_stat, v_timing=params.overlap_peak)
-
-
 def analytic_visibility(scenario: Scenario) -> VisibilityBreakdown:
     """Timing-and-statistics visibility prediction for the three-fold dip.
 
@@ -753,12 +738,14 @@ def analytic_visibility(scenario: Scenario) -> VisibilityBreakdown:
     distribution against the chip distribution conditioned on the herald
     click and thinned by the b-arm survival.
     """
-    return _c2_visibility(scenario, heralded=True)
-
-
-def analytic_twofold_visibility(scenario: Scenario) -> VisibilityBreakdown:
-    """As analytic_visibility but without herald conditioning (two-fold regime)."""
-    return _c2_visibility(scenario, heralded=False)
+    params = compile_scenario(scenario)
+    dist_a = _pair_distribution(scenario.external_distribution, scenario.external_source, params.cutoff)
+    dist_b = herald_condition(
+        _pair_distribution(scenario.chip_distribution, scenario.chip_source, params.cutoff),
+        HeraldModel(params.p_c_arrive * params.eta_c, params.dark_c),
+    )
+    v_stat = v_statistics(apply_loss(dist_a, params.q_a), apply_loss(dist_b, params.q_b))
+    return VisibilityBreakdown(v_statistics=v_stat, v_timing=params.overlap_peak)
 
 
 # ---------------------------------------------------------------------------
@@ -786,7 +773,6 @@ def scan_dip(
     positions_mm,
     n_pulses_per_point: int,
     seed: int = 1,
-    workers: int = 1,
 ) -> DipScanResult:
     """Scan the delay line and fit the resulting coincidence dip.
 
@@ -794,9 +780,10 @@ def scan_dip(
     evaluated exactly at each position instead of sampling pulses.
     Requires at least 3 positions spanning more than twice the expected dip
     width.  Fit non-convergence is reported in the result, with the raw
-    samples preserved.  `workers` is accepted for compatibility and has no
-    effect.
+    samples preserved.
     """
+    if not 0 <= n_pulses_per_point <= MAX_PULSES:
+        raise ValueError(f"n_pulses_per_point must be in [0, {MAX_PULSES}], got {n_pulses_per_point}")
     positions = [float(x) for x in positions_mm]
     if len(positions) < 3:
         raise ValueError("need at least 3 scan positions")
@@ -811,15 +798,12 @@ def scan_dip(
     rates: list[float] = []
     errors: list[float] = []
     for i, pos in enumerate(positions):
-        pos_scenario = replace(scenario, delay_mm=pos)
+        overlap = params.overlap_at(pos)
         if n_pulses_per_point == 0:
-            rates.append(expected_rates(pos_scenario).p_threefold_abc)
+            rates.append(_expected_rates(params, overlap).p_threefold_abc)
             errors.append(0.0)
         else:
-            pos_params = compile_scenario(pos_scenario)
-            tally = _sample_leg(
-                pos_params, n_pulses_per_point, derive_key(seed, "scan", i), pos_params.overlap_at(pos)
-            )
+            tally = _sample_leg(params, n_pulses_per_point, derive_key(seed, "scan", i), overlap)
             if tally.gated == 0:
                 rates.append(0.0)
                 errors.append(0.0)

@@ -45,13 +45,10 @@ class PhotonNumberDistribution:
     """Truncated pmf over pair/photon number per pulse.
 
     pmf entries are nonnegative and sum to 1 within the truncation tolerance
-    (exactly 1 after any renormalizing operation).  mean_pairs is the declared
-    mean of the family before truncation.
+    (exactly 1 after any renormalizing operation).
     """
 
     pmf: tuple[float, ...]
-    mean_pairs: float
-    family_tag: str = "custom"
 
     def __post_init__(self) -> None:
         if not self.pmf:
@@ -79,7 +76,7 @@ def thermal(mean_pairs: float, n_max: int = DEFAULT_N_MAX) -> PhotonNumberDistri
     if mean_pairs < 0:
         raise ValueError(f"mean pair number must be >= 0, got {mean_pairs}")
     pmf = tuple(mean_pairs**n / (1.0 + mean_pairs) ** (n + 1) for n in range(n_max + 1))
-    return PhotonNumberDistribution(pmf, mean_pairs, "thermal")
+    return PhotonNumberDistribution(pmf)
 
 
 def poisson(mean_pairs: float, n_max: int = DEFAULT_N_MAX) -> PhotonNumberDistribution:
@@ -89,18 +86,16 @@ def poisson(mean_pairs: float, n_max: int = DEFAULT_N_MAX) -> PhotonNumberDistri
     pmf = tuple(
         math.exp(-mean_pairs) * mean_pairs**n / math.factorial(n) for n in range(n_max + 1)
     )
-    return PhotonNumberDistribution(pmf, mean_pairs, "poisson")
+    return PhotonNumberDistribution(pmf)
 
 
-def custom(pmf, family_tag: str = "custom") -> PhotonNumberDistribution:
+def custom(pmf) -> PhotonNumberDistribution:
     """Wrap an explicit pmf; renormalizes away rounding at the 1e-9 level."""
     values = [float(p) for p in pmf]
     total = sum(values)
     if total <= 0:
         raise ValueError("pmf must have positive total mass")
-    values = [p / total for p in values]
-    mean = sum(n * p for n, p in enumerate(values))
-    return PhotonNumberDistribution(tuple(values), mean, family_tag)
+    return PhotonNumberDistribution(tuple(p / total for p in values))
 
 
 def herald_condition(
@@ -124,9 +119,7 @@ def herald_condition(
         raise UndefinedConditioningError(
             "herald click probability is zero; conditioning is undefined"
         )
-    pmf = tuple(w / total for w in weights)
-    mean = sum(n * p for n, p in enumerate(pmf))
-    return PhotonNumberDistribution(pmf, mean, "conditional")
+    return PhotonNumberDistribution(tuple(w / total for w in weights))
 
 
 def apply_loss(dist: PhotonNumberDistribution, survival_prob: float) -> PhotonNumberDistribution:
@@ -145,6 +138,4 @@ def apply_loss(dist: PhotonNumberDistribution, survival_prob: float) -> PhotonNu
             continue
         for k in range(n + 1):
             out[k] += p * math.comb(n, k) * survival_prob**k * q ** (n - k)
-    mean = dist.mean * survival_prob
-    tag = dist.family_tag if dist.family_tag in ("thermal", "poisson") else "custom"
-    return PhotonNumberDistribution(tuple(out), mean, tag)
+    return PhotonNumberDistribution(tuple(out))

@@ -44,10 +44,6 @@ class SpectralMode:
         if self.lineshape not in TIME_BANDWIDTH_PRODUCT:
             raise ValueError(f"unknown lineshape {self.lineshape!r}; expected one of {LINESHAPES}")
 
-    @property
-    def coherence_time_ps(self) -> float:
-        return coherence_time(self)
-
 
 def coherence_time(mode: SpectralMode) -> float:
     """Transform-limited coherence time in ps: K * lambda^2 / (c * dlambda).

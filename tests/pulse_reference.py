@@ -69,8 +69,8 @@ def _arrive_detect_counts(rng, idx, n, arr_slot, det_slot, p_arrive, eta):
 def _batch(params: SimParams, rng: CounterRng, idx: np.ndarray, overlap: float):
     """Per-pulse click pattern (A, B, C, M) and photon flows of one batch."""
     n_g = idx.shape[0]
-    n_a = np.searchsorted(params.cdf_a, rng.uniform(idx, _S_NA), side="right")
-    n_b = np.searchsorted(params.cdf_b, rng.uniform(idx, _S_NB), side="right")
+    n_a = np.searchsorted(np.cumsum(params.pmf_a), rng.uniform(idx, _S_NA), side="right")
+    n_b = np.searchsorted(np.cumsum(params.pmf_b), rng.uniform(idx, _S_NB), side="right")
     np.minimum(n_a, params.cutoff, out=n_a)
     np.minimum(n_b, params.cutoff, out=n_b)
 

@@ -82,7 +82,8 @@ def test_energy_bookkeeping():
 
 
 def test_fit_kappa_from_partial_transfer_anchor():
-    cal = calibrate_coupler([(0.0, 0.9), (30.0, 0.5)], fit_kappa=True)
+    # kappa*Lc read off the zero-bias anchor: sin^2(kappa*Lc) = 0.9.
+    cal = calibrate_coupler([(0.0, 0.9), (30.0, 0.5)], kappa_lc_rad=math.asin(math.sqrt(0.9)))
     assert coupler_ratio(cal.model, 0.0) == pytest.approx(0.9, abs=1e-9)
     assert coupler_ratio(cal.model, 30.0) == pytest.approx(0.5, abs=1e-6)
 
@@ -148,18 +149,13 @@ def test_double_root_fit_residual_at_most_least_squares(anchor):
 
 
 @pytest.mark.parametrize(
-    "anchors,fit_kappa",
-    [
-        (((0, 1), (-30, 0.5)), False),
-        (((0, 0.9), (30, 0.5)), True),
-        (((0, 0.8), (-20, 0.3)), True),
-    ],
+    "anchors",
+    [((0, 1), (-30, 0.5)), ((0, 0.9), (30, 0.5)), ((0, 0.8), (-20, 0.3))],
     ids=["negative_voltage", "kappa_from_0.9", "kappa_from_0.8_negative_voltage"],
 )
-def test_exact_fit_matches_least_squares(anchors, fit_kappa):
-    cal = calibrate_coupler(anchors, fit_kappa=fit_kappa)
-    if fit_kappa:
-        assert cal.model.kappa_lc_rad != pytest.approx(math.pi / 2)
+def test_exact_fit_matches_least_squares(anchors):
+    # kappa*Lc read off the zero-bias anchor (pi/2 for full transfer).
+    cal = calibrate_coupler(anchors, kappa_lc_rad=math.asin(math.sqrt(anchors[0][1])))
     oracle = least_squares_gamma(anchors, cal.model.kappa_lc_rad)
     assert cal.model.gamma_rad_per_v == pytest.approx(oracle, rel=1e-9)
     assert cal.residual_rms < 1e-12

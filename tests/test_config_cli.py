@@ -1,10 +1,13 @@
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import relaysim
 from relaysim.cli import main
 from relaysim.components import ConfigurationError, chip_insertion_loss
 from relaysim.config import (
@@ -321,25 +324,53 @@ def test_cli_error_paths(tmp_path, capsys):
     assert exc.value.code != 0
 
 
+@pytest.mark.parametrize("step", [0, -5.0])
+def test_keyrate_sweep_rejects_nonpositive_step(tmp_path, capsys, step):
+    path = tmp_path / "step.json"
+    path.write_text(json.dumps({"sweep_step_km": step}), encoding="utf-8")
+    assert run_cli("keyrate-sweep", "--config", str(path)) == 2
+    assert capsys.readouterr().err.startswith("error: ConfigurationError: sweep_step_km must be > 0")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("mc-run", "--pulses", str(2**63)),
+        ("hom-dip", "--pulses", str(2**63)),
+        ("hom-dip", "--pulses", "-1"),
+    ],
+    ids=["mc_run_above_int64", "hom_dip_above_int64", "hom_dip_negative"],
+)
+def test_pulse_count_out_of_range_exits_2(capsys, argv):
+    assert run_cli(*argv) == 2
+    assert str(2**63 - 1) in capsys.readouterr().err
+
+
+def test_analytic_subcommands_take_no_pulses_or_workers():
+    for name in ("spdc-spectrum", "coupler-curve", "visibility-map", "keyrate-sweep"):
+        for flag in ("--pulses", "--workers"):
+            with pytest.raises(SystemExit):
+                main([name, flag, "1"])
+    with pytest.raises(SystemExit):
+        main(["hom-dip", "--workers", "1"])
+
+
+def run_python(*args) -> subprocess.CompletedProcess:
+    """A fresh interpreter that imports relaysim from where the tests do."""
+    path = [str(Path(relaysim.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in path if p)}
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, timeout=120, env=env)
+
+
 def test_cli_entry_point_installed():
-    proc = subprocess.run(
-        [sys.executable, "-m", "relaysim.cli", "keyrate-sweep", "--preset", "paper-fig2"],
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
+    proc = run_python("-m", "relaysim.cli", "keyrate-sweep", "--preset", "paper-fig2")
     assert proc.returncode == 0
     assert "gain_lossless" in proc.stdout
 
 
 def test_import_defers_scipy_optimize():
     # scipy.optimize is most of the import time; only fits need it.
-    proc = subprocess.run(
-        [sys.executable, "-c", "import sys, relaysim; print('scipy.optimize' in sys.modules)"],
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
+    proc = run_python("-c", "import sys, relaysim; print('scipy.optimize' in sys.modules)")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
 
@@ -353,9 +384,7 @@ def test_monte_carlo_and_coupler_curve_run_without_scipy_optimize():
         "assert main(['coupler-curve', '--preset', 'paper-fig4']) == 0\n"
         "print('scipy.optimize' in sys.modules)\n"
     )
-    proc = subprocess.run(
-        [sys.executable, "-c", script], capture_output=True, text=True, timeout=120
-    )
+    proc = run_python("-c", script)
     assert proc.returncode == 0, proc.stderr
     assert "ref_threefold_abc: " in proc.stdout and "c1: gamma_rad_per_V=" in proc.stdout
     assert proc.stdout.splitlines()[-1] == "False"

@@ -72,9 +72,9 @@ def test_monitor_marginal_is_partner_click_probability():
         bench_scenario(0.05, 0.02, dark_per_ns=1e-4), monitor_enabled=True, monitor_arm_loss_db=3.0
     )
     params = compile_scenario(sc)
-    pmf = np.diff(params.cdf_a, prepend=0.0)
+    pmf = params.pmf_a
     quiet = (1.0 - params.p_mon_arrive * params.eta_mon) ** np.arange(pmf.size) * (1.0 - params.dark_mon)
-    expected = float(pmf @ (1.0 - quiet) / pmf.sum())
+    expected = float(pmf @ (1.0 - quiet))
     assert joint_law(params, 0.0)[..., 1].sum() == pytest.approx(expected, rel=1e-12)
     # The monitor axis does not change the law of (A, B, C).
     off = joint_law(replace(params, monitor_enabled=False), 0.0)

@@ -105,19 +105,12 @@ def test_fixed_relay_position_respected():
 
 def test_qber_threshold_criterion():
     params = reference_params()
-    res = max_distance(LinkModel("direct"), params, criterion="qber_threshold", qber_threshold=0.11)
-    assert not res.unbounded
-    assert res.distance_km > 200.0
+    assert link_rates(LinkModel("direct"), params, 200.0).qber < 0.11
     # At fidelity 0.8 the relay's intrinsic error leaves almost no margin:
-    # the threshold criterion yields a much shorter reach than SNR unity.
-    relay_q = max_distance(
-        LinkModel("folded_relay", chip_loss_override_db=0.0),
-        params,
-        criterion="qber_threshold",
-        qber_threshold=0.11,
-    )
-    relay_snr = max_distance(LinkModel("folded_relay", chip_loss_override_db=0.0), params)
-    assert relay_q.distance_km < relay_snr.distance_km
+    # an 11 % QBER is exceeded well inside the SNR-unity reach.
+    relay = LinkModel("folded_relay", chip_loss_override_db=0.0)
+    reach = max_distance(relay, params).distance_km
+    assert link_rates(relay, params, 0.75 * reach).qber > 0.11
 
 
 def test_unbounded_distance_flagged():

@@ -9,7 +9,6 @@ from relaysim.components import ConfigurationError, FilterModel
 from relaysim.config import load_preset
 from relaysim.montecarlo import (
     CounterRng,
-    analytic_twofold_visibility,
     analytic_visibility,
     compile_scenario,
     derive_key,
@@ -21,6 +20,7 @@ from relaysim.montecarlo import (
     subtract_accidentals,
 )
 from relaysim.photostats import custom
+from relaysim.units import coherence_time
 
 
 # ---------------------------------------------------------------------------
@@ -76,7 +76,7 @@ def test_distinguishable_photons_coincide_half_the_time():
 def test_overlap_peak_is_timing_bound():
     sc = bench_scenario(0.01, 0.01, pump_ps=2.5)
     params = compile_scenario(sc)
-    tau_c = sc.photon_mode.coherence_time_ps
+    tau_c = coherence_time(sc.photon_mode)
     assert params.overlap_peak == pytest.approx(1.0 / math.sqrt((2.5 / tau_c) ** 2 + 1.0), rel=1e-12)
     assert params.overlap_at(1e9) == pytest.approx(0.0, abs=1e-12)
 
@@ -184,12 +184,10 @@ def test_twofold_thermal_visibility_one_third():
     # Equal coupler-level means: the two-fold dip shows the thermal 1/3.
     # A 3 dB external arm loss halves the external mean; C1 halves the chip one.
     sc = bench_scenario(0.02, 0.02, alice_db=10.0 * math.log10(2.0))
-    predicted = analytic_twofold_visibility(sc)
-    assert predicted.v_statistics == pytest.approx(1.0 / 3.0, abs=1e-9)
     report = run(sc, 2_000_000, seed=17)
     v = report.raw_twofold_visibility
     err = report.raw_twofold_visibility_err
-    assert abs(v - predicted.v_total) <= 3.0 * err
+    assert abs(v - 1.0 / 3.0) <= 3.0 * err
 
 
 # ---------------------------------------------------------------------------
@@ -338,10 +336,25 @@ def test_invalid_scenarios_rejected_before_sampling():
         run(bench_scenario(0.01, 0.01), 0)
 
 
+@pytest.mark.parametrize("n", [-1, 2**63, 10**30])
+def test_pulse_count_out_of_range_rejected(n):
+    # The message names the int64 bound of numpy's binomial draw.
+    sc = bench_scenario(0.01, 0.01)
+    with pytest.raises(ValueError, match=str(2**63 - 1)):
+        run(sc, n)
+    with pytest.raises(ValueError, match=str(2**63 - 1)):
+        scan_dip(sc, np.linspace(-30.0, 30.0, 5), n)
+
+
+def test_largest_pulse_count_runs():
+    report = run(bench_scenario(0.01, 0.01), 2**63 - 1, seed=2)
+    assert report.pulses_simulated == 2**63 - 1 == report.dip.gated
+
+
 def test_pattern_cutoff_clamps_distribution():
     sc = replace(bench_scenario(0.01, 0.01), external_distribution=custom([0.0] * 20 + [1.0]))
     params = compile_scenario(sc)
-    assert params.cdf_a.shape[0] == 21
+    assert params.pmf_a.shape[0] == 21
 
 
 def test_pair_mass_above_cutoff_counts_at_cutoff():

@@ -1,7 +1,8 @@
 """Guards for what the benchmark under perfbench/ relies on.
 
-The benchmark checks each analytic CLI command's stdout against the sha256
-in perfbench/cli_contract.json, and its traced mode wraps every callable that
+The benchmark checks each analytic CLI command's stdout, run with --seed,
+against the sha256 in perfbench/cli_contract.json; it passes --workers to
+mc-run; and its traced mode wraps every callable that
 perfbench/spans.py lists in WRAPPED, looked up by attribute path.  These
 tests read both files and check them in-process, so a change that would
 break the benchmark fails here first.
@@ -30,11 +31,17 @@ def load_wrapped() -> dict:
 
 @pytest.mark.parametrize("name", sorted(CONTRACT))
 def test_cli_contract_digest(name, capsys):
+    # The benchmark appends --seed to every contract command.
     entry = CONTRACT[name]
-    assert main(entry["argv"]) == 0
+    assert main([*entry["argv"], "--seed", "1"]) == 0
     out = capsys.readouterr().out.encode("utf-8")
     assert len(out) == entry["bytes"]
     assert hashlib.sha256(out).hexdigest() == entry["sha256"]
+
+
+def test_mc_run_accepts_workers():
+    # The mc-fig6 workload passes --workers 2 to every mc-run.
+    assert main(["mc-run", "--preset", "paper-fig6", "--pulses", "1000", "--workers", "2", "--seed", "3"]) == 0
 
 
 def test_traced_callables_resolve():

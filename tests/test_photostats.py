@@ -147,7 +147,6 @@ def test_apply_loss_thermal_stays_thermal():
     reference = thermal(0.05 * 0.37)
     for n in range(thinned.n_max + 1):
         assert thinned.p(n) == pytest.approx(reference.p(n), abs=1e-15)
-    assert thinned.family_tag == "thermal"
 
 
 def test_apply_loss_poisson_stays_poisson():
@@ -167,8 +166,8 @@ def test_apply_loss_edge_cases():
 
 def test_distribution_validation():
     with pytest.raises(ValueError):
-        PhotonNumberDistribution((0.5, 0.6), 0.5)  # sums above 1
+        PhotonNumberDistribution((0.5, 0.6))  # sums above 1
     with pytest.raises(ValueError):
-        PhotonNumberDistribution((1.1, -0.1), 0.0)  # negative entry
+        PhotonNumberDistribution((1.1, -0.1))  # negative entry
     with pytest.raises(ValueError):
         custom([0.0, 0.0])

@@ -1,0 +1,85 @@
+"""Property tests of the photon statistics and the exact click law.
+
+Each property runs a small, derandomized set of hypothesis examples, so the
+suite stays fast and gives the same result on every run.
+"""
+
+import math
+from dataclasses import replace
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from helpers import bench_scenario
+from relaysim.interference import v_statistics
+from relaysim.montecarlo import compile_scenario, joint_law, run
+from relaysim.photostats import HeraldModel, apply_loss, herald_condition, poisson, thermal
+
+FAST = settings(max_examples=25, deadline=None, derandomize=True, database=None)
+
+probability = st.floats(0.0, 1.0)
+
+
+@FAST
+@given(mean=st.floats(0.0, 0.2), survival=probability)
+def test_thinned_thermal_stays_thermal(mean, survival):
+    # Truncation at n = 20 leaves at most (0.2 / 1.2)**21 ~ 2e-17 of mass out.
+    thinned = apply_loss(thermal(mean), survival)
+    assert thinned.pmf == pytest.approx(thermal(mean * survival).pmf, rel=0.0, abs=1e-14)
+
+
+@FAST
+@given(mean=st.floats(0.0, 1.0), survival=probability)
+def test_thinned_poisson_stays_poisson(mean, survival):
+    thinned = apply_loss(poisson(mean), survival)
+    assert thinned.pmf == pytest.approx(poisson(mean * survival).pmf, rel=0.0, abs=1e-14)
+
+
+@FAST
+@given(
+    mean_a=st.floats(0.0, 0.3),
+    mean_b=st.floats(0.01, 0.3),
+    # At zero efficiency a dark-free herald never clicks: conditioning is undefined.
+    etas=st.tuples(st.floats(1e-9, 1.0), st.floats(1e-9, 1.0)).map(sorted),
+)
+def test_visibility_monotone_in_herald_efficiency(mean_a, mean_b, etas):
+    # A dark-free herald: with herald darks the conditioned mean can move away
+    # from the external one as the efficiency grows, and V can fall.
+    def vis(eta):
+        return v_statistics(thermal(mean_a), herald_condition(thermal(mean_b), HeraldModel(eta)))
+
+    low, high = vis(etas[0]), vis(etas[1])
+    assert vis(None) <= low + 1e-12
+    assert low <= high + 1e-12
+
+
+@FAST
+@given(
+    mean_a=st.floats(0.0, 0.2),
+    mean_b=st.floats(0.0, 0.2),
+    eta=st.floats(0.05, 1.0),
+    dark_per_ns=st.sampled_from([0.0, 1e-5, 1e-3]),
+    alice_db=st.floats(0.0, 10.0),
+    delay_mm=st.floats(-10.0, 10.0),
+    monitor=st.booleans(),
+)
+def test_joint_law_normalised_and_counts_ordered(
+    mean_a, mean_b, eta, dark_per_ns, alice_db, delay_mm, monitor
+):
+    sc = replace(
+        bench_scenario(mean_a, mean_b, eta, dark_per_ns, alice_db=alice_db, delay_mm=delay_mm),
+        monitor_enabled=monitor,
+    )
+    params = compile_scenario(sc)
+    law = joint_law(params, params.overlap_at(params.delay_mm))
+    assert law.min() >= 0.0
+    assert math.isclose(law.sum(), 1.0, rel_tol=0.0, abs_tol=1e-12)
+    abc = law.sum(axis=3) if monitor else law
+    p_a, p_b, p_c = abc[1].sum(), abc[:, 1].sum(), abc[:, :, 1].sum()
+    p_ab, p_abc = abc[1, 1].sum(), abc[1, 1, 1]
+    assert p_abc <= min(p_ab, p_c)
+    assert p_ab <= min(p_a, p_b)
+    # The expected photon ledger balances.
+    leg = run(sc, 1000, seed=1).dip
+    assert leg.generated == pytest.approx(leg.lost + leg.undetected + leg.detected, rel=1e-12)
