@@ -2,8 +2,10 @@
 
 Subcommands map one-to-one onto the simulator's outputs: the pair-source
 spectrum, the coupler tuning curves, the visibility map, the interference
-dip scan, the key-rate sweep, and a raw Monte Carlo counts report.  Same
-config + seed + flags always produce byte-identical output files.
+dip scan, the key-rate sweep, and a raw Monte Carlo counts report.  Each
+has one output format: the five tables are CSV, the counts report is one
+"field: value" line per field.  Same config + seed + flags always produce
+byte-identical output files.
 """
 
 from __future__ import annotations
@@ -43,18 +45,11 @@ def _table_csv(headers, rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _table_text(headers, rows) -> str:
-    lines = ["# columns: " + ", ".join(headers)]
-    lines.extend("  ".join(_fmt(v) for v in row) for row in rows)
-    return "\n".join(lines) + "\n"
-
-
-def _fields_text(headers, rows) -> str:
+def _fields_text(rows) -> str:
     return "".join(f"{k}: {_fmt(v)}\n" for k, v in rows)
 
 
-def _emit(args, headers, rows, text_format=_table_text) -> None:
-    content = _table_csv(headers, rows) if args.format == "csv" else text_format(headers, rows)
+def _emit(args, content: str) -> None:
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(content)
@@ -80,7 +75,7 @@ def _cmd_spdc_spectrum(args) -> int:
     lam = np.linspace(cfg.spectrum_min_nm, cfg.spectrum_max_nm, cfg.spectrum_points)
     density = spdc_spectral_density(source, lam)
     rows = [(float(x), float(d)) for x, d in zip(lam, density)]
-    _emit(args, ["wavelength_nm", "relative_density"], rows)
+    _emit(args, _table_csv(["wavelength_nm", "relative_density"], rows))
     return 0
 
 
@@ -97,7 +92,7 @@ def _cmd_coupler_curve(args) -> int:
         (float(v), coupler_ratio(cal1.model, float(v)), coupler_ratio(cal2.model, float(v)))
         for v in volts
     ]
-    _emit(args, ["voltage_V", "cross_ratio_c1", "cross_ratio_c2"], rows)
+    _emit(args, _table_csv(["voltage_V", "cross_ratio_c1", "cross_ratio_c2"], rows))
     for name, cal in (("c1", cal1), ("c2", cal2)):
         print(
             f"{name}: gamma_rad_per_V={cal.model.gamma_rad_per_v!r} "
@@ -110,7 +105,7 @@ def _cmd_visibility_map(args) -> int:
     cfg = _load(args)
     herald = HeraldModel(cfg.map_herald_efficiency, cfg.map_herald_dark_prob)
     rows = visibility_map(cfg.map_na_values, cfg.map_nb_values, herald)
-    _emit(args, ["N_a", "N_b", "visibility"], rows)
+    _emit(args, _table_csv(["N_a", "N_b", "visibility"], rows))
 
     # Operating-point summary with the gap to the reference design target.
     na, nb = 0.05, 0.02
@@ -139,7 +134,7 @@ def _cmd_hom_dip(args) -> int:
     if args.pulses > 0:
         _warn_unresolved(scenario, args.pulses)
     rows = list(zip(result.positions_mm, result.rates, result.errors))
-    _emit(args, ["position_mm", "threefold_rate", "error"], rows)
+    _emit(args, _table_csv(["position_mm", "threefold_rate", "error"], rows))
     if result.fit is not None:
         print(f"fit_visibility={result.fit.visibility!r}")
         print(f"fit_visibility_err={result.fit.visibility_err!r}")
@@ -155,6 +150,10 @@ def _cmd_keyrate_sweep(args) -> int:
     cfg = _load(args)
     if not cfg.sweep_step_km > 0:
         raise ConfigurationError(f"sweep_step_km must be > 0, got {cfg.sweep_step_km}")
+    if cfg.sweep_min_km > cfg.sweep_max_km:
+        raise ConfigurationError(
+            f"sweep_min_km must be <= sweep_max_km, got {cfg.sweep_min_km} > {cfg.sweep_max_km}"
+        )
     params = cfg.to_link_params()
     models = fig2_models(params)
     if cfg.relay_position is not None:
@@ -168,7 +167,7 @@ def _cmd_keyrate_sweep(args) -> int:
         (table.distances_km[i], *(table.rates[j][i] for j in range(len(models))))
         for i in range(len(table.distances_km))
     ]
-    _emit(args, ["distance_km", *table.labels], rows)
+    _emit(args, _table_csv(["distance_km", *table.labels], rows))
 
     results = {m.name: max_distance(m, params) for m in models}
     for name, res in results.items():
@@ -222,7 +221,7 @@ def _cmd_mc_run(args) -> int:
     report = run(scenario, args.pulses, seed=args.seed)
     _warn_unresolved(scenario, args.pulses)
     net = subtract_accidentals(report)
-    _emit(args, ["field", "value"], _report_rows(report, net), _fields_text)
+    _emit(args, _fields_text(_report_rows(report, net)))
     return 0
 
 
@@ -262,12 +261,6 @@ def build_parser() -> argparse.ArgumentParser:
                 help="laser pulses to simulate (hom-dip: per scan point; 0 = analytic mode)",
             )
         p.add_argument("--out", help="output file path (default: stdout)")
-        p.add_argument(
-            "--format",
-            choices=["csv", "structured-text"],
-            default="csv" if name != "mc-run" else "structured-text",
-            help="output format",
-        )
         if name == "mc-run":
             p.add_argument(
                 "--workers",

@@ -281,7 +281,8 @@ DEFAULT_SEGMENTS = {
     "prop_back": 1.25,
 }
 
-DEFAULT_PATHS = {
+# Port-to-port paths as ordered segment names; each ends at one output.
+PATHS = {
     # External photon: input port 1 up to the interference coupler C2.
     "alice_to_c2": ("fiber_to_chip", "prop_front"),
     # Either C2 output down to its output fiber port (A or B).
@@ -297,16 +298,14 @@ DEFAULT_PATHS = {
 
 @dataclass(frozen=True)
 class ChipLayout:
-    """Acyclic port-to-port layout as named loss segments composed into paths.
+    """Chip loss segments composed into the fixed port-to-port PATHS.
 
-    Each path is an ordered segment tuple terminating at one output; path
-    losses are additive in dB and order-independent.  measured_insertion_db,
-    when set, rescales all segments so the insertion path matches the
-    measured figure verbatim.
+    Path losses are additive in dB and order-independent.
+    measured_insertion_db, when set, rescales all segments so the insertion
+    path matches the measured figure verbatim.
     """
 
     segments: dict[str, float] = field(default_factory=lambda: dict(DEFAULT_SEGMENTS))
-    paths: dict[str, tuple[str, ...]] = field(default_factory=lambda: dict(DEFAULT_PATHS))
     measured_insertion_db: float | None = None
 
     def __post_init__(self) -> None:
@@ -315,29 +314,27 @@ class ChipLayout:
                 raise ConfigurationError(f"segment {name!r} has no loss value")
             if loss < 0:
                 raise ConfigurationError(f"segment {name!r} loss must be >= 0 dB, got {loss}")
-        for path, names in self.paths.items():
+        for path, names in PATHS.items():
             for name in names:
                 if name not in self.segments:
                     raise ConfigurationError(
                         f"path {path!r} references missing segment {name!r}"
                     )
-        if "insertion" not in self.paths:
-            raise ConfigurationError("layout must define an 'insertion' path")
         measured = self.measured_insertion_db
         if measured is not None and measured < 0:
             raise ConfigurationError(f"measured insertion loss must be >= 0 dB, got {measured}")
-        if measured and sum(self.segments[s] for s in self.paths["insertion"]) <= 0:
+        if measured and sum(self.segments[s] for s in PATHS["insertion"]) <= 0:
             raise ConfigurationError("cannot rescale a zero-loss insertion path")
 
     def path_loss_db(self, path: str) -> float:
-        if path not in self.paths:
+        if path not in PATHS:
             raise ConfigurationError(f"unknown path {path!r}")
-        loss = sum(self.segments[s] for s in self.paths[path])
+        loss = sum(self.segments[s] for s in PATHS[path])
         if self.measured_insertion_db is None:
             return loss
         if self.measured_insertion_db == 0.0:
             return 0.0
-        nominal = sum(self.segments[s] for s in self.paths["insertion"])
+        nominal = sum(self.segments[s] for s in PATHS["insertion"])
         # The path's share of the nominal insertion loss, times the measured
         # figure; the key-rate reference output was computed in this order.
         return self.measured_insertion_db * (loss / nominal)

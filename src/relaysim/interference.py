@@ -25,7 +25,7 @@ class UndefinedVisibilityError(ValueError):
 
 
 class FitFailureError(RuntimeError):
-    """Raised when a gaussian dip fit does not converge."""
+    """Raised when a gaussian dip fit does not converge or finds no dip baseline."""
 
 
 @dataclass(frozen=True)
@@ -112,11 +112,6 @@ class DipProfile:
     visibility: float
     fwhm_mm: float
     baseline: float
-    center_mm: float = 0.0
-
-    def rate_at(self, position_mm: float) -> float:
-        x = (position_mm - self.center_mm) / self.fwhm_mm
-        return self.baseline * (1.0 - self.visibility * math.exp(-FOUR_LN2 * x * x))
 
 
 def dip_profile(
@@ -158,7 +153,8 @@ def fit_dip(positions_mm, rates, errors=None, fwhm_guess_mm: float | None = None
     """Fit baseline, visibility, FWHM, and center of a gaussian dip to samples.
 
     errors, when given, are absolute 1-sigma rate uncertainties.  Raises
-    FitFailureError on non-convergence; callers that must preserve raw
+    FitFailureError on non-convergence, when no rate is positive, or when
+    the fitted baseline is not positive; callers that must preserve raw
     samples catch it and report the failure alongside the data.
     """
     from scipy.optimize import OptimizeWarning, curve_fit  # deferred: costs most of `import relaysim`
@@ -167,6 +163,8 @@ def fit_dip(positions_mm, rates, errors=None, fwhm_guess_mm: float | None = None
     y = np.asarray(rates, dtype=float)
     if x.size < 4:
         raise FitFailureError("need at least 4 samples to fit a 4-parameter dip")
+    if not np.any(y > 0):
+        raise FitFailureError("no positive rate to fit: every sampled rate is <= 0")
     baseline0 = float(np.max(y))
     depth0 = 1.0 - float(np.min(y)) / baseline0 if baseline0 > 0 else 0.5
     depth0 = min(max(depth0, 1e-3), 1.0)
@@ -187,6 +185,8 @@ def fit_dip(positions_mm, rates, errors=None, fwhm_guess_mm: float | None = None
             )
     except (RuntimeError, ValueError) as exc:
         raise FitFailureError(f"gaussian dip fit did not converge: {exc}") from exc
+    if not popt[0] > 0:
+        raise FitFailureError(f"fitted dip baseline {float(popt[0])!r} is not positive")
     perr = np.sqrt(np.abs(np.diag(pcov)))
     return DipFit(
         visibility=float(popt[1]), visibility_err=float(perr[1]),

@@ -478,14 +478,9 @@ class CountsReport:
     dark_b: float
     dark_c: float
 
-    @property
-    def gated_pulses(self) -> int:
-        return self.dip.gated
-
     raw_visibility = property(lambda self: _raw_visibility(self, "threefold_abc")[0])
     raw_visibility_err = property(lambda self: _raw_visibility(self, "threefold_abc")[1])
     raw_twofold_visibility = property(lambda self: _raw_visibility(self, "twofold_ab")[0])
-    raw_twofold_visibility_err = property(lambda self: _raw_visibility(self, "twofold_ab")[1])
 
 
 def _raw_visibility(report: CountsReport, count: str) -> tuple[float, float]:
@@ -500,18 +495,12 @@ def _raw_visibility(report: CountsReport, count: str) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class NetRates:
-    """Accidental-subtracted coincidence rates and visibilities."""
+    """Per-gate accidental three-fold probabilities and net visibilities."""
 
     accidental_threefold_dip: float
     accidental_threefold_ref: float
-    net_threefold_dip: float
-    net_threefold_ref: float
     net_visibility: float
     net_visibility_err: float
-    accidental_twofold_dip: float
-    accidental_twofold_ref: float
-    net_twofold_dip: float
-    net_twofold_ref: float
     net_twofold_visibility: float
 
 
@@ -567,10 +556,7 @@ def subtract_accidentals(report: CountsReport) -> NetRates:
 
     vis2 = 1.0 - net2_dip / net2_ref if net2_ref > 0 else float("nan")
 
-    return NetRates(
-        acc3_dip, acc3_ref, net3_dip, net3_ref, vis, err,
-        acc2_dip, acc2_ref, net2_dip, net2_ref, vis2,
-    )
+    return NetRates(acc3_dip, acc3_ref, vis, err, vis2)
 
 
 def run(scenario: Scenario, n_pulses: int, seed: int = 1, workers: int = 1) -> CountsReport:
@@ -761,11 +747,6 @@ class DipScanResult:
     errors: tuple[float, ...]
     fit: DipFit | None
     fit_failed: str | None
-    analytic: bool
-
-    @property
-    def converged(self) -> bool:
-        return self.fit is not None
 
 
 def scan_dip(
@@ -779,7 +760,8 @@ def scan_dip(
     With n_pulses_per_point = 0 the scan is analytic: expected rates are
     evaluated exactly at each position instead of sampling pulses.
     Requires at least 3 positions spanning more than twice the expected dip
-    width.  Fit non-convergence is reported in the result, with the raw
+    width.  A fit that fails (no convergence, no positive rate, or a
+    baseline that is not positive) is reported in fit_failed, with the raw
     samples preserved.
     """
     if not 0 <= n_pulses_per_point <= MAX_PULSES:
@@ -818,4 +800,4 @@ def scan_dip(
     except FitFailureError as exc:
         fit = None
         failed = str(exc)
-    return DipScanResult(tuple(positions), tuple(rates), tuple(errors), fit, failed, n_pulses_per_point == 0)
+    return DipScanResult(tuple(positions), tuple(rates), tuple(errors), fit, failed)

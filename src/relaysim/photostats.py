@@ -66,10 +66,6 @@ class PhotonNumberDistribution:
     def p(self, n: int) -> float:
         return self.pmf[n] if 0 <= n <= self.n_max else 0.0
 
-    @property
-    def mean(self) -> float:
-        return sum(n * p for n, p in enumerate(self.pmf))
-
 
 def thermal(mean_pairs: float, n_max: int = DEFAULT_N_MAX) -> PhotonNumberDistribution:
     """Thermal (single-mode SPDC) distribution: p(n) = N^n / (1+N)^(n+1)."""

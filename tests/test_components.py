@@ -11,6 +11,7 @@ from relaysim.components import (
     CouplerModel,
     DetectorModel,
     FilterModel,
+    PATHS,
     SpdcSource,
     calibrate_coupler,
     chip_insertion_loss,
@@ -200,7 +201,7 @@ def test_measured_override_used_verbatim():
 
 def test_path_losses_additive_and_order_independent():
     layout = ChipLayout()
-    total = sum(layout.segments[s] for s in layout.paths["insertion"])
+    total = sum(layout.segments[s] for s in PATHS["insertion"])
     assert layout.path_loss_db("insertion") == pytest.approx(total, rel=1e-12)
     assert layout.path_loss_db("alice_to_c2") + layout.path_loss_db("c2_to_out") == pytest.approx(
         layout.path_loss_db("insertion"), rel=1e-12
@@ -208,8 +209,8 @@ def test_path_losses_additive_and_order_independent():
 
 
 def test_missing_segment_rejected():
-    with pytest.raises(ConfigurationError):
-        ChipLayout(segments={"fiber_to_chip": 3.0}, paths={"insertion": ("fiber_to_chip", "ghost")})
+    with pytest.raises(ConfigurationError, match="missing segment 'prop_back'"):
+        ChipLayout(segments={"fiber_to_chip": 3.0, "chip_to_fiber": 3.0, "prop_front": 1.0})
     with pytest.raises(ConfigurationError):
         ChipLayout(segments={"fiber_to_chip": -1.0, "chip_to_fiber": 3.0, "prop_front": 1.0, "prop_back": 1.0})
     with pytest.raises(ConfigurationError):

@@ -136,6 +136,9 @@ def test_unknown_preset_rejected():
 # CLI
 # ---------------------------------------------------------------------------
 
+ANALYTIC = ("spdc-spectrum", "coupler-curve", "visibility-map", "keyrate-sweep")
+
+
 def run_cli(*argv) -> int:
     return main(list(argv))
 
@@ -177,13 +180,6 @@ def test_coupler_curve_anchor_csv(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("volts,ratio\n0,1\n", encoding="utf-8")
     assert run_cli("coupler-curve", "--anchors-csv", str(bad)) == 2
-
-
-def test_structured_text_table_format(tmp_path):
-    out = tmp_path / "spectrum.txt"
-    assert run_cli("spdc-spectrum", "--format", "structured-text", "--out", str(out)) == 0
-    lines = out.read_text().splitlines()
-    assert lines[0] == "# columns: wavelength_nm, relative_density"
 
 
 def test_visibility_map_csv(tmp_path, capsys):
@@ -265,14 +261,6 @@ def test_mc_run_worker_count_invariance(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
-def test_mc_run_csv_format(tmp_path):
-    out = tmp_path / "report.csv"
-    assert run_cli("mc-run", "--pulses", "20000", "--format", "csv", "--out", str(out)) == 0
-    lines = out.read_text().splitlines()
-    assert lines[0] == "field,value"
-    assert lines[1].startswith("pulses_simulated,")
-
-
 def test_mc_run_warns_when_dip_unresolvable(capsys):
     # paper-fig6 expects about 6e-6 reference three-folds from 3e5 pulses.
     assert run_cli("mc-run", "--preset", "paper-fig6", "--pulses", "300000") == 0
@@ -346,13 +334,34 @@ def test_pulse_count_out_of_range_exits_2(capsys, argv):
     assert str(2**63 - 1) in capsys.readouterr().err
 
 
-def test_analytic_subcommands_take_no_pulses_or_workers():
-    for name in ("spdc-spectrum", "coupler-curve", "visibility-map", "keyrate-sweep"):
-        for flag in ("--pulses", "--workers"):
-            with pytest.raises(SystemExit):
-                main([name, flag, "1"])
-    with pytest.raises(SystemExit):
-        main(["hom-dip", "--workers", "1"])
+@pytest.mark.parametrize("low", [100.0, 50.4])
+def test_keyrate_sweep_rejects_min_above_max(tmp_path, capsys, low):
+    # 100 gave an empty grid; 50.4 gave one row beyond sweep_max_km.
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps({"sweep_min_km": low, "sweep_max_km": 50}), encoding="utf-8")
+    assert run_cli("keyrate-sweep", "--config", str(path)) == 2
+    assert capsys.readouterr().err == (
+        f"error: ConfigurationError: sweep_min_km must be <= sweep_max_km, got {low} > 50.0\n"
+    )
+
+
+# Flags a subcommand does not take: --pulses and --workers where no pulse is
+# sampled, and --format everywhere (each subcommand has one output format).
+_REJECTED_FLAGS = [
+    *((name, flag, "1") for name in ANALYTIC for flag in ("--pulses", "--workers")),
+    ("hom-dip", "--workers", "1"),
+    *((name, "--format", "csv") for name in (*ANALYTIC, "hom-dip", "mc-run")),
+]
+
+
+@pytest.mark.parametrize(
+    "argv", _REJECTED_FLAGS, ids=[f"{name}_{flag.lstrip('-')}" for name, flag, _ in _REJECTED_FLAGS]
+)
+def test_subcommand_rejects_flag(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {argv[1]}" in capsys.readouterr().err
 
 
 def run_python(*args) -> subprocess.CompletedProcess:

@@ -133,14 +133,17 @@ def test_dip_profile_geometry():
     assert prof.fwhm_mm == pytest.approx(20e-12 * SPEED_OF_LIGHT_M_PER_S * 1e3, rel=1e-12)
     assert prof.fwhm_mm == pytest.approx(6.0, rel=5e-3)
     # Dip bottom and asymptote.
-    assert prof.rate_at(0.0) == pytest.approx(100.0 * 0.25, rel=1e-12)
-    assert prof.rate_at(80.0) == pytest.approx(100.0, rel=1e-9)
+    bottom, far = dip_profile(0.75, 20.0, 100.0, [0.0, 80.0]).rates
+    assert bottom == pytest.approx(100.0 * 0.25, rel=1e-12)
+    assert far == pytest.approx(100.0, rel=1e-9)
 
 
 def test_dip_profile_even_in_position():
-    prof = dip_profile(0.5, 20.0, 1.0, [0.0])
-    for x in (0.7, 2.0, 5.5):
-        assert prof.rate_at(x) == pytest.approx(prof.rate_at(-x), rel=1e-12)
+    xs = (0.7, 2.0, 5.5)
+    prof = dip_profile(0.5, 20.0, 1.0, [*xs, *(-x for x in xs)])
+    right, left = prof.rates[: len(xs)], prof.rates[len(xs):]
+    for r, l in zip(right, left):
+        assert r == pytest.approx(l, rel=1e-12)
 
 
 def test_dip_profile_flat_when_visibility_zero():
@@ -177,3 +180,10 @@ def test_fit_with_offset_center():
 def test_fit_failure_reported():
     with pytest.raises(FitFailureError):
         fit_dip([0.0, 1.0, 2.0], [1.0, 1.0, 1.0])  # too few points for 4 params
+    positions = [x * 1.5 for x in range(-6, 7)]
+    with pytest.raises(FitFailureError, match="no positive rate"):
+        fit_dip(positions, [0.0] * len(positions))
+    # An inverted peak fits exactly, but to a negative baseline: no dip.
+    rates = [-1.0 + 1.2 * math.exp(-4 * math.log(2) * (x / 6.0) ** 2) for x in positions]
+    with pytest.raises(FitFailureError, match="baseline .* is not positive"):
+        fit_dip(positions, rates, fwhm_guess_mm=6.0)

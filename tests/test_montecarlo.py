@@ -186,7 +186,10 @@ def test_twofold_thermal_visibility_one_third():
     sc = bench_scenario(0.02, 0.02, alice_db=10.0 * math.log10(2.0))
     report = run(sc, 2_000_000, seed=17)
     v = report.raw_twofold_visibility
-    err = report.raw_twofold_visibility_err
+    c_dip, c_ref = report.dip.twofold_ab, report.ref.twofold_ab
+    ratio = (c_dip / report.dip.gated) / (c_ref / report.ref.gated)
+    assert v == pytest.approx(1.0 - ratio, rel=1e-12)
+    err = ratio * math.sqrt(1.0 / c_dip + 1.0 / c_ref)  # Poisson error of the ratio
     assert abs(v - 1.0 / 3.0) <= 3.0 * err
 
 
@@ -252,9 +255,12 @@ def test_worker_count_does_not_change_tallies():
 def test_zero_darks_net_equals_raw():
     report = run(bench_scenario(0.05, 0.02), 400_000, seed=19)
     net = subtract_accidentals(report)
+    # Nothing is subtracted, so each net figure is its raw one.
     assert net.accidental_threefold_dip == 0.0
-    assert net.net_threefold_dip == pytest.approx(report.dip.threefold_abc / report.dip.gated)
+    assert net.accidental_threefold_ref == 0.0
     assert net.net_visibility == pytest.approx(report.raw_visibility, rel=1e-12)
+    assert net.net_visibility_err == pytest.approx(report.raw_visibility_err, rel=1e-12)
+    assert net.net_twofold_visibility == pytest.approx(report.raw_twofold_visibility, rel=1e-12)
 
 
 def test_signal_free_scenario_consistent_with_zero():
@@ -265,7 +271,8 @@ def test_signal_free_scenario_consistent_with_zero():
     assert report.dip.threefold_abc > 0  # darks do fire
     net = subtract_accidentals(report)
     err = math.sqrt(report.dip.threefold_abc) / report.dip.gated
-    assert abs(net.net_threefold_dip) <= 4.0 * err
+    net_rate = report.dip.threefold_abc / report.dip.gated - net.accidental_threefold_dip
+    assert abs(net_rate) <= 4.0 * err
 
 
 def test_raw_below_net_with_darks():
@@ -284,7 +291,8 @@ def test_analytic_scan_reproduces_dip_profile():
     sc = replace(bench_scenario(0.01, 0.005), dip_fwhm_time_ps=20.0)
     positions = np.linspace(-9.0, 9.0, 13)
     result = scan_dip(sc, positions, n_pulses_per_point=0)
-    assert result.analytic and result.converged
+    assert result.fit_failed is None
+    assert result.errors == (0.0,) * len(positions)  # exact rates carry no sampling error
     # The expected-value scan is exactly gaussian: the fit reproduces the
     # model width and the enumeration's own dip depth to numerical precision.
     fwhm_expected = compile_scenario(sc).fwhm_mm
@@ -302,8 +310,19 @@ def test_mc_scan_recovers_width():
     sc = replace(bench_scenario(0.2, 0.1, eta=0.9), dip_fwhm_time_ps=20.0)
     positions = np.linspace(-9.0, 9.0, 9)
     result = scan_dip(sc, positions, n_pulses_per_point=400_000, seed=41)
-    assert result.converged
+    assert result.fit_failed is None
     assert result.fit.fwhm_mm == pytest.approx(compile_scenario(sc).fwhm_mm, rel=0.10)
+
+
+def test_scan_with_no_counts_reports_fit_failure():
+    # paper-fig6 expects about 2e-5 three-folds per point from 2e6 pulses:
+    # every sampled rate is 0, so there is no dip to fit.
+    cfg = load_preset("paper-fig6")
+    positions = np.linspace(cfg.dip_scan_min_mm, cfg.dip_scan_max_mm, cfg.dip_scan_points)
+    result = scan_dip(cfg.to_scenario(), positions, 2_000_000, seed=7)
+    assert result.rates == (0.0,) * len(positions)
+    assert result.fit is None
+    assert "no positive rate" in result.fit_failed
 
 
 def test_scan_preconditions():
