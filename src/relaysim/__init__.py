@@ -27,7 +27,6 @@ from .interference import (
     DipProfile,
     FitFailureError,
     UndefinedVisibilityError,
-    VisibilityBreakdown,
     dip_profile,
     fit_dip,
     p_coincidence_bounds,

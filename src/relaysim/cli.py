@@ -11,6 +11,7 @@ byte-identical output files.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import replace
 
@@ -155,7 +156,7 @@ def _cmd_keyrate_sweep(args) -> int:
             f"sweep_min_km must be <= sweep_max_km, got {cfg.sweep_min_km} > {cfg.sweep_max_km}"
         )
     params = cfg.to_link_params()
-    models = fig2_models(params)
+    models = fig2_models()
     if cfg.relay_position is not None:
         models = [
             replace(m, relay_position=cfg.relay_position) if m.variant != "direct" else m
@@ -169,7 +170,7 @@ def _cmd_keyrate_sweep(args) -> int:
     ]
     _emit(args, _table_csv(["distance_km", *table.labels], rows))
 
-    results = {m.name: max_distance(m, params) for m in models}
+    results = {m.variant: max_distance(m, params) for m in models}
     for name, res in results.items():
         dist = res.distance_km
         print(f"max_distance_{name}_km={dist!r}" + (" (unbounded)" if res.unbounded else ""))
@@ -280,7 +281,14 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     handler = _COMMANDS[args.command][0]
     try:
-        return handler(args)
+        status = handler(args)
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # The reader closed early: send what is left to devnull so the flush
+        # at exit cannot fail again (the recipe of the Python signal docs).
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (
         ConfigurationError,
         CalibrationError,

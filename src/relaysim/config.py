@@ -100,7 +100,6 @@ class ScenarioConfig:
     link_gate_window_ns: float = 1.0
     mean_photon_per_pulse: float = 1.0
     relay_pair_mean: float = 1.0
-    teleport_fidelity: float = 0.8
     relay_position: float | None = None
     sweep_min_km: float = 0.0
     sweep_max_km: float = 500.0
@@ -209,7 +208,6 @@ class ScenarioConfig:
             ),
             mean_photon_per_pulse=self.mean_photon_per_pulse,
             relay_pair_mean=self.relay_pair_mean,
-            teleport_fidelity=self.teleport_fidelity,
             layout=self.chip_layout(),
         )
 
@@ -272,7 +270,7 @@ _COERCE = {
 }
 _FIELD_TYPES = {f.name: f.type for f in fields(ScenarioConfig)}
 
-# Keys of schema version 1 that version 2 dropped, with what replaces them.
+# Keys the schema no longer has, each with the reason or what replaces it.
 _REMOVED_KEYS = {
     "chip_insertion_loss_db": (
         "the link budget now reads the chip layout; set measured_insertion_loss_db "
@@ -280,6 +278,9 @@ _REMOVED_KEYS = {
     ),
     "link_pulse_rate_hz": "it was never read; key rates are per pulse",
     "coupler_interaction_length_mm": "it was never read; coupler_kappa_lc_rad sets the coupling",
+    "teleport_fidelity": (
+        "it fed only a QBER that no output reads; the reach is where the SNR falls to unity"
+    ),
 }
 
 

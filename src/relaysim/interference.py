@@ -28,18 +28,6 @@ class FitFailureError(RuntimeError):
     """Raised when a gaussian dip fit does not converge or finds no dip baseline."""
 
 
-@dataclass(frozen=True)
-class VisibilityBreakdown:
-    """Visibility split into its timing and statistics factors."""
-
-    v_statistics: float
-    v_timing: float
-
-    @property
-    def v_total(self) -> float:
-        return self.v_statistics * self.v_timing
-
-
 def v_timing(tau_uncert_ps: float, tau_c_ps: float) -> float:
     """Timing bound on visibility: 1 / sqrt((tau_uncert/tau_c)^2 + 1)."""
     if tau_c_ps <= 0:
@@ -115,22 +103,22 @@ class DipProfile:
 
 
 def dip_profile(
-    v_total: float, tau_fwhm_ps: float, baseline: float, positions_mm
+    visibility: float, tau_fwhm_ps: float, baseline: float, positions_mm
 ) -> DipProfile:
     """Analytic gaussian dip: rate = baseline * (1 - V exp(-4 ln2 (dx/(c tau))^2)).
 
     The dip FWHM in path units is c * tau_fwhm (20 ps -> 6.0 mm).
     """
-    if not 0.0 <= v_total <= 1.0:
-        raise ValueError(f"visibility must be in [0, 1], got {v_total}")
+    if not 0.0 <= visibility <= 1.0:
+        raise ValueError(f"visibility must be in [0, 1], got {visibility}")
     if tau_fwhm_ps <= 0:
         raise ValueError(f"dip FWHM time must be > 0, got {tau_fwhm_ps}")
     fwhm_mm = delay_to_path(tau_fwhm_ps)
     pos = tuple(float(x) for x in positions_mm)
     rates = tuple(
-        baseline * (1.0 - v_total * math.exp(-FOUR_LN2 * (x / fwhm_mm) ** 2)) for x in pos
+        baseline * (1.0 - visibility * math.exp(-FOUR_LN2 * (x / fwhm_mm) ** 2)) for x in pos
     )
-    return DipProfile(pos, rates, v_total, fwhm_mm, baseline)
+    return DipProfile(pos, rates, visibility, fwhm_mm, baseline)
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,11 @@
 """Analytic key-rate-versus-distance models for one-way quantum links.
 
-Three link variants are compared: a direct link, a textbook teleportation
-relay with ideal Bell-state detection, and the folded relay implemented by
-the chip, where the herald travels forward along the channel and gates the
-receiver.  Rates are normalized to the direct link's zero-distance value;
-absolute rates follow by multiplying with the pulse rate.
+Four link variants are compared: a direct link, a textbook teleportation
+relay with ideal Bell-state detection, the folded relay implemented by the
+chip, where the herald travels forward along the channel and gates the
+receiver, and the same folded relay on a lossless chip.  Rates are
+normalized to the direct link's zero-distance value; absolute rates follow
+by multiplying with the pulse rate.
 
 The relay rate model (per gated pulse, probabilities small):
 
@@ -18,9 +19,8 @@ transmissions seen by the incoming, measured, and teleported photons, eta/d
 the gated detector efficiency and per-gate dark probability (eta_r/d_r at
 the relay), mu the channel mean photon number and nu the local pair mean.
 The intrinsic factor 1/2 reflects linear-optics Bell-state discrimination.
-Teleportation fidelity F enters the QBER as an intrinsic error (1 - F)/2
-(depolarizing convention), which at F = 0.8 keeps relay QBER near 10%: the
-SNR-unity criterion, not a QBER threshold, therefore sets the reach.
+The model has no error term, so the reach where the SNR falls to unity is
+an upper bound on the reach of a key distribution over the link.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from .components import ChipLayout, DetectorModel
 
 MAX_SEARCH_KM = 1e4
 
-VARIANTS = ("direct", "standard_relay", "folded_relay")
+VARIANTS = ("direct", "standard_relay", "folded_relay", "folded_relay_lossless")
 
 
 @dataclass(frozen=True)
@@ -47,16 +47,11 @@ class LinkParams:
     )
     mean_photon_per_pulse: float = 1.0
     relay_pair_mean: float = 1.0
-    teleport_fidelity: float = 0.8
     layout: ChipLayout = field(default_factory=ChipLayout)
 
     def __post_init__(self) -> None:
         if self.fiber_loss_db_per_km < 0:
             raise ValueError(f"fiber loss must be >= 0, got {self.fiber_loss_db_per_km}")
-        if not 0.5 <= self.teleport_fidelity <= 1.0:
-            raise ValueError(
-                f"teleport fidelity must be in [0.5, 1], got {self.teleport_fidelity}"
-            )
         if self.mean_photon_per_pulse < 0 or self.relay_pair_mean < 0:
             raise ValueError("mean photon numbers must be >= 0")
 
@@ -67,19 +62,12 @@ class LinkModel:
 
     variant: str = "direct"
     relay_position: float | None = None
-    chip_loss_override_db: float | None = None
 
     def __post_init__(self) -> None:
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}; expected one of {VARIANTS}")
         if self.relay_position is not None and not 0.0 < self.relay_position < 1.0:
             raise ValueError(f"relay position must be in (0, 1), got {self.relay_position}")
-
-    @property
-    def name(self) -> str:
-        if self.variant == "folded_relay" and self.chip_loss_override_db == 0.0:
-            return "folded_relay_lossless"
-        return self.variant
 
 
 @dataclass(frozen=True)
@@ -88,18 +76,14 @@ class LinkRates:
 
     signal_prob: float
     accidental_prob: float
-    qber: float
     normalized_rate: float
-    relay_position: float | None
 
 
 def _chip_transmissions(model: LinkModel, params: LinkParams) -> tuple[float, float, float]:
     """(g_a, g_b, g_c): chip transmissions of the incoming, measured and teleported photons."""
-    if model.variant == "standard_relay":
+    if model.variant in ("standard_relay", "folded_relay_lossless"):
         return 1.0, 1.0, 1.0
     layout = params.layout
-    if model.chip_loss_override_db is not None:
-        layout = replace(layout, measured_insertion_db=model.chip_loss_override_db)
     return (
         layout.path_transmission("insertion"),
         layout.path_transmission("chipsrc_to_c2") * layout.path_transmission("c2_to_out"),
@@ -171,7 +155,7 @@ def _best_position(
 
 
 def link_rates(model: LinkModel, params: LinkParams, distance_km: float) -> LinkRates:
-    """Signal/accidental probabilities, QBER, and normalized rate at a distance."""
+    """Signal/accidental probabilities and normalized rate at a distance."""
     if distance_km < 0:
         raise ValueError(f"distance must be >= 0, got {distance_km}")
     eta = params.detector.efficiency
@@ -183,8 +167,6 @@ def link_rates(model: LinkModel, params: LinkParams, distance_km: float) -> Link
             -params.fiber_loss_db_per_km * distance_km / 10.0
         )
         accidental = d
-        e_intrinsic = 0.0
-        position = None
     else:
         chip = _chip_transmissions(model, params)
         position = (
@@ -193,19 +175,14 @@ def link_rates(model: LinkModel, params: LinkParams, distance_km: float) -> Link
             else _best_position(model, params, chip, distance_km)
         )
         signal, accidental = _relay_probs(model, params, chip, distance_km, position)
-        e_intrinsic = (1.0 - params.teleport_fidelity) / 2.0
-
-    total = signal + accidental
-    qber = (0.5 * accidental + e_intrinsic * signal) / total if total > 0 else 0.5
-    return LinkRates(signal, accidental, qber, total / norm, position)
+    return LinkRates(signal, accidental, (signal + accidental) / norm)
 
 
 @dataclass(frozen=True)
 class MaxDistanceResult:
-    """Maximum distance before SNR unity, with relay placement info."""
+    """Maximum distance before SNR unity, with the symmetric-midpoint reach of a relay."""
 
     distance_km: float
-    relay_position: float | None
     midpoint_distance_km: float | None
     unbounded: bool
 
@@ -239,15 +216,12 @@ def max_distance(model: LinkModel, params: LinkParams) -> MaxDistanceResult:
 
     dist = solve(model)
     if dist is None:
-        return MaxDistanceResult(math.inf, model.relay_position, None, True)
+        return MaxDistanceResult(math.inf, None, True)
 
     midpoint = None
-    position = model.relay_position
     if model.variant != "direct":
         midpoint = solve(replace(model, relay_position=0.5))
-        if position is None:
-            position = _best_position(model, params, _chip_transmissions(model, params), dist)
-    return MaxDistanceResult(dist, position, midpoint, False)
+    return MaxDistanceResult(dist, midpoint, False)
 
 
 @dataclass(frozen=True)
@@ -265,18 +239,13 @@ def sweep(models, params: LinkParams, distances_km) -> SweepResult:
     distances = [float(x) for x in distances_km]
     if not models or not distances:
         raise ValueError("models and distances must be nonempty")
-    labels = tuple(m.name for m in models)
+    labels = tuple(m.variant for m in models)
     rates = tuple(
         tuple(link_rates(m, params, x).normalized_rate for x in distances) for m in models
     )
     return SweepResult(tuple(distances), labels, rates)
 
 
-def fig2_models(params: LinkParams) -> list[LinkModel]:
-    """The four standard comparison curves for the reference parameter set."""
-    return [
-        LinkModel("direct"),
-        LinkModel("standard_relay"),
-        LinkModel("folded_relay"),
-        LinkModel("folded_relay", chip_loss_override_db=0.0),
-    ]
+def fig2_models() -> list[LinkModel]:
+    """The four standard comparison curves, one per variant."""
+    return [LinkModel(variant) for variant in VARIANTS]

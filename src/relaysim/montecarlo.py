@@ -38,7 +38,7 @@ from .components import (
     SpdcSource,
     coupler_ratio,
 )
-from .interference import DipFit, FitFailureError, FOUR_LN2, VisibilityBreakdown, fit_dip, v_statistics, v_timing
+from .interference import DipFit, FitFailureError, FOUR_LN2, fit_dip, v_statistics, v_timing
 from .photostats import (
     HeraldModel,
     PhotonNumberDistribution,
@@ -716,8 +716,8 @@ def _expected_rates(params: SimParams, overlap: float) -> ExpectedRates:
     )
 
 
-def analytic_visibility(scenario: Scenario) -> VisibilityBreakdown:
-    """Timing-and-statistics visibility prediction for the three-fold dip.
+def analytic_visibility(scenario: Scenario) -> float:
+    """Closed-form three-fold dip visibility: the statistics factor times the timing factor.
 
     The statistics factor evaluates the coincidence bounds on the photon
     number distributions presented to coupler C2: the loss-thinned external
@@ -731,7 +731,7 @@ def analytic_visibility(scenario: Scenario) -> VisibilityBreakdown:
         HeraldModel(params.p_c_arrive * params.eta_c, params.dark_c),
     )
     v_stat = v_statistics(apply_loss(dist_a, params.q_a), apply_loss(dist_b, params.q_b))
-    return VisibilityBreakdown(v_statistics=v_stat, v_timing=params.overlap_peak)
+    return v_stat * params.overlap_peak
 
 
 # ---------------------------------------------------------------------------

@@ -93,7 +93,7 @@ def test_criterion_06_oracle_equivalence():
             report = run(scenario, 10_000_000, seed=101)
             assert report.dip.gated == report.ref.gated == 10_000_000
             net = subtract_accidentals(report)
-            predicted = analytic_visibility(scenario).v_total
+            predicted = analytic_visibility(scenario)
             dev = (net.net_visibility - predicted) / net.net_visibility_err
             lines.append(f"{name}: mc {net.net_visibility:.3f} pred {predicted:.3f} ({dev:+.2f} sigma)")
             assert math.isfinite(dev)
@@ -143,9 +143,7 @@ def test_criterion_10_keyrate_gains():
     with criterion(10, "keyrate-gains") as detail:
         params = LinkParams(layout=ChipLayout(measured_insertion_db=9.0))
         direct = max_distance(LinkModel("direct"), params).distance_km
-        lossless = max_distance(
-            LinkModel("folded_relay", chip_loss_override_db=0.0), params
-        ).distance_km
+        lossless = max_distance(LinkModel("folded_relay_lossless"), params).distance_km
         realistic = max_distance(LinkModel("folded_relay"), params).distance_km
         g_lossless = lossless / direct
         g_real = realistic / direct
@@ -167,7 +165,7 @@ def test_criterion_11_accidental_subtraction():
         scenario = bench_scenario(0.01, 0.005, dark_per_ns=1e-5, gate_window_ns=20.0)
         report = run(scenario, 40_000_000, seed=107)
         net = subtract_accidentals(report)
-        predicted = analytic_visibility(scenario).v_total
+        predicted = analytic_visibility(scenario)
         detail["text"] = (
             f"(raw {report.raw_visibility:.4f} < net {net.net_visibility:.4f}; "
             f"analytic {predicted:.4f}, |dev| = "

@@ -75,6 +75,7 @@ def test_wrong_schema_version_rejected():
         ("chip_insertion_loss_db", "measured_insertion_loss_db"),
         ("link_pulse_rate_hz", "never read"),
         ("coupler_interaction_length_mm", "never read"),
+        ("teleport_fidelity", "no output reads"),
     ],
 )
 def test_removed_keys_rejected_with_reason(key, reason):
@@ -123,7 +124,6 @@ def test_preset_fig2_pins_link_parameters():
     params = load_preset("paper-fig2").to_link_params()
     assert params.fiber_loss_db_per_km == 0.2
     assert params.detector.efficiency == 0.1
-    assert params.teleport_fidelity == 0.8
     assert chip_insertion_loss(params.layout) == 9.0
 
 
@@ -364,11 +364,16 @@ def test_subcommand_rejects_flag(capsys, argv):
     assert f"unrecognized arguments: {argv[1]}" in capsys.readouterr().err
 
 
-def run_python(*args) -> subprocess.CompletedProcess:
-    """A fresh interpreter that imports relaysim from where the tests do."""
+def child_env() -> dict:
+    """The environment of a fresh interpreter that imports relaysim from where the tests do."""
     path = [str(Path(relaysim.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in path if p)}
-    return subprocess.run([sys.executable, *args], capture_output=True, text=True, timeout=120, env=env)
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in path if p)}
+
+
+def run_python(*args) -> subprocess.CompletedProcess:
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, timeout=120, env=child_env()
+    )
 
 
 def test_cli_entry_point_installed():
@@ -397,3 +402,22 @@ def test_monte_carlo_and_coupler_curve_run_without_scipy_optimize():
     assert proc.returncode == 0, proc.stderr
     assert "ref_threefold_abc: " in proc.stdout and "c1: gamma_rad_per_V=" in proc.stdout
     assert proc.stdout.splitlines()[-1] == "False"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("keyrate-sweep", "--preset", "paper-fig2"), ("hom-dip", "--pulses", "0")],
+    ids=["keyrate-sweep", "hom-dip"],
+)
+def test_closed_stdout_exits_quietly(argv):
+    # A reader that closes early, like `| head -3`, is not an input error.
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "relaysim.cli", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=child_env(),
+    )
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert err == b""
+    assert proc.returncode == 1

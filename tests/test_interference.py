@@ -5,7 +5,6 @@ import pytest
 from relaysim.interference import (
     FitFailureError,
     UndefinedVisibilityError,
-    VisibilityBreakdown,
     dip_profile,
     fit_dip,
     p_coincidence_bounds,
@@ -93,9 +92,6 @@ def test_visibility_in_unit_interval_and_product_bound():
     for da, db in pairs:
         v_s = v_statistics(da, db)
         assert 0.0 <= v_s <= 1.0
-        for tau in (0.0, 2.5, 17.3):
-            breakdown = VisibilityBreakdown(v_s, v_timing(tau, 17.3))
-            assert breakdown.v_total <= min(breakdown.v_statistics, breakdown.v_timing) + 1e-15
 
 
 def test_visibility_map_thermal_diagonal():

@@ -144,7 +144,7 @@ def test_visibility_matches_closed_form(name, scenario):
     # repeats this at 1e7 gated pulses): 3 sigma agreement.
     report = run(scenario, 1_000_000, seed=29)
     net = subtract_accidentals(report)
-    predicted = analytic_visibility(scenario).v_total
+    predicted = analytic_visibility(scenario)
     assert math.isfinite(net.net_visibility_err)
     assert abs(net.net_visibility - predicted) <= 3.0 * net.net_visibility_err
 
@@ -174,7 +174,7 @@ def test_closed_form_gap_to_exact_visibility(name, scenario, stated):
         expected_rates(scenario).p_threefold_abc
         / expected_rates(scenario, overlap=0.0).p_threefold_abc
     )
-    closed = analytic_visibility(scenario).v_total
+    closed = analytic_visibility(scenario)
     gap = exact - closed
     print(f"{name}: V_exact {exact:.5f} V_closed {closed:.5f} gap {gap:+.5f}")
     assert stated[0] - MARGIN <= gap <= stated[1] + MARGIN
@@ -301,7 +301,7 @@ def test_analytic_scan_reproduces_dip_profile():
     assert result.fit.visibility == pytest.approx(v_exact, rel=1e-6)
     # The closed-form statistics-and-timing product is the truncated
     # approximation; at these means it agrees to a couple of percent.
-    predicted = analytic_visibility(sc).v_total
+    predicted = analytic_visibility(sc)
     assert result.fit.visibility == pytest.approx(predicted, abs=0.03)
 
 
