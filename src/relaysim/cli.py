@@ -6,16 +6,20 @@ dip scan, the key-rate sweep, and a raw Monte Carlo counts report.  Each
 has one output format: the five tables are CSV, the counts report is one
 "field: value" line per field.  Same config + seed + flags always produce
 byte-identical output files.
+
+Only `spdc-spectrum` (through `spdc_spectral_density`), `hom-dip` and `mc-run`
+load numpy; the last two import the Monte Carlo engine in their handlers, so
+`coupler-curve`, `visibility-map` and `keyrate-sweep` start without numpy.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from dataclasses import replace
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .components import (
     CalibrationError,
@@ -28,8 +32,10 @@ from .components import (
 from .config import PRESET_NAMES, ScenarioConfig, load_anchor_csv, load_config, load_preset
 from .interference import FitFailureError, UndefinedVisibilityError, v_statistics, visibility_map
 from .linkbudget import fig2_models, max_distance, sweep
-from .montecarlo import CountsReport, NetRates, resolution_warning, run, scan_dip, subtract_accidentals
 from .photostats import HeraldModel, UndefinedConditioningError, herald_condition, thermal
+
+if TYPE_CHECKING:
+    from .montecarlo import CountsReport, NetRates
 
 VISIBILITY_REFERENCE_TARGET = 0.75  # design-target dip visibility at the operating point
 
@@ -58,6 +64,37 @@ def _emit(args, content: str) -> None:
         sys.stdout.write(content)
 
 
+def _grid_points(cfg: ScenarioConfig, key: str) -> int:
+    points = getattr(cfg, key)
+    if points < 1:
+        raise ConfigurationError(f"{key} must be >= 1, got {points}")
+    return points
+
+
+def _linspace(start: float, stop: float, num: int) -> list[float]:
+    """`np.linspace(start, stop, num)` as a list, equal to it value for value."""
+    delta, div = stop - start, max(num - 1, 1)
+    step = delta / div
+    if step == 0:  # numpy's branch for a step that underflows to 0: scale, then multiply
+        grid = [i / div * delta + start for i in range(num)]
+    else:
+        grid = [i * step + start for i in range(num)]
+    if num > 1:
+        grid[-1] = stop
+    return grid
+
+
+def _arange(start: float, stop: float, step: float) -> list[float]:
+    """`np.arange(start, stop, step)` as a list, equal to it value for value.
+
+    numpy stores start and start + step, then fills start + i * delta with
+    delta = (start + step) - start.
+    """
+    num = math.ceil((stop - start) / step)
+    delta = (start + step) - start
+    return [start, start + step][: max(num, 0)] + [start + i * delta for i in range(2, num)]
+
+
 def _load(args) -> ScenarioConfig:
     if args.preset:
         return load_preset(args.preset)
@@ -73,9 +110,9 @@ def _load(args) -> ScenarioConfig:
 def _cmd_spdc_spectrum(args) -> int:
     cfg = _load(args)
     source = SpdcSource(spectrum=cfg.spdc_mode())
-    lam = np.linspace(cfg.spectrum_min_nm, cfg.spectrum_max_nm, cfg.spectrum_points)
+    lam = _linspace(cfg.spectrum_min_nm, cfg.spectrum_max_nm, _grid_points(cfg, "spectrum_points"))
     density = spdc_spectral_density(source, lam)
-    rows = [(float(x), float(d)) for x, d in zip(lam, density)]
+    rows = [(x, float(d)) for x, d in zip(lam, density)]
     _emit(args, _table_csv(["wavelength_nm", "relative_density"], rows))
     return 0
 
@@ -88,11 +125,10 @@ def _cmd_coupler_curve(args) -> int:
         anchors1 = anchors2 = load_anchor_csv(args.anchors_csv)
     cal1 = calibrate_coupler(anchors1, kappa_lc_rad=cfg.coupler_kappa_lc_rad)
     cal2 = calibrate_coupler(anchors2, kappa_lc_rad=cfg.coupler_kappa_lc_rad)
-    volts = np.linspace(cfg.coupler_curve_min_v, cfg.coupler_curve_max_v, cfg.coupler_curve_points)
-    rows = [
-        (float(v), coupler_ratio(cal1.model, float(v)), coupler_ratio(cal2.model, float(v)))
-        for v in volts
-    ]
+    volts = _linspace(
+        cfg.coupler_curve_min_v, cfg.coupler_curve_max_v, _grid_points(cfg, "coupler_curve_points")
+    )
+    rows = [(v, coupler_ratio(cal1.model, v), coupler_ratio(cal2.model, v)) for v in volts]
     _emit(args, _table_csv(["voltage_V", "cross_ratio_c1", "cross_ratio_c2"], rows))
     for name, cal in (("c1", cal1), ("c2", cal2)):
         print(
@@ -122,15 +158,19 @@ def _cmd_visibility_map(args) -> int:
 
 
 def _warn_unresolved(scenario, pulses: int) -> None:
+    from .montecarlo import resolution_warning
+
     warning = resolution_warning(scenario, pulses)
     if warning is not None:
         print(warning, file=sys.stderr)
 
 
 def _cmd_hom_dip(args) -> int:
+    from .montecarlo import scan_dip
+
     cfg = _load(args)
     scenario = cfg.to_scenario()
-    positions = np.linspace(cfg.dip_scan_min_mm, cfg.dip_scan_max_mm, cfg.dip_scan_points)
+    positions = _linspace(cfg.dip_scan_min_mm, cfg.dip_scan_max_mm, cfg.dip_scan_points)
     result = scan_dip(scenario, positions, args.pulses, seed=args.seed)
     if args.pulses > 0:
         _warn_unresolved(scenario, args.pulses)
@@ -162,7 +202,7 @@ def _cmd_keyrate_sweep(args) -> int:
             replace(m, relay_position=cfg.relay_position) if m.variant != "direct" else m
             for m in models
         ]
-    distances = np.arange(cfg.sweep_min_km, cfg.sweep_max_km + cfg.sweep_step_km / 2, cfg.sweep_step_km)
+    distances = _arange(cfg.sweep_min_km, cfg.sweep_max_km + cfg.sweep_step_km / 2, cfg.sweep_step_km)
     table = sweep(models, params, distances)
     rows = [
         (table.distances_km[i], *(table.rates[j][i] for j in range(len(models))))
@@ -217,6 +257,8 @@ def _report_rows(report: CountsReport, net: NetRates) -> list[tuple[str, object]
 
 
 def _cmd_mc_run(args) -> int:
+    from .montecarlo import run, subtract_accidentals
+
     cfg = _load(args)
     scenario = cfg.to_scenario()
     report = run(scenario, args.pulses, seed=args.seed)

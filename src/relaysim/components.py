@@ -10,10 +10,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .units import SpectralMode, db_to_linear
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # Half-max point of sinc^2(x): sinc(x) = sin(x)/x.
 _SINC2_HALF_MAX_X = 1.391557377204354
@@ -61,6 +63,8 @@ def spdc_spectral_density(source: SpdcSource, wavelength_nm) -> np.ndarray | flo
     FWHM) at the given wavelength(s); the distribution is symmetric about the
     center wavelength.
     """
+    import numpy as np  # deferred: only the spectrum and the Monte Carlo engine need numpy
+
     lam = np.asarray(wavelength_nm, dtype=float)
     center = source.spectrum.center_wavelength_nm
     fwhm_nm = source.spectrum.fwhm_pm * 1e-3

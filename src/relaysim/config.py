@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass, fields
 from importlib import resources
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from .components import (
     ChipLayout,
@@ -25,8 +26,10 @@ from .components import (
     calibrate_coupler,
 )
 from .linkbudget import LinkParams
-from .montecarlo import Scenario
 from .units import SpectralMode
+
+if TYPE_CHECKING:
+    from .montecarlo import Scenario
 
 SCHEMA_VERSION = 2
 
@@ -157,6 +160,8 @@ class ScenarioConfig:
         )
 
     def to_scenario(self) -> Scenario:
+        from .montecarlo import Scenario  # deferred: the engine imports numpy
+
         det = self.detector()
         return Scenario(
             pump_repetition_rate_hz=self.pump_repetition_rate_hz,

@@ -12,8 +12,6 @@ import math
 import warnings
 from dataclasses import dataclass
 
-import numpy as np
-
 from .photostats import PhotonNumberDistribution, HeraldModel, herald_condition, thermal
 from .units import delay_to_path
 
@@ -134,6 +132,8 @@ class DipFit:
 
 
 def _dip_model(x, baseline, visibility, fwhm, center):
+    import numpy as np
+
     return baseline * (1.0 - visibility * np.exp(-FOUR_LN2 * ((x - center) / fwhm) ** 2))
 
 
@@ -145,7 +145,8 @@ def fit_dip(positions_mm, rates, errors=None, fwhm_guess_mm: float | None = None
     the fitted baseline is not positive; callers that must preserve raw
     samples catch it and report the failure alongside the data.
     """
-    from scipy.optimize import OptimizeWarning, curve_fit  # deferred: costs most of `import relaysim`
+    import numpy as np
+    from scipy.optimize import OptimizeWarning, curve_fit  # deferred: costs most of a cold hom-dip
 
     x = np.asarray(positions_mm, dtype=float)
     y = np.asarray(rates, dtype=float)

@@ -320,6 +320,20 @@ def test_keyrate_sweep_rejects_nonpositive_step(tmp_path, capsys, step):
     assert capsys.readouterr().err.startswith("error: ConfigurationError: sweep_step_km must be > 0")
 
 
+@pytest.mark.parametrize("points", [0, -3])
+@pytest.mark.parametrize(
+    "command,key", [("spdc-spectrum", "spectrum_points"), ("coupler-curve", "coupler_curve_points")]
+)
+def test_output_grid_rejects_fewer_than_one_point(tmp_path, capsys, command, key, points):
+    # 0 printed a header-only table and exited 0.
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps({key: points}), encoding="utf-8")
+    assert run_cli(command, "--config", str(path)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: ConfigurationError: {key} must be >= 1, got {points}\n"
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -402,6 +416,23 @@ def test_monte_carlo_and_coupler_curve_run_without_scipy_optimize():
     assert proc.returncode == 0, proc.stderr
     assert "ref_threefold_abc: " in proc.stdout and "c1: gamma_rad_per_V=" in proc.stdout
     assert proc.stdout.splitlines()[-1] == "False"
+
+
+def test_import_and_closed_form_studies_leave_numpy_unloaded():
+    # numpy is most of a cold start for the three studies that do not sample.
+    script = (
+        "import os, sys, relaysim\n"
+        "print(sorted(m for m in sys.modules if m.startswith(('relaysim.', 'numpy'))))\n"
+        "from relaysim.cli import main\n"
+        "for name in ('coupler-curve', 'visibility-map', 'keyrate-sweep'):\n"
+        "    assert main([name, '--out', os.devnull]) == 0, name\n"
+        "print('numpy' in sys.modules)\n"
+    )
+    proc = run_python("-c", script)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "[]"
+    assert lines[-1] == "False"
 
 
 @pytest.mark.parametrize(

@@ -7,11 +7,13 @@ suite stays fast and gives the same result on every run.
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import bench_scenario
+from relaysim.cli import _arange, _linspace
 from relaysim.interference import v_statistics
 from relaysim.montecarlo import compile_scenario, joint_law, run
 from relaysim.photostats import HeraldModel, apply_loss, herald_condition, poisson, thermal
@@ -83,3 +85,36 @@ def test_joint_law_normalised_and_counts_ordered(
     # The expected photon ledger balances.
     leg = run(sc, 1000, seed=1).dip
     assert leg.generated == pytest.approx(leg.lost + leg.undetected + leg.detected, rel=1e-12)
+
+
+finite = st.floats(-1e6, 1e6)
+
+
+@FAST
+@given(start=finite, stop=finite, num=st.integers(1, 300), same=st.booleans())
+def test_linspace_equals_numpy(start, stop, num, same):
+    stop = start if same else stop
+    assert _linspace(start, stop, num) == np.linspace(start, stop, num).tolist()
+
+
+@FAST
+@given(start=finite, span=st.floats(0.0, 1e4), step=st.floats(1e-2, 1e3), sign=st.sampled_from([1, -1]))
+def test_arange_equals_numpy(start, span, step, sign):
+    # Spans of either sign, and steps that need not divide them.
+    stop, step = start + sign * span, sign * step
+    assert _arange(start, stop, step) == np.arange(start, stop, step).tolist()
+
+
+@pytest.mark.parametrize(
+    "args", [(0.0, 60.0, 1), (-9.0, 9.0, 13), (2.5, 2.5, 4), (9.0, -9.0, 7), (0.0, 5e-324, 3), (0.0, 1.0, 0)]
+)
+def test_linspace_grids_equal_numpy(args):
+    # One point, a zero span, a negative span, a step that underflows to 0, no points.
+    assert _linspace(*args) == np.linspace(*args).tolist()
+
+
+@pytest.mark.parametrize(
+    "args", [(0.0, 500.0 + 2.5, 5.0), (3.3, 97.1, 0.7), (0.0, 0.1, 0.1), (1.0, 1.0, 0.5), (2.0, 0.0, -0.3)]
+)
+def test_arange_grids_equal_numpy(args):
+    assert _arange(*args) == np.arange(*args).tolist()
