@@ -56,12 +56,12 @@ class SpdcSource:
         return self.pairs_per_mw * self.pump_power_mw
 
 
-def spdc_spectral_density(source: SpdcSource, wavelength_nm) -> np.ndarray | float:
+def spdc_spectral_density(source: SpdcSource, wavelength_nm) -> np.ndarray:
     """Relative spectral density of the emitted pairs, normalized to 1 at center.
 
     Evaluates the source's envelope (sinc^2 or gaussian with the configured
     FWHM) at the given wavelength(s); the distribution is symmetric about the
-    center wavelength.
+    center wavelength.  A scalar wavelength gives a numpy float.
     """
     import numpy as np  # deferred: only the spectrum and the Monte Carlo engine need numpy
 
@@ -70,11 +70,8 @@ def spdc_spectral_density(source: SpdcSource, wavelength_nm) -> np.ndarray | flo
     fwhm_nm = source.spectrum.fwhm_pm * 1e-3
     x = (lam - center) / fwhm_nm
     if source.spectrum.lineshape == "gaussian":
-        out = np.exp(-4.0 * math.log(2.0) * x**2)
-    else:
-        arg = 2.0 * _SINC2_HALF_MAX_X * x
-        out = np.sinc(arg / math.pi) ** 2
-    return float(out) if np.isscalar(wavelength_nm) else out
+        return np.exp(-4.0 * math.log(2.0) * x**2)
+    return np.sinc(2.0 * _SINC2_HALF_MAX_X * x / math.pi) ** 2
 
 
 # ---------------------------------------------------------------------------
@@ -92,7 +89,6 @@ class CouplerModel:
 
     kappa_lc_rad: float = math.pi / 2.0
     gamma_rad_per_v: float = 0.0
-    gamma_constrained: bool = True
 
     def __post_init__(self) -> None:
         if self.kappa_lc_rad <= 0:
@@ -162,14 +158,15 @@ def _fit_gamma(anchors, kappa_lc_rad: float, gamma: float) -> float:
 
 @dataclass(frozen=True)
 class CouplerCalibration:
-    """Result of fitting a CouplerModel to measured (voltage, ratio) anchors."""
+    """Result of fitting a CouplerModel to measured (voltage, ratio) anchors.
+
+    gamma_constrained is False when no anchor sits off zero bias, so nothing
+    fixed the detuning slope and gamma was left at 0.
+    """
 
     model: CouplerModel
     residual_rms: float
-
-    @property
-    def gamma_constrained(self) -> bool:
-        return self.model.gamma_constrained
+    gamma_constrained: bool
 
 
 def calibrate_coupler(
@@ -181,7 +178,8 @@ def calibrate_coupler(
     Anchors are (voltage_V, cross_ratio) pairs; the default pair
     {(0, 1.0), (30, 0.5)} pins full transfer at zero bias and the 50/50 point.
     Anchors requesting more transfer than the zero-bias maximum are rejected.
-    A single zero-voltage anchor leaves gamma unconstrained (flagged).
+    Anchors only at zero voltage leave gamma unconstrained at 0, and the
+    calibration says so in gamma_constrained.
     """
     anchors = tuple((float(v), float(r)) for v, r in anchor_points)
     if not anchors:
@@ -205,9 +203,9 @@ def calibrate_coupler(
         v_ref = max(abs(v) for v, _ in nonzero)
         model = CouplerModel(kappa_lc_rad, _fit_gamma(nonzero, kappa_lc_rad, 0.8 * kappa_lc_rad / v_ref))
     else:
-        model = CouplerModel(kappa_lc_rad, 0.0, gamma_constrained=False)
+        model = CouplerModel(kappa_lc_rad, 0.0)
     res = [coupler_ratio(model, v) - r for v, r in anchors]
-    return CouplerCalibration(model, math.sqrt(sum(x * x for x in res) / len(res)))
+    return CouplerCalibration(model, math.sqrt(sum(x * x for x in res) / len(res)), bool(nonzero))
 
 
 # ---------------------------------------------------------------------------

@@ -327,25 +327,3 @@ def load_preset(name: str) -> ScenarioConfig:
     ref = resources.files("relaysim.presets").joinpath(f"{name}.json")
     document = json.loads(ref.read_text(encoding="utf-8"))
     return parse_config(document)
-
-
-def load_anchor_csv(path: str | Path) -> tuple[tuple[float, float], ...]:
-    """Read coupler calibration anchors from CSV (columns: voltage_V, cross_ratio)."""
-    lines = Path(path).read_text(encoding="utf-8").strip().splitlines()
-    if not lines:
-        raise ConfigurationError(f"empty anchor file {path}")
-    header = [c.strip() for c in lines[0].split(",")]
-    if header != ["voltage_V", "cross_ratio"]:
-        raise ConfigurationError(
-            f"anchor CSV must have header 'voltage_V,cross_ratio', got {lines[0]!r}"
-        )
-    anchors = []
-    for i, line in enumerate(lines[1:], start=2):
-        parts = line.split(",")
-        if len(parts) != 2:
-            raise ConfigurationError(f"{path}:{i}: expected two columns, got {line!r}")
-        try:
-            anchors.append((float(parts[0]), float(parts[1])))
-        except ValueError as exc:
-            raise ConfigurationError(f"{path}:{i}: non-numeric anchor {line!r}") from exc
-    return tuple(anchors)

@@ -184,7 +184,6 @@ class MaxDistanceResult:
 
     distance_km: float
     midpoint_distance_km: float | None
-    unbounded: bool
 
 
 def _below_snr_unity(model: LinkModel, params: LinkParams, distance_km: float) -> bool:
@@ -197,7 +196,8 @@ def max_distance(model: LinkModel, params: LinkParams) -> MaxDistanceResult:
 
     The relay position is optimized per distance unless the model fixes it;
     for relay variants the symmetric-midpoint result is also computed.  If
-    the SNR stays above unity within 10^4 km the result is flagged unbounded.
+    the SNR stays above unity within 10^4 km the reach is unbounded: distance_km
+    is inf, with no midpoint reach.
     """
 
     def solve(m: LinkModel) -> float | None:
@@ -216,12 +216,12 @@ def max_distance(model: LinkModel, params: LinkParams) -> MaxDistanceResult:
 
     dist = solve(model)
     if dist is None:
-        return MaxDistanceResult(math.inf, None, True)
+        return MaxDistanceResult(math.inf, None)
 
     midpoint = None
     if model.variant != "direct":
         midpoint = solve(replace(model, relay_position=0.5))
-    return MaxDistanceResult(dist, midpoint, False)
+    return MaxDistanceResult(dist, midpoint)
 
 
 @dataclass(frozen=True)

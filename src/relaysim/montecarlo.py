@@ -628,10 +628,6 @@ class ExpectedRates:
     p_threefold_abc: float
 
 
-def _click(m: int, p_det: float, dark: float) -> float:
-    return 1.0 - (1.0 - p_det) ** m * (1.0 - dark)
-
-
 def expected_rates(scenario: Scenario, overlap: float | None = None) -> ExpectedRates:
     """Enumerate the pulse model exactly, pair mass above the cutoff counted at it.
 
@@ -671,8 +667,8 @@ def _expected_rates(params: SimParams, overlap: float) -> ExpectedRates:
     p_coinc = bar * bar + cross * cross - 2.0 * bar * cross * overlap
 
     max_m = 2 * params.cutoff + 1
-    click_a = np.array([_click(m, p_det_a, params.dark_a) for m in range(max_m)])
-    click_b = np.array([_click(m, p_det_b, params.dark_b) for m in range(max_m)])
+    click_a = _clicks(max_m - 1, p_det_a, params.dark_a)[:, 1]
+    click_b = _clicks(max_m - 1, p_det_b, params.dark_b)[:, 1]
 
     def output_stats(ka: int, kb: int) -> tuple[float, float, float]:
         """(P[click A], P[click B], P[click A and B]) for a coupler pattern."""

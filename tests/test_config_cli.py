@@ -169,17 +169,32 @@ def test_coupler_curve_csv(tmp_path, capsys):
     assert "residual_rms" in summary
 
 
-def test_coupler_curve_anchor_csv(tmp_path, capsys):
-    anchors = tmp_path / "anchors.csv"
-    anchors.write_text("voltage_V,cross_ratio\n0.0,1.0\n25.0,0.5\n", encoding="utf-8")
-    out = tmp_path / "couplers.csv"
-    assert run_cli("coupler-curve", "--anchors-csv", str(anchors), "--out", str(out)) == 0
-    lines = out.read_text().splitlines()
-    table = {float(r[0]): float(r[1]) for r in (l.split(",") for l in lines[1:])}
-    assert table[25.0] == pytest.approx(0.5, abs=1e-6)
-    bad = tmp_path / "bad.csv"
-    bad.write_text("volts,ratio\n0,1\n", encoding="utf-8")
-    assert run_cli("coupler-curve", "--anchors-csv", str(bad)) == 2
+def _coupler_curve_with_anchors(tmp_path, anchors):
+    """Run coupler-curve with the same measured anchors on both couplers."""
+    path = tmp_path / "anchors.json"
+    path.write_text(
+        json.dumps({"coupler_c1_anchors": anchors, "coupler_c2_anchors": anchors}), encoding="utf-8"
+    )
+    return run_cli("coupler-curve", "--config", str(path), "--out", str(tmp_path / "couplers.csv"))
+
+
+def test_coupler_curve_config_anchors(tmp_path, capsys):
+    assert _coupler_curve_with_anchors(tmp_path, [[0.0, 1.0], [25.0, 0.5]]) == 0
+    lines = (tmp_path / "couplers.csv").read_text().splitlines()
+    table = {float(r[0]): (float(r[1]), float(r[2])) for r in (l.split(",") for l in lines[1:])}
+    assert table[25.0] == pytest.approx((0.5, 0.5), abs=1e-6)
+    assert _coupler_curve_with_anchors(tmp_path, [[0.0, 1.0], [25.0, 1.5]]) == 2
+    assert "CalibrationError: anchor ratio 1.5 at 25.0 V is outside [0, 1]" in capsys.readouterr().err
+
+
+def test_coupler_curve_zero_bias_anchor_unconstrained(tmp_path, capsys):
+    # One anchor at 0 V leaves the detuning slope free: gamma stays 0, and
+    # the summary says the fit did not constrain it.
+    assert _coupler_curve_with_anchors(tmp_path, [[0.0, 1.0]]) == 0
+    summary = capsys.readouterr().out.splitlines()
+    assert summary == [
+        f"{name}: gamma_rad_per_V=0.0 residual_rms=0.0 gamma_constrained=False" for name in ("c1", "c2")
+    ]
 
 
 def test_visibility_map_csv(tmp_path, capsys):
@@ -238,6 +253,35 @@ def test_config_segment_losses_reach_keyrate_sweep(tmp_path, capsys):
         line = next(l for l in summary if l.startswith("max_distance_folded_relay_km="))
         reach[loss_db] = float(line.partition("=")[2])
     assert reach[6.0] < reach[3.0]
+
+
+def _keyrate_sweep_with(tmp_path, document):
+    path = tmp_path / "link.json"
+    path.write_text(json.dumps(document), encoding="utf-8")
+    return run_cli("keyrate-sweep", "--config", str(path))
+
+
+def test_keyrate_sweep_lossless_fiber_reach_unbounded(tmp_path, capsys):
+    # Without fiber loss no link falls to SNR unity: every reach is inf, and
+    # the distance gains inf/inf are undefined, so a warning replaces them.
+    assert _keyrate_sweep_with(tmp_path, {"fiber_loss_db_per_km": 0.0}) == 0
+    captured = capsys.readouterr()
+    summary = [l for l in captured.out.splitlines() if "=" in l]
+    assert summary == [
+        f"max_distance_{name}_km=inf (unbounded)"
+        for name in ("direct", "standard_relay", "folded_relay", "folded_relay_lossless")
+    ]
+    assert captured.err == "warning: direct reach is inf km; distance gains are undefined\n"
+
+
+def test_keyrate_sweep_direct_reach_zero(tmp_path, capsys):
+    # Darks this bright put the direct link below SNR unity at 0 km; the gain
+    # divided by that reach and died with a ZeroDivisionError.
+    assert _keyrate_sweep_with(tmp_path, {"link_dark_prob_per_ns": 0.5}) == 0
+    captured = capsys.readouterr()
+    assert "max_distance_direct_km=0.0\n" in captured.out
+    assert "gain_" not in captured.out
+    assert captured.err == "warning: direct reach is 0.0 km; distance gains are undefined\n"
 
 
 def test_mc_run_byte_identical(tmp_path):
@@ -360,10 +404,12 @@ def test_keyrate_sweep_rejects_min_above_max(tmp_path, capsys, low):
 
 
 # Flags a subcommand does not take: --pulses and --workers where no pulse is
-# sampled, and --format everywhere (each subcommand has one output format).
+# sampled, --format everywhere (each subcommand has one output format), and
+# --anchors-csv (measured anchors enter through the configuration).
 _REJECTED_FLAGS = [
     *((name, flag, "1") for name in ANALYTIC for flag in ("--pulses", "--workers")),
     ("hom-dip", "--workers", "1"),
+    ("coupler-curve", "--anchors-csv", "anchors.csv"),
     *((name, "--format", "csv") for name in (*ANALYTIC, "hom-dip", "mc-run")),
 ]
 

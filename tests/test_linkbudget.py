@@ -30,7 +30,7 @@ def test_direct_normalization_anchor():
 def test_direct_closed_form_snr_unity_at_250_km():
     # 0.1 * 10^(-0.02 L) = 1e-6 gives exactly 250 km.
     res = max_distance(LinkModel("direct"), reference_params())
-    assert not res.unbounded
+    assert not math.isinf(res.distance_km)
     assert res.distance_km == pytest.approx(250.0, abs=0.1)
     assert 200.0 <= res.distance_km <= 300.0
 
@@ -110,8 +110,8 @@ def test_unbounded_distance_flagged():
         detector=DetectorModel(efficiency=0.1, dark_prob_per_ns=1e-9, gate_window_ns=1.0),
     )
     res = max_distance(LinkModel("direct"), params)
-    assert res.unbounded
     assert math.isinf(res.distance_km)
+    assert res.midpoint_distance_km is None
 
 
 # ---------------------------------------------------------------------------
