@@ -7,9 +7,8 @@ distance for direct and relay-assisted links.
 
 Importing the package loads none of its modules: import from the submodules,
 e.g. `from relaysim.montecarlo import run`.  numpy is loaded only by the
-Monte Carlo engine, the dip fit and the spectral density, so the
-`coupler-curve`, `visibility-map` and `keyrate-sweep` subcommands run
-without it.
+Monte Carlo engine and the dip fit, so the `spdc-spectrum`, `coupler-curve`,
+`visibility-map` and `keyrate-sweep` subcommands run without it.
 """
 
 __version__ = "0.1.0"

@@ -7,9 +7,10 @@ has one output format: the five tables are CSV, the counts report is one
 "field: value" line per field.  Same config + seed + flags always produce
 byte-identical output files.
 
-Only `spdc-spectrum` (through `spdc_spectral_density`), `hom-dip` and `mc-run`
-load numpy; the last two import the Monte Carlo engine in their handlers, so
-`coupler-curve`, `visibility-map` and `keyrate-sweep` start without numpy.
+Only `hom-dip` and `mc-run` load numpy, through the Monte Carlo engine; the
+four figure studies `spdc-spectrum`, `coupler-curve`, `visibility-map` and
+`keyrate-sweep` run without it.  Each handler imports the modules only it
+needs, so a cold start compiles and loads no other study's code.
 """
 
 from __future__ import annotations
@@ -23,9 +24,6 @@ from typing import TYPE_CHECKING
 
 from .components import ConfigurationError, SpdcSource, calibrate_coupler, coupler_ratio, spdc_spectral_density
 from .config import PRESET_NAMES, ScenarioConfig, load_config, load_preset
-from .interference import v_statistics, visibility_map
-from .linkbudget import fig2_models, max_distance, sweep
-from .photostats import HeraldModel, herald_condition, thermal
 
 if TYPE_CHECKING:
     from .montecarlo import CountsReport, NetRates
@@ -105,7 +103,7 @@ def _cmd_spdc_spectrum(args) -> int:
     source = SpdcSource(spectrum=cfg.spdc_mode())
     lam = _linspace(cfg.spectrum_min_nm, cfg.spectrum_max_nm, _grid_points(cfg, "spectrum_points"))
     density = spdc_spectral_density(source, lam)
-    rows = [(x, float(d)) for x, d in zip(lam, density)]
+    rows = list(zip(lam, density))
     _emit(args, _table_csv(["wavelength_nm", "relative_density"], rows))
     return 0
 
@@ -128,6 +126,9 @@ def _cmd_coupler_curve(args) -> int:
 
 
 def _cmd_visibility_map(args) -> int:
+    from .interference import v_statistics, visibility_map
+    from .photostats import HeraldModel, herald_condition, thermal
+
     cfg = _load(args)
     herald = HeraldModel(cfg.map_herald_efficiency, cfg.map_herald_dark_prob)
     rows = visibility_map(cfg.map_na_values, cfg.map_nb_values, herald)
@@ -177,6 +178,8 @@ def _cmd_hom_dip(args) -> int:
 
 
 def _cmd_keyrate_sweep(args) -> int:
+    from .linkbudget import fig2_models, max_distance, sweep
+
     cfg = _load(args)
     if not cfg.sweep_step_km > 0:
         raise ConfigurationError(f"sweep_step_km must be > 0, got {cfg.sweep_step_km}")

@@ -9,16 +9,14 @@ are immutable after construction/calibration; evaluation functions are pure.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 from .units import SpectralMode, db_to_linear
 
-if TYPE_CHECKING:
-    import numpy as np
-
 # Half-max point of sinc^2(x): sinc(x) = sin(x)/x.
 _SINC2_HALF_MAX_X = 1.391557377204354
+_FLOAT_EPS = sys.float_info.epsilon  # np.sinc's stand-in for a zero argument
 
 
 class CalibrationError(ValueError):
@@ -56,22 +54,28 @@ class SpdcSource:
         return self.pairs_per_mw * self.pump_power_mw
 
 
-def spdc_spectral_density(source: SpdcSource, wavelength_nm) -> np.ndarray:
+def spdc_spectral_density(source: SpdcSource, wavelengths_nm) -> list[float]:
     """Relative spectral density of the emitted pairs, normalized to 1 at center.
 
     Evaluates the source's envelope (sinc^2 or gaussian with the configured
-    FWHM) at the given wavelength(s); the distribution is symmetric about the
-    center wavelength.  A scalar wavelength gives a numpy float.
+    FWHM) at each wavelength of a sequence and returns one float per
+    wavelength; the distribution is symmetric about the center wavelength.
+    The sinc^2 branch repeats `np.sinc(...) ** 2` operation for operation,
+    machine epsilon in place of a zero argument included, so it gives numpy's
+    values without loading numpy.
     """
-    import numpy as np  # deferred: only the spectrum and the Monte Carlo engine need numpy
-
-    lam = np.asarray(wavelength_nm, dtype=float)
     center = source.spectrum.center_wavelength_nm
     fwhm_nm = source.spectrum.fwhm_pm * 1e-3
-    x = (lam - center) / fwhm_nm
+    xs = [(float(lam) - center) / fwhm_nm for lam in wavelengths_nm]
     if source.spectrum.lineshape == "gaussian":
-        return np.exp(-4.0 * math.log(2.0) * x**2)
-    return np.sinc(2.0 * _SINC2_HALF_MAX_X * x / math.pi) ** 2
+        scale = -4.0 * math.log(2.0)
+        return [math.exp(scale * (x * x)) for x in xs]
+    density = []
+    for x in xs:
+        y = math.pi * (2.0 * _SINC2_HALF_MAX_X * x / math.pi) or _FLOAT_EPS
+        s = math.sin(y) / y
+        density.append(s * s)
+    return density
 
 
 # ---------------------------------------------------------------------------
@@ -91,7 +95,7 @@ class CouplerModel:
     gamma_rad_per_v: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.kappa_lc_rad <= 0:
+        if not self.kappa_lc_rad > 0:  # NaN too: the gamma fit cannot terminate on it
             raise ValueError(f"kappa*Lc must be > 0, got {self.kappa_lc_rad}")
 
 
@@ -181,6 +185,7 @@ def calibrate_coupler(
     Anchors only at zero voltage leave gamma unconstrained at 0, and the
     calibration says so in gamma_constrained.
     """
+    model = CouplerModel(kappa_lc_rad, 0.0)  # rejects a bad kappa*Lc before anchors are judged by it
     anchors = tuple((float(v), float(r)) for v, r in anchor_points)
     if not anchors:
         raise CalibrationError("at least one (voltage, ratio) anchor is required")
@@ -202,8 +207,6 @@ def calibrate_coupler(
         # Initial slope: detuning comparable to coupling at the largest anchor voltage.
         v_ref = max(abs(v) for v, _ in nonzero)
         model = CouplerModel(kappa_lc_rad, _fit_gamma(nonzero, kappa_lc_rad, 0.8 * kappa_lc_rad / v_ref))
-    else:
-        model = CouplerModel(kappa_lc_rad, 0.0)
     res = [coupler_ratio(model, v) - r for v, r in anchors]
     return CouplerCalibration(model, math.sqrt(sum(x * x for x in res) / len(res)), bool(nonzero))
 

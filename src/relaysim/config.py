@@ -25,10 +25,10 @@ from .components import (
     SpdcSource,
     calibrate_coupler,
 )
-from .linkbudget import LinkParams
 from .units import SpectralMode
 
 if TYPE_CHECKING:
+    from .linkbudget import LinkParams
     from .montecarlo import Scenario
 
 SCHEMA_VERSION = 2
@@ -204,6 +204,8 @@ class ScenarioConfig:
         )
 
     def to_link_params(self) -> LinkParams:
+        from .linkbudget import LinkParams  # deferred: only the key-rate study needs it
+
         return LinkParams(
             fiber_loss_db_per_km=self.fiber_loss_db_per_km,
             detector=DetectorModel(

@@ -78,14 +78,13 @@ def visibility_map(
     grid_nb = list(grid_nb)
     if not grid_na or not grid_nb:
         raise ValueError("grids must be nonempty")
+    dists_b = [thermal(nb) for nb in grid_nb]
+    if herald is not None:
+        dists_b = [herald_condition(dist_b, herald) for dist_b in dists_b]
     rows = []
     for na in grid_na:
         dist_a = thermal(na)
-        for nb in grid_nb:
-            dist_b = thermal(nb)
-            if herald is not None:
-                dist_b = herald_condition(dist_b, herald)
-            rows.append((na, nb, v_statistics(dist_a, dist_b)))
+        rows.extend((na, nb, v_statistics(dist_a, dist_b)) for nb, dist_b in zip(grid_nb, dists_b))
     return rows
 
 

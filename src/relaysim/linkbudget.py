@@ -26,6 +26,7 @@ an upper bound on the reach of a key distribution over the link.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 
 from .components import ChipLayout, DetectorModel
@@ -92,49 +93,50 @@ def _chip_transmissions(model: LinkModel, params: LinkParams) -> tuple[float, fl
 
 
 def _relay_probs(
-    model: LinkModel,
-    params: LinkParams,
-    chip: tuple[float, float, float],
-    distance_km: float,
-    position: float,
-) -> tuple[float, float]:
-    """(signal, accidental) per pulse for a relay at the given position."""
-    alpha = params.fiber_loss_db_per_km
+    model: LinkModel, params: LinkParams, distance_km: float
+) -> Callable[[float], tuple[float, float]]:
+    """probs(position) -> (signal, accidental) per pulse for a relay at distance_km.
+
+    Everything that does not depend on the relay position is computed once
+    here, for the golden-section search to reuse.  Every sum and product
+    keeps the evaluation order of the rate model above, so hoisting moves
+    no bit of the result.
+    """
+    neg_alpha = -params.fiber_loss_db_per_km
     eta = params.detector.efficiency
     d = params.detector.dark_prob_per_gate
     eta_r = 1.0 if model.variant == "standard_relay" else eta
     d_r = d
     mu = params.mean_photon_per_pulse
     nu = params.relay_pair_mean
-    g_a, g_b, g_c = chip
-
-    t1 = 10.0 ** (-alpha * position * distance_km / 10.0)
-    t2 = 10.0 ** (-alpha * (1.0 - position) * distance_km / 10.0)
-
-    p_a = mu * t1 * g_a * eta_r
+    g_a, g_b, g_c = _chip_transmissions(model, params)
     p_b = nu * g_b * eta_r
-    herald_true = 0.5 * p_a * p_b
-    p_bob = g_c * t2 * eta
+    p_b_dark = p_b * d_r
+    dark_pair = d_r * d_r
 
-    signal = herald_true * p_bob
-    accidental = (
-        herald_true * d
-        + (p_a * d_r) * (nu * p_bob + d)
-        + (p_b * d_r) * (p_bob + d)
-        + d_r * d_r * (nu * p_bob + d)
-    )
-    return signal, accidental
+    def probs(position: float) -> tuple[float, float]:
+        t1 = 10.0 ** (neg_alpha * position * distance_km / 10.0)
+        t2 = 10.0 ** (neg_alpha * (1.0 - position) * distance_km / 10.0)
+        p_a = mu * t1 * g_a * eta_r
+        herald_true = 0.5 * p_a * p_b
+        p_bob = g_c * t2 * eta
+        partner_or_dark = nu * p_bob + d
+        accidental = (
+            herald_true * d
+            + (p_a * d_r) * partner_or_dark
+            + p_b_dark * (p_bob + d)
+            + dark_pair * partner_or_dark
+        )
+        return herald_true * p_bob, accidental
+
+    return probs
 
 
-def _best_position(
-    model: LinkModel, params: LinkParams, chip: tuple[float, float, float], distance_km: float
-) -> float:
+def _best_position(probs: Callable[[float], tuple[float, float]]) -> float:
     """Golden-section maximization of SNR over the relay position."""
-    if distance_km <= 0:
-        return 0.5
 
     def snr(f: float) -> float:
-        s, a = _relay_probs(model, params, chip, distance_km, f)
+        s, a = probs(f)
         return s / a if a > 0 else math.inf
 
     inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
@@ -155,26 +157,32 @@ def _best_position(
 
 
 def link_rates(model: LinkModel, params: LinkParams, distance_km: float) -> LinkRates:
-    """Signal/accidental probabilities and normalized rate at a distance."""
+    """Signal/accidental probabilities and normalized rate at a distance.
+
+    Rates are normalized to the direct link's zero-distance rate mu eta + d,
+    which must hold signal: mu eta == 0 raises ValueError.
+    """
     if distance_km < 0:
         raise ValueError(f"distance must be >= 0, got {distance_km}")
     eta = params.detector.efficiency
     d = params.detector.dark_prob_per_gate
-    norm = params.mean_photon_per_pulse * eta + d
+    signal_norm = params.mean_photon_per_pulse * eta
+    if signal_norm == 0:
+        raise ValueError(
+            "mean_photon_per_pulse * link_detector_efficiency is 0: the direct link detects "
+            "no signal, so rates normalized to its zero-distance rate are undefined"
+        )
+    norm = signal_norm + d
 
     if model.variant == "direct":
-        signal = params.mean_photon_per_pulse * eta * 10.0 ** (
-            -params.fiber_loss_db_per_km * distance_km / 10.0
-        )
+        signal = signal_norm * 10.0 ** (-params.fiber_loss_db_per_km * distance_km / 10.0)
         accidental = d
     else:
-        chip = _chip_transmissions(model, params)
-        position = (
-            model.relay_position
-            if model.relay_position is not None
-            else _best_position(model, params, chip, distance_km)
-        )
-        signal, accidental = _relay_probs(model, params, chip, distance_km, position)
+        probs = _relay_probs(model, params, distance_km)
+        position = model.relay_position
+        if position is None:
+            position = _best_position(probs) if distance_km > 0 else 0.5
+        signal, accidental = probs(position)
     return LinkRates(signal, accidental, (signal + accidental) / norm)
 
 

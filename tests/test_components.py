@@ -237,8 +237,9 @@ def default_source():
 
 def test_spectral_density_peaks_at_center():
     src = default_source()
-    assert spdc_spectral_density(src, 1532.0) == pytest.approx(1.0, rel=1e-12)
-    off = spdc_spectral_density(src, 1500.0)
+    (peak,) = spdc_spectral_density(src, [1532.0])
+    assert peak == pytest.approx(1.0, rel=1e-12)
+    (off,) = spdc_spectral_density(src, [1500.0])
     assert 0.0 <= off < 1.0
 
 
@@ -246,7 +247,7 @@ def test_spectral_density_peaks_at_center():
 def test_spectral_fwhm_is_80_nm(lineshape):
     src = SpdcSource(spectrum=SpectralMode(1532.0, 80_000.0, lineshape))
     lam = np.linspace(1470.0, 1594.0, 200001)
-    dens = spdc_spectral_density(src, lam)
+    dens = np.asarray(spdc_spectral_density(src, lam))
     above = lam[dens >= 0.5]
     fwhm = above.max() - above.min()
     assert fwhm == pytest.approx(80.0, abs=0.1)
@@ -255,8 +256,8 @@ def test_spectral_fwhm_is_80_nm(lineshape):
 def test_spectral_density_symmetric():
     src = default_source()
     for dx in (1.0, 7.5, 40.0, 90.0):
-        left = spdc_spectral_density(src, 1532.0 - dx)
-        right = spdc_spectral_density(src, 1532.0 + dx)
+        left = spdc_spectral_density(src, [1532.0 - dx])
+        right = spdc_spectral_density(src, [1532.0 + dx])
         assert left == pytest.approx(right, rel=1e-9)
 
 

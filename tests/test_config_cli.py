@@ -187,6 +187,19 @@ def test_coupler_curve_config_anchors(tmp_path, capsys):
     assert "CalibrationError: anchor ratio 1.5 at 25.0 V is outside [0, 1]" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("kappa", [0.0, -1.0, math.nan])
+def test_coupler_curve_rejects_nonpositive_kappa_lc(tmp_path, capsys, kappa):
+    # kappa*Lc = 0 was reported as the default anchor ratio 1.0 exceeding the
+    # zero-bias maximum sin^2(0) = 0, which names the wrong input; NaN hung
+    # the detuning-slope fit.
+    path = tmp_path / "kappa.json"
+    path.write_text(json.dumps({"coupler_kappa_lc_rad": kappa}), encoding="utf-8")
+    assert run_cli("coupler-curve", "--config", str(path)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: ValueError: kappa*Lc must be > 0, got {kappa}\n"
+
+
 def test_coupler_curve_zero_bias_anchor_unconstrained(tmp_path, capsys):
     # One anchor at 0 V leaves the detuning slope free: gamma stays 0, and
     # the summary says the fit did not constrain it.
@@ -282,6 +295,20 @@ def test_keyrate_sweep_direct_reach_zero(tmp_path, capsys):
     assert "max_distance_direct_km=0.0\n" in captured.out
     assert "gain_" not in captured.out
     assert captured.err == "warning: direct reach is 0.0 km; distance gains are undefined\n"
+
+
+@pytest.mark.parametrize("key", ["link_detector_efficiency", "mean_photon_per_pulse"])
+def test_keyrate_sweep_rejects_zero_signal_normalization(tmp_path, capsys, key):
+    # With mu * eta = 0 the direct link's zero-distance rate is all dark
+    # counts, and the table printed direct = 1.0 at every distance.
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps({key: 0.0}), encoding="utf-8")
+    assert run_cli("keyrate-sweep", "--config", str(path)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(
+        "error: ValueError: mean_photon_per_pulse * link_detector_efficiency is 0"
+    )
 
 
 def test_mc_run_byte_identical(tmp_path):
@@ -465,12 +492,12 @@ def test_monte_carlo_and_coupler_curve_run_without_scipy_optimize():
 
 
 def test_import_and_closed_form_studies_leave_numpy_unloaded():
-    # numpy is most of a cold start for the three studies that do not sample.
+    # numpy is most of a cold start for the four studies that do not sample.
     script = (
         "import os, sys, relaysim\n"
         "print(sorted(m for m in sys.modules if m.startswith(('relaysim.', 'numpy'))))\n"
         "from relaysim.cli import main\n"
-        "for name in ('coupler-curve', 'visibility-map', 'keyrate-sweep'):\n"
+        "for name in ('spdc-spectrum', 'coupler-curve', 'visibility-map', 'keyrate-sweep'):\n"
         "    assert main([name, '--out', os.devnull]) == 0, name\n"
         "print('numpy' in sys.modules)\n"
     )
@@ -479,6 +506,30 @@ def test_import_and_closed_form_studies_leave_numpy_unloaded():
     lines = proc.stdout.splitlines()
     assert lines[0] == "[]"
     assert lines[-1] == "False"
+
+
+@pytest.mark.parametrize(
+    "argv,unloaded",
+    [
+        (["coupler-curve"], ["relaysim.interference", "relaysim.linkbudget", "relaysim.photostats"]),
+        (["keyrate-sweep"], ["relaysim.interference", "relaysim.photostats"]),
+        (["mc-run", "--pulses", "1000"], ["relaysim.linkbudget"]),
+    ],
+    ids=["coupler-curve", "keyrate-sweep", "mc-run"],
+)
+def test_subcommand_loads_only_the_modules_it_uses(argv, unloaded):
+    # Every module a cold start imports is compiled again when no bytecode
+    # is cached, so a study should not load another study's code.
+    script = (
+        "import os, sys\n"
+        "from relaysim.cli import main\n"
+        f"assert main({argv!r} + ['--out', os.devnull]) == 0\n"
+        "print(sorted(m for m in sys.modules if m.startswith('relaysim.')))\n"
+    )
+    proc = run_python("-c", script)
+    assert proc.returncode == 0, proc.stderr
+    loaded = proc.stdout.splitlines()[-1]
+    assert not [name for name in unloaded if repr(name) in loaded], loaded
 
 
 @pytest.mark.parametrize(

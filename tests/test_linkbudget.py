@@ -1,9 +1,13 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from linkbudget_reference import reference_rates
 from relaysim.components import ChipLayout, DetectorModel
 from relaysim.linkbudget import (
+    VARIANTS,
     LinkModel,
     LinkParams,
     fig2_models,
@@ -114,6 +118,38 @@ def test_unbounded_distance_flagged():
     assert res.midpoint_distance_km is None
 
 
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    variant=st.sampled_from(VARIANTS),
+    position=st.none() | st.floats(1e-3, 1.0 - 1e-3),
+    distance_km=st.just(0.0) | st.floats(0.0, 1e4),
+    fiber_db_per_km=st.floats(0.0, 1.0),
+    efficiency=st.floats(1e-3, 1.0),
+    dark_per_ns=st.sampled_from([0.0, 1e-9, 1e-6, 1e-4]),
+    gate_ns=st.floats(0.1, 10.0),
+    mu=st.floats(1e-3, 5.0),
+    nu=st.floats(0.0, 5.0),
+    chip_db=st.none() | st.floats(0.0, 20.0),
+)
+def test_link_rates_equal_reference(
+    variant, position, distance_km, fiber_db_per_km, efficiency, dark_per_ns, gate_ns, mu, nu, chip_db
+):
+    # Fixed and optimized relay positions; the reference recomputes every term
+    # per position, so hoisting must not move a bit.
+    model = LinkModel(variant, position)
+    params = LinkParams(
+        fiber_loss_db_per_km=fiber_db_per_km,
+        detector=DetectorModel(efficiency, dark_per_ns, gate_ns),
+        mean_photon_per_pulse=mu,
+        relay_pair_mean=nu,
+        layout=ChipLayout(measured_insertion_db=chip_db),
+    )
+    rates = link_rates(model, params, distance_km)
+    assert (rates.signal_prob, rates.accidental_prob, rates.normalized_rate) == reference_rates(
+        model, params, distance_km
+    )
+
+
 # ---------------------------------------------------------------------------
 # Sweep
 # ---------------------------------------------------------------------------
@@ -150,6 +186,17 @@ def test_sweep_validation():
         sweep([LinkModel("direct")], params, [])
     with pytest.raises(ValueError):
         link_rates(LinkModel("direct"), params, -1.0)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("mu,efficiency", [(0.0, 0.1), (1.0, 0.0)])
+def test_zero_signal_normalization_rejected(variant, mu, efficiency):
+    params = LinkParams(
+        detector=DetectorModel(efficiency=efficiency, dark_prob_per_ns=1e-6),
+        mean_photon_per_pulse=mu,
+    )
+    with pytest.raises(ValueError, match="mean_photon_per_pulse \\* link_detector_efficiency is 0"):
+        link_rates(LinkModel(variant), params, 10.0)
 
 
 def test_model_and_params_validation():

@@ -14,9 +14,11 @@ from hypothesis import strategies as st
 
 from helpers import bench_scenario
 from relaysim.cli import _arange, _linspace
+from relaysim.components import _SINC2_HALF_MAX_X, SpdcSource, spdc_spectral_density
 from relaysim.interference import v_statistics
 from relaysim.montecarlo import compile_scenario, joint_law, run
 from relaysim.photostats import HeraldModel, apply_loss, herald_condition, poisson, thermal
+from relaysim.units import SpectralMode
 
 FAST = settings(max_examples=25, deadline=None, derandomize=True, database=None)
 
@@ -118,3 +120,27 @@ def test_linspace_grids_equal_numpy(args):
 )
 def test_arange_grids_equal_numpy(args):
     assert _arange(*args) == np.arange(*args).tolist()
+
+
+@FAST
+@given(
+    lineshape=st.sampled_from(["sinc_squared", "gaussian"]),
+    center=st.floats(1400.0, 1700.0),
+    fwhm_pm=st.floats(1.0, 2e5),
+    wavelengths=st.lists(st.floats(1000.0, 2000.0), max_size=50),
+)
+def test_spectral_density_equals_numpy(lineshape, center, fwhm_pm, wavelengths):
+    # The center itself takes np.sinc's zero-argument branch.  numpy's
+    # vectorized sin and exp may round the last bit unlike the C library's,
+    # so the check allows 2 ulp; the spdc-spectrum contract digest pins the
+    # sinc^2 values of the paper-fig3 grid exactly.
+    wavelengths = [*wavelengths, center]
+    src = SpdcSource(spectrum=SpectralMode(center, fwhm_pm, lineshape))
+    x = (np.asarray(wavelengths) - center) / (fwhm_pm * 1e-3)
+    if lineshape == "gaussian":
+        expected = np.exp(-4.0 * math.log(2.0) * x**2)
+    else:
+        expected = np.sinc(2.0 * _SINC2_HALF_MAX_X * x / math.pi) ** 2
+    density = spdc_spectral_density(src, wavelengths)
+    assert all(type(value) is float for value in density)
+    np.testing.assert_array_max_ulp(np.asarray(density), expected, maxulp=2)
