@@ -57,7 +57,7 @@ def _emit(args, content: str) -> None:
 
 def _grid_points(cfg: ScenarioConfig, key: str) -> int:
     points = getattr(cfg, key)
-    if points < 1:
+    if not points >= 1:
         raise ConfigurationError(f"{key} must be >= 1, got {points}")
     return points
 
@@ -183,7 +183,7 @@ def _cmd_keyrate_sweep(args) -> int:
     cfg = _load(args)
     if not cfg.sweep_step_km > 0:
         raise ConfigurationError(f"sweep_step_km must be > 0, got {cfg.sweep_step_km}")
-    if cfg.sweep_min_km > cfg.sweep_max_km:
+    if not cfg.sweep_min_km <= cfg.sweep_max_km:
         raise ConfigurationError(
             f"sweep_min_km must be <= sweep_max_km, got {cfg.sweep_min_km} > {cfg.sweep_max_km}"
         )

@@ -44,9 +44,9 @@ class SpdcSource:
     pump_power_mw: float = 1.5
 
     def __post_init__(self) -> None:
-        if self.pairs_per_mw < 0:
+        if not self.pairs_per_mw >= 0:
             raise ValueError(f"pairs_per_mw must be >= 0, got {self.pairs_per_mw}")
-        if self.pump_power_mw < 0:
+        if not self.pump_power_mw >= 0:
             raise ValueError(f"pump power must be >= 0, got {self.pump_power_mw}")
 
     @property
@@ -228,9 +228,9 @@ class FilterModel:
     insertion_loss_db: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.fwhm_pm <= 0:
+        if not self.fwhm_pm > 0:
             raise ValueError(f"filter FWHM must be > 0, got {self.fwhm_pm}")
-        if self.insertion_loss_db < 0:
+        if not self.insertion_loss_db >= 0:
             raise ValueError(f"insertion loss must be >= 0 dB, got {self.insertion_loss_db}")
 
     def passes(self, wavelength_nm: float) -> bool:
@@ -255,7 +255,7 @@ class DetectorModel:
             raise ValueError(f"efficiency must be in [0, 1], got {self.efficiency}")
         if not 0.0 <= self.dark_prob_per_ns <= 1.0:
             raise ValueError(f"dark probability must be in [0, 1], got {self.dark_prob_per_ns}")
-        if self.gate_window_ns <= 0:
+        if not self.gate_window_ns > 0:
             raise ValueError(f"gate window must be > 0 ns, got {self.gate_window_ns}")
 
     @property
@@ -265,7 +265,7 @@ class DetectorModel:
 
 def detector_click_prob(model: DetectorModel, incident_photons: int) -> float:
     """Per-gate click probability for n incident photons: 1-(1-eta)^n (1-dark)."""
-    if incident_photons < 0:
+    if not incident_photons >= 0:
         raise ValueError(f"photon count must be >= 0, got {incident_photons}")
     return 1.0 - (1.0 - model.efficiency) ** incident_photons * (
         1.0 - model.dark_prob_per_gate
@@ -317,7 +317,7 @@ class ChipLayout:
         for name, loss in self.segments.items():
             if loss is None:
                 raise ConfigurationError(f"segment {name!r} has no loss value")
-            if loss < 0:
+            if not loss >= 0:
                 raise ConfigurationError(f"segment {name!r} loss must be >= 0 dB, got {loss}")
         for path, names in PATHS.items():
             for name in names:
@@ -326,9 +326,9 @@ class ChipLayout:
                         f"path {path!r} references missing segment {name!r}"
                     )
         measured = self.measured_insertion_db
-        if measured is not None and measured < 0:
+        if measured is not None and not measured >= 0:
             raise ConfigurationError(f"measured insertion loss must be >= 0 dB, got {measured}")
-        if measured and sum(self.segments[s] for s in PATHS["insertion"]) <= 0:
+        if measured and not sum(self.segments[s] for s in PATHS["insertion"]) > 0:
             raise ConfigurationError("cannot rescale a zero-loss insertion path")
 
     def path_loss_db(self, path: str) -> float:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, fields
 from importlib import resources
 from pathlib import Path
@@ -236,8 +237,10 @@ class ScenarioConfig:
 
 
 def _number(key: str, value) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigurationError(f"{key} must be a number, got {value!r}")
+    """Every number of a config passes here: NaN, +-Infinity and ints past float range fail."""
+    finite = isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
+    if isinstance(value, bool) or not finite:
+        raise ConfigurationError(f"{key} must be a finite number, got {value!r}")
     return float(value)
 
 
@@ -250,17 +253,17 @@ def _exact(kind: type, noun: str):
     return coerce
 
 
-def _pair(item) -> tuple[float, float]:
+def _pair(key: str, item) -> tuple[float, float]:
     v, r = item
-    return float(v), float(r)
+    return _number(key, v), _number(key, r)
 
 
 def _list_of(convert, noun: str):
     def coerce(key: str, value) -> tuple:
         try:
-            return tuple(convert(x) for x in value)
+            return tuple(convert(key, x) for x in value)
         except (TypeError, ValueError) as exc:
-            raise ConfigurationError(f"{key} must be a list of {noun}") from exc
+            raise ConfigurationError(f"{key} must be a list of {noun}, got {value!r}") from exc
 
     return coerce
 
@@ -272,8 +275,8 @@ _COERCE = {
     "int": _exact(int, "an integer"),
     "bool": _exact(bool, "a boolean"),
     "str": _exact(str, "a string"),
-    "tuple[float, ...]": _list_of(float, "numbers"),
-    "tuple[tuple[float, float], ...]": _list_of(_pair, "[voltage, ratio] pairs"),
+    "tuple[float, ...]": _list_of(_number, "finite numbers"),
+    "tuple[tuple[float, float], ...]": _list_of(_pair, "[voltage, ratio] pairs of finite numbers"),
 }
 _FIELD_TYPES = {f.name: f.type for f in fields(ScenarioConfig)}
 

@@ -28,9 +28,9 @@ class FitFailureError(RuntimeError):
 
 def v_timing(tau_uncert_ps: float, tau_c_ps: float) -> float:
     """Timing bound on visibility: 1 / sqrt((tau_uncert/tau_c)^2 + 1)."""
-    if tau_c_ps <= 0:
+    if not tau_c_ps > 0:
         raise ValueError(f"coherence time must be > 0, got {tau_c_ps}")
-    if tau_uncert_ps < 0:
+    if not tau_uncert_ps >= 0:
         raise ValueError(f"time uncertainty must be >= 0, got {tau_uncert_ps}")
     return 1.0 / math.sqrt((tau_uncert_ps / tau_c_ps) ** 2 + 1.0)
 
@@ -58,7 +58,7 @@ def v_statistics(
     P0*P2 = P1^2); ideal heralded inputs with no vacuum reach 1.
     """
     p_min, p_max = p_coincidence_bounds(dist_a, dist_b)
-    if p_max <= 0.0:
+    if not p_max > 0.0:
         raise UndefinedVisibilityError(
             "out-of-dip coincidence probability is zero; visibility undefined"
         )
@@ -108,7 +108,7 @@ def dip_profile(
     """
     if not 0.0 <= visibility <= 1.0:
         raise ValueError(f"visibility must be in [0, 1], got {visibility}")
-    if tau_fwhm_ps <= 0:
+    if not tau_fwhm_ps > 0:
         raise ValueError(f"dip FWHM time must be > 0, got {tau_fwhm_ps}")
     fwhm_mm = delay_to_path(tau_fwhm_ps)
     pos = tuple(float(x) for x in positions_mm)
@@ -120,14 +120,13 @@ def dip_profile(
 
 @dataclass(frozen=True)
 class DipFit:
-    """Gaussian dip fit result with 1-sigma parameter errors."""
+    """Gaussian dip fit result with 1-sigma parameter errors; the fitted center is not kept."""
 
     visibility: float
     visibility_err: float
     fwhm_mm: float
     fwhm_err: float
     baseline: float
-    center_mm: float
 
 
 def _dip_model(x, baseline, visibility, fwhm, center):
@@ -179,5 +178,5 @@ def fit_dip(positions_mm, rates, errors=None, fwhm_guess_mm: float | None = None
     return DipFit(
         visibility=float(popt[1]), visibility_err=float(perr[1]),
         fwhm_mm=abs(float(popt[2])), fwhm_err=float(perr[2]),
-        baseline=float(popt[0]), center_mm=float(popt[3]),
+        baseline=float(popt[0]),
     )

@@ -51,9 +51,9 @@ class LinkParams:
     layout: ChipLayout = field(default_factory=ChipLayout)
 
     def __post_init__(self) -> None:
-        if self.fiber_loss_db_per_km < 0:
+        if not self.fiber_loss_db_per_km >= 0:
             raise ValueError(f"fiber loss must be >= 0, got {self.fiber_loss_db_per_km}")
-        if self.mean_photon_per_pulse < 0 or self.relay_pair_mean < 0:
+        if not (self.mean_photon_per_pulse >= 0 and self.relay_pair_mean >= 0):
             raise ValueError("mean photon numbers must be >= 0")
 
 
@@ -162,7 +162,7 @@ def link_rates(model: LinkModel, params: LinkParams, distance_km: float) -> Link
     Rates are normalized to the direct link's zero-distance rate mu eta + d,
     which must hold signal: mu eta == 0 raises ValueError.
     """
-    if distance_km < 0:
+    if not distance_km >= 0:
         raise ValueError(f"distance must be >= 0, got {distance_km}")
     eta = params.detector.efficiency
     d = params.detector.dark_prob_per_gate

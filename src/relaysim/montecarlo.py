@@ -235,20 +235,22 @@ def _pair_pmf(pmf, cutoff: int) -> np.ndarray:
 
 def compile_scenario(scenario: Scenario) -> SimParams:
     """Validate a scenario and reduce it to per-arm probabilities."""
+    if not (scenario.gate_rate_hz > 0 and scenario.pump_repetition_rate_hz > 0):
+        raise ConfigurationError("pump and gate rates must be positive")
     if scenario.gate_rate_hz > scenario.pump_repetition_rate_hz:
         raise ConfigurationError("gating rate cannot exceed the pump repetition rate")
-    if scenario.gate_rate_hz <= 0 or scenario.pump_repetition_rate_hz <= 0:
-        raise ConfigurationError("pump and gate rates must be positive")
     if not 1 <= scenario.pair_number_cutoff <= MAX_PAIR_CUTOFF:
         raise ConfigurationError(
             f"pair_number_cutoff must be in [1, {MAX_PAIR_CUTOFF}]"
         )
-    if scenario.pump_duration_ps < 0:
+    if not scenario.pump_duration_ps >= 0:
         raise ConfigurationError("pump duration must be >= 0")
     if not math.isfinite(scenario.delay_mm):
         raise ConfigurationError("delay must be finite")
-    if scenario.alice_arm_loss_db < 0 or scenario.monitor_arm_loss_db < 0:
+    if not (scenario.alice_arm_loss_db >= 0 and scenario.monitor_arm_loss_db >= 0):
         raise ConfigurationError("arm losses must be >= 0 dB")
+    if not scenario.tau_fwhm_ps > 0:  # the coherence time is > 0, so only an override fails
+        raise ConfigurationError(f"dip_fwhm_time_ps must be > 0, got {scenario.dip_fwhm_time_ps}")
 
     lam_signal = scenario.photon_mode.center_wavelength_nm
     lam_partner = scenario.partner_wavelength_nm
@@ -767,7 +769,7 @@ def scan_dip(
         raise ValueError("need at least 3 scan positions")
     params = compile_scenario(scenario)
     span = max(positions) - min(positions)
-    if span <= 2.0 * params.fwhm_mm:
+    if not span > 2.0 * params.fwhm_mm:
         raise ValueError(
             f"scan span {span:.3f} mm must exceed twice the expected width "
             f"({2 * params.fwhm_mm:.3f} mm)"

@@ -53,7 +53,7 @@ class PhotonNumberDistribution:
     def __post_init__(self) -> None:
         if not self.pmf:
             raise ValueError("pmf must have at least one entry")
-        if any(p < 0 for p in self.pmf):
+        if not all(p >= 0 for p in self.pmf):
             raise ValueError("pmf entries must be nonnegative")
         total = sum(self.pmf)
         if not (1.0 - 1e-9) <= total <= 1.0 + 1e-9:
@@ -69,7 +69,7 @@ class PhotonNumberDistribution:
 
 def thermal(mean_pairs: float, n_max: int = DEFAULT_N_MAX) -> PhotonNumberDistribution:
     """Thermal (single-mode SPDC) distribution: p(n) = N^n / (1+N)^(n+1)."""
-    if mean_pairs < 0:
+    if not mean_pairs >= 0:
         raise ValueError(f"mean pair number must be >= 0, got {mean_pairs}")
     pmf = tuple(mean_pairs**n / (1.0 + mean_pairs) ** (n + 1) for n in range(n_max + 1))
     return PhotonNumberDistribution(pmf)
@@ -77,7 +77,7 @@ def thermal(mean_pairs: float, n_max: int = DEFAULT_N_MAX) -> PhotonNumberDistri
 
 def poisson(mean_pairs: float, n_max: int = DEFAULT_N_MAX) -> PhotonNumberDistribution:
     """Poissonian comparison family: p(n) = exp(-N) N^n / n!."""
-    if mean_pairs < 0:
+    if not mean_pairs >= 0:
         raise ValueError(f"mean pair number must be >= 0, got {mean_pairs}")
     pmf = tuple(
         math.exp(-mean_pairs) * mean_pairs**n / math.factorial(n) for n in range(n_max + 1)
@@ -89,7 +89,7 @@ def custom(pmf) -> PhotonNumberDistribution:
     """Wrap an explicit pmf; renormalizes away rounding at the 1e-9 level."""
     values = [float(p) for p in pmf]
     total = sum(values)
-    if total <= 0:
+    if not total > 0:
         raise ValueError("pmf must have positive total mass")
     return PhotonNumberDistribution(tuple(p / total for p in values))
 
@@ -111,7 +111,7 @@ def herald_condition(
             p * (1.0 - (1.0 - eta) ** n * (1.0 - dark)) for n, p in enumerate(dist.pmf)
         ]
     total = sum(weights)
-    if total <= 0.0:
+    if not total > 0.0:
         raise UndefinedConditioningError(
             "herald click probability is zero; conditioning is undefined"
         )

@@ -37,9 +37,9 @@ class SpectralMode:
     lineshape: str = "gaussian"
 
     def __post_init__(self) -> None:
-        if self.center_wavelength_nm <= 0:
+        if not self.center_wavelength_nm > 0:
             raise ValueError(f"center wavelength must be > 0, got {self.center_wavelength_nm}")
-        if self.fwhm_pm <= 0:
+        if not self.fwhm_pm > 0:
             raise ValueError(f"FWHM bandwidth must be > 0, got {self.fwhm_pm}")
         if self.lineshape not in TIME_BANDWIDTH_PRODUCT:
             raise ValueError(f"unknown lineshape {self.lineshape!r}; expected one of {LINESHAPES}")
@@ -51,8 +51,6 @@ def coherence_time(mode: SpectralMode) -> float:
     K is the lineshape's time-bandwidth product (0.441 gaussian, 0.886 sinc^2).
     A 200 pm gaussian filter at 1530 nm gives 17.2 ps.
     """
-    if mode.fwhm_pm <= 0:
-        raise ValueError("coherence time undefined for non-positive bandwidth")
     k = TIME_BANDWIDTH_PRODUCT[mode.lineshape]
     lam_m = mode.center_wavelength_nm * 1e-9
     dlam_m = mode.fwhm_pm * 1e-12

@@ -9,6 +9,7 @@ from relaysim.components import (
     ChipLayout,
     ConfigurationError,
     CouplerModel,
+    DEFAULT_SEGMENTS,
     DetectorModel,
     FilterModel,
     PATHS,
@@ -19,7 +20,10 @@ from relaysim.components import (
     detector_click_prob,
     spdc_spectral_density,
 )
-from relaysim.montecarlo import Scenario, _default_coupler, compile_scenario
+from relaysim.interference import dip_profile, v_timing
+from relaysim.linkbudget import LinkModel, LinkParams, link_rates
+from relaysim.montecarlo import Scenario, _default_coupler, compile_scenario, scan_dip
+from relaysim.photostats import PhotonNumberDistribution, custom, poisson, thermal
 from relaysim.units import SpectralMode
 
 # Detuning-to-coupling ratio at the 50/50 point, from the root of
@@ -325,3 +329,58 @@ def test_detector_validation():
         DetectorModel(gate_window_ns=0.0)
     with pytest.raises(ValueError):
         detector_click_prob(DetectorModel(), -1)
+
+
+# ---------------------------------------------------------------------------
+# Range guards: a NaN fails each one
+# ---------------------------------------------------------------------------
+
+NAN = math.nan
+
+
+def _scenario_with(**changes):
+    return lambda: compile_scenario(replace(Scenario(), **changes))
+
+
+# Each guard reads "if not <valid range>", so NaN, which compares false with
+# everything, fails it; written "if x < 0" it let NaN through.
+_NAN_GUARDS = {
+    "SpdcSource.pairs_per_mw": (lambda: SpdcSource(pairs_per_mw=NAN), "pairs_per_mw"),
+    "SpdcSource.pump_power_mw": (lambda: SpdcSource(pump_power_mw=NAN), "pump power"),
+    "FilterModel.fwhm_pm": (lambda: FilterModel(1530.0, NAN), "filter FWHM"),
+    "FilterModel.insertion_loss_db": (lambda: FilterModel(1530.0, 200.0, NAN), "insertion loss"),
+    "DetectorModel.gate_window_ns": (lambda: DetectorModel(gate_window_ns=NAN), "gate window"),
+    "detector_click_prob": (lambda: detector_click_prob(DetectorModel(), NAN), "photon count"),
+    "ChipLayout.segments": (lambda: ChipLayout({**DEFAULT_SEGMENTS, "prop_back": NAN}), "prop_back"),
+    "ChipLayout.measured_insertion_db": (
+        lambda: ChipLayout(measured_insertion_db=NAN), "measured insertion loss"
+    ),
+    "SpectralMode.center_wavelength_nm": (lambda: SpectralMode(NAN, 200.0), "center wavelength"),
+    "SpectralMode.fwhm_pm": (lambda: SpectralMode(1530.0, NAN), "FWHM bandwidth"),
+    "PhotonNumberDistribution": (lambda: PhotonNumberDistribution((NAN, 1.0)), "nonnegative"),
+    "thermal": (lambda: thermal(NAN), "mean pair number"),
+    "poisson": (lambda: poisson(NAN), "mean pair number"),
+    "custom": (lambda: custom([NAN, 1.0]), "positive total mass"),
+    "v_timing.tau_uncert_ps": (lambda: v_timing(NAN, 17.0), "time uncertainty"),
+    "v_timing.tau_c_ps": (lambda: v_timing(2.5, NAN), "coherence time"),
+    "dip_profile": (lambda: dip_profile(0.5, NAN, 1.0, [0.0]), "dip FWHM time"),
+    "LinkParams.fiber_loss_db_per_km": (lambda: LinkParams(fiber_loss_db_per_km=NAN), "fiber loss"),
+    "LinkParams.mean_photon_per_pulse": (lambda: LinkParams(mean_photon_per_pulse=NAN), "mean photon"),
+    "LinkParams.relay_pair_mean": (lambda: LinkParams(relay_pair_mean=NAN), "mean photon"),
+    "link_rates.distance_km": (lambda: link_rates(LinkModel(), LinkParams(), NAN), "distance"),
+    "compile_scenario.gate_rate_hz": (_scenario_with(gate_rate_hz=NAN), "rates must be positive"),
+    "compile_scenario.pump_repetition_rate_hz": (
+        _scenario_with(pump_repetition_rate_hz=NAN), "rates must be positive"
+    ),
+    "compile_scenario.pump_duration_ps": (_scenario_with(pump_duration_ps=NAN), "pump duration"),
+    "compile_scenario.alice_arm_loss_db": (_scenario_with(alice_arm_loss_db=NAN), "arm losses"),
+    "compile_scenario.monitor_arm_loss_db": (_scenario_with(monitor_arm_loss_db=NAN), "arm losses"),
+    "compile_scenario.dip_fwhm_time_ps": (_scenario_with(dip_fwhm_time_ps=NAN), "dip_fwhm_time_ps"),
+    "scan_dip.positions_mm": (lambda: scan_dip(Scenario(), [NAN, 0.0, 9.0], 0), "scan span"),
+}
+
+
+@pytest.mark.parametrize("call,message", _NAN_GUARDS.values(), ids=_NAN_GUARDS)
+def test_range_guard_rejects_nan(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

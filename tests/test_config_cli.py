@@ -3,6 +3,8 @@ import math
 import os
 import subprocess
 import sys
+from collections import Counter
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -11,6 +13,7 @@ import relaysim
 from relaysim.cli import main
 from relaysim.components import ConfigurationError, chip_insertion_loss
 from relaysim.config import (
+    _FIELD_TYPES,
     PRESET_NAMES,
     SCHEMA_VERSION,
     ScenarioConfig,
@@ -94,6 +97,61 @@ def test_type_validation():
         parse_config({"coupler_c1_anchors": [[0.0], [30.0, 0.5]]})
     with pytest.raises(ConfigurationError):
         parse_config({"delay_mm": "far"})
+
+
+# A non-finite number is put where each numeric key holds one: the value
+# itself, a list element, or the ratio of a [voltage, ratio] anchor pair.
+_NUMBER_SLOTS = {
+    "float": "{}",
+    "float | None": "{}",
+    "tuple[float, ...]": "[0.01, {}]",
+    "tuple[tuple[float, float], ...]": "[[0.0, 1.0], [30.0, {}]]",
+}
+_NUMERIC_KEYS = [f.name for f in fields(ScenarioConfig) if f.type in _NUMBER_SLOTS]
+_NON_FINITE = [(key, literal) for key in _NUMERIC_KEYS for literal in ("NaN", "Infinity", "-Infinity")]
+
+
+def test_every_config_field_is_numeric_or_exact():
+    # Every field the non-finite test below skips is an int, bool or str.
+    types = Counter(f.type for f in fields(ScenarioConfig))
+    assert {t: n for t, n in types.items() if t in _NUMBER_SLOTS} == {
+        "float": 46,
+        "float | None": 4,
+        "tuple[float, ...]": 2,
+        "tuple[tuple[float, float], ...]": 2,
+    }
+    assert set(types) - set(_NUMBER_SLOTS) == {"int", "bool", "str"}
+
+
+@pytest.mark.parametrize("key,literal", _NON_FINITE, ids=[f"{k}-{v}" for k, v in _NON_FINITE])
+def test_config_rejects_non_finite_number(key, literal):
+    # Python's json reads NaN and +-Infinity; each used to reach the models,
+    # which printed nan rows, unbounded reaches or an unnamed numpy error.
+    slot = _NUMBER_SLOTS[_FIELD_TYPES[key]].format(literal)
+    with pytest.raises(ConfigurationError, match=f"^{key} must be "):
+        parse_config(json.loads(f'{{"{key}": {slot}}}'))
+
+
+@pytest.mark.parametrize(
+    "key,value",
+    [
+        ("map_na_values", ["0.1"]),
+        ("map_nb_values", [0.01, True]),
+        ("coupler_c1_anchors", [["30", True]]),
+        ("coupler_c2_anchors", [[30.0, "0.5"]]),
+        ("coupler_c2_anchors", [[True, 0.5]]),
+        ("delay_mm", 10**400),
+    ],
+    ids=[
+        "string_in_list", "bool_in_list", "string_and_bool_anchor", "string_ratio", "bool_voltage",
+        "int_past_float",
+    ],
+)
+def test_config_numbers_pass_one_coercion(key, value):
+    # List elements and anchors went through bare float(), which took "0.1"
+    # and true; an int past float range died with an OverflowError.
+    with pytest.raises(ConfigurationError, match=f"^{key} must be "):
+        parse_config({key: value})
 
 
 def test_load_config_malformed_json(tmp_path):
@@ -187,11 +245,11 @@ def test_coupler_curve_config_anchors(tmp_path, capsys):
     assert "CalibrationError: anchor ratio 1.5 at 25.0 V is outside [0, 1]" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("kappa", [0.0, -1.0, math.nan])
+@pytest.mark.parametrize("kappa", [0.0, -1.0])
 def test_coupler_curve_rejects_nonpositive_kappa_lc(tmp_path, capsys, kappa):
     # kappa*Lc = 0 was reported as the default anchor ratio 1.0 exceeding the
-    # zero-bias maximum sin^2(0) = 0, which names the wrong input; NaN hung
-    # the detuning-slope fit.
+    # zero-bias maximum sin^2(0) = 0, which names the wrong input.  NaN, which
+    # hung the detuning-slope fit, is rejected when the config is parsed.
     path = tmp_path / "kappa.json"
     path.write_text(json.dumps({"coupler_kappa_lc_rad": kappa}), encoding="utf-8")
     assert run_cli("coupler-curve", "--config", str(path)) == 2
@@ -428,6 +486,34 @@ def test_keyrate_sweep_rejects_min_above_max(tmp_path, capsys, low):
     assert capsys.readouterr().err == (
         f"error: ConfigurationError: sweep_min_km must be <= sweep_max_km, got {low} > 50.0\n"
     )
+
+
+_NAMED_INPUT_ERRORS = [
+    # Both exited 0 with nan rates; keyrate-sweep also put every reach at inf.
+    ("keyrate-sweep", "fiber_loss_db_per_km", "NaN", "must be a finite number, got nan"),
+    ("hom-dip", "pump_duration_ps", "NaN", "must be a finite number, got nan"),
+    # numpy's "pvals < 0, pvals > 1 or pvals contains NaNs" named no input.
+    ("mc-run", "alice_arm_loss_db", "NaN", "must be a finite number, got nan"),
+    # A zero width died with a ZeroDivisionError; a negative one was fitted as |FWHM|.
+    ("mc-run", "dip_fwhm_time_ps", "0", "must be > 0, got 0.0"),
+    ("mc-run", "dip_fwhm_time_ps", "-20", "must be > 0, got -20.0"),
+    ("hom-dip", "dip_fwhm_time_ps", "0", "must be > 0, got 0.0"),
+    ("hom-dip", "dip_fwhm_time_ps", "-20", "must be > 0, got -20.0"),
+]
+
+
+@pytest.mark.parametrize(
+    "command,key,literal,message",
+    _NAMED_INPUT_ERRORS,
+    ids=[f"{command}-{key}-{literal}" for command, key, literal, _ in _NAMED_INPUT_ERRORS],
+)
+def test_cli_names_the_input_it_rejects(tmp_path, capsys, command, key, literal, message):
+    path = tmp_path / "bad.json"
+    path.write_text(f'{{"{key}": {literal}}}', encoding="utf-8")
+    assert run_cli(command, "--config", str(path)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: ConfigurationError: {key} {message}\n"
 
 
 # Flags a subcommand does not take: --pulses and --workers where no pulse is

@@ -5,7 +5,10 @@ suite stays fast and gives the same result on every run.
 """
 
 import math
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -144,3 +147,33 @@ def test_spectral_density_equals_numpy(lineshape, center, fwhm_pm, wavelengths):
     density = spdc_spectral_density(src, wavelengths)
     assert all(type(value) is float for value in density)
     np.testing.assert_array_max_ulp(np.asarray(density), expected, maxulp=2)
+
+
+FAILING_PROPERTY = """
+from hypothesis import given, settings, strategies as st
+
+
+@settings(database=None, derandomize=True)
+@given(st.integers())
+def test_fails(n):
+    assert n < 10
+
+
+def test_after():
+    pass
+"""
+
+
+def test_failing_property_reports_its_example(tmp_path):
+    # Run under this suite's pytest settings: the failure must print its
+    # falsifying example, and the next test must still run.
+    (tmp_path / "test_failing_property.py").write_text(FAILING_PROPERTY, encoding="utf-8")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-c", str(pyproject), "--rootdir", str(tmp_path),
+         "-p", "no:cacheprovider", "-q", "test_failing_property.py"],
+        capture_output=True, text=True, timeout=120, cwd=tmp_path,
+    )
+    assert "INTERNALERROR" not in proc.stdout + proc.stderr
+    assert "Falsifying example: test_fails(" in proc.stdout
+    assert "1 failed, 1 passed" in proc.stdout
