@@ -19,7 +19,6 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import replace
 from typing import TYPE_CHECKING
 
 from .components import ConfigurationError, SpdcSource, calibrate_coupler, coupler_ratio, spdc_spectral_density
@@ -29,6 +28,10 @@ if TYPE_CHECKING:
     from .montecarlo import CountsReport, NetRates
 
 VISIBILITY_REFERENCE_TARGET = 0.75  # design-target dip visibility at the operating point
+
+# Largest output grid, 244 times the largest preset grid (409 spectrum
+# points): every grid is built as a list before a row is written.
+MAX_GRID_POINTS = 100_000
 
 
 def _fmt(value) -> str:
@@ -55,10 +58,12 @@ def _emit(args, content: str) -> None:
         sys.stdout.write(content)
 
 
-def _grid_points(cfg: ScenarioConfig, key: str) -> int:
+def _grid_points(cfg: ScenarioConfig, key: str, least: int = 1) -> int:
     points = getattr(cfg, key)
-    if not points >= 1:
-        raise ConfigurationError(f"{key} must be >= 1, got {points}")
+    if not points >= least:
+        raise ConfigurationError(f"{key} must be >= {least}, got {points}")
+    if not points <= MAX_GRID_POINTS:
+        raise ConfigurationError(f"{key} must be <= {MAX_GRID_POINTS}, got {points}")
     return points
 
 
@@ -160,7 +165,9 @@ def _cmd_hom_dip(args) -> int:
 
     cfg = _load(args)
     scenario = cfg.to_scenario()
-    positions = _linspace(cfg.dip_scan_min_mm, cfg.dip_scan_max_mm, cfg.dip_scan_points)
+    positions = _linspace(
+        cfg.dip_scan_min_mm, cfg.dip_scan_max_mm, _grid_points(cfg, "dip_scan_points", 3)
+    )
     result = scan_dip(scenario, positions, args.pulses, seed=args.seed)
     if args.pulses > 0:
         _warn_unresolved(scenario, args.pulses)
@@ -187,14 +194,16 @@ def _cmd_keyrate_sweep(args) -> int:
         raise ConfigurationError(
             f"sweep_min_km must be <= sweep_max_km, got {cfg.sweep_min_km} > {cfg.sweep_max_km}"
         )
+    stop = cfg.sweep_max_km + cfg.sweep_step_km / 2
+    if not (stop - cfg.sweep_min_km) / cfg.sweep_step_km <= MAX_GRID_POINTS:  # _arange's point count
+        raise ConfigurationError(
+            f"sweep_max_km must give at most {MAX_GRID_POINTS} distances from sweep_min_km in "
+            f"sweep_step_km steps, got {cfg.sweep_min_km} to {cfg.sweep_max_km} "
+            f"in steps of {cfg.sweep_step_km}"
+        )
     params = cfg.to_link_params()
     models = fig2_models()
-    if cfg.relay_position is not None:
-        models = [
-            replace(m, relay_position=cfg.relay_position) if m.variant != "direct" else m
-            for m in models
-        ]
-    distances = _arange(cfg.sweep_min_km, cfg.sweep_max_km + cfg.sweep_step_km / 2, cfg.sweep_step_km)
+    distances = _arange(cfg.sweep_min_km, stop, cfg.sweep_step_km)
     table = sweep(models, params, distances)
     rows = [
         (table.distances_km[i], *(table.rates[j][i] for j in range(len(models))))
@@ -227,7 +236,6 @@ def _report_rows(report: CountsReport, net: NetRates) -> list[tuple[str, object]
         ("singles_a", d.singles_a),
         ("singles_b", d.singles_b),
         ("singles_c", d.singles_c),
-        ("singles_monitor", d.singles_monitor),
         ("twofold_ab", d.twofold_ab),
         ("threefold_abc", d.threefold_abc),
         ("photons_generated", d.generated),

@@ -82,7 +82,6 @@ class ScenarioConfig:
     loss_propagation_back_db: float = 1.25
     measured_insertion_loss_db: float | None = None
     alice_arm_loss_db: float = 0.0
-    monitor_arm_loss_db: float = 0.0
 
     # Filters
     filter_ab_center_nm: float = 1530.0
@@ -95,7 +94,6 @@ class ScenarioConfig:
     # Apparatus detectors
     detector_efficiency: float = 0.10
     detector_dark_prob_per_ns: float = 1e-5
-    monitor_enabled: bool = False
 
     # Link budget
     fiber_loss_db_per_km: float = 0.2
@@ -104,7 +102,6 @@ class ScenarioConfig:
     link_gate_window_ns: float = 1.0
     mean_photon_per_pulse: float = 1.0
     relay_pair_mean: float = 1.0
-    relay_position: float | None = None
     sweep_min_km: float = 0.0
     sweep_max_km: float = 500.0
     sweep_step_km: float = 5.0
@@ -188,7 +185,6 @@ class ScenarioConfig:
             coupler_c2_voltage_v=self.coupler_c2_voltage_v,
             layout=self.chip_layout(),
             alice_arm_loss_db=self.alice_arm_loss_db,
-            monitor_arm_loss_db=self.monitor_arm_loss_db,
             filter_ab=FilterModel(
                 self.filter_ab_center_nm, self.filter_ab_fwhm_pm, self.filter_ab_insertion_loss_db
             ),
@@ -198,8 +194,6 @@ class ScenarioConfig:
             detector_a=det,
             detector_b=det,
             detector_c=det,
-            detector_monitor=det,
-            monitor_enabled=self.monitor_enabled,
             delay_mm=self.delay_mm,
             pair_number_cutoff=self.pair_number_cutoff,
         )
@@ -273,7 +267,6 @@ _COERCE = {
     "float": _number,
     "float | None": lambda key, value: None if value is None else _number(key, value),
     "int": _exact(int, "an integer"),
-    "bool": _exact(bool, "a boolean"),
     "str": _exact(str, "a string"),
     "tuple[float, ...]": _list_of(_number, "finite numbers"),
     "tuple[tuple[float, float], ...]": _list_of(_pair, "[voltage, ratio] pairs of finite numbers"),
@@ -290,6 +283,12 @@ _REMOVED_KEYS = {
     "coupler_interaction_length_mm": "it was never read; coupler_kappa_lc_rad sets the coupling",
     "teleport_fidelity": (
         "it fed only a QBER that no output reads; the reach is where the SNR falls to unity"
+    ),
+    "monitor_enabled": "it fed only a singles count that no coincidence or visibility reads",
+    "monitor_arm_loss_db": "it fed only a singles count that no coincidence or visibility reads",
+    "relay_position": (
+        "no preset or example set it, and it silently changed what the reach and gain "
+        "lines mean; the relay position is optimised per distance"
     ),
 }
 

@@ -8,18 +8,20 @@ coincidences, at the scenario delay and at a far-delay reference, from which
 raw and accidental-subtracted dip visibilities follow.
 
 Gated pulses are independent and identically distributed, and every tally
-is a function of one pulse's joint click pattern (A, B, C, and the monitor
-when enabled).  `joint_law` gives that pattern's exact law, truncated at the
-pair cutoff.  A leg of n pulses is then exactly Binomial(n, p_gate) gated
-pulses split over the 8 (16 with the monitor) click cells by one multinomial
-draw, so its cost does not depend on n.  Each leg draws from a numpy
-Generator seeded with `derive_key(seed, leg)`.  The photon ledger is not a
-function of the click pattern; it holds expected flows, gated pulses times
-the per-gate expectation.
+is a function of one pulse's joint click pattern (A, B, C).  `joint_law`
+gives that pattern's exact law, truncated at the pair cutoff.  A leg of n
+pulses is then exactly Binomial(n, p_gate) gated pulses split over the 8
+click cells by one multinomial draw, so its cost does not depend on n.
+Each leg draws from a numpy Generator seeded with `derive_key(seed, leg)`.
+The photon ledger is not a function of the click pattern; it holds expected
+flows, gated pulses times the per-gate expectation.
 
 `CounterRng` is a stateless counter hash: pulse i, draw slot j reads a
 64-bit hash of (stream key, i * SLOTS + j), so a per-pulse sampler drawing
-from it gives the same draws for any split of the pulse range.
+from it gives the same draws for any split of the pulse range.  No engine
+path draws from it: `CounterRng` and `SLOTS` stay only for the independent
+pulse-by-pulse sampler in `tests/pulse_reference.py` and for the names the
+benchmark traces.
 """
 
 from __future__ import annotations
@@ -153,15 +155,14 @@ class Scenario:
 
     layout: ChipLayout = field(default_factory=ChipLayout)
     alice_arm_loss_db: float = 0.0
-    monitor_arm_loss_db: float = 0.0
     filter_ab: FilterModel = field(default_factory=_default_filter_ab)
     filter_c: FilterModel = field(default_factory=_default_filter_c)
 
     detector_a: DetectorModel = field(default_factory=DetectorModel)
     detector_b: DetectorModel = field(default_factory=DetectorModel)
     detector_c: DetectorModel = field(default_factory=DetectorModel)
+    # Accepted and read by nothing; perfbench's bench scenario still passes it.
     detector_monitor: DetectorModel = field(default_factory=DetectorModel)
-    monitor_enabled: bool = False
 
     delay_mm: float = 0.0
     pair_number_cutoff: int = 20
@@ -201,10 +202,6 @@ class SimParams:
     fwhm_mm: float
     delay_mm: float
     cutoff: int
-    monitor_enabled: bool
-    p_mon_arrive: float
-    eta_mon: float
-    dark_mon: float
 
     def overlap_at(self, delay_mm: float) -> float:
         x = delay_mm / self.fwhm_mm
@@ -247,9 +244,13 @@ def compile_scenario(scenario: Scenario) -> SimParams:
         raise ConfigurationError("pump duration must be >= 0")
     if not math.isfinite(scenario.delay_mm):
         raise ConfigurationError("delay must be finite")
-    if not (scenario.alice_arm_loss_db >= 0 and scenario.monitor_arm_loss_db >= 0):
+    if not scenario.alice_arm_loss_db >= 0:
         raise ConfigurationError("arm losses must be >= 0 dB")
-    if not scenario.tau_fwhm_ps > 0:  # the coherence time is > 0, so only an override fails
+    # Only an override fails (the coherence time is > 0): one that is not > 0,
+    # or one so small (below about 2.5e-312 ps) that its path underflows to 0 mm.
+    tau_ps = scenario.tau_fwhm_ps
+    fwhm_mm = delay_to_path(tau_ps) if tau_ps > 0 else 0.0
+    if not fwhm_mm > 0:
         raise ConfigurationError(f"dip_fwhm_time_ps must be > 0, got {scenario.dip_fwhm_time_ps}")
 
     lam_signal = scenario.photon_mode.center_wavelength_nm
@@ -286,7 +287,6 @@ def compile_scenario(scenario: Scenario) -> SimParams:
 
     tau_c_ps = coherence_time(scenario.photon_mode)
     peak = v_timing(scenario.pump_duration_ps, tau_c_ps)
-    fwhm_mm = delay_to_path(scenario.tau_fwhm_ps)
 
     return SimParams(
         p_gate=scenario.gate_rate_hz / scenario.pump_repetition_rate_hz,
@@ -307,10 +307,6 @@ def compile_scenario(scenario: Scenario) -> SimParams:
         fwhm_mm=fwhm_mm,
         delay_mm=scenario.delay_mm,
         cutoff=cutoff,
-        monitor_enabled=scenario.monitor_enabled,
-        p_mon_arrive=db_to_linear(scenario.monitor_arm_loss_db),
-        eta_mon=scenario.detector_monitor.efficiency,
-        dark_mon=scenario.detector_monitor.dark_prob_per_gate,
     )
 
 
@@ -336,31 +332,23 @@ def _clicks(m_max: int, p_det: float, dark: float) -> np.ndarray:
     return np.stack([quiet, 1.0 - quiet], axis=-1)
 
 
-def _source_weights(pmf: np.ndarray, survive: float, clicks: np.ndarray | None) -> np.ndarray:
+def _source_weights(pmf: np.ndarray, survive: float, clicks: np.ndarray) -> np.ndarray:
     """w[k, X] = sum_n P(n) Bin(k | n, survive) P(X | n), X the partner photons' click."""
-    if clicks is None:
-        clicks = np.ones((pmf.shape[0], 1))
     return np.einsum("n,nk,nx->kx", pmf, _binomial(pmf.shape[0] - 1, survive), clicks)
 
 
 def joint_law(params: SimParams, overlap: float) -> np.ndarray:
-    """Exact law of one gated pulse's click pattern, indexed [A, B, C(, M)].
+    """Exact law of one gated pulse's click pattern, indexed [A, B, C].
 
-    The external photons reaching C2 (k_a) and the monitor click M depend on
-    the external pair number only; the chip photons reaching C2 (k_b) and the
-    herald click C on the chip pair number only.  C2 routes every pattern's
-    photons independently by its cross ratio, except the one-plus-one
-    pattern, which interferes at the given temporal overlap.  The monitor
-    axis is present only when the monitor is enabled.
+    The external photons reaching C2 (k_a) depend on the external pair
+    number only; the chip photons reaching C2 (k_b) and the herald click C on
+    the chip pair number only.  C2 routes every pattern's photons
+    independently by its cross ratio, except the one-plus-one pattern, which
+    interferes at the given temporal overlap.
     """
     pmf_a, pmf_b = params.pmf_a, params.pmf_b
     i, j = pmf_a.shape[0], pmf_b.shape[0]
-    monitor = (
-        _clicks(i - 1, params.p_mon_arrive * params.eta_mon, params.dark_mon)
-        if params.monitor_enabled
-        else None
-    )
-    w_a = _source_weights(pmf_a, params.q_a, monitor)
+    w_a = np.einsum("n,nk->k", pmf_a, _binomial(i - 1, params.q_a))
     herald = _clicks(j - 1, params.p_c_arrive * params.eta_c, params.dark_c)
     w_b = _source_weights(pmf_b, params.q_b, herald)
 
@@ -385,8 +373,7 @@ def joint_law(params: SimParams, overlap: float) -> np.ndarray:
         table[1, 1] = p_coinc * np.outer(click_a[1], click_b[1]) + (1.0 - p_coinc) / 2.0 * (
             np.outer(click_a[2], click_b[0]) + np.outer(click_a[0], click_b[2])
         )
-    law = np.einsum("im,jc,ijab->abcm", w_a, w_b, table)
-    return law if params.monitor_enabled else law[..., 0]
+    return np.einsum("i,jc,ijab->abc", w_a, w_b, table)
 
 
 def _ledger_per_gate(params: SimParams) -> tuple[float, float, float, float]:
@@ -408,15 +395,11 @@ def _ledger_per_gate(params: SimParams) -> tuple[float, float, float, float]:
         + n_b * (1.0 - params.p_c_arrive)
     )
     # (photons reaching a detector, its efficiency)
-    arrivals = [
+    arrivals = (
         (params.s_post * out_a, params.eta_a),
         (params.s_post * out_b, params.eta_b),
         (params.p_c_arrive * n_b, params.eta_c),
-    ]
-    if params.monitor_enabled:
-        generated += n_a
-        lost += n_a * (1.0 - params.p_mon_arrive)
-        arrivals.append((params.p_mon_arrive * n_a, params.eta_mon))
+    )
     undetected = sum(m * (1.0 - eta) for m, eta in arrivals)
     detected = sum(m * eta for m, eta in arrivals)
     return generated, lost, undetected, detected
@@ -435,7 +418,6 @@ class Tally:
     singles_a: int
     singles_b: int
     singles_c: int
-    singles_monitor: int
     twofold_ab: int
     threefold_abc: int
     generated: float
@@ -456,7 +438,6 @@ def _sample_leg(params: SimParams, n_pulses: int, key: int, overlap: float) -> T
         int(cells[1].sum()),
         int(cells[:, 1].sum()),
         int(cells[:, :, 1].sum()),
-        int(cells[..., 1].sum()) if params.monitor_enabled else 0,
         int(cells[1, 1].sum()),
         int(cells[1, 1, 1].sum()),
         *(gated * flow for flow in ledger),

@@ -34,7 +34,6 @@ def bench_scenario(
         detector_a=det,
         detector_b=det,
         detector_c=det,
-        detector_monitor=det,
         pump_duration_ps=pump_ps,
         delay_mm=delay_mm,
     )

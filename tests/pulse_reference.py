@@ -34,10 +34,7 @@ _S_DET_B = 245                     # 40
 _S_DARK_A = 285
 _S_DARK_B = 286
 _S_DARK_C = 287
-_S_DARK_MON = 288
-_S_MON_ARR = 289                   # 20
-_S_MON_DET = 309                   # 20
-assert _S_MON_DET + MAX_PAIR_CUTOFF <= SLOTS
+assert _S_DET_B + 2 * MAX_PAIR_CUTOFF <= _S_DARK_A and _S_DARK_C < SLOTS
 
 BATCH_PULSES = 1 << 18
 LEDGER = ("generated", "lost", "undetected", "detected")
@@ -67,7 +64,7 @@ def _arrive_detect_counts(rng, idx, n, arr_slot, det_slot, p_arrive, eta):
 
 
 def _batch(params: SimParams, rng: CounterRng, idx: np.ndarray, overlap: float):
-    """Per-pulse click pattern (A, B, C, M) and photon flows of one batch."""
+    """Per-pulse click pattern (A, B, C) and photon flows of one batch."""
     n_g = idx.shape[0]
     n_a = np.searchsorted(np.cumsum(params.pmf_a), rng.uniform(idx, _S_NA), side="right")
     n_b = np.searchsorted(np.cumsum(params.pmf_b), rng.uniform(idx, _S_NB), side="right")
@@ -130,28 +127,18 @@ def _batch(params: SimParams, rng: CounterRng, idx: np.ndarray, overlap: float):
     lost = (n_a - k_a) + (n_b - k_b) + (n_b - arr_c) + (m_a_out - arr_a) + (m_b_out - arr_b)
     undetected = (arr_a - det_a) + (arr_b - det_b) + (arr_c - det_c)
     detected = det_a + det_b + det_c
-    if params.monitor_enabled:
-        arr_m, det_m = _arrive_detect_counts(
-            rng, idx, n_a, _S_MON_ARR, _S_MON_DET, params.p_mon_arrive, params.eta_mon
-        )
-        clicks.append(with_dark(det_m, _S_DARK_MON, params.dark_mon))
-        generated = generated + n_a
-        lost = lost + (n_a - arr_m)
-        undetected = undetected + (arr_m - det_m)
-        detected = detected + det_m
     return clicks, (generated, lost, undetected, detected)
 
 
 def click_table(params: SimParams, n_gated: int, key: int, overlap: float):
     """Sample n_gated gated pulses one by one.
 
-    Returns the click-pattern counts, indexed like `joint_law` ([A, B, C]
-    plus M when the monitor is enabled), and per ledger flow the sum and the
-    sum of squares of its per-pulse photon counts.
+    Returns the click-pattern counts, indexed like `joint_law` ([A, B, C]),
+    and per ledger flow the sum and the sum of squares of its per-pulse
+    photon counts.
     """
     rng = CounterRng(key)
-    cells = 2 ** (4 if params.monitor_enabled else 3)
-    table = np.zeros(cells, dtype=np.int64)
+    table = np.zeros(8, dtype=np.int64)
     moments = {name: [0, 0] for name in LEDGER}
     for lo in range(0, n_gated, BATCH_PULSES):
         idx = np.arange(lo, min(lo + BATCH_PULSES, n_gated), dtype=np.uint64)
@@ -159,8 +146,8 @@ def click_table(params: SimParams, n_gated: int, key: int, overlap: float):
         cell = np.zeros(idx.shape[0], dtype=np.int64)
         for click in clicks:
             cell = 2 * cell + click
-        table += np.bincount(cell, minlength=cells)
+        table += np.bincount(cell, minlength=8)
         for name, flow in zip(LEDGER, flows):
             moments[name][0] += int(flow.sum())
             moments[name][1] += int((flow * flow).sum())
-    return table.reshape((2,) * len(clicks)), moments
+    return table.reshape(2, 2, 2), moments

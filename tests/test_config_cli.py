@@ -79,6 +79,9 @@ def test_wrong_schema_version_rejected():
         ("link_pulse_rate_hz", "never read"),
         ("coupler_interaction_length_mm", "never read"),
         ("teleport_fidelity", "no output reads"),
+        ("monitor_enabled", "no coincidence or visibility reads"),
+        ("monitor_arm_loss_db", "no coincidence or visibility reads"),
+        ("relay_position", "optimised per distance"),
     ],
 )
 def test_removed_keys_rejected_with_reason(key, reason):
@@ -90,7 +93,7 @@ def test_type_validation():
     with pytest.raises(ConfigurationError):
         parse_config({"pair_number_cutoff": 2.5})
     with pytest.raises(ConfigurationError):
-        parse_config({"monitor_enabled": "yes"})
+        parse_config({"dip_scan_points": True})
     with pytest.raises(ConfigurationError):
         parse_config({"photon_lineshape": 3})
     with pytest.raises(ConfigurationError):
@@ -112,15 +115,15 @@ _NON_FINITE = [(key, literal) for key in _NUMERIC_KEYS for literal in ("NaN", "I
 
 
 def test_every_config_field_is_numeric_or_exact():
-    # Every field the non-finite test below skips is an int, bool or str.
+    # Every field the non-finite test below skips is an int or a str.
     types = Counter(f.type for f in fields(ScenarioConfig))
     assert {t: n for t, n in types.items() if t in _NUMBER_SLOTS} == {
-        "float": 46,
-        "float | None": 4,
+        "float": 45,
+        "float | None": 3,
         "tuple[float, ...]": 2,
         "tuple[tuple[float, float], ...]": 2,
     }
-    assert set(types) - set(_NUMBER_SLOTS) == {"int", "bool", "str"}
+    assert set(types) - set(_NUMBER_SLOTS) == {"int", "str"}
 
 
 @pytest.mark.parametrize("key,literal", _NON_FINITE, ids=[f"{k}-{v}" for k, v in _NON_FINITE])
@@ -426,6 +429,28 @@ def test_config_flag_round_trip(tmp_path):
     assert "delay_mm: 2.5" in out.read_text()
 
 
+def test_every_config_field_is_read_by_a_subcommand(monkeypatch, capsys):
+    # A key that no subcommand reads is stored but never used; such a key
+    # belongs in _REMOVED_KEYS with its reason.
+    reads = set()
+
+    class RecordingConfig(ScenarioConfig):
+        def __getattribute__(self, name):
+            reads.add(name)
+            return super().__getattribute__(name)
+
+    monkeypatch.setattr("relaysim.cli._load", lambda args: RecordingConfig())
+    for argv in (
+        *([name] for name in ANALYTIC),
+        ["hom-dip"],
+        ["hom-dip", "--pulses", "1000"],
+        ["mc-run", "--pulses", "1000"],
+    ):
+        assert main(argv) == 0, argv
+    capsys.readouterr()
+    assert {f.name for f in fields(ScenarioConfig)} - reads == {"schema_version"}
+
+
 def test_cli_error_paths(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"no_such_key": 1}', encoding="utf-8")
@@ -499,6 +524,19 @@ _NAMED_INPUT_ERRORS = [
     ("mc-run", "dip_fwhm_time_ps", "-20", "must be > 0, got -20.0"),
     ("hom-dip", "dip_fwhm_time_ps", "0", "must be > 0, got 0.0"),
     ("hom-dip", "dip_fwhm_time_ps", "-20", "must be > 0, got -20.0"),
+    # A width this small underflowed to 0 mm and died with a ZeroDivisionError.
+    ("mc-run", "dip_fwhm_time_ps", "1e-320", "must be > 0, got 1e-320"),
+    ("hom-dip", "dip_fwhm_time_ps", "1e-320", "must be > 0, got 1e-320"),
+    # "need at least 3 scan positions" named no key.
+    ("hom-dip", "dip_scan_points", "2", "must be >= 3, got 2"),
+    # Built a list of 2e11 distances until a MemoryError.
+    (
+        "keyrate-sweep",
+        "sweep_max_km",
+        "1e12",
+        "must give at most 100000 distances from sweep_min_km in sweep_step_km steps, "
+        "got 0.0 to 1000000000000.0 in steps of 5.0",
+    ),
 ]
 
 

@@ -27,7 +27,7 @@ def law_cases():
         *oracle_scenarios(),
         ("darks", bench_scenario(0.02, 0.01, dark_per_ns=1e-4, gate_window_ns=10.0)),
         ("unbalanced_c2", replace(bench_scenario(0.05, 0.02), coupler_c2_voltage_v=20.0)),
-        ("monitor", replace(bench_scenario(0.05, 0.02, dark_per_ns=1e-4), monitor_enabled=True)),
+        ("bright_darks", bench_scenario(0.05, 0.02, dark_per_ns=1e-4)),
         ("paper-fig6", load_preset("paper-fig6").to_scenario()),
         # Pair distributions shorter and longer than cutoff + 1.
         ("single_photon", single_photon_scenario(0.0)),
@@ -52,33 +52,18 @@ def law_cases():
 def test_law_marginals_match_enumeration(name, scenario, overlap):
     params = compile_scenario(scenario)
     law = joint_law(params, params.overlap_at(params.delay_mm) if overlap is None else overlap)
-    assert law.shape == (2,) * (4 if scenario.monitor_enabled else 3)
+    assert law.shape == (2, 2, 2)
     assert law.min() >= 0.0
     assert abs(law.sum() - 1.0) <= 1e-12
-    abc = law.sum(axis=3) if law.ndim == 4 else law
     exact = expected_rates(scenario, overlap=overlap)
     for got, want in (
-        (abc[1].sum(), exact.p_single_a),
-        (abc[:, 1].sum(), exact.p_single_b),
-        (abc[:, :, 1].sum(), exact.p_single_c),
-        (abc[1, 1].sum(), exact.p_twofold_ab),
-        (abc[1, 1, 1], exact.p_threefold_abc),
+        (law[1].sum(), exact.p_single_a),
+        (law[:, 1].sum(), exact.p_single_b),
+        (law[:, :, 1].sum(), exact.p_single_c),
+        (law[1, 1].sum(), exact.p_twofold_ab),
+        (law[1, 1, 1], exact.p_threefold_abc),
     ):
         assert got == pytest.approx(want, rel=1e-12, abs=0.0)
-
-
-def test_monitor_marginal_is_partner_click_probability():
-    sc = replace(
-        bench_scenario(0.05, 0.02, dark_per_ns=1e-4), monitor_enabled=True, monitor_arm_loss_db=3.0
-    )
-    params = compile_scenario(sc)
-    pmf = params.pmf_a
-    quiet = (1.0 - params.p_mon_arrive * params.eta_mon) ** np.arange(pmf.size) * (1.0 - params.dark_mon)
-    expected = float(pmf @ (1.0 - quiet))
-    assert joint_law(params, 0.0)[..., 1].sum() == pytest.approx(expected, rel=1e-12)
-    # The monitor axis does not change the law of (A, B, C).
-    off = joint_law(replace(params, monitor_enabled=False), 0.0)
-    np.testing.assert_allclose(joint_law(params, 0.0).sum(axis=3), off, rtol=1e-12, atol=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -95,23 +80,19 @@ REFERENCE_PULSES = 600_000
 
 
 def test_pulse_reference_matches_joint_law():
-    """Full click table of 6e5 reference pulses against the law, 16 and 8 cells.
+    """Full 8-cell click table of 6e5 reference pulses against the law.
 
-    Bright thermal sources, dark counts, an unbalanced C2 on the dip flank
-    and the monitor on, so multi-photon patterns, the interference term and
-    every detector take part.  The A, B, C table of the same pulses checks
-    the monitor-off law: the monitor draws use their own slots.  Power: a
-    relative bias d in the three-fold cell alone shifts that cell by
-    d * sqrt(mu) sigma, mu the expected three-fold count (about 4200 here),
-    so a bias of 3 / sqrt(mu) = 4.6 % or more is caught at 3 sigma.  The
-    photon ledger's expected flows are checked against the sampled photon
-    counts with their sample variance.
+    Bright thermal sources, dark counts and an unbalanced C2 on the dip
+    flank, so multi-photon patterns, the interference term and every
+    detector take part.  Power: a relative bias d in the three-fold cell
+    alone shifts that cell by d * sqrt(mu) sigma, mu the expected three-fold
+    count (about 4200 here), so a bias of 3 / sqrt(mu) = 4.6 % or more is
+    caught at 3 sigma.  The photon ledger's expected flows are checked
+    against the sampled photon counts with their sample variance.
     """
     sc = replace(
         bench_scenario(0.3, 0.2, eta=0.9, dark_per_ns=1e-3, gate_window_ns=10.0, delay_mm=2.0),
         dip_fwhm_time_ps=20.0,
-        monitor_enabled=True,
-        monitor_arm_loss_db=3.0,
         coupler_c2_voltage_v=28.0,
     )
     params = compile_scenario(sc)
@@ -123,8 +104,6 @@ def test_pulse_reference_matches_joint_law():
     mu = REFERENCE_PULSES * law[1, 1, 1].sum()
     assert 3.0 / math.sqrt(mu) <= 0.047
     assert chi_square_p(table, law) >= ALPHA
-    law_off = joint_law(replace(params, monitor_enabled=False), overlap)
-    assert chi_square_p(table.sum(axis=3), law_off) >= ALPHA
 
     leg = run(sc, REFERENCE_PULSES).dip
     for name in LEDGER:

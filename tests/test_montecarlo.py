@@ -1,11 +1,11 @@
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 from helpers import bench_scenario, oracle_scenarios, single_photon_scenario
-from relaysim.components import ConfigurationError, FilterModel
+from relaysim.components import ConfigurationError, DetectorModel, FilterModel
 from relaysim.config import load_preset
 from relaysim.montecarlo import (
     CounterRng,
@@ -207,15 +207,6 @@ def test_photon_conservation_and_count_ordering():
         assert leg.twofold_ab <= min(leg.singles_a, leg.singles_b)
 
 
-def test_monitor_counts_partner_photons():
-    sc = replace(bench_scenario(0.05, 0.02), monitor_enabled=True)
-    report = run(sc, 200_000, seed=9)
-    assert report.dip.singles_monitor > 0
-    # Partner photons join the conservation ledger.
-    total = report.dip.lost + report.dip.undetected + report.dip.detected
-    assert report.dip.generated == pytest.approx(total, rel=1e-12)
-
-
 def test_gating_fraction():
     sc = bench_scenario(0.01, 0.01, gate_rate_hz=600e3)
     sc = replace(sc, pump_repetition_rate_hz=76e6)
@@ -246,6 +237,18 @@ def test_worker_count_does_not_change_tallies():
     serial = run(sc, n, seed=33, workers=1)
     parallel = run(sc, n, seed=33, workers=2)
     assert serial == parallel
+
+
+def test_detector_monitor_does_not_change_the_law():
+    # `Scenario.detector_monitor` is accepted for compatibility and has no effect.
+    sc = bench_scenario(0.05, 0.02, dark_per_ns=1e-4)
+    other = replace(sc, detector_monitor=DetectorModel(efficiency=0.3, dark_prob_per_ns=1e-3))
+    params, params_other = compile_scenario(sc), compile_scenario(other)
+    for f in fields(params):
+        assert np.array_equal(getattr(params, f.name), getattr(params_other, f.name)), f.name
+    for overlap in (0.0, params.overlap_at(params.delay_mm), 1.0):
+        assert np.array_equal(joint_law(params, overlap), joint_law(params_other, overlap))
+    assert run(sc, 200_000, seed=33) == run(other, 200_000, seed=33)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,6 @@ suite stays fast and gives the same result on every run.
 import math
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -69,22 +68,15 @@ def test_visibility_monotone_in_herald_efficiency(mean_a, mean_b, etas):
     dark_per_ns=st.sampled_from([0.0, 1e-5, 1e-3]),
     alice_db=st.floats(0.0, 10.0),
     delay_mm=st.floats(-10.0, 10.0),
-    monitor=st.booleans(),
 )
-def test_joint_law_normalised_and_counts_ordered(
-    mean_a, mean_b, eta, dark_per_ns, alice_db, delay_mm, monitor
-):
-    sc = replace(
-        bench_scenario(mean_a, mean_b, eta, dark_per_ns, alice_db=alice_db, delay_mm=delay_mm),
-        monitor_enabled=monitor,
-    )
+def test_joint_law_normalised_and_counts_ordered(mean_a, mean_b, eta, dark_per_ns, alice_db, delay_mm):
+    sc = bench_scenario(mean_a, mean_b, eta, dark_per_ns, alice_db=alice_db, delay_mm=delay_mm)
     params = compile_scenario(sc)
     law = joint_law(params, params.overlap_at(params.delay_mm))
     assert law.min() >= 0.0
     assert math.isclose(law.sum(), 1.0, rel_tol=0.0, abs_tol=1e-12)
-    abc = law.sum(axis=3) if monitor else law
-    p_a, p_b, p_c = abc[1].sum(), abc[:, 1].sum(), abc[:, :, 1].sum()
-    p_ab, p_abc = abc[1, 1].sum(), abc[1, 1, 1]
+    p_a, p_b, p_c = law[1].sum(), law[:, 1].sum(), law[:, :, 1].sum()
+    p_ab, p_abc = law[1, 1].sum(), law[1, 1, 1]
     assert p_abc <= min(p_ab, p_c)
     assert p_ab <= min(p_a, p_b)
     # The expected photon ledger balances.
