@@ -152,25 +152,20 @@ def _cmd_visibility_map(args) -> int:
     return 0
 
 
-def _warn_unresolved(scenario, pulses: int) -> None:
-    from .montecarlo import resolution_warning
-
-    warning = resolution_warning(scenario, pulses)
-    if warning is not None:
-        print(warning, file=sys.stderr)
-
-
 def _cmd_hom_dip(args) -> int:
-    from .montecarlo import scan_dip
+    from .montecarlo import ScanSpanError, scan_dip
 
     cfg = _load(args)
     scenario = cfg.to_scenario()
     positions = _linspace(
         cfg.dip_scan_min_mm, cfg.dip_scan_max_mm, _grid_points(cfg, "dip_scan_points", 3)
     )
-    result = scan_dip(scenario, positions, args.pulses, seed=args.seed)
-    if args.pulses > 0:
-        _warn_unresolved(scenario, args.pulses)
+    try:
+        result = scan_dip(scenario, positions, args.pulses, seed=args.seed)
+    except ScanSpanError as exc:
+        raise ConfigurationError(f"dip_scan_min_mm and dip_scan_max_mm are too close: {exc}") from None
+    if result.resolution_warning is not None:
+        print(result.resolution_warning, file=sys.stderr)
     rows = list(zip(result.positions_mm, result.rates, result.errors))
     _emit(args, _table_csv(["position_mm", "threefold_rate", "error"], rows))
     if result.fit is not None:
@@ -238,10 +233,10 @@ def _report_rows(report: CountsReport, net: NetRates) -> list[tuple[str, object]
         ("singles_c", d.singles_c),
         ("twofold_ab", d.twofold_ab),
         ("threefold_abc", d.threefold_abc),
-        ("photons_generated", d.generated),
-        ("photons_lost", d.lost),
-        ("photons_undetected_at_detector", d.undetected),
-        ("photons_detected", d.detected),
+        ("photons_generated", report.ledger.generated),
+        ("photons_lost", report.ledger.lost),
+        ("photons_undetected_at_detector", report.ledger.undetected),
+        ("photons_detected", report.ledger.detected),
         ("ref_gated_pulses", r.gated),
         ("ref_singles_a", r.singles_a),
         ("ref_singles_b", r.singles_b),
@@ -262,10 +257,9 @@ def _report_rows(report: CountsReport, net: NetRates) -> list[tuple[str, object]
 def _cmd_mc_run(args) -> int:
     from .montecarlo import run, subtract_accidentals
 
-    cfg = _load(args)
-    scenario = cfg.to_scenario()
-    report = run(scenario, args.pulses, seed=args.seed)
-    _warn_unresolved(scenario, args.pulses)
+    report = run(_load(args).to_scenario(), args.pulses, seed=args.seed)
+    if report.resolution_warning is not None:
+        print(report.resolution_warning, file=sys.stderr)
     net = subtract_accidentals(report)
     _emit(args, _fields_text(_report_rows(report, net)))
     return 0

@@ -65,22 +65,17 @@ def v_statistics(
     return (p_max - p_min) / p_max
 
 
-def visibility_map(
-    grid_na, grid_nb, herald: HeraldModel | None = None
-) -> list[tuple[float, float, float]]:
+def visibility_map(grid_na, grid_nb, herald: HeraldModel) -> list[tuple[float, float, float]]:
     """v_statistics over a (N_a, N_b) grid of thermal sources.
 
     Arm a is an unheralded thermal source; arm b is thermal, conditioned on
-    a herald click when a HeraldModel is given.  Rows are emitted in grid
-    order as (N_a, N_b, visibility).
+    a herald click.  Rows are emitted in grid order as (N_a, N_b, visibility).
     """
     grid_na = list(grid_na)
     grid_nb = list(grid_nb)
     if not grid_na or not grid_nb:
         raise ValueError("grids must be nonempty")
-    dists_b = [thermal(nb) for nb in grid_nb]
-    if herald is not None:
-        dists_b = [herald_condition(dist_b, herald) for dist_b in dists_b]
+    dists_b = [herald_condition(thermal(nb), herald) for nb in grid_nb]
     rows = []
     for na in grid_na:
         dist_a = thermal(na)

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .components import ChipLayout, DetectorModel
 
@@ -59,16 +59,13 @@ class LinkParams:
 
 @dataclass(frozen=True)
 class LinkModel:
-    """One link variant; relay_position None means optimize per distance."""
+    """One link variant; a relay sits where the SNR is highest, per distance."""
 
     variant: str = "direct"
-    relay_position: float | None = None
 
     def __post_init__(self) -> None:
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}; expected one of {VARIANTS}")
-        if self.relay_position is not None and not 0.0 < self.relay_position < 1.0:
-            raise ValueError(f"relay position must be in (0, 1), got {self.relay_position}")
 
 
 @dataclass(frozen=True)
@@ -179,10 +176,7 @@ def link_rates(model: LinkModel, params: LinkParams, distance_km: float) -> Link
         accidental = d
     else:
         probs = _relay_probs(model, params, distance_km)
-        position = model.relay_position
-        if position is None:
-            position = _best_position(probs) if distance_km > 0 else 0.5
-        signal, accidental = probs(position)
+        signal, accidental = probs(_best_position(probs) if distance_km > 0 else 0.5)
     return LinkRates(signal, accidental, (signal + accidental) / norm)
 
 
@@ -199,36 +193,41 @@ def _below_snr_unity(model: LinkModel, params: LinkParams, distance_km: float) -
     return rates.signal_prob < rates.accidental_prob
 
 
+def _midpoint_below_snr_unity(model: LinkModel, params: LinkParams, distance_km: float) -> bool:
+    signal, accidental = _relay_probs(model, params, distance_km)(0.5)
+    return signal < accidental
+
+
 def max_distance(model: LinkModel, params: LinkParams) -> MaxDistanceResult:
     """Smallest distance where the signal falls below the accidentals, bisected to 0.1 km.
 
-    The relay position is optimized per distance unless the model fixes it;
-    for relay variants the symmetric-midpoint result is also computed.  If
-    the SNR stays above unity within 10^4 km the reach is unbounded: distance_km
-    is inf, with no midpoint reach.
+    The relay position is optimized per distance; for relay variants the
+    reach with the relay fixed at the midpoint is also computed.  If the SNR
+    stays above unity within 10^4 km the reach is unbounded: distance_km is
+    inf, with no midpoint reach.
     """
 
-    def solve(m: LinkModel) -> float | None:
-        if not _below_snr_unity(m, params, MAX_SEARCH_KM):
+    def solve(below: Callable[[LinkModel, LinkParams, float], bool]) -> float | None:
+        if not below(model, params, MAX_SEARCH_KM):
             return None
-        if _below_snr_unity(m, params, 0.0):
+        if below(model, params, 0.0):
             return 0.0
         lo, hi = 0.0, MAX_SEARCH_KM
         while hi - lo > 0.1:
             mid = (lo + hi) / 2.0
-            if _below_snr_unity(m, params, mid):
+            if below(model, params, mid):
                 hi = mid
             else:
                 lo = mid
         return (lo + hi) / 2.0
 
-    dist = solve(model)
+    dist = solve(_below_snr_unity)
     if dist is None:
         return MaxDistanceResult(math.inf, None)
 
     midpoint = None
     if model.variant != "direct":
-        midpoint = solve(replace(model, relay_position=0.5))
+        midpoint = solve(_midpoint_below_snr_unity)
     return MaxDistanceResult(dist, midpoint)
 
 

@@ -13,8 +13,9 @@ gives that pattern's exact law, truncated at the pair cutoff.  A leg of n
 pulses is then exactly Binomial(n, p_gate) gated pulses split over the 8
 click cells by one multinomial draw, so its cost does not depend on n.
 Each leg draws from a numpy Generator seeded with `derive_key(seed, leg)`.
-The photon ledger is not a function of the click pattern; it holds expected
-flows, gated pulses times the per-gate expectation.
+The photon ledger is not a function of the click pattern; `run` computes it
+once, for the dip leg: expected flows, its gated pulses times the per-gate
+expectation.
 
 `CounterRng` is a stateless counter hash: pulse i, draw slot j reads a
 64-bit hash of (stream key, i * SLOTS + j), so a per-pulse sampler drawing
@@ -407,12 +408,7 @@ def _ledger_per_gate(params: SimParams) -> tuple[float, float, float, float]:
 
 @dataclass(frozen=True)
 class Tally:
-    """One leg's counts over its gated pulses, and its expected photon ledger.
-
-    The click counters are sampled integers.  generated, lost, undetected and
-    detected are expected photon flows (gated pulses times the per-gate
-    expectation), so they balance to float precision.
-    """
+    """One leg's click counts over its gated pulses."""
 
     gated: int
     singles_a: int
@@ -420,28 +416,25 @@ class Tally:
     singles_c: int
     twofold_ab: int
     threefold_abc: int
+
+
+@dataclass(frozen=True)
+class PhotonLedger:
+    """Expected photon flows of a run's dip leg; they balance to float precision."""
+
     generated: float
     lost: float
     undetected: float
     detected: float
 
 
-def _sample_leg(params: SimParams, n_pulses: int, key: int, overlap: float) -> Tally:
-    """Draw one leg's gated pulses and their click-pattern counts."""
-    law = joint_law(params, overlap)
+def _sample_leg(params: SimParams, n_pulses: int, key: int, law: np.ndarray) -> Tally:
+    """Draw one leg's gated pulses and their click-pattern counts from its joint law."""
     rng = np.random.default_rng(key)
     gated = int(rng.binomial(n_pulses, params.p_gate))
     cells = rng.multinomial(gated, law.ravel()).reshape(law.shape)
-    ledger = _ledger_per_gate(params)
-    return Tally(
-        gated,
-        int(cells[1].sum()),
-        int(cells[:, 1].sum()),
-        int(cells[:, :, 1].sum()),
-        int(cells[1, 1].sum()),
-        int(cells[1, 1, 1].sum()),
-        *(gated * flow for flow in ledger),
-    )
+    counts = (cells[1], cells[:, 1], cells[:, :, 1], cells[1, 1], cells[1, 1, 1])  # A, B, C, AB, ABC
+    return Tally(gated, *(int(c.sum()) for c in counts))
 
 
 # ---------------------------------------------------------------------------
@@ -457,9 +450,11 @@ class CountsReport:
     delay_mm: float
     dip: Tally
     ref: Tally
+    ledger: PhotonLedger  # the dip leg's
     dark_a: float
     dark_b: float
     dark_c: float
+    resolution_warning: str | None  # None when the pulse count resolves the dip
 
     raw_visibility = property(lambda self: _raw_visibility(self, "threefold_abc")[0])
     raw_visibility_err = property(lambda self: _raw_visibility(self, "threefold_abc")[1])
@@ -554,16 +549,20 @@ def run(scenario: Scenario, n_pulses: int, seed: int = 1, workers: int = 1) -> C
     if not 1 <= n_pulses <= MAX_PULSES:
         raise ValueError(f"n_pulses must be in [1, {MAX_PULSES}], got {n_pulses}")
     params = compile_scenario(scenario)
-    overlap = params.overlap_at(params.delay_mm)
+    dip_law = joint_law(params, params.overlap_at(params.delay_mm))
+    ref_law = joint_law(params, 0.0)
+    dip = _sample_leg(params, n_pulses, derive_key(seed, "dip"), dip_law)
     return CountsReport(
         pulses_simulated=n_pulses,
         seed=seed,
         delay_mm=scenario.delay_mm,
-        dip=_sample_leg(params, n_pulses, derive_key(seed, "dip"), overlap),
-        ref=_sample_leg(params, n_pulses, derive_key(seed, "ref"), 0.0),
+        dip=dip,
+        ref=_sample_leg(params, n_pulses, derive_key(seed, "ref"), ref_law),
+        ledger=PhotonLedger(*(dip.gated * flow for flow in _ledger_per_gate(params))),
         dark_a=params.dark_a,
         dark_b=params.dark_b,
         dark_c=params.dark_c,
+        resolution_warning=_resolution_warning(params, n_pulses, dip_law[1, 1, 1], ref_law[1, 1, 1]),
     )
 
 
@@ -571,18 +570,17 @@ TARGET_SIGMA_V = 0.05
 RESOLVABLE_REF_TRIPLES = 10.0
 
 
-def resolution_warning(scenario: Scenario, n_pulses: int) -> str | None:
+def _resolution_warning(params: SimParams, n_pulses: int, p_dip: float, p_ref: float) -> str | None:
     """A one-line warning when n_pulses per leg cannot resolve the dip, else None.
 
-    The reference leg is expected to hold n_pulses * p_gate * P[ABC]
-    three-folds.  Below RESOLVABLE_REF_TRIPLES the warning names the pulse
-    count that gives a raw-visibility sigma of TARGET_SIGMA_V,
-    r sqrt(1/c_dip + 1/c_ref) with r = P_dip / P_ref, and at least
-    RESOLVABLE_REF_TRIPLES reference three-folds (a full dip has sigma 0).
+    p_dip and p_ref are the per-gate three-fold probabilities at the scenario
+    delay and at far delay.  The reference leg is expected to hold
+    n_pulses * p_gate * p_ref three-folds.  Below RESOLVABLE_REF_TRIPLES the
+    warning names the pulse count that gives a raw-visibility sigma of
+    TARGET_SIGMA_V, r sqrt(1/c_dip + 1/c_ref) with r = p_dip / p_ref, and at
+    least RESOLVABLE_REF_TRIPLES reference three-folds (a full dip has sigma 0).
     """
-    params = compile_scenario(scenario)
-    p_dip = float(joint_law(params, params.overlap_at(params.delay_mm))[1, 1, 1].sum())
-    p_ref = float(joint_law(params, 0.0)[1, 1, 1].sum())
+    p_dip, p_ref = float(p_dip), float(p_ref)
     ref_triples = n_pulses * params.p_gate * p_ref
     if ref_triples >= RESOLVABLE_REF_TRIPLES:
         return None
@@ -717,6 +715,10 @@ def analytic_visibility(scenario: Scenario) -> float:
 # Dip scan
 # ---------------------------------------------------------------------------
 
+class ScanSpanError(ValueError):
+    """Raised when scan positions do not span more than twice the expected dip width."""
+
+
 @dataclass(frozen=True)
 class DipScanResult:
     """Per-position three-fold rates with a gaussian fit of the dip."""
@@ -726,6 +728,7 @@ class DipScanResult:
     errors: tuple[float, ...]
     fit: DipFit | None
     fit_failed: str | None
+    resolution_warning: str | None  # as in CountsReport; None in analytic mode
 
 
 def scan_dip(
@@ -739,9 +742,10 @@ def scan_dip(
     With n_pulses_per_point = 0 the scan is analytic: expected rates are
     evaluated exactly at each position instead of sampling pulses.
     Requires at least 3 positions spanning more than twice the expected dip
-    width.  A fit that fails (no convergence, no positive rate, or a
-    baseline that is not positive) is reported in fit_failed, with the raw
-    samples preserved.
+    width (ScanSpanError otherwise).  A fit that fails (no convergence, no
+    positive rate, or a baseline that is not positive) is reported in
+    fit_failed, with the raw samples preserved.  A Monte Carlo scan also
+    checks, as `run` does, whether n_pulses_per_point resolves the dip.
     """
     if not 0 <= n_pulses_per_point <= MAX_PULSES:
         raise ValueError(f"n_pulses_per_point must be in [0, {MAX_PULSES}], got {n_pulses_per_point}")
@@ -751,7 +755,7 @@ def scan_dip(
     params = compile_scenario(scenario)
     span = max(positions) - min(positions)
     if not span > 2.0 * params.fwhm_mm:
-        raise ValueError(
+        raise ScanSpanError(
             f"scan span {span:.3f} mm must exceed twice the expected width "
             f"({2 * params.fwhm_mm:.3f} mm)"
         )
@@ -764,7 +768,8 @@ def scan_dip(
             rates.append(_expected_rates(params, overlap).p_threefold_abc)
             errors.append(0.0)
         else:
-            tally = _sample_leg(params, n_pulses_per_point, derive_key(seed, "scan", i), overlap)
+            key = derive_key(seed, "scan", i)
+            tally = _sample_leg(params, n_pulses_per_point, key, joint_law(params, overlap))
             if tally.gated == 0:
                 rates.append(0.0)
                 errors.append(0.0)
@@ -779,4 +784,8 @@ def scan_dip(
     except FitFailureError as exc:
         fit = None
         failed = str(exc)
-    return DipScanResult(tuple(positions), tuple(rates), tuple(errors), fit, failed)
+    warning = None
+    if n_pulses_per_point > 0:
+        p_dip = joint_law(params, params.overlap_at(params.delay_mm))[1, 1, 1]
+        warning = _resolution_warning(params, n_pulses_per_point, p_dip, joint_law(params, 0.0)[1, 1, 1])
+    return DipScanResult(tuple(positions), tuple(rates), tuple(errors), fit, failed, warning)

@@ -3,9 +3,10 @@
 An independent implementation of `relaysim.linkbudget.link_rates`: every
 call to `relay_probs` recomputes the whole rate model, detector and chip
 terms included, from the parameters and the relay position, and
-`best_position` runs the same 80-step golden-section search over it.  The
+`best_position` runs the same 80-step golden-section search over it, and
+`midpoint_reach` bisects the reach with the relay at the midpoint.  The
 arithmetic is evaluated in the order the model's docstring states it, so
-`link_rates` must match it exactly, not within a tolerance.
+`link_rates` and `max_distance` must match it exactly, not within a tolerance.
 """
 
 from __future__ import annotations
@@ -97,8 +98,30 @@ def reference_rates(
         )
         accidental = d
     else:
-        position = model.relay_position
-        if position is None:
-            position = best_position(model, params, distance_km)
+        position = best_position(model, params, distance_km)
         signal, accidental = relay_probs(model, params, distance_km, position)
     return signal, accidental, (signal + accidental) / norm
+
+
+def midpoint_reach(model: LinkModel, params: LinkParams) -> float | None:
+    """Distance where a relay at the midpoint falls below SNR unity, bisected to 0.1 km.
+
+    None when its SNR stays above unity within 10^4 km.
+    """
+
+    def below(distance_km: float) -> bool:
+        signal, accidental = relay_probs(model, params, distance_km, 0.5)
+        return signal < accidental
+
+    if not below(1e4):
+        return None
+    if below(0.0):
+        return 0.0
+    lo, hi = 0.0, 1e4
+    while hi - lo > 0.1:
+        mid = (lo + hi) / 2.0
+        if below(mid):
+            hi = mid
+        else:
+            lo = mid
+    return (lo + hi) / 2.0

@@ -540,6 +540,13 @@ _NAMED_INPUT_ERRORS = [
     ("hom-dip", "dip_fwhm_time_ps", "1e-320", "must be > 0, got 1e-320"),
     # "need at least 3 scan positions" named no key.
     ("hom-dip", "dip_scan_points", "2", "must be >= 3, got 2"),
+    # "scan span 1.000 mm must exceed twice the expected width" named no key.
+    (
+        "hom-dip",
+        "dip_scan_min_mm,dip_scan_max_mm",
+        "0,1",
+        "are too close: scan span 1.000 mm must exceed twice the expected width (10.323 mm)",
+    ),
     # Built a list of 2e11 distances until a MemoryError.
     (
         "keyrate-sweep",
@@ -557,12 +564,15 @@ _NAMED_INPUT_ERRORS = [
     ids=[f"{command}-{key}-{literal}" for command, key, literal, _ in _NAMED_INPUT_ERRORS],
 )
 def test_cli_names_the_input_it_rejects(tmp_path, capsys, command, key, literal, message):
+    # key and literal may list several keys and their values, comma-separated.
+    keys = key.split(",")
     path = tmp_path / "bad.json"
-    path.write_text(f'{{"{key}": {literal}}}', encoding="utf-8")
+    body = ", ".join(f'"{k}": {v}' for k, v in zip(keys, literal.split(",")))
+    path.write_text(f"{{{body}}}", encoding="utf-8")
     assert run_cli(command, "--config", str(path)) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == f"error: ConfigurationError: {key} {message}\n"
+    assert captured.err == f"error: ConfigurationError: {' and '.join(keys)} {message}\n"
 
 
 # Flags a subcommand does not take: --pulses and --workers where no pulse is

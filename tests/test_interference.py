@@ -94,13 +94,6 @@ def test_visibility_in_unit_interval_and_product_bound():
         assert 0.0 <= v_s <= 1.0
 
 
-def test_visibility_map_thermal_diagonal():
-    grid = [0.005, 0.02, 0.05]
-    rows = visibility_map(grid, grid, herald=None)
-    diag = [v for na, nb, v in rows if na == nb]
-    assert all(abs(v - 1.0 / 3.0) < 1e-10 for v in diag)
-
-
 def test_visibility_map_operating_point_low_eta():
     rows = visibility_map([0.05], [0.02], HeraldModel(None, 0.0))
     assert rows[0][2] == pytest.approx(V_LOW_ETA, abs=1e-3)
@@ -115,7 +108,7 @@ def test_visibility_map_monotone_in_nb():
 
 def test_visibility_map_rejects_empty_grid():
     with pytest.raises(ValueError):
-        visibility_map([], [0.01], None)
+        visibility_map([], [0.01], HeraldModel(None, 0.0))
 
 
 # ---------------------------------------------------------------------------

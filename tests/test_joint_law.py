@@ -105,9 +105,9 @@ def test_pulse_reference_matches_joint_law():
     assert 3.0 / math.sqrt(mu) <= 0.047
     assert chi_square_p(table, law) >= ALPHA
 
-    leg = run(sc, REFERENCE_PULSES).dip
+    report = run(sc, REFERENCE_PULSES)
     for name in LEDGER:
-        expected = getattr(leg, name) / leg.gated
+        expected = getattr(report.ledger, name) / report.dip.gated
         total, squares = moments[name]
         mean = total / REFERENCE_PULSES
         sigma = math.sqrt((squares / REFERENCE_PULSES - mean * mean) / REFERENCE_PULSES)

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from linkbudget_reference import reference_rates
+from linkbudget_reference import midpoint_reach, reference_rates
 from relaysim.components import ChipLayout, DetectorModel
 from relaysim.linkbudget import (
     VARIANTS,
@@ -92,11 +92,26 @@ def test_optimized_position_beats_midpoint():
     assert res.distance_km >= res.midpoint_distance_km - 0.2
 
 
-def test_fixed_relay_position_respected():
-    params = reference_params(9.0)
-    fixed = max_distance(LinkModel("folded_relay", relay_position=0.5), params)
-    optimized = max_distance(LinkModel("folded_relay"), params)
-    assert fixed.distance_km == optimized.midpoint_distance_km
+@pytest.mark.parametrize(
+    "variant,chip_db,dark_per_ns",
+    [
+        ("standard_relay", 9.0, 1e-6),
+        ("folded_relay", 0.0, 1e-6),
+        ("folded_relay", 9.0, 1e-6),
+        ("folded_relay", 20.0, 1e-5),
+        ("folded_relay_lossless", 9.0, 1e-7),
+    ],
+)
+def test_midpoint_reach_equals_reference(variant, chip_db, dark_per_ns):
+    # Exact: the reference recomputes the rates at position 0.5 per distance.
+    params = LinkParams(
+        detector=DetectorModel(efficiency=0.1, dark_prob_per_ns=dark_per_ns, gate_window_ns=1.0),
+        layout=ChipLayout(measured_insertion_db=chip_db),
+    )
+    model = LinkModel(variant)
+    midpoint = max_distance(model, params).midpoint_distance_km
+    assert midpoint is not None
+    assert midpoint == midpoint_reach(model, params)
 
 
 def test_lossless_variant_is_the_zero_db_chip():
@@ -121,7 +136,6 @@ def test_unbounded_distance_flagged():
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(
     variant=st.sampled_from(VARIANTS),
-    position=st.none() | st.floats(1e-3, 1.0 - 1e-3),
     distance_km=st.just(0.0) | st.floats(0.0, 1e4),
     fiber_db_per_km=st.floats(0.0, 1.0),
     efficiency=st.floats(1e-3, 1.0),
@@ -132,11 +146,11 @@ def test_unbounded_distance_flagged():
     chip_db=st.none() | st.floats(0.0, 20.0),
 )
 def test_link_rates_equal_reference(
-    variant, position, distance_km, fiber_db_per_km, efficiency, dark_per_ns, gate_ns, mu, nu, chip_db
+    variant, distance_km, fiber_db_per_km, efficiency, dark_per_ns, gate_ns, mu, nu, chip_db
 ):
-    # Fixed and optimized relay positions; the reference recomputes every term
-    # per position, so hoisting must not move a bit.
-    model = LinkModel(variant, position)
+    # The reference recomputes every term per relay position, so hoisting
+    # must not move a bit.
+    model = LinkModel(variant)
     params = LinkParams(
         fiber_loss_db_per_km=fiber_db_per_km,
         detector=DetectorModel(efficiency, dark_per_ns, gate_ns),
@@ -202,7 +216,5 @@ def test_zero_signal_normalization_rejected(variant, mu, efficiency):
 def test_model_and_params_validation():
     with pytest.raises(ValueError):
         LinkModel("quantum_carrier_pigeon")
-    with pytest.raises(ValueError):
-        LinkModel("folded_relay", relay_position=1.5)
     with pytest.raises(ValueError):
         LinkParams(fiber_loss_db_per_km=-0.1)

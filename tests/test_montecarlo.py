@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from helpers import bench_scenario, oracle_scenarios, single_photon_scenario
+from relaysim import montecarlo
+from relaysim.cli import main
 from relaysim.components import ConfigurationError, DetectorModel, FilterModel
 from relaysim.config import load_preset
 from relaysim.montecarlo import (
@@ -14,7 +16,6 @@ from relaysim.montecarlo import (
     derive_key,
     expected_rates,
     joint_law,
-    resolution_warning,
     run,
     scan_dip,
     subtract_accidentals,
@@ -61,9 +62,9 @@ def test_perfect_bunching_at_zero_delay():
     # Three photons per pulse (external + chip pair); the pair partner is
     # absorbed on the port-C arm, the two interfering photons are detected.
     # The ledger holds expected flows, exact here up to float rounding.
-    assert report.dip.generated == pytest.approx(3 * report.dip.gated, rel=1e-12)
-    assert report.dip.detected == pytest.approx(2 * report.dip.gated, rel=1e-12)
-    assert report.dip.lost == pytest.approx(report.dip.gated, rel=1e-12)
+    assert report.ledger.generated == pytest.approx(3 * report.dip.gated, rel=1e-12)
+    assert report.ledger.detected == pytest.approx(2 * report.dip.gated, rel=1e-12)
+    assert report.ledger.lost == pytest.approx(report.dip.gated, rel=1e-12)
 
 
 def test_distinguishable_photons_coincide_half_the_time():
@@ -200,9 +201,10 @@ def test_twofold_thermal_visibility_one_third():
 def test_photon_conservation_and_count_ordering():
     sc = bench_scenario(0.05, 0.02, dark_per_ns=1e-5)
     report = run(sc, 300_000, seed=7)
+    # The dip leg's ledger holds expected flows: conserved to float precision.
+    ledger = report.ledger
+    assert ledger.generated == pytest.approx(ledger.lost + ledger.undetected + ledger.detected, rel=1e-12)
     for leg in (report.dip, report.ref):
-        # The ledger holds expected flows: conserved to float precision.
-        assert leg.generated == pytest.approx(leg.lost + leg.undetected + leg.detected, rel=1e-12)
         assert leg.threefold_abc <= min(leg.twofold_ab, leg.singles_c)
         assert leg.twofold_ab <= min(leg.singles_a, leg.singles_b)
 
@@ -399,8 +401,40 @@ def test_pair_mass_above_cutoff_counts_at_cutoff():
 
 def test_resolution_warning():
     bright = bench_scenario(0.05, 0.02)
-    assert resolution_warning(bright, 1_000_000) is None
-    message = resolution_warning(bright, 100)
+    assert run(bright, 1_000_000).resolution_warning is None
+    message = run(bright, 100).resolution_warning
     assert message.startswith("warning: 100 pulses give ") and "needs about" in message
+    # A Monte Carlo scan checks the same two laws; an analytic one has nothing to resolve.
+    positions = [-30.0, 0.0, 30.0]
+    assert scan_dip(bright, positions, 100).resolution_warning == message
+    assert scan_dip(bright, positions, 0).resolution_warning is None
     # No herald photons and no darks: no pulse count gives a reference three-fold.
-    assert resolution_warning(single_photon_scenario(500.0), 10**12).endswith("probability is zero")
+    warning = run(single_photon_scenario(500.0), 10**12).resolution_warning
+    assert warning.endswith("probability is zero")
+
+
+_BUILDS = ("compile_scenario", "joint_law", "_ledger_per_gate")
+
+
+@pytest.mark.parametrize(
+    "argv,calls",
+    [
+        (["mc-run", "--preset", "paper-fig6", "--pulses", "300000"], (1, 2, 1)),
+        (["hom-dip", "--preset", "paper-fig6", "--pulses", "1000"], (1, 15, 0)),
+        (["hom-dip", "--pulses", "0"], (1, 0, 0)),
+    ],
+    ids=["mc-run", "hom-dip-mc", "hom-dip-analytic"],
+)
+def test_cli_builds_the_model_once(monkeypatch, capsys, argv, calls):
+    # The scenario is compiled once; the resolution check reads the laws the
+    # legs drew from (the scan builds its two), and only the dip leg has a ledger.
+    counts = dict.fromkeys(_BUILDS, 0)
+    for name in _BUILDS:
+        def counted(*args, _name=name, _original=getattr(montecarlo, name), **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(montecarlo, name, counted)
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert tuple(counts[name] for name in _BUILDS) == calls

@@ -80,8 +80,8 @@ def test_joint_law_normalised_and_counts_ordered(mean_a, mean_b, eta, dark_per_n
     assert p_abc <= min(p_ab, p_c)
     assert p_ab <= min(p_a, p_b)
     # The expected photon ledger balances.
-    leg = run(sc, 1000, seed=1).dip
-    assert leg.generated == pytest.approx(leg.lost + leg.undetected + leg.detected, rel=1e-12)
+    ledger = run(sc, 1000, seed=1).ledger
+    assert ledger.generated == pytest.approx(ledger.lost + ledger.undetected + ledger.detected, rel=1e-12)
 
 
 finite = st.floats(-1e6, 1e6)
