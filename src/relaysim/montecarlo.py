@@ -614,24 +614,58 @@ def expected_rates(scenario: Scenario, overlap: float | None = None) -> Expected
 
     This is the n -> infinity surrogate for the Monte Carlo engine: the same
     source statistics, routing rules, and detection model, summed over all
-    photon patterns instead of sampled.  overlap defaults to the scenario
-    delay's.
+    photon patterns instead of sampled.  overlap is the temporal overlap of
+    the interfering photons, in [0, 1] (ValueError otherwise); it defaults to
+    the scenario delay's.
     """
+    if overlap is not None and not 0.0 <= overlap <= 1.0:
+        raise ValueError(f"overlap must be in [0, 1], got {overlap}")
     params = compile_scenario(scenario)
-    return _expected_rates(params, params.overlap_at(params.delay_mm) if overlap is None else overlap)
+    if overlap is None:
+        overlap = params.overlap_at(params.delay_mm)
+    return _rates_at(_rate_table(params), overlap)
 
 
-def _expected_rates(params: SimParams, overlap: float) -> ExpectedRates:
-    """expected_rates of a compiled scenario at one temporal overlap."""
+@dataclass(frozen=True)
+class _RateTable:
+    """The overlap-free part of the enumeration of one compiled scenario.
+
+    terms holds, for each (k_a, k_b) photon pattern in summation order, its
+    contributions to the A, B, AB and ABC sums: the pattern's weight times
+    its click probabilities.  The one-plus-one pattern, the only one whose
+    clicks depend on the overlap, is None there; weights_11 holds its two
+    weights, P(k_a=1) P(k_b=1) and P(k_a=1) P(k_b=1, herald click).
+    """
+
+    p_single_c: float
+    cross: float
+    click_a: list[float]  # P[click A] at 0, 1 and 2 photons, darks included
+    click_b: list[float]
+    weights_11: tuple[float, float]
+    terms: list[list[float] | None]
+
+
+def _rate_table(params: SimParams) -> _RateTable:
+    """Every photon pattern's overlap-free terms of expected_rates.
+
+    A pattern (k_a, k_b) sums its click probabilities over C2's routings, x
+    of the k_a photons crossing to output B and y of the k_b photons to A, in
+    (x, y) order.  All patterns take the routing steps together, one numpy
+    add per step; a routing that a pattern does not have weighs exactly 0.0,
+    and adding it leaves the pattern's sums, which are >= 0, unchanged.  Each
+    sum therefore adds the same terms, in the same order, as the
+    pattern-by-pattern loop of tests/enumeration_reference.py, and is
+    bit-identical to it.
+    """
     # Photons from the external source at C2 input a: binomial thinning.
-    pk_a = np.asarray(apply_loss(PhotonNumberDistribution(tuple(params.pmf_a)), params.q_a).pmf)
+    pk_a = apply_loss(PhotonNumberDistribution(tuple(params.pmf_a.tolist())), params.q_a).pmf
 
     # Joint law of (photons at C2 input b, herald click), correlated through
     # the chip pair number n.
     h_det = params.p_c_arrive * params.eta_c
-    pk_b_herald = np.zeros(params.pmf_b.shape[0])
-    pk_b = np.zeros(params.pmf_b.shape[0])
-    for n, pn in enumerate(params.pmf_b):
+    pk_b_herald = [0.0] * params.pmf_b.shape[0]
+    pk_b = [0.0] * params.pmf_b.shape[0]
+    for n, pn in enumerate(params.pmf_b.tolist()):
         if pn == 0.0:
             continue
         p_click_c = 1.0 - (1.0 - h_det) ** n * (1.0 - params.dark_c)
@@ -639,58 +673,70 @@ def _expected_rates(params: SimParams, overlap: float) -> ExpectedRates:
             b = math.comb(n, k) * params.q_b**k * (1.0 - params.q_b) ** (n - k)
             pk_b[k] += pn * b
             pk_b_herald[k] += pn * b * p_click_c
-    p_single_c = float(pk_b_herald.sum())  # includes the dark contribution
+    p_single_c = float(np.array(pk_b_herald).sum())  # includes the dark contribution
 
-    p_det_a = params.s_post * params.eta_a
-    p_det_b = params.s_post * params.eta_b
+    cells = [
+        (ka, kb)
+        for ka, wa in enumerate(pk_a) if wa != 0.0
+        for kb, (wb, wh) in enumerate(zip(pk_b, pk_b_herald)) if wb != 0.0 or wh != 0.0
+    ]
+    ka, kb = np.array(cells).T
+
+    # route[k, x]: probability that x of k photons take C2's cross port.
     cross = params.cross2
     bar = 1.0 - cross
-    p_coinc = bar * bar + cross * cross - 2.0 * bar * cross * overlap
+    n = max(ka.max(), kb.max()) + 1
+    route = np.zeros((n, n))
+    for k in range(n):
+        for x in range(k + 1):
+            route[k, x] = math.comb(k, x) * cross**x * bar ** (k - x)
 
     max_m = 2 * params.cutoff + 1
-    click_a = _clicks(max_m - 1, p_det_a, params.dark_a)[:, 1]
-    click_b = _clicks(max_m - 1, p_det_b, params.dark_b)[:, 1]
+    click_a = _clicks(max_m - 1, params.s_post * params.eta_a, params.dark_a)[:, 1]
+    click_b = _clicks(max_m - 1, params.s_post * params.eta_b, params.dark_b)[:, 1]
 
-    def output_stats(ka: int, kb: int) -> tuple[float, float, float]:
-        """(P[click A], P[click B], P[click A and B]) for a coupler pattern."""
-        if ka == 1 and kb == 1:
-            p_bunch = (1.0 - p_coinc) / 2.0
-            pa = p_coinc * click_a[1] + p_bunch * (click_a[2] + click_a[0])
-            pb = p_coinc * click_b[1] + p_bunch * (click_b[2] + click_b[0])
-            pab = (
-                p_coinc * click_a[1] * click_b[1]
-                + p_bunch * (click_a[2] * click_b[0] + click_a[0] * click_b[2])
-            )
-            return pa, pb, pab
-        pa = pb = pab = 0.0
-        for x in range(ka + 1):          # a-photons crossing to output B
-            px = math.comb(ka, x) * cross**x * bar ** (ka - x)
-            for y in range(kb + 1):      # b-photons crossing to output A
-                py = math.comb(kb, y) * cross**y * bar ** (kb - y)
-                m_a = ka - x + y
-                m_b = x + kb - y
-                w = px * py
-                pa += w * click_a[m_a]
-                pb += w * click_b[m_b]
-                pab += w * click_a[m_a] * click_b[m_b]
-        return pa, pb, pab
+    # Routing (x, y) of every pattern leaves k_a - x + y photons at A and
+    # x + k_b - y at B; arrays are indexed [x, y, pattern].
+    x = np.arange(ka.max() + 1)[:, None, None]
+    y = np.arange(kb.max() + 1)[None, :, None]
+    w = route[ka, x] * route[kb, y]
+    ca = click_a[np.maximum(ka - x + y, 0)]
+    cb = click_b[np.maximum(x + kb - y, 0)]
+    wca = w * ca
+    stats = np.zeros((3, len(cells)))  # P[click A], P[click B], P[click A and B]
+    for step in np.stack([wca, w * cb, wca * cb], axis=2).reshape(-1, 3, len(cells)):
+        stats += step
+    pa, pb, pab = stats
+
+    wa = np.array(pk_a)[ka]
+    w_ab = wa * np.array(pk_b)[kb]
+    terms = np.stack([w_ab * pa, w_ab * pb, w_ab * pab, wa * np.array(pk_b_herald)[kb] * pab], axis=1)
+    terms = [None if cell == (1, 1) else t for cell, t in zip(cells, terms.tolist())]
+    weights_11 = (pk_a[1] * pk_b[1], pk_a[1] * pk_b_herald[1]) if None in terms else (0.0, 0.0)
+    return _RateTable(p_single_c, cross, click_a[:3].tolist(), click_b[:3].tolist(), weights_11, terms)
+
+
+def _rates_at(table: _RateTable, overlap: float) -> ExpectedRates:
+    """expected_rates of a compiled scenario's rate table at one temporal overlap."""
+    cross = table.cross
+    bar = 1.0 - cross
+    p_coinc = bar * bar + cross * cross - 2.0 * bar * cross * overlap
+    p_bunch = (1.0 - p_coinc) / 2.0
+    ca, cb = table.click_a, table.click_b
+    pa = p_coinc * ca[1] + p_bunch * (ca[2] + ca[0])
+    pb = p_coinc * cb[1] + p_bunch * (cb[2] + cb[0])
+    pab = p_coinc * ca[1] * cb[1] + p_bunch * (ca[2] * cb[0] + ca[0] * cb[2])
+    w, wh = table.weights_11
+    one_plus_one = (w * pa, w * pb, w * pab, wh * pab)
 
     p_single_a = p_single_b = p_two = p_three = 0.0
-    for ka in range(pk_a.shape[0]):
-        if pk_a[ka] == 0.0:
-            continue
-        for kb in range(pk_b.shape[0]):
-            if pk_b[kb] == 0.0 and pk_b_herald[kb] == 0.0:
-                continue
-            pa, pb, pab = output_stats(ka, kb)
-            p_single_a += pk_a[ka] * pk_b[kb] * pa
-            p_single_b += pk_a[ka] * pk_b[kb] * pb
-            p_two += pk_a[ka] * pk_b[kb] * pab
-            p_three += pk_a[ka] * pk_b_herald[kb] * pab
-
-    return ExpectedRates(
-        float(p_single_a), float(p_single_b), float(p_single_c), float(p_two), float(p_three)
-    )
+    for term in table.terms:
+        ta, tb, t2, t3 = one_plus_one if term is None else term
+        p_single_a += ta
+        p_single_b += tb
+        p_two += t2
+        p_three += t3
+    return ExpectedRates(p_single_a, p_single_b, table.p_single_c, p_two, p_three)
 
 
 def analytic_visibility(scenario: Scenario) -> float:
@@ -752,6 +798,9 @@ def scan_dip(
     positions = [float(x) for x in positions_mm]
     if len(positions) < 3:
         raise ValueError("need at least 3 scan positions")
+    non_finite = [x for x in positions if not math.isfinite(x)]
+    if non_finite:
+        raise ValueError(f"scan positions must be finite, got {non_finite[0]}")
     params = compile_scenario(scenario)
     span = max(positions) - min(positions)
     if not span > 2.0 * params.fwhm_mm:
@@ -760,12 +809,13 @@ def scan_dip(
             f"({2 * params.fwhm_mm:.3f} mm)"
         )
 
+    table = _rate_table(params) if n_pulses_per_point == 0 else None
     rates: list[float] = []
     errors: list[float] = []
     for i, pos in enumerate(positions):
         overlap = params.overlap_at(pos)
-        if n_pulses_per_point == 0:
-            rates.append(_expected_rates(params, overlap).p_threefold_abc)
+        if table is not None:
+            rates.append(_rates_at(table, overlap).p_threefold_abc)
             errors.append(0.0)
         else:
             key = derive_key(seed, "scan", i)

@@ -375,7 +375,7 @@ _NAN_GUARDS = {
     "compile_scenario.pump_duration_ps": (_scenario_with(pump_duration_ps=NAN), "pump duration"),
     "compile_scenario.alice_arm_loss_db": (_scenario_with(alice_arm_loss_db=NAN), "arm losses"),
     "compile_scenario.dip_fwhm_time_ps": (_scenario_with(dip_fwhm_time_ps=NAN), "dip_fwhm_time_ps"),
-    "scan_dip.positions_mm": (lambda: scan_dip(Scenario(), [NAN, 0.0, 9.0], 0), "scan span"),
+    "scan_dip.positions_mm": (lambda: scan_dip(Scenario(), [NAN, 0.0, 9.0], 0), "must be finite"),
 }
 
 

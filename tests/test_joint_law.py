@@ -2,7 +2,9 @@
 
 Deterministically against the truncated enumeration `expected_rates`, and
 statistically against the pulse-by-pulse reference sampler in
-`pulse_reference`, which draws every photon from `CounterRng`.
+`pulse_reference`, which draws every photon from `CounterRng`.  The
+enumeration itself is held bit-equal to the cell-by-cell reference in
+`enumeration_reference`.
 """
 
 import math
@@ -12,10 +14,11 @@ import numpy as np
 import pytest
 from scipy.stats import chi2
 
+from enumeration_reference import reference_rates
 from helpers import bench_scenario, oracle_scenarios, single_photon_scenario
 from pulse_reference import LEDGER, click_table
 from relaysim.config import load_preset
-from relaysim.montecarlo import compile_scenario, derive_key, expected_rates, joint_law, run
+from relaysim.montecarlo import compile_scenario, derive_key, expected_rates, joint_law, run, scan_dip
 from relaysim.photostats import custom
 
 # A correct sampler fails a chi-square check at this p-value once in 1000 seeds.
@@ -64,6 +67,34 @@ def test_law_marginals_match_enumeration(name, scenario, overlap):
         (law[1, 1, 1], exact.p_threefold_abc),
     ):
         assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+# ---------------------------------------------------------------------------
+# The enumeration against its cell-by-cell reference
+# ---------------------------------------------------------------------------
+
+# None is the scenario delay's overlap; 1e-300 is nonzero but below the
+# rounding of the one-plus-one coincidence probability.
+OVERLAPS = [None, 0.0, 0.37, 1.0, 0.999999, 1e-300]
+
+
+@pytest.mark.parametrize("overlap", OVERLAPS)
+@pytest.mark.parametrize("name,scenario", law_cases())
+def test_enumeration_matches_reference_bit_for_bit(name, scenario, overlap):
+    params = compile_scenario(scenario)
+    at = params.overlap_at(params.delay_mm) if overlap is None else overlap
+    assert expected_rates(scenario, overlap=overlap) == reference_rates(params, at)
+
+
+def test_analytic_scan_matches_reference_bit_for_bit():
+    cfg = load_preset("paper-fig6")
+    sc = cfg.to_scenario()
+    params = compile_scenario(sc)
+    positions = np.linspace(cfg.dip_scan_min_mm, cfg.dip_scan_max_mm, cfg.dip_scan_points)
+    assert len(positions) == 13
+    result = scan_dip(sc, positions, 0)
+    for pos, rate in zip(positions, result.rates):
+        assert rate == reference_rates(params, params.overlap_at(float(pos))).p_threefold_abc
 
 
 # ---------------------------------------------------------------------------

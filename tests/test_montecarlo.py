@@ -338,6 +338,28 @@ def test_scan_preconditions():
         scan_dip(sc, [-1.0, 0.0, 1.0], 0)  # span below twice the dip width
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("n_pulses", [0, 1000], ids=["analytic", "mc"])
+def test_scan_rejects_non_finite_positions(bad, n_pulses):
+    # A non-finite position has no rate to fit; it is rejected, not scanned.
+    sc = load_preset("paper-fig6").to_scenario()
+    with pytest.raises(ValueError, match="finite"):
+        scan_dip(sc, [-30.0, bad, 0.0, 30.0, 10.0], n_pulses)
+
+
+@pytest.mark.parametrize("overlap", [float("nan"), -0.5, 1.5, 2.0])
+def test_expected_rates_rejects_overlap_outside_unit_interval(overlap):
+    # At overlap 2.0 the three-fold probability would come out negative.
+    with pytest.raises(ValueError, match="overlap"):
+        expected_rates(load_preset("paper-fig6").to_scenario(), overlap=overlap)
+
+
+@pytest.mark.parametrize("overlap", [0.0, 1.0])
+def test_expected_rates_accepts_unit_interval_ends(overlap):
+    rates = expected_rates(load_preset("paper-fig6").to_scenario(), overlap=overlap)
+    assert 0.0 < rates.p_threefold_abc < rates.p_twofold_ab
+
+
 # ---------------------------------------------------------------------------
 # Scenario validation
 # ---------------------------------------------------------------------------
@@ -413,21 +435,22 @@ def test_resolution_warning():
     assert warning.endswith("probability is zero")
 
 
-_BUILDS = ("compile_scenario", "joint_law", "_ledger_per_gate")
+_BUILDS = ("compile_scenario", "joint_law", "_ledger_per_gate", "_rate_table")
 
 
 @pytest.mark.parametrize(
     "argv,calls",
     [
-        (["mc-run", "--preset", "paper-fig6", "--pulses", "300000"], (1, 2, 1)),
-        (["hom-dip", "--preset", "paper-fig6", "--pulses", "1000"], (1, 15, 0)),
-        (["hom-dip", "--pulses", "0"], (1, 0, 0)),
+        (["mc-run", "--preset", "paper-fig6", "--pulses", "300000"], (1, 2, 1, 0)),
+        (["hom-dip", "--preset", "paper-fig6", "--pulses", "1000"], (1, 15, 0, 0)),
+        (["hom-dip", "--pulses", "0"], (1, 0, 0, 1)),
     ],
     ids=["mc-run", "hom-dip-mc", "hom-dip-analytic"],
 )
 def test_cli_builds_the_model_once(monkeypatch, capsys, argv, calls):
     # The scenario is compiled once; the resolution check reads the laws the
-    # legs drew from (the scan builds its two), and only the dip leg has a ledger.
+    # legs drew from (the scan builds its two), only the dip leg has a ledger,
+    # and an analytic scan builds one enumeration table for all its positions.
     counts = dict.fromkeys(_BUILDS, 0)
     for name in _BUILDS:
         def counted(*args, _name=name, _original=getattr(montecarlo, name), **kwargs):
