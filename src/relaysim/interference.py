@@ -134,9 +134,10 @@ def fit_dip(positions_mm, rates, errors=None, fwhm_guess_mm: float | None = None
     """Fit baseline, visibility, FWHM, and center of a gaussian dip to samples.
 
     errors, when given, are absolute 1-sigma rate uncertainties.  Raises
-    FitFailureError on non-convergence, when no rate is positive, or when
-    the fitted baseline is not positive; callers that must preserve raw
-    samples catch it and report the failure alongside the data.
+    FitFailureError on non-convergence, when no rate is positive, when every
+    rate is equal, or when the fitted baseline is not positive; callers that
+    must preserve raw samples catch it and report the failure alongside the
+    data.
     """
     import numpy as np
     from scipy.optimize import OptimizeWarning, curve_fit  # deferred: costs most of a cold hom-dip
@@ -147,6 +148,8 @@ def fit_dip(positions_mm, rates, errors=None, fwhm_guess_mm: float | None = None
         raise FitFailureError("need at least 4 samples to fit a 4-parameter dip")
     if not np.any(y > 0):
         raise FitFailureError("no positive rate to fit: every sampled rate is <= 0")
+    if np.all(y == y[0]):
+        raise FitFailureError("every rate is equal: no dip to fit")
     baseline0 = float(np.max(y))
     depth0 = 1.0 - float(np.min(y)) / baseline0 if baseline0 > 0 else 0.5
     depth0 = min(max(depth0, 1e-3), 1.0)

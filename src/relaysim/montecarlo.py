@@ -210,11 +210,25 @@ class SimParams:
 
 
 def _pair_distribution(
-    override: PhotonNumberDistribution | None, source: SpdcSource, cutoff: int
+    override: PhotonNumberDistribution | None, source: SpdcSource, name: str
 ) -> PhotonNumberDistribution:
+    """The override, else the source's thermal law over 0..MAX_PAIR_CUTOFF pairs.
+
+    compile_scenario folds it onto the scenario's cutoff.  A thermal law
+    that loses more than 1e-9 above MAX_PAIR_CUTOFF pairs (the normalisation
+    tolerance of PhotonNumberDistribution) raises ConfigurationError naming
+    the source.
+    """
     if override is not None:
         return override
-    return thermal(source.mean_pairs, cutoff)
+    mean = source.mean_pairs
+    lost = (mean / (1.0 + mean)) ** (MAX_PAIR_CUTOFF + 1)
+    if not lost <= 1e-9:
+        raise ConfigurationError(
+            f"{name} source: its thermal law at mean {mean!r} pairs per pulse puts {lost:.3g} "
+            f"of its mass above {MAX_PAIR_CUTOFF} pairs, more than 1e-09"
+        )
+    return thermal(mean, MAX_PAIR_CUTOFF)
 
 
 def _pair_pmf(pmf, cutoff: int) -> np.ndarray:
@@ -266,8 +280,8 @@ def compile_scenario(scenario: Scenario) -> SimParams:
         )
 
     cutoff = scenario.pair_number_cutoff
-    dist_a = _pair_distribution(scenario.external_distribution, scenario.external_source, cutoff)
-    dist_b = _pair_distribution(scenario.chip_distribution, scenario.chip_source, cutoff)
+    dist_a = _pair_distribution(scenario.external_distribution, scenario.external_source, "external")
+    dist_b = _pair_distribution(scenario.chip_distribution, scenario.chip_source, "chip")
     if dist_a.n_max > MAX_PAIR_CUTOFF or dist_b.n_max > MAX_PAIR_CUTOFF:
         raise ConfigurationError(f"pair distributions must be truncated at <= {MAX_PAIR_CUTOFF}")
 
@@ -315,27 +329,55 @@ def compile_scenario(scenario: Scenario) -> SimParams:
 # Joint click law and tallies
 # ---------------------------------------------------------------------------
 
-_COMB = np.array(
-    [[math.comb(n, k) for k in range(MAX_PAIR_CUTOFF + 1)] for n in range(MAX_PAIR_CUTOFF + 1)],
-    dtype=float,
-)
-
-
-def _binomial(n_max: int, p: float) -> np.ndarray:
-    """B[n, k]: probability that k of n photons survive, each with probability p."""
-    n, k = np.ogrid[: n_max + 1, : n_max + 1]
-    return _COMB[: n_max + 1, : n_max + 1] * p**k * (1.0 - p) ** np.maximum(n - k, 0)
-
-
 def _clicks(m_max: int, p_det: float, dark: float) -> np.ndarray:
     """P[no click, click] of a gated detector reached by m = 0..m_max photons."""
     quiet = (1.0 - p_det) ** np.arange(m_max + 1) * (1.0 - dark)
     return np.stack([quiet, 1.0 - quiet], axis=-1)
 
 
-def _source_weights(pmf: np.ndarray, survive: float, clicks: np.ndarray) -> np.ndarray:
-    """w[k, X] = sum_n P(n) Bin(k | n, survive) P(X | n), X the partner photons' click."""
-    return np.einsum("n,nk,nx->kx", pmf, _binomial(pmf.shape[0] - 1, survive), clicks)
+def _model_inputs(params: SimParams) -> tuple:
+    """The overlap-free inputs of both engines, `joint_law` and the enumeration.
+
+    Returns (pk_a, pk_b, pk_b_herald, pk_b_quiet, route, click_a, click_b):
+    the law of the photons at C2 input a; that of the photons at input b,
+    alone, with a herald click and with none; route[k, x], the probability
+    that x of k photons take C2's cross port; and the D_a and D_b `_clicks`
+    tables for 0 to 2 * cutoff photons.
+    """
+    # Photons from the external source at C2 input a: binomial thinning.
+    pk_a = apply_loss(PhotonNumberDistribution(tuple(params.pmf_a.tolist())), params.q_a).pmf
+
+    # Joint law of (photons at C2 input b, herald click), correlated through
+    # the chip pair number n.
+    h_det = params.p_c_arrive * params.eta_c
+    pk_b, pk_b_herald, pk_b_quiet = ([0.0] * params.pmf_b.shape[0] for _ in range(3))
+    for n, pn in enumerate(params.pmf_b.tolist()):
+        if pn == 0.0:
+            continue
+        quiet = (1.0 - h_det) ** n * (1.0 - params.dark_c)
+        for k in range(n + 1):
+            b = math.comb(n, k) * params.q_b**k * (1.0 - params.q_b) ** (n - k)
+            pk_b[k] += pn * b
+            pk_b_herald[k] += pn * b * (1.0 - quiet)
+            pk_b_quiet[k] += pn * b * quiet
+
+    cross = params.cross2
+    bar = 1.0 - cross
+    n = max(len(pk_a), len(pk_b))
+    route = np.zeros((n, n))
+    for k in range(n):
+        for x in range(k + 1):
+            route[k, x] = math.comb(k, x) * cross**x * bar ** (k - x)
+
+    click_a = _clicks(2 * params.cutoff, params.s_post * params.eta_a, params.dark_a)
+    click_b = _clicks(2 * params.cutoff, params.s_post * params.eta_b, params.dark_b)
+    return pk_a, pk_b, pk_b_herald, pk_b_quiet, route, click_a, click_b
+
+
+def _p_coinc(cross: float, overlap: float) -> float:
+    """P[one photon at each C2 output] when one photon enters each input."""
+    bar = 1.0 - cross
+    return bar * bar + cross * cross - 2.0 * bar * cross * overlap
 
 
 def joint_law(params: SimParams, overlap: float) -> np.ndarray:
@@ -347,34 +389,27 @@ def joint_law(params: SimParams, overlap: float) -> np.ndarray:
     independently by its cross ratio, except the one-plus-one pattern, which
     interferes at the given temporal overlap.
     """
-    pmf_a, pmf_b = params.pmf_a, params.pmf_b
-    i, j = pmf_a.shape[0], pmf_b.shape[0]
-    w_a = np.einsum("n,nk->k", pmf_a, _binomial(i - 1, params.q_a))
-    herald = _clicks(j - 1, params.p_c_arrive * params.eta_c, params.dark_c)
-    w_b = _source_weights(pmf_b, params.q_b, herald)
+    pk_a, pk_b, pk_b_herald, pk_b_quiet, route, click_a, click_b = _model_inputs(params)
+    i, j = len(pk_a), len(pk_b)
 
     # C2 routing table T[k_a, k_b, A, B]: x of the k_a photons cross to
     # output B, y of the k_b photons cross to output A.
-    m_max = max(i + j - 2, 2)
-    click_a = _clicks(m_max, params.s_post * params.eta_a, params.dark_a)
-    click_b = _clicks(m_max, params.s_post * params.eta_b, params.dark_b)
     k_a, x = np.ogrid[:i, :i]
     k_b, y = np.ogrid[:j, :j]
-    m_a = np.clip(k_a[:, :, None, None] - x[:, :, None, None] + y[None, None], 0, m_max)
-    m_b = np.clip(x[:, :, None, None] + k_b[None, None] - y[None, None], 0, m_max)
-    cross = params.cross2
+    m_a = np.maximum(k_a[:, :, None, None] - x[:, :, None, None] + y[None, None], 0)
+    m_b = np.maximum(x[:, :, None, None] + k_b[None, None] - y[None, None], 0)
     table = np.einsum(
         "ix,jy,ixjya,ixjyb->ijab",
-        _binomial(i - 1, cross), _binomial(j - 1, cross), click_a[m_a], click_b[m_b],
+        route[:i, :i], route[:j, :j], click_a[m_a], click_b[m_b],
         optimize=True,
     )
     if i > 1 and j > 1:
-        bar = 1.0 - cross
-        p_coinc = bar * bar + cross * cross - 2.0 * bar * cross * overlap
+        p_coinc = _p_coinc(params.cross2, overlap)
         table[1, 1] = p_coinc * np.outer(click_a[1], click_b[1]) + (1.0 - p_coinc) / 2.0 * (
             np.outer(click_a[2], click_b[0]) + np.outer(click_a[0], click_b[2])
         )
-    return np.einsum("i,jc,ijab->abc", w_a, w_b, table)
+    w_b = np.stack([pk_b_quiet, pk_b_herald], axis=-1)
+    return np.einsum("i,jc,ijab->abc", pk_a, w_b, table)
 
 
 def _ledger_per_gate(params: SimParams) -> tuple[float, float, float, float]:
@@ -657,22 +692,7 @@ def _rate_table(params: SimParams) -> _RateTable:
     pattern-by-pattern loop of tests/enumeration_reference.py, and is
     bit-identical to it.
     """
-    # Photons from the external source at C2 input a: binomial thinning.
-    pk_a = apply_loss(PhotonNumberDistribution(tuple(params.pmf_a.tolist())), params.q_a).pmf
-
-    # Joint law of (photons at C2 input b, herald click), correlated through
-    # the chip pair number n.
-    h_det = params.p_c_arrive * params.eta_c
-    pk_b_herald = [0.0] * params.pmf_b.shape[0]
-    pk_b = [0.0] * params.pmf_b.shape[0]
-    for n, pn in enumerate(params.pmf_b.tolist()):
-        if pn == 0.0:
-            continue
-        p_click_c = 1.0 - (1.0 - h_det) ** n * (1.0 - params.dark_c)
-        for k in range(n + 1):
-            b = math.comb(n, k) * params.q_b**k * (1.0 - params.q_b) ** (n - k)
-            pk_b[k] += pn * b
-            pk_b_herald[k] += pn * b * p_click_c
+    pk_a, pk_b, pk_b_herald, _, route, click_a, click_b = _model_inputs(params)
     p_single_c = float(np.array(pk_b_herald).sum())  # includes the dark contribution
 
     cells = [
@@ -682,26 +702,13 @@ def _rate_table(params: SimParams) -> _RateTable:
     ]
     ka, kb = np.array(cells).T
 
-    # route[k, x]: probability that x of k photons take C2's cross port.
-    cross = params.cross2
-    bar = 1.0 - cross
-    n = max(ka.max(), kb.max()) + 1
-    route = np.zeros((n, n))
-    for k in range(n):
-        for x in range(k + 1):
-            route[k, x] = math.comb(k, x) * cross**x * bar ** (k - x)
-
-    max_m = 2 * params.cutoff + 1
-    click_a = _clicks(max_m - 1, params.s_post * params.eta_a, params.dark_a)[:, 1]
-    click_b = _clicks(max_m - 1, params.s_post * params.eta_b, params.dark_b)[:, 1]
-
     # Routing (x, y) of every pattern leaves k_a - x + y photons at A and
     # x + k_b - y at B; arrays are indexed [x, y, pattern].
     x = np.arange(ka.max() + 1)[:, None, None]
     y = np.arange(kb.max() + 1)[None, :, None]
     w = route[ka, x] * route[kb, y]
-    ca = click_a[np.maximum(ka - x + y, 0)]
-    cb = click_b[np.maximum(x + kb - y, 0)]
+    ca = click_a[np.maximum(ka - x + y, 0), 1]
+    cb = click_b[np.maximum(x + kb - y, 0), 1]
     wca = w * ca
     stats = np.zeros((3, len(cells)))  # P[click A], P[click B], P[click A and B]
     for step in np.stack([wca, w * cb, wca * cb], axis=2).reshape(-1, 3, len(cells)):
@@ -713,14 +720,14 @@ def _rate_table(params: SimParams) -> _RateTable:
     terms = np.stack([w_ab * pa, w_ab * pb, w_ab * pab, wa * np.array(pk_b_herald)[kb] * pab], axis=1)
     terms = [None if cell == (1, 1) else t for cell, t in zip(cells, terms.tolist())]
     weights_11 = (pk_a[1] * pk_b[1], pk_a[1] * pk_b_herald[1]) if None in terms else (0.0, 0.0)
-    return _RateTable(p_single_c, cross, click_a[:3].tolist(), click_b[:3].tolist(), weights_11, terms)
+    return _RateTable(
+        p_single_c, params.cross2, click_a[:3, 1].tolist(), click_b[:3, 1].tolist(), weights_11, terms
+    )
 
 
 def _rates_at(table: _RateTable, overlap: float) -> ExpectedRates:
     """expected_rates of a compiled scenario's rate table at one temporal overlap."""
-    cross = table.cross
-    bar = 1.0 - cross
-    p_coinc = bar * bar + cross * cross - 2.0 * bar * cross * overlap
+    p_coinc = _p_coinc(table.cross, overlap)
     p_bunch = (1.0 - p_coinc) / 2.0
     ca, cb = table.click_a, table.click_b
     pa = p_coinc * ca[1] + p_bunch * (ca[2] + ca[0])
@@ -748,9 +755,9 @@ def analytic_visibility(scenario: Scenario) -> float:
     click and thinned by the b-arm survival.
     """
     params = compile_scenario(scenario)
-    dist_a = _pair_distribution(scenario.external_distribution, scenario.external_source, params.cutoff)
+    dist_a = _pair_distribution(scenario.external_distribution, scenario.external_source, "external")
     dist_b = herald_condition(
-        _pair_distribution(scenario.chip_distribution, scenario.chip_source, params.cutoff),
+        _pair_distribution(scenario.chip_distribution, scenario.chip_source, "chip"),
         HeraldModel(params.p_c_arrive * params.eta_c, params.dark_c),
     )
     v_stat = v_statistics(apply_loss(dist_a, params.q_a), apply_loss(dist_b, params.q_b))

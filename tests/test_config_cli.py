@@ -340,16 +340,16 @@ def test_config_segment_losses_reach_keyrate_sweep(tmp_path, capsys):
     assert reach[6.0] < reach[3.0]
 
 
-def _keyrate_sweep_with(tmp_path, document):
-    path = tmp_path / "link.json"
+def _run_with_config(tmp_path, document, *argv) -> int:
+    path = tmp_path / "config.json"
     path.write_text(json.dumps(document), encoding="utf-8")
-    return run_cli("keyrate-sweep", "--config", str(path))
+    return run_cli(*argv, "--config", str(path))
 
 
 def test_keyrate_sweep_lossless_fiber_reach_unbounded(tmp_path, capsys):
     # Without fiber loss no link falls to SNR unity: every reach is inf, and
     # the distance gains inf/inf are undefined, so a warning replaces them.
-    assert _keyrate_sweep_with(tmp_path, {"fiber_loss_db_per_km": 0.0}) == 0
+    assert _run_with_config(tmp_path, {"fiber_loss_db_per_km": 0.0}, "keyrate-sweep") == 0
     captured = capsys.readouterr()
     summary = [l for l in captured.out.splitlines() if "=" in l]
     assert summary == [
@@ -362,7 +362,7 @@ def test_keyrate_sweep_lossless_fiber_reach_unbounded(tmp_path, capsys):
 def test_keyrate_sweep_direct_reach_zero(tmp_path, capsys):
     # Darks this bright put the direct link below SNR unity at 0 km; the gain
     # divided by that reach and died with a ZeroDivisionError.
-    assert _keyrate_sweep_with(tmp_path, {"link_dark_prob_per_ns": 0.5}) == 0
+    assert _run_with_config(tmp_path, {"link_dark_prob_per_ns": 0.5}, "keyrate-sweep") == 0
     captured = capsys.readouterr()
     assert "max_distance_direct_km=0.0\n" in captured.out
     assert "gain_" not in captured.out
@@ -430,6 +430,40 @@ def test_hom_dip_warns_only_in_monte_carlo_mode(capsys):
     assert capsys.readouterr().err == ""
     assert run_cli("hom-dip", "--preset", "paper-fig6", "--pulses", "1000") == 0
     assert capsys.readouterr().err.startswith("warning: 1000 pulses give ")
+
+
+_ENGINE_COMMANDS = [("mc-run",), ("hom-dip", "--pulses", "0")]
+
+
+@pytest.mark.parametrize("argv", _ENGINE_COMMANDS, ids=["mc-run", "hom-dip-analytic"])
+def test_small_cutoff_folds_the_thermal_tail(tmp_path, capsys, argv):
+    # A thermal law cut at 4 pairs holds 1 - 2.4e-7 of its mass and would
+    # fail the pmf normalisation check; the law built over 20 pairs folds onto 4.
+    assert _run_with_config(tmp_path, {"pair_number_cutoff": 4}, *argv) == 0
+    assert "error" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", _ENGINE_COMMANDS, ids=["mc-run", "hom-dip-analytic"])
+def test_thermal_source_too_bright_for_the_cutoff_is_named(tmp_path, capsys, argv):
+    # Mean 0.6 pairs puts 1.13e-9 of a thermal law above 20 pairs.
+    document = {"chip_pairs_per_mw": 0.6, "chip_pump_power_mw": 1.0}
+    assert _run_with_config(tmp_path, document, *argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: ConfigurationError: chip source: its thermal law at mean 0.6 pairs per pulse "
+        "puts 1.13e-09 of its mass above 20 pairs, more than 1e-09\n"
+    )
+
+
+@pytest.mark.parametrize("key", ["chip_pairs_per_mw", "external_pairs_per_mw"])
+def test_flat_analytic_scan_reports_no_fit(tmp_path, capsys, key):
+    # Without one of the two sources no pattern interferes: every rate is
+    # bit-equal, and a fit would report an arbitrary width.
+    assert _run_with_config(tmp_path, {key: 0}, "hom-dip", "--pulses", "0") == 0
+    summary = capsys.readouterr().out
+    assert "fit_failed=every rate is equal: no dip to fit\n" in summary
+    assert "fit_fwhm_mm" not in summary
 
 
 def test_config_flag_round_trip(tmp_path):

@@ -175,3 +175,6 @@ def test_fit_failure_reported():
     rates = [-1.0 + 1.2 * math.exp(-4 * math.log(2) * (x / 6.0) ** 2) for x in positions]
     with pytest.raises(FitFailureError, match="baseline .* is not positive"):
         fit_dip(positions, rates, fwhm_guess_mm=6.0)
+    # A rate that does not depend on the delay has no dip, and no width to fit.
+    with pytest.raises(FitFailureError, match="every rate is equal: no dip to fit"):
+        fit_dip(positions, [2.5e-12] * len(positions))

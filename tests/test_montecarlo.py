@@ -417,6 +417,25 @@ def test_pair_mass_above_cutoff_counts_at_cutoff():
     )
 
 
+@pytest.mark.parametrize("cutoff", [1, 2, 3, 4, 5])
+def test_thermal_law_folds_onto_small_cutoffs(cutoff):
+    # At the default means a thermal law cut at these cutoffs would fail its
+    # normalisation check: the law is built over 20 pairs and folded.
+    full = compile_scenario(bench_scenario(0.05, 0.02))
+    params = compile_scenario(replace(bench_scenario(0.05, 0.02), pair_number_cutoff=cutoff))
+    for got, pmf in ((params.pmf_a, full.pmf_a), (params.pmf_b, full.pmf_b)):
+        np.testing.assert_array_equal(got, np.append(pmf[:cutoff], pmf[cutoff:].sum()))
+
+
+@pytest.mark.parametrize("name", ["external", "chip"])
+def test_thermal_law_losing_mass_above_max_cutoff_is_rejected(name):
+    means = {"external": (0.6, 0.01), "chip": (0.01, 0.6)}[name]
+    with pytest.raises(ConfigurationError, match=f"^{name} source: .* at mean 0.6 .* puts 1.13e-09 "):
+        compile_scenario(bench_scenario(*means))
+    # Just inside the check: mean 0.59 loses 9.1e-10.
+    compile_scenario(bench_scenario(*(0.59 if m == 0.6 else m for m in means)))
+
+
 # ---------------------------------------------------------------------------
 # Resolution warning
 # ---------------------------------------------------------------------------
@@ -435,15 +454,15 @@ def test_resolution_warning():
     assert warning.endswith("probability is zero")
 
 
-_BUILDS = ("compile_scenario", "joint_law", "_ledger_per_gate", "_rate_table")
+_BUILDS = ("compile_scenario", "joint_law", "_ledger_per_gate", "_rate_table", "_model_inputs")
 
 
 @pytest.mark.parametrize(
     "argv,calls",
     [
-        (["mc-run", "--preset", "paper-fig6", "--pulses", "300000"], (1, 2, 1, 0)),
-        (["hom-dip", "--preset", "paper-fig6", "--pulses", "1000"], (1, 15, 0, 0)),
-        (["hom-dip", "--pulses", "0"], (1, 0, 0, 1)),
+        (["mc-run", "--preset", "paper-fig6", "--pulses", "300000"], (1, 2, 1, 0, 2)),
+        (["hom-dip", "--preset", "paper-fig6", "--pulses", "1000"], (1, 15, 0, 0, 15)),
+        (["hom-dip", "--pulses", "0"], (1, 0, 0, 1, 1)),
     ],
     ids=["mc-run", "hom-dip-mc", "hom-dip-analytic"],
 )
@@ -451,6 +470,7 @@ def test_cli_builds_the_model_once(monkeypatch, capsys, argv, calls):
     # The scenario is compiled once; the resolution check reads the laws the
     # legs drew from (the scan builds its two), only the dip leg has a ledger,
     # and an analytic scan builds one enumeration table for all its positions.
+    # Each law and each table reads one set of model inputs.
     counts = dict.fromkeys(_BUILDS, 0)
     for name in _BUILDS:
         def counted(*args, _name=name, _original=getattr(montecarlo, name), **kwargs):
