@@ -9,8 +9,10 @@ byte-identical output files.
 
 Only `hom-dip` and `mc-run` load numpy, through the Monte Carlo engine; the
 four figure studies `spdc-spectrum`, `coupler-curve`, `visibility-map` and
-`keyrate-sweep` run without it.  Each handler imports the modules only it
-needs, so a cold start compiles and loads no other study's code.
+`keyrate-sweep` load neither numpy nor the standard library's dataclass
+module (every record type comes from `relaysim.records`).  Each handler
+imports the modules only it needs, so a cold start compiles and loads no
+other study's code.
 """
 
 from __future__ import annotations

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
 
+from .records import field, record
 from .units import SpectralMode, db_to_linear
 
 # Half-max point of sinc^2(x): sinc(x) = sin(x)/x.
@@ -31,7 +31,7 @@ class ConfigurationError(ValueError):
 # SPDC source
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record
 class SpdcSource:
     """Pulsed pair source with brightness linear in pump power.
 
@@ -82,7 +82,7 @@ def spdc_spectral_density(source: SpdcSource, wavelengths_nm) -> list[float]:
 # Electro-optic directional coupler
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record
 class CouplerModel:
     """Two-waveguide coupled-mode model with voltage-linear detuning.
 
@@ -160,7 +160,7 @@ def _fit_gamma(anchors, kappa_lc_rad: float, gamma: float) -> float:
     return gamma
 
 
-@dataclass(frozen=True)
+@record
 class CouplerCalibration:
     """Result of fitting a CouplerModel to measured (voltage, ratio) anchors.
 
@@ -215,7 +215,7 @@ def calibrate_coupler(
 # Filters
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record
 class FilterModel:
     """Ideal rectangular bandpass plus a flat insertion loss.
 
@@ -242,7 +242,7 @@ class FilterModel:
 # Detectors
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record
 class DetectorModel:
     """Gated avalanche photodiode: efficiency, dark counts, gate window."""
 
@@ -301,7 +301,7 @@ PATHS = {
 }
 
 
-@dataclass(frozen=True)
+@record
 class ChipLayout:
     """Chip loss segments composed into the fixed port-to-port PATHS.
 

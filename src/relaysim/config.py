@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass, fields
 from importlib import resources
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -26,6 +25,7 @@ from .components import (
     SpdcSource,
     calibrate_coupler,
 )
+from .records import fields, record
 from .units import SpectralMode
 
 if TYPE_CHECKING:
@@ -39,7 +39,7 @@ PRESET_NAMES = ("paper-fig2", "paper-fig3", "paper-fig4", "paper-fig5", "paper-f
 _MAP_GRID = tuple(round(0.005 * i, 3) for i in range(1, 21))
 
 
-@dataclass(frozen=True)
+@record
 class ScenarioConfig:
     """Versioned, flat configuration mirroring all model parameters."""
 

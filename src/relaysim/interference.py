@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 
 from .photostats import PhotonNumberDistribution, HeraldModel, herald_condition, thermal
+from .records import record
 from .units import delay_to_path
 
 FOUR_LN2 = 4.0 * math.log(2.0)
@@ -83,7 +83,7 @@ def visibility_map(grid_na, grid_nb, herald: HeraldModel) -> list[tuple[float, f
     return rows
 
 
-@dataclass(frozen=True)
+@record
 class DipProfile:
     """Sampled coincidence-rate dip versus path-length difference."""
 
@@ -113,7 +113,7 @@ def dip_profile(
     return DipProfile(pos, rates, visibility, fwhm_mm, baseline)
 
 
-@dataclass(frozen=True)
+@record
 class DipFit:
     """Gaussian dip fit result with 1-sigma parameter errors; the fitted center is not kept."""
 

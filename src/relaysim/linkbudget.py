@@ -27,16 +27,16 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import dataclass, field
 
 from .components import ChipLayout, DetectorModel
+from .records import field, record
 
 MAX_SEARCH_KM = 1e4
 
 VARIANTS = ("direct", "standard_relay", "folded_relay", "folded_relay_lossless")
 
 
-@dataclass(frozen=True)
+@record
 class LinkParams:
     """Shared link-budget parameters for all variants."""
 
@@ -57,7 +57,7 @@ class LinkParams:
             raise ValueError("mean photon numbers must be >= 0")
 
 
-@dataclass(frozen=True)
+@record
 class LinkModel:
     """One link variant; a relay sits where the SNR is highest, per distance."""
 
@@ -68,7 +68,7 @@ class LinkModel:
             raise ValueError(f"unknown variant {self.variant!r}; expected one of {VARIANTS}")
 
 
-@dataclass(frozen=True)
+@record
 class LinkRates:
     """Per-gated-pulse link probabilities at one distance."""
 
@@ -180,7 +180,7 @@ def link_rates(model: LinkModel, params: LinkParams, distance_km: float) -> Link
     return LinkRates(signal, accidental, (signal + accidental) / norm)
 
 
-@dataclass(frozen=True)
+@record
 class MaxDistanceResult:
     """Maximum distance before SNR unity, with the symmetric-midpoint reach of a relay."""
 
@@ -231,7 +231,7 @@ def max_distance(model: LinkModel, params: LinkParams) -> MaxDistanceResult:
     return MaxDistanceResult(dist, midpoint)
 
 
-@dataclass(frozen=True)
+@record
 class SweepResult:
     """Normalized rates per model over a distance grid."""
 

@@ -28,7 +28,6 @@ benchmark traces.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -49,6 +48,7 @@ from .photostats import (
     herald_condition,
     thermal,
 )
+from .records import field, record
 from .units import SpectralMode, coherence_time, db_to_linear, delay_to_path
 
 # ---------------------------------------------------------------------------
@@ -128,7 +128,7 @@ def _default_coupler() -> CouplerModel:
     return CouplerModel(gamma_rad_per_v=0.041819067411536176)
 
 
-@dataclass(frozen=True)
+@record
 class Scenario:
     """Full experiment description for one Monte Carlo run."""
 
@@ -181,7 +181,7 @@ class Scenario:
         return coherence_time(self.photon_mode)
 
 
-@dataclass(frozen=True)
+@record
 class SimParams:
     """Scenario compiled to per-arm probabilities and routing fractions."""
 
@@ -441,7 +441,7 @@ def _ledger_per_gate(params: SimParams) -> tuple[float, float, float, float]:
     return generated, lost, undetected, detected
 
 
-@dataclass(frozen=True)
+@record
 class Tally:
     """One leg's click counts over its gated pulses."""
 
@@ -453,7 +453,7 @@ class Tally:
     threefold_abc: int
 
 
-@dataclass(frozen=True)
+@record
 class PhotonLedger:
     """Expected photon flows of a run's dip leg; they balance to float precision."""
 
@@ -476,7 +476,7 @@ def _sample_leg(params: SimParams, n_pulses: int, key: int, law: np.ndarray) -> 
 # Reports
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record
 class CountsReport:
     """Tallies at the scenario delay (dip leg) and at far delay (reference leg)."""
 
@@ -506,7 +506,7 @@ def _raw_visibility(report: CountsReport, count: str) -> tuple[float, float]:
     return 1.0 - r, r * math.sqrt(1.0 / c0 + 1.0 / c1)
 
 
-@dataclass(frozen=True)
+@record
 class NetRates:
     """Per-gate accidental three-fold probabilities and net visibilities."""
 
@@ -633,7 +633,7 @@ def _resolution_warning(params: SimParams, n_pulses: int, p_dip: float, p_ref: f
 # Expected rates (exact truncated enumeration) and analytic prediction
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record
 class ExpectedRates:
     """Exact per-gated-pulse event probabilities for the compiled model."""
 
@@ -661,7 +661,7 @@ def expected_rates(scenario: Scenario, overlap: float | None = None) -> Expected
     return _rates_at(_rate_table(params), overlap)
 
 
-@dataclass(frozen=True)
+@record
 class _RateTable:
     """The overlap-free part of the enumeration of one compiled scenario.
 
@@ -772,7 +772,7 @@ class ScanSpanError(ValueError):
     """Raised when scan positions do not span more than twice the expected dip width."""
 
 
-@dataclass(frozen=True)
+@record
 class DipScanResult:
     """Per-position three-fold rates with a gaussian fit of the dip."""
 

@@ -10,7 +10,8 @@ identified with one photon per arm, and losses are applied downstream via
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+
+from .records import record
 
 DEFAULT_N_MAX = 20
 
@@ -19,7 +20,7 @@ class UndefinedConditioningError(ValueError):
     """Raised when the herald click probability is exactly zero."""
 
 
-@dataclass(frozen=True)
+@record
 class HeraldModel:
     """Herald detection model for conditioning a pair distribution.
 
@@ -40,7 +41,7 @@ class HeraldModel:
             raise ValueError(f"herald dark probability must be in [0, 1], got {self.dark_prob}")
 
 
-@dataclass(frozen=True)
+@record
 class PhotonNumberDistribution:
     """Truncated pmf over pair/photon number per pulse.
 
@@ -67,18 +68,21 @@ class PhotonNumberDistribution:
         return self.pmf[n] if 0 <= n <= self.n_max else 0.0
 
 
+def _check_mean(mean_pairs: float) -> None:
+    if not 0 <= mean_pairs < math.inf:  # an infinite mean made every pmf entry nan
+        raise ValueError(f"mean pair number must be finite and >= 0, got {mean_pairs}")
+
+
 def thermal(mean_pairs: float, n_max: int = DEFAULT_N_MAX) -> PhotonNumberDistribution:
     """Thermal (single-mode SPDC) distribution: p(n) = N^n / (1+N)^(n+1)."""
-    if not mean_pairs >= 0:
-        raise ValueError(f"mean pair number must be >= 0, got {mean_pairs}")
+    _check_mean(mean_pairs)
     pmf = tuple(mean_pairs**n / (1.0 + mean_pairs) ** (n + 1) for n in range(n_max + 1))
     return PhotonNumberDistribution(pmf)
 
 
 def poisson(mean_pairs: float, n_max: int = DEFAULT_N_MAX) -> PhotonNumberDistribution:
     """Poissonian comparison family: p(n) = exp(-N) N^n / n!."""
-    if not mean_pairs >= 0:
-        raise ValueError(f"mean pair number must be >= 0, got {mean_pairs}")
+    _check_mean(mean_pairs)
     pmf = tuple(
         math.exp(-mean_pairs) * mean_pairs**n / math.factorial(n) for n in range(n_max + 1)
     )
@@ -90,7 +94,10 @@ def custom(pmf) -> PhotonNumberDistribution:
     values = [float(p) for p in pmf]
     total = sum(values)
     if not total > 0:
-        raise ValueError("pmf must have positive total mass")
+        raise ValueError(f"pmf must have positive total mass, got {total}")
+    for n, p in enumerate(values):
+        if not math.isfinite(p):
+            raise ValueError(f"pmf entry {n} must be finite, got {p}")
     return PhotonNumberDistribution(tuple(p / total for p in values))
 
 

@@ -10,7 +10,8 @@ light.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+
+from .records import record
 
 SPEED_OF_LIGHT_M_PER_S = 299_792_458.0
 
@@ -24,7 +25,7 @@ TIME_BANDWIDTH_PRODUCT = {
 LINESHAPES = tuple(TIME_BANDWIDTH_PRODUCT)
 
 
-@dataclass(frozen=True)
+@record
 class SpectralMode:
     """A light field's spectrum: center wavelength, FWHM bandwidth, lineshape.
 

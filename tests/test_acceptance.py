@@ -7,7 +7,6 @@ run reproduces the same numbers exactly.
 
 import math
 from contextlib import contextmanager
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,6 +18,7 @@ from relaysim.interference import dip_profile, fit_dip, v_statistics, v_timing
 from relaysim.linkbudget import LinkModel, LinkParams, max_distance
 from relaysim.montecarlo import analytic_visibility, run, scan_dip, subtract_accidentals
 from relaysim.photostats import HeraldModel, custom, herald_condition, thermal
+from relaysim.records import replace
 from relaysim.units import SpectralMode, coherence_time
 
 

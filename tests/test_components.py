@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -24,6 +23,7 @@ from relaysim.interference import dip_profile, v_timing
 from relaysim.linkbudget import LinkModel, LinkParams, link_rates
 from relaysim.montecarlo import Scenario, _default_coupler, compile_scenario, scan_dip
 from relaysim.photostats import PhotonNumberDistribution, custom, poisson, thermal
+from relaysim.records import replace
 from relaysim.units import SpectralMode
 
 # Detuning-to-coupling ratio at the 50/50 point, from the root of

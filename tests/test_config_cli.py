@@ -4,7 +4,6 @@ import os
 import subprocess
 import sys
 from collections import Counter
-from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -22,6 +21,7 @@ from relaysim.config import (
     parse_config,
 )
 from relaysim.montecarlo import Scenario, compile_scenario
+from relaysim.records import fields
 
 
 # ---------------------------------------------------------------------------
@@ -671,19 +671,22 @@ def test_monte_carlo_and_coupler_curve_run_without_scipy_optimize():
 
 
 def test_import_and_closed_form_studies_leave_numpy_unloaded():
-    # numpy is most of a cold start for the four studies that do not sample.
+    # numpy is most of a cold start for the four studies that do not sample;
+    # dataclasses, and the inspect module it imports, cost milliseconds more.
     script = (
         "import os, sys, relaysim\n"
         "print(sorted(m for m in sys.modules if m.startswith(('relaysim.', 'numpy'))))\n"
         "from relaysim.cli import main\n"
         "for name in ('spdc-spectrum', 'coupler-curve', 'visibility-map', 'keyrate-sweep'):\n"
         "    assert main([name, '--out', os.devnull]) == 0, name\n"
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n"
         "print('numpy' in sys.modules)\n"
     )
     proc = run_python("-c", script)
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     assert lines[0] == "[]"
+    assert lines[-2] == "[]"
     assert lines[-1] == "False"
 
 

@@ -8,7 +8,6 @@ enumeration itself is held bit-equal to the cell-by-cell reference in
 """
 
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,6 +19,7 @@ from pulse_reference import LEDGER, click_table
 from relaysim.config import load_preset
 from relaysim.montecarlo import compile_scenario, derive_key, expected_rates, joint_law, run, scan_dip
 from relaysim.photostats import custom
+from relaysim.records import replace
 
 # A correct sampler fails a chi-square check at this p-value once in 1000 seeds.
 ALPHA = 1e-3

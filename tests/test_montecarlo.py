@@ -1,5 +1,4 @@
 import math
-from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -21,6 +20,7 @@ from relaysim.montecarlo import (
     subtract_accidentals,
 )
 from relaysim.photostats import custom
+from relaysim.records import fields, replace
 from relaysim.units import coherence_time
 
 

@@ -72,6 +72,28 @@ def test_negative_mean_rejected():
         poisson(-1.0)
 
 
+INF = math.inf
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda: thermal(INF), "mean pair number must be finite and >= 0, got inf"),
+        (lambda: poisson(INF), "mean pair number must be finite and >= 0, got inf"),
+        (lambda: thermal(-INF), "mean pair number must be finite and >= 0, got -inf"),
+        (lambda: custom([INF, 1.0]), "pmf entry 0 must be finite, got inf"),
+        (lambda: custom([1.0, 0.5, INF]), "pmf entry 2 must be finite, got inf"),
+        (lambda: custom([INF, -INF]), "positive total mass, got nan"),
+    ],
+    ids=["thermal", "poisson", "thermal-negative", "custom", "custom-last", "custom-both"],
+)
+def test_non_finite_mean_or_entry_is_named(call, message):
+    # An infinite mean or entry once turned every pmf entry into nan and was
+    # reported as "pmf entries must be nonnegative".
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def test_herald_unit_efficiency_frozen_values():
     # Perfect herald on thermal(0.02): no vacuum; pmf shifts down by one order.
     h = herald_condition(thermal(0.02), HeraldModel(1.0, 0.0))
