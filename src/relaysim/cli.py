@@ -13,6 +13,9 @@ four figure studies `spdc-spectrum`, `coupler-curve`, `visibility-map` and
 module (every record type comes from `relaysim.records`).  Each handler
 imports the modules only it needs, so a cold start compiles and loads no
 other study's code.
+
+OPENBLAS_NUM_THREADS defaults to 1 unless set: the only BLAS work is `einsum`
+on operands of at most 21 x 21, so a BLAS worker pool only costs start-up.
 """
 
 from __future__ import annotations
@@ -22,6 +25,8 @@ import math
 import os
 import sys
 from typing import TYPE_CHECKING
+
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")  # before numpy or scipy can load OpenBLAS
 
 from .components import ConfigurationError, SpdcSource, calibrate_coupler, coupler_ratio, spdc_spectral_density
 from .config import PRESET_NAMES, ScenarioConfig, load_config, load_preset

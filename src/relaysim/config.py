@@ -56,7 +56,6 @@ class ScenarioConfig:
     external_pump_power_mw: float = 1.5
     chip_pairs_per_mw: float = 0.02 / 7.0
     chip_pump_power_mw: float = 7.0
-    pair_number_cutoff: int = 20
 
     # Spectra
     spdc_center_wavelength_nm: float = 1532.0
@@ -195,7 +194,6 @@ class ScenarioConfig:
             detector_b=det,
             detector_c=det,
             delay_mm=self.delay_mm,
-            pair_number_cutoff=self.pair_number_cutoff,
         )
 
     def to_link_params(self) -> LinkParams:
@@ -290,6 +288,7 @@ _REMOVED_KEYS = {
         "no preset or example set it, and it silently changed what the reach and gain "
         "lines mean; the relay position is optimised per distance"
     ),
+    "pair_number_cutoff": "folding the tail onto it moved the dip with no warning; laws span 0-20 pairs",
 }
 
 

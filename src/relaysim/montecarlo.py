@@ -9,7 +9,7 @@ raw and accidental-subtracted dip visibilities follow.
 
 Gated pulses are independent and identically distributed, and every tally
 is a function of one pulse's joint click pattern (A, B, C).  `joint_law`
-gives that pattern's exact law, truncated at the pair cutoff.  A leg of n
+gives that pattern's exact law over pair laws of at most N_MAX pairs.  A leg of n
 pulses is then exactly Binomial(n, p_gate) gated pulses split over the 8
 click cells by one multinomial draw, so its cost does not depend on n.
 Each leg draws from a numpy Generator seeded with `derive_key(seed, leg)`.
@@ -42,6 +42,7 @@ from .components import (
 )
 from .interference import DipFit, FitFailureError, FOUR_LN2, fit_dip, v_statistics, v_timing
 from .photostats import (
+    N_MAX,
     HeraldModel,
     PhotonNumberDistribution,
     apply_loss,
@@ -63,10 +64,6 @@ _MIX_B = 0x94D049BB133111EB
 # Counters per pulse: pulse i's draw j reads counter i*SLOTS + j.
 SLOTS = 512
 
-# Largest accepted pair-number truncation; it keeps the (k_a, x, k_b, y)
-# routing table behind joint_law at most 21**4 entries.
-MAX_PAIR_CUTOFF = 20
-
 # Largest pulse count per leg: numpy's binomial draw takes an int64 count.
 MAX_PULSES = 2**63 - 1
 
@@ -76,6 +73,11 @@ def _mix_int(x: int) -> int:
     x = ((x ^ (x >> 30)) * _MIX_A) & _MASK64
     x = ((x ^ (x >> 27)) * _MIX_B) & _MASK64
     return (x ^ (x >> 31)) & _MASK64
+
+
+def _check_seed(seed: int) -> None:
+    if not 0 <= seed <= _MASK64:  # derive_key reads a seed modulo 2**64
+        raise ValueError(f"seed must be in [0, {_MASK64}], got {seed}")
 
 
 def derive_key(seed: int, *tags) -> int:
@@ -166,7 +168,6 @@ class Scenario:
     detector_monitor: DetectorModel = field(default_factory=DetectorModel)
 
     delay_mm: float = 0.0
-    pair_number_cutoff: int = 20
 
     @property
     def partner_wavelength_nm(self) -> float:
@@ -186,7 +187,7 @@ class SimParams:
     """Scenario compiled to per-arm probabilities and routing fractions."""
 
     p_gate: float
-    pmf_a: np.ndarray     # external pair number, mass above the cutoff folded onto it
+    pmf_a: np.ndarray     # external pair number, at most N_MAX pairs
     pmf_b: np.ndarray     # chip pair number, likewise
     q_a: float            # external photon survives to C2 input a
     q_b: float            # chip photon b routed up and surviving to C2 input b
@@ -202,47 +203,31 @@ class SimParams:
     overlap_peak: float   # temporal overlap at zero path difference
     fwhm_mm: float
     delay_mm: float
-    cutoff: int
 
     def overlap_at(self, delay_mm: float) -> float:
         x = delay_mm / self.fwhm_mm
         return self.overlap_peak * math.exp(-FOUR_LN2 * x * x)
 
 
-def _pair_distribution(
-    override: PhotonNumberDistribution | None, source: SpdcSource, name: str
-) -> PhotonNumberDistribution:
-    """The override, else the source's thermal law over 0..MAX_PAIR_CUTOFF pairs.
-
-    compile_scenario folds it onto the scenario's cutoff.  A thermal law
-    that loses more than 1e-9 above MAX_PAIR_CUTOFF pairs (the normalisation
-    tolerance of PhotonNumberDistribution) raises ConfigurationError naming
-    the source.
-    """
+def _pair_distribution(override, source: SpdcSource, name: str) -> PhotonNumberDistribution:
+    """The override, else the source's thermal law; a law that does not fit N_MAX pairs names the source."""
     if override is not None:
         return override
-    mean = source.mean_pairs
-    lost = (mean / (1.0 + mean)) ** (MAX_PAIR_CUTOFF + 1)
-    if not lost <= 1e-9:
-        raise ConfigurationError(
-            f"{name} source: its thermal law at mean {mean!r} pairs per pulse puts {lost:.3g} "
-            f"of its mass above {MAX_PAIR_CUTOFF} pairs, more than 1e-09"
-        )
-    return thermal(mean, MAX_PAIR_CUTOFF)
+    try:
+        return thermal(source.mean_pairs)
+    except ValueError as exc:
+        raise ConfigurationError(f"{name} source: {exc}") from None
 
 
-def _pair_pmf(pmf, cutoff: int) -> np.ndarray:
-    """Normalised pair-number pmf with the mass above the cutoff folded onto it.
+def _pair_pmf(pmf) -> np.ndarray:
+    """Normalised pair-number pmf.
 
     The differences of the cumulative sum are normalised, not pmf itself:
     they differ from it by up to 1.1e-16, and the enumeration and Monte
     Carlo outputs are defined from them to the last bit.
     """
     pmf = np.diff(np.cumsum(pmf), prepend=0.0)
-    pmf = pmf / pmf.sum()
-    if pmf.shape[0] > cutoff + 1:
-        pmf = np.append(pmf[:cutoff], pmf[cutoff:].sum())
-    return pmf
+    return pmf / pmf.sum()
 
 
 def compile_scenario(scenario: Scenario) -> SimParams:
@@ -251,10 +236,6 @@ def compile_scenario(scenario: Scenario) -> SimParams:
         raise ConfigurationError("pump and gate rates must be positive")
     if scenario.gate_rate_hz > scenario.pump_repetition_rate_hz:
         raise ConfigurationError("gating rate cannot exceed the pump repetition rate")
-    if not 1 <= scenario.pair_number_cutoff <= MAX_PAIR_CUTOFF:
-        raise ConfigurationError(
-            f"pair_number_cutoff must be in [1, {MAX_PAIR_CUTOFF}]"
-        )
     if not scenario.pump_duration_ps >= 0:
         raise ConfigurationError("pump duration must be >= 0")
     if not math.isfinite(scenario.delay_mm):
@@ -279,11 +260,10 @@ def compile_scenario(scenario: Scenario) -> SimParams:
             "signal and partner filter bands must be disjoint for clean heralding"
         )
 
-    cutoff = scenario.pair_number_cutoff
     dist_a = _pair_distribution(scenario.external_distribution, scenario.external_source, "external")
     dist_b = _pair_distribution(scenario.chip_distribution, scenario.chip_source, "chip")
-    if dist_a.n_max > MAX_PAIR_CUTOFF or dist_b.n_max > MAX_PAIR_CUTOFF:
-        raise ConfigurationError(f"pair distributions must be truncated at <= {MAX_PAIR_CUTOFF}")
+    if dist_a.n_max > N_MAX or dist_b.n_max > N_MAX:
+        raise ConfigurationError(f"pair distributions must be truncated at <= {N_MAX}")
 
     t1 = coupler_ratio(scenario.coupler_c1, scenario.coupler_c1_voltage_v)
     t2 = coupler_ratio(scenario.coupler_c2, scenario.coupler_c2_voltage_v)
@@ -305,8 +285,8 @@ def compile_scenario(scenario: Scenario) -> SimParams:
 
     return SimParams(
         p_gate=scenario.gate_rate_hz / scenario.pump_repetition_rate_hz,
-        pmf_a=_pair_pmf(dist_a.pmf, cutoff),
-        pmf_b=_pair_pmf(dist_b.pmf, cutoff),
+        pmf_a=_pair_pmf(dist_a.pmf),
+        pmf_b=_pair_pmf(dist_b.pmf),
         q_a=q_a,
         q_b=q_b,
         p_c_arrive=p_c,
@@ -321,7 +301,6 @@ def compile_scenario(scenario: Scenario) -> SimParams:
         overlap_peak=peak,
         fwhm_mm=fwhm_mm,
         delay_mm=scenario.delay_mm,
-        cutoff=cutoff,
     )
 
 
@@ -342,7 +321,7 @@ def _model_inputs(params: SimParams) -> tuple:
     the law of the photons at C2 input a; that of the photons at input b,
     alone, with a herald click and with none; route[k, x], the probability
     that x of k photons take C2's cross port; and the D_a and D_b `_clicks`
-    tables for 0 to 2 * cutoff photons.
+    tables for as many photons as both laws together hold, and at least 2.
     """
     # Photons from the external source at C2 input a: binomial thinning.
     pk_a = apply_loss(PhotonNumberDistribution(tuple(params.pmf_a.tolist())), params.q_a).pmf
@@ -369,8 +348,9 @@ def _model_inputs(params: SimParams) -> tuple:
         for x in range(k + 1):
             route[k, x] = math.comb(k, x) * cross**x * bar ** (k - x)
 
-    click_a = _clicks(2 * params.cutoff, params.s_post * params.eta_a, params.dark_a)
-    click_b = _clicks(2 * params.cutoff, params.s_post * params.eta_b, params.dark_b)
+    m_max = max(len(pk_a) + len(pk_b) - 2, 2)  # _rates_at reads the 2-photon entries
+    click_a = _clicks(m_max, params.s_post * params.eta_a, params.dark_a)
+    click_b = _clicks(m_max, params.s_post * params.eta_b, params.dark_b)
     return pk_a, pk_b, pk_b_herald, pk_b_quiet, route, click_a, click_b
 
 
@@ -583,6 +563,7 @@ def run(scenario: Scenario, n_pulses: int, seed: int = 1, workers: int = 1) -> C
     """
     if not 1 <= n_pulses <= MAX_PULSES:
         raise ValueError(f"n_pulses must be in [1, {MAX_PULSES}], got {n_pulses}")
+    _check_seed(seed)
     params = compile_scenario(scenario)
     dip_law = joint_law(params, params.overlap_at(params.delay_mm))
     ref_law = joint_law(params, 0.0)
@@ -645,7 +626,7 @@ class ExpectedRates:
 
 
 def expected_rates(scenario: Scenario, overlap: float | None = None) -> ExpectedRates:
-    """Enumerate the pulse model exactly, pair mass above the cutoff counted at it.
+    """Enumerate the pulse model exactly, over every photon pattern of the pair laws.
 
     This is the n -> infinity surrogate for the Monte Carlo engine: the same
     source statistics, routing rules, and detection model, summed over all
@@ -802,6 +783,7 @@ def scan_dip(
     """
     if not 0 <= n_pulses_per_point <= MAX_PULSES:
         raise ValueError(f"n_pulses_per_point must be in [0, {MAX_PULSES}], got {n_pulses_per_point}")
+    _check_seed(seed)
     positions = [float(x) for x in positions_mm]
     if len(positions) < 3:
         raise ValueError("need at least 3 scan positions")

@@ -1,19 +1,21 @@
 """Photon-pair number statistics per pump pulse.
 
-Truncated number distributions for SPDC sources (thermal and poissonian
-families), Bayesian conditioning on a herald detector click, and binomial
-loss thinning.  Distributions are immutable value objects; each pair is
-identified with one photon per arm, and losses are applied downstream via
-:func:`apply_loss` rather than inside the constructors.
+Number distributions for SPDC sources (thermal and poissonian families), cut
+at N_MAX pairs and rejected if they lose more than 1e-9 above it; Bayesian
+conditioning on a herald detector click, and binomial loss thinning.
+Distributions are immutable value objects; each pair is identified with one
+photon per arm, and losses are applied downstream via :func:`apply_loss`.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import accumulate
 
 from .records import record
 
-DEFAULT_N_MAX = 20
+N_MAX = 20  # the largest pair number of every pair law (the joint law's routing table has 21**4 cells)
+PMF_TOLERANCE = 1e-9  # mass a truncated pmf may lose, or gain by rounding
 
 
 class UndefinedConditioningError(ValueError):
@@ -57,7 +59,7 @@ class PhotonNumberDistribution:
         if not all(p >= 0 for p in self.pmf):
             raise ValueError("pmf entries must be nonnegative")
         total = sum(self.pmf)
-        if not (1.0 - 1e-9) <= total <= 1.0 + 1e-9:
+        if not 1.0 - PMF_TOLERANCE <= total <= 1.0 + PMF_TOLERANCE:
             raise ValueError(f"pmf must sum to ~1, got {total}")
 
     @property
@@ -73,24 +75,33 @@ def _check_mean(mean_pairs: float) -> None:
         raise ValueError(f"mean pair number must be finite and >= 0, got {mean_pairs}")
 
 
-def thermal(mean_pairs: float, n_max: int = DEFAULT_N_MAX) -> PhotonNumberDistribution:
+def _check_truncation(law: str, mean_pairs: float, lost: float) -> None:
+    if not lost <= PMF_TOLERANCE:
+        raise ValueError(
+            f"{law} law at mean {mean_pairs!r} pairs per pulse puts {lost:.3g} of its mass "
+            f"above n_max = {N_MAX} pairs, more than {PMF_TOLERANCE:g}"
+        )
+
+
+def thermal(mean_pairs: float) -> PhotonNumberDistribution:
     """Thermal (single-mode SPDC) distribution: p(n) = N^n / (1+N)^(n+1)."""
     _check_mean(mean_pairs)
-    pmf = tuple(mean_pairs**n / (1.0 + mean_pairs) ** (n + 1) for n in range(n_max + 1))
+    _check_truncation("thermal", mean_pairs, (mean_pairs / (1.0 + mean_pairs)) ** (N_MAX + 1))
+    pmf = tuple(mean_pairs**n / (1.0 + mean_pairs) ** (n + 1) for n in range(N_MAX + 1))
     return PhotonNumberDistribution(pmf)
 
 
-def poisson(mean_pairs: float, n_max: int = DEFAULT_N_MAX) -> PhotonNumberDistribution:
-    """Poissonian comparison family: p(n) = exp(-N) N^n / n!."""
+def poisson(mean_pairs: float) -> PhotonNumberDistribution:
+    """Poissonian comparison family: p(n) = exp(-N) N^n / n!, built as p(n-1) N / n."""
     _check_mean(mean_pairs)
-    pmf = tuple(
-        math.exp(-mean_pairs) * mean_pairs**n / math.factorial(n) for n in range(n_max + 1)
-    )
+    p0 = math.exp(-mean_pairs)
+    pmf = tuple(accumulate(range(1, N_MAX + 1), lambda p, n: p * mean_pairs / n, initial=p0))
+    _check_truncation("poisson", mean_pairs, 1.0 - sum(pmf))
     return PhotonNumberDistribution(pmf)
 
 
 def custom(pmf) -> PhotonNumberDistribution:
-    """Wrap an explicit pmf; renormalizes away rounding at the 1e-9 level."""
+    """Wrap an explicit pmf; renormalizes away rounding at the PMF_TOLERANCE level."""
     values = [float(p) for p in pmf]
     total = sum(values)
     if not total > 0:
@@ -98,6 +109,8 @@ def custom(pmf) -> PhotonNumberDistribution:
     for n, p in enumerate(values):
         if not math.isfinite(p):
             raise ValueError(f"pmf entry {n} must be finite, got {p}")
+    if total == math.inf:
+        raise ValueError(f"pmf total mass must be finite, got {total}")
     return PhotonNumberDistribution(tuple(p / total for p in values))
 
 

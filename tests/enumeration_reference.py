@@ -48,7 +48,7 @@ def reference_rates(params: SimParams, overlap: float) -> ExpectedRates:
     bar = 1.0 - cross
     p_coinc = bar * bar + cross * cross - 2.0 * bar * cross * overlap
 
-    max_m = 2 * params.cutoff + 1
+    max_m = max(params.pmf_a.shape[0] + params.pmf_b.shape[0] - 1, 3)
     click_a = _click_probs(max_m - 1, p_det_a, params.dark_a)
     click_b = _click_probs(max_m - 1, p_det_b, params.dark_b)
 

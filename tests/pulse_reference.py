@@ -8,14 +8,15 @@ exact-law sampler, so comparing its click table with `joint_law` checks the
 law against the model, not against itself.
 
 Pulse i's draws sit at counters [i*SLOTS, (i+1)*SLOTS) in the slot layout
-below; the per-photon loops take at most MAX_PAIR_CUTOFF slots per source.
+below; the per-photon loops take at most N_MAX slots per source.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from relaysim.montecarlo import MAX_PAIR_CUTOFF, SLOTS, CounterRng, SimParams
+from relaysim.montecarlo import SLOTS, CounterRng, SimParams
+from relaysim.photostats import N_MAX
 
 _S_NA = 1
 _S_NB = 2
@@ -34,7 +35,7 @@ _S_DET_B = 245                     # 40
 _S_DARK_A = 285
 _S_DARK_B = 286
 _S_DARK_C = 287
-assert _S_DET_B + 2 * MAX_PAIR_CUTOFF <= _S_DARK_A and _S_DARK_C < SLOTS
+assert _S_DET_B + 2 * N_MAX <= _S_DARK_A and _S_DARK_C < SLOTS
 
 BATCH_PULSES = 1 << 18
 LEDGER = ("generated", "lost", "undetected", "detected")
@@ -68,8 +69,9 @@ def _batch(params: SimParams, rng: CounterRng, idx: np.ndarray, overlap: float):
     n_g = idx.shape[0]
     n_a = np.searchsorted(np.cumsum(params.pmf_a), rng.uniform(idx, _S_NA), side="right")
     n_b = np.searchsorted(np.cumsum(params.pmf_b), rng.uniform(idx, _S_NB), side="right")
-    np.minimum(n_a, params.cutoff, out=n_a)
-    np.minimum(n_b, params.cutoff, out=n_b)
+    # A uniform past a cumulative sum that rounds below 1 reads the last pair number.
+    np.minimum(n_a, params.pmf_a.shape[0] - 1, out=n_a)
+    np.minimum(n_b, params.pmf_b.shape[0] - 1, out=n_b)
 
     k_a = _survivor_counts(rng, idx, n_a, _S_A_SURV, params.q_a)
     k_b = _survivor_counts(rng, idx, n_b, _S_B_SURV, params.q_b)

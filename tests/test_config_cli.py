@@ -82,6 +82,7 @@ def test_wrong_schema_version_rejected():
         ("monitor_enabled", "no coincidence or visibility reads"),
         ("monitor_arm_loss_db", "no coincidence or visibility reads"),
         ("relay_position", "optimised per distance"),
+        ("pair_number_cutoff", "moved the dip with no warning"),
     ],
 )
 def test_removed_keys_rejected_with_reason(key, reason):
@@ -91,7 +92,7 @@ def test_removed_keys_rejected_with_reason(key, reason):
 
 def test_type_validation():
     with pytest.raises(ConfigurationError):
-        parse_config({"pair_number_cutoff": 2.5})
+        parse_config({"dip_scan_points": 2.5})
     with pytest.raises(ConfigurationError):
         parse_config({"dip_scan_points": True})
     with pytest.raises(ConfigurationError):
@@ -436,14 +437,6 @@ _ENGINE_COMMANDS = [("mc-run",), ("hom-dip", "--pulses", "0")]
 
 
 @pytest.mark.parametrize("argv", _ENGINE_COMMANDS, ids=["mc-run", "hom-dip-analytic"])
-def test_small_cutoff_folds_the_thermal_tail(tmp_path, capsys, argv):
-    # A thermal law cut at 4 pairs holds 1 - 2.4e-7 of its mass and would
-    # fail the pmf normalisation check; the law built over 20 pairs folds onto 4.
-    assert _run_with_config(tmp_path, {"pair_number_cutoff": 4}, *argv) == 0
-    assert "error" not in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("argv", _ENGINE_COMMANDS, ids=["mc-run", "hom-dip-analytic"])
 def test_thermal_source_too_bright_for_the_cutoff_is_named(tmp_path, capsys, argv):
     # Mean 0.6 pairs puts 1.13e-9 of a thermal law above 20 pairs.
     document = {"chip_pairs_per_mw": 0.6, "chip_pump_power_mw": 1.0}
@@ -451,8 +444,25 @@ def test_thermal_source_too_bright_for_the_cutoff_is_named(tmp_path, capsys, arg
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == (
-        "error: ConfigurationError: chip source: its thermal law at mean 0.6 pairs per pulse "
-        "puts 1.13e-09 of its mass above 20 pairs, more than 1e-09\n"
+        "error: ConfigurationError: chip source: thermal law at mean 0.6 pairs per pulse "
+        "puts 1.13e-09 of its mass above n_max = 20 pairs, more than 1e-09\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "key,mean,lost",
+    [("map_na_values", 1e200, "1"), ("map_nb_values", 0.7, "8.08e-09")],
+    ids=["overflowing", "tail"],
+)
+def test_visibility_map_mean_too_large_for_the_law_is_named(tmp_path, capsys, key, mean, lost):
+    # These once failed as a bare OverflowError (exit 1) and as an
+    # unexplained "pmf must sum to ~1, got 0.99999999...".
+    assert _run_with_config(tmp_path, {key: [mean]}, "visibility-map") == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: ValueError: thermal law at mean {mean!r} pairs per pulse "
+        f"puts {lost} of its mass above n_max = 20 pairs, more than 1e-09\n"
     )
 
 
@@ -640,6 +650,42 @@ def run_python(*args) -> subprocess.CompletedProcess:
     return subprocess.run(
         [sys.executable, *args], capture_output=True, text=True, timeout=120, env=child_env()
     )
+
+
+def test_cli_starts_one_blas_thread_unless_told_otherwise():
+    # numpy's OpenBLAS starts a worker thread at load unless
+    # OPENBLAS_NUM_THREADS says 1; relaysim's einsums are at most 21 x 21.
+    if not os.path.isdir("/proc/self/task") or (os.cpu_count() or 1) < 2:
+        pytest.skip("needs /proc and more than one CPU")
+    script = (
+        "import os, relaysim.cli, numpy\n"
+        "print(len(os.listdir('/proc/self/task')), os.environ['OPENBLAS_NUM_THREADS'])\n"
+    )
+    unset = {k: v for k, v in child_env().items() if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+
+    def threads_and_setting(env):
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=120, env=env)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout.split()
+
+    assert threads_and_setting(unset) == ["1", "1"]
+    assert threads_and_setting({**unset, "OPENBLAS_NUM_THREADS": "2"})[1] == "2"
+
+
+@pytest.mark.parametrize(
+    "argv", [("mc-run",), ("hom-dip", "--pulses", "0")], ids=["mc-run", "hom-dip-analytic"]
+)
+def test_blas_thread_count_leaves_stdout_unchanged(argv):
+    outputs = []
+    for threads in ("1", "2"):
+        env = {**child_env(), "OPENBLAS_NUM_THREADS": threads}
+        proc = subprocess.run(
+            [sys.executable, "-m", "relaysim.cli", *argv, "--preset", "paper-fig6"],
+            capture_output=True, text=True, timeout=120, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
 
 
 def test_cli_entry_point_installed():

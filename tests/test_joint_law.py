@@ -32,17 +32,8 @@ def law_cases():
         ("unbalanced_c2", replace(bench_scenario(0.05, 0.02), coupler_c2_voltage_v=20.0)),
         ("bright_darks", bench_scenario(0.05, 0.02, dark_per_ns=1e-4)),
         ("paper-fig6", load_preset("paper-fig6").to_scenario()),
-        # Pair distributions shorter and longer than cutoff + 1.
+        # Pair distributions shorter than N_MAX + 1.
         ("single_photon", single_photon_scenario(0.0)),
-        (
-            "folded_above_cutoff",
-            replace(
-                bench_scenario(0.1, 0.1),
-                external_distribution=custom([0.5, 0.3, 0.2]),
-                chip_distribution=custom([0.6, 0.3, 0.1]),
-                pair_number_cutoff=1,
-            ),
-        ),
     ]
 
 

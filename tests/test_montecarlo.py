@@ -368,10 +368,6 @@ def test_invalid_scenarios_rejected_before_sampling():
     with pytest.raises(ConfigurationError):
         compile_scenario(replace(bench_scenario(0.01, 0.01), gate_rate_hz=100e6))
     with pytest.raises(ConfigurationError):
-        compile_scenario(replace(bench_scenario(0.01, 0.01), pair_number_cutoff=0))
-    with pytest.raises(ConfigurationError):
-        compile_scenario(replace(bench_scenario(0.01, 0.01), pair_number_cutoff=50))
-    with pytest.raises(ConfigurationError):
         compile_scenario(replace(bench_scenario(0.01, 0.01), delay_mm=float("nan")))
     # Overlapping signal/partner filter bands break clean heralding.
     with pytest.raises(ConfigurationError):
@@ -392,6 +388,25 @@ def test_pulse_count_out_of_range_rejected(n):
         scan_dip(sc, np.linspace(-30.0, 30.0, 5), n)
 
 
+@pytest.mark.parametrize("seed", [-1, 2**64, 2**65 - 1])
+def test_seed_out_of_range_rejected(seed):
+    # The stream key reads the seed modulo 2**64: these three drew the same
+    # tallies as seed 2**64 - 1 and printed three other seed lines.
+    sc = bench_scenario(0.01, 0.01)
+    with pytest.raises(ValueError, match=rf"^seed must be in \[0, {2**64 - 1}\], got {seed}$"):
+        run(sc, 1000, seed=seed)
+    for pulses in (0, 1000):
+        with pytest.raises(ValueError, match=rf"^seed must be in \[0, {2**64 - 1}\]"):
+            scan_dip(sc, np.linspace(-30.0, 30.0, 5), pulses, seed=seed)
+    assert main(["mc-run", "--pulses", "1000", "--seed", str(seed)]) == 2
+
+
+def test_seed_range_endpoints_run():
+    sc = bench_scenario(0.01, 0.01)
+    assert run(sc, 1000, seed=0).seed == 0
+    assert run(sc, 1000, seed=2**64 - 1).seed == 2**64 - 1
+
+
 def test_largest_pulse_count_runs():
     report = run(bench_scenario(0.01, 0.01), 2**63 - 1, seed=2)
     assert report.pulses_simulated == 2**63 - 1 == report.dip.gated
@@ -401,30 +416,6 @@ def test_pattern_cutoff_clamps_distribution():
     sc = replace(bench_scenario(0.01, 0.01), external_distribution=custom([0.0] * 20 + [1.0]))
     params = compile_scenario(sc)
     assert params.pmf_a.shape[0] == 21
-
-
-def test_pair_mass_above_cutoff_counts_at_cutoff():
-    # As in a per-pulse draw clamped to the cutoff.
-    folded = replace(
-        bench_scenario(0.1, 0.1),
-        external_distribution=custom([0.5, 0.3, 0.2]),
-        chip_distribution=custom([0.6, 0.4]),
-        pair_number_cutoff=1,
-    )
-    clamped = replace(folded, external_distribution=custom([0.5, 0.5]))
-    np.testing.assert_array_equal(
-        joint_law(compile_scenario(folded), 0.3), joint_law(compile_scenario(clamped), 0.3)
-    )
-
-
-@pytest.mark.parametrize("cutoff", [1, 2, 3, 4, 5])
-def test_thermal_law_folds_onto_small_cutoffs(cutoff):
-    # At the default means a thermal law cut at these cutoffs would fail its
-    # normalisation check: the law is built over 20 pairs and folded.
-    full = compile_scenario(bench_scenario(0.05, 0.02))
-    params = compile_scenario(replace(bench_scenario(0.05, 0.02), pair_number_cutoff=cutoff))
-    for got, pmf in ((params.pmf_a, full.pmf_a), (params.pmf_b, full.pmf_b)):
-        np.testing.assert_array_equal(got, np.append(pmf[:cutoff], pmf[cutoff:].sum()))
 
 
 @pytest.mark.parametrize("name", ["external", "chip"])

@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 
@@ -84,14 +85,42 @@ INF = math.inf
         (lambda: custom([INF, 1.0]), "pmf entry 0 must be finite, got inf"),
         (lambda: custom([1.0, 0.5, INF]), "pmf entry 2 must be finite, got inf"),
         (lambda: custom([INF, -INF]), "positive total mass, got nan"),
+        (lambda: custom([1e308, 1e308]), "pmf total mass must be finite, got inf"),
     ],
-    ids=["thermal", "poisson", "thermal-negative", "custom", "custom-last", "custom-both"],
+    ids=["thermal", "poisson", "thermal-negative", "custom", "custom-last", "custom-both", "custom-total"],
 )
 def test_non_finite_mean_or_entry_is_named(call, message):
     # An infinite mean or entry once turned every pmf entry into nan and was
-    # reported as "pmf entries must be nonnegative".
+    # reported as "pmf entries must be nonnegative"; an infinite total was
+    # divided by and reported as "pmf must sum to ~1, got 0.0".
     with pytest.raises(ValueError, match=message):
         call()
+
+
+# A poissonian law at mean 0.6 loses only 2e-25 above 20 pairs, and is kept
+# (test_laws_keep_what_fits_below_n_max).
+@pytest.mark.parametrize(
+    "law,mean",
+    [
+        *((thermal, mean) for mean in (0.6, 5.0, 30.0, 800.0, 1e16, 1e200)),
+        *((poisson, mean) for mean in (5.0, 30.0, 800.0, 1e16, 1e200)),
+    ],
+)
+def test_law_losing_mass_above_n_max_is_named(law, mean):
+    # These once failed as "pmf must sum to ~1, got 0.99999999..." or, from
+    # about mean 1e16 up, as a bare OverflowError from mean**n.
+    pattern = (
+        rf"^{law.__name__} law at mean {re.escape(repr(mean))} pairs per pulse puts [0-9.e+-]+ of its mass "
+        rf"above n_max = 20 pairs, more than 1e-09$"
+    )
+    with pytest.raises(ValueError, match=pattern):
+        law(mean)
+
+
+def test_laws_keep_what_fits_below_n_max():
+    # Just inside the 1e-9 bound: thermal 0.59 loses 9.1e-10, poisson 0.6 2e-25.
+    assert sum(thermal(0.59).pmf) >= 1.0 - 1e-9
+    assert sum(poisson(0.6).pmf) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_herald_unit_efficiency_frozen_values():
