@@ -14,8 +14,10 @@ module (every record type comes from `relaysim.records`).  Each handler
 imports the modules only it needs, so a cold start compiles and loads no
 other study's code.
 
-OPENBLAS_NUM_THREADS defaults to 1 unless set: the only BLAS work is `einsum`
-on operands of at most 21 x 21, so a BLAS worker pool only costs start-up.
+`main` defaults OPENBLAS_NUM_THREADS to 1 unless it is set or numpy is
+already loaded: the only BLAS work is `einsum` on operands of at most
+21 x 21, so a BLAS worker pool only costs start-up.  Importing this module
+leaves the environment alone.
 """
 
 from __future__ import annotations
@@ -25,8 +27,6 @@ import math
 import os
 import sys
 from typing import TYPE_CHECKING
-
-os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")  # before numpy or scipy can load OpenBLAS
 
 from .components import ConfigurationError, SpdcSource, calibrate_coupler, coupler_ratio, spdc_spectral_density
 from .config import PRESET_NAMES, ScenarioConfig, load_config, load_preset
@@ -319,6 +319,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    if "numpy" not in sys.modules:  # OpenBLAS reads it once, when numpy loads
+        os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     args = build_parser().parse_args(argv)
     handler = _COMMANDS[args.command][0]
     try:

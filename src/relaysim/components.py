@@ -307,7 +307,8 @@ class ChipLayout:
 
     Path losses are additive in dB and order-independent.
     measured_insertion_db, when set, rescales all segments so the insertion
-    path matches the measured figure verbatim.
+    path matches the measured figure verbatim.  An infinite segment blocks
+    every path through it (transmission 0) and cannot be rescaled.
     """
 
     segments: dict[str, float] = field(default_factory=lambda: dict(DEFAULT_SEGMENTS))
@@ -326,10 +327,11 @@ class ChipLayout:
                         f"path {path!r} references missing segment {name!r}"
                     )
         measured = self.measured_insertion_db
-        if measured is not None and not measured >= 0:
-            raise ConfigurationError(f"measured insertion loss must be >= 0 dB, got {measured}")
-        if measured and not sum(self.segments[s] for s in PATHS["insertion"]) > 0:
-            raise ConfigurationError("cannot rescale a zero-loss insertion path")
+        if measured is not None and not 0 <= measured < math.inf:
+            raise ConfigurationError(f"measured insertion loss must be finite and >= 0 dB, got {measured}")
+        nominal = sum(self.segments[s] for s in PATHS["insertion"])
+        if measured and not 0 < nominal < math.inf:
+            raise ConfigurationError(f"cannot rescale an insertion path of {nominal} dB to {measured} dB")
 
     def path_loss_db(self, path: str) -> float:
         if path not in PATHS:
@@ -350,6 +352,4 @@ class ChipLayout:
 
 def chip_insertion_loss(layout: ChipLayout) -> float:
     """Total port-to-port insertion loss in dB (default layout: 8.5 dB)."""
-    if layout.measured_insertion_db is not None:
-        return layout.measured_insertion_db
     return layout.path_loss_db("insertion")

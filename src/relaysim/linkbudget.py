@@ -41,11 +41,7 @@ class LinkParams:
     """Shared link-budget parameters for all variants."""
 
     fiber_loss_db_per_km: float = 0.2
-    detector: DetectorModel = field(
-        default_factory=lambda: DetectorModel(
-            efficiency=0.10, dark_prob_per_ns=1e-6, gate_window_ns=1.0
-        )
-    )
+    detector: DetectorModel = DetectorModel(efficiency=0.10, dark_prob_per_ns=1e-6, gate_window_ns=1.0)
     mean_photon_per_pulse: float = 1.0
     relay_pair_mean: float = 1.0
     layout: ChipLayout = field(default_factory=ChipLayout)

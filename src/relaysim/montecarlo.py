@@ -117,19 +117,6 @@ class CounterRng:
 # Scenario
 # ---------------------------------------------------------------------------
 
-def _default_filter_ab() -> FilterModel:
-    return FilterModel(center_nm=1530.0, fwhm_pm=200.0)
-
-
-def _default_filter_c() -> FilterModel:
-    return FilterModel(center_nm=1534.0, fwhm_pm=800.0)
-
-
-def _default_coupler() -> CouplerModel:
-    # gamma set so the cross ratio is 0.5 at 30 V (see calibrate_coupler).
-    return CouplerModel(gamma_rad_per_v=0.041819067411536176)
-
-
 @record
 class Scenario:
     """Full experiment description for one Monte Carlo run."""
@@ -138,12 +125,8 @@ class Scenario:
     pump_duration_ps: float = 2.5
     gate_rate_hz: float = 600e3
 
-    external_source: SpdcSource = field(
-        default_factory=lambda: SpdcSource(pairs_per_mw=0.05 / 1.5, pump_power_mw=1.5)
-    )
-    chip_source: SpdcSource = field(
-        default_factory=lambda: SpdcSource(pairs_per_mw=0.02 / 7.0, pump_power_mw=7.0)
-    )
+    external_source: SpdcSource = SpdcSource()
+    chip_source: SpdcSource = SpdcSource(pairs_per_mw=0.02 / 7.0, pump_power_mw=7.0)
     # Explicit pair-number distributions override the sources' thermal laws.
     external_distribution: PhotonNumberDistribution | None = None
     chip_distribution: PhotonNumberDistribution | None = None
@@ -151,35 +134,24 @@ class Scenario:
     photon_mode: SpectralMode = SpectralMode(1530.0, 200.0, "gaussian")
     dip_fwhm_time_ps: float | None = None
 
-    coupler_c1: CouplerModel = field(default_factory=_default_coupler)
-    coupler_c2: CouplerModel = field(default_factory=_default_coupler)
+    # gamma set so the cross ratio is 0.5 at 30 V (see calibrate_coupler).
+    coupler_c1: CouplerModel = CouplerModel(gamma_rad_per_v=0.041819067411536176)
+    coupler_c2: CouplerModel = coupler_c1
     coupler_c1_voltage_v: float = 30.0
     coupler_c2_voltage_v: float = 30.0
 
     layout: ChipLayout = field(default_factory=ChipLayout)
     alice_arm_loss_db: float = 0.0
-    filter_ab: FilterModel = field(default_factory=_default_filter_ab)
-    filter_c: FilterModel = field(default_factory=_default_filter_c)
+    filter_ab: FilterModel = FilterModel(center_nm=1530.0, fwhm_pm=200.0)
+    filter_c: FilterModel = FilterModel(center_nm=1534.0, fwhm_pm=800.0)
 
-    detector_a: DetectorModel = field(default_factory=DetectorModel)
-    detector_b: DetectorModel = field(default_factory=DetectorModel)
-    detector_c: DetectorModel = field(default_factory=DetectorModel)
+    detector_a: DetectorModel = DetectorModel()
+    detector_b: DetectorModel = DetectorModel()
+    detector_c: DetectorModel = DetectorModel()
     # Accepted and read by nothing; perfbench's bench scenario still passes it.
-    detector_monitor: DetectorModel = field(default_factory=DetectorModel)
+    detector_monitor: DetectorModel = DetectorModel()
 
     delay_mm: float = 0.0
-
-    @property
-    def partner_wavelength_nm(self) -> float:
-        """Energy-matched partner of the interfering photons (chip pair)."""
-        inv = 2.0 / self.chip_source.spectrum.center_wavelength_nm - 1.0 / self.photon_mode.center_wavelength_nm
-        return 1.0 / inv
-
-    @property
-    def tau_fwhm_ps(self) -> float:
-        if self.dip_fwhm_time_ps is not None:
-            return self.dip_fwhm_time_ps
-        return coherence_time(self.photon_mode)
 
 
 @record
@@ -224,7 +196,9 @@ def _pair_pmf(pmf) -> np.ndarray:
 
     The differences of the cumulative sum are normalised, not pmf itself:
     they differ from it by up to 1.1e-16, and the enumeration and Monte
-    Carlo outputs are defined from them to the last bit.
+    Carlo outputs are defined from them to the last bit.  In the far tail
+    that is a large relative error (5.7 % at p(9) of a thermal law of mean
+    0.02), and past the point where the sum saturates they are exact zeros.
     """
     pmf = np.diff(np.cumsum(pmf), prepend=0.0)
     return pmf / pmf.sum()
@@ -242,15 +216,17 @@ def compile_scenario(scenario: Scenario) -> SimParams:
         raise ConfigurationError("delay must be finite")
     if not scenario.alice_arm_loss_db >= 0:
         raise ConfigurationError("arm losses must be >= 0 dB")
+    tau_c_ps = coherence_time(scenario.photon_mode)
+    tau_ps = tau_c_ps if scenario.dip_fwhm_time_ps is None else scenario.dip_fwhm_time_ps
     # Only an override fails (the coherence time is > 0): one that is not > 0,
     # or one so small (below about 2.5e-312 ps) that its path underflows to 0 mm.
-    tau_ps = scenario.tau_fwhm_ps
     fwhm_mm = delay_to_path(tau_ps) if tau_ps > 0 else 0.0
     if not fwhm_mm > 0:
         raise ConfigurationError(f"dip_fwhm_time_ps must be > 0, got {scenario.dip_fwhm_time_ps}")
 
     lam_signal = scenario.photon_mode.center_wavelength_nm
-    lam_partner = scenario.partner_wavelength_nm
+    # Energy-matched partner of the interfering photons (chip pair).
+    lam_partner = 1.0 / (2.0 / scenario.chip_source.spectrum.center_wavelength_nm - 1.0 / lam_signal)
     if not scenario.filter_ab.passes(lam_signal):
         raise ConfigurationError("output A/B filter must pass the interfering photons")
     if not scenario.filter_c.passes(lam_partner):
@@ -280,9 +256,6 @@ def compile_scenario(scenario: Scenario) -> SimParams:
         scenario.filter_ab.insertion_loss_db
     )
 
-    tau_c_ps = coherence_time(scenario.photon_mode)
-    peak = v_timing(scenario.pump_duration_ps, tau_c_ps)
-
     return SimParams(
         p_gate=scenario.gate_rate_hz / scenario.pump_repetition_rate_hz,
         pmf_a=_pair_pmf(dist_a.pmf),
@@ -298,7 +271,7 @@ def compile_scenario(scenario: Scenario) -> SimParams:
         dark_a=scenario.detector_a.dark_prob_per_gate,
         dark_b=scenario.detector_b.dark_prob_per_gate,
         dark_c=scenario.detector_c.dark_prob_per_gate,
-        overlap_peak=peak,
+        overlap_peak=v_timing(scenario.pump_duration_ps, tau_c_ps),
         fwhm_mm=fwhm_mm,
         delay_mm=scenario.delay_mm,
     )

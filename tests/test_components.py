@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from relaysim.components import (
 )
 from relaysim.interference import dip_profile, v_timing
 from relaysim.linkbudget import LinkModel, LinkParams, link_rates
-from relaysim.montecarlo import Scenario, _default_coupler, compile_scenario, scan_dip
+from relaysim.montecarlo import Scenario, compile_scenario, scan_dip
 from relaysim.photostats import PhotonNumberDistribution, custom, poisson, thermal
 from relaysim.records import replace
 from relaysim.units import SpectralMode
@@ -91,10 +92,6 @@ def test_fit_kappa_from_partial_transfer_anchor():
     cal = calibrate_coupler([(0.0, 0.9), (30.0, 0.5)], kappa_lc_rad=math.asin(math.sqrt(0.9)))
     assert coupler_ratio(cal.model, 0.0) == pytest.approx(0.9, abs=1e-9)
     assert coupler_ratio(cal.model, 30.0) == pytest.approx(0.5, abs=1e-6)
-
-
-def test_default_coupler_literal_is_the_calibration():
-    assert calibrate_coupler([(0, 1), (30, 0.5)]).model == _default_coupler()
 
 
 def test_nonfinite_anchor_voltage_rejected():
@@ -224,6 +221,28 @@ def test_missing_segment_rejected():
             segments={"fiber_to_chip": 0.0, "chip_to_fiber": 0.0, "prop_front": 0.0, "prop_back": 0.0},
             measured_insertion_db=9.0,
         )
+
+
+@pytest.mark.parametrize(
+    "segments,measured,message",
+    [
+        ({"prop_front": 0.0}, math.inf, "measured insertion loss must be finite and >= 0 dB, got inf"),
+        ({"prop_back": math.inf}, 9.0, "cannot rescale an insertion path of inf dB to 9.0 dB"),
+    ],
+    ids=["infinite-measured", "infinite-nominal"],
+)
+def test_non_finite_rescale_rejected(segments, measured, message):
+    # Unchecked, the first gives NaN dB from the chip source to C2 (an
+    # unbounded relay reach), the second 0 dB after C2 on a 9 dB chip.
+    with pytest.raises(ConfigurationError, match=re.escape(message)):
+        ChipLayout({**DEFAULT_SEGMENTS, **segments}, measured_insertion_db=measured)
+
+
+def test_infinite_segment_blocks_its_paths():
+    layout = ChipLayout({**DEFAULT_SEGMENTS, "prop_back": math.inf})
+    assert chip_insertion_loss(layout) == math.inf
+    assert layout.path_transmission("c2_to_out") == layout.path_transmission("insertion") == 0.0
+    assert layout.path_loss_db("alice_to_c2") == 4.25
 
 
 def test_unknown_path_rejected():

@@ -10,7 +10,7 @@ import pytest
 
 import relaysim
 from relaysim.cli import main
-from relaysim.components import ConfigurationError, chip_insertion_loss
+from relaysim.components import ConfigurationError, calibrate_coupler, chip_insertion_loss
 from relaysim.config import (
     _FIELD_TYPES,
     PRESET_NAMES,
@@ -20,8 +20,10 @@ from relaysim.config import (
     load_preset,
     parse_config,
 )
+from relaysim.linkbudget import LinkParams
 from relaysim.montecarlo import Scenario, compile_scenario
 from relaysim.records import fields
+from relaysim.units import delay_to_path
 
 
 # ---------------------------------------------------------------------------
@@ -37,10 +39,11 @@ def test_defaults_build_valid_models():
     assert params.detector.dark_prob_per_gate == pytest.approx(1e-6, rel=1e-6)
 
 
-def test_default_config_calibrates_the_default_couplers():
-    scenario, default = ScenarioConfig().to_scenario(), Scenario()
-    assert scenario.coupler_c1 == default.coupler_c1
-    assert scenario.coupler_c2 == default.coupler_c2
+def test_default_config_builds_the_default_records():
+    assert ScenarioConfig().to_scenario() == Scenario()
+    assert ScenarioConfig().to_link_params() == LinkParams()
+    # The coupler literal is the calibration of the default anchors.
+    assert calibrate_coupler([(0, 1), (30, 0.5)]).model == Scenario().coupler_c1
 
 
 def test_round_trip_is_identity():
@@ -188,7 +191,7 @@ def test_preset_fig6_pins_operating_point():
     sc = cfg.to_scenario()
     assert sc.external_source.mean_pairs == pytest.approx(0.05, rel=1e-9)
     assert sc.chip_source.mean_pairs == pytest.approx(0.02, rel=1e-9)
-    assert sc.tau_fwhm_ps == 20.0
+    assert compile_scenario(sc).fwhm_mm == delay_to_path(20.0)
     assert sc.detector_a.efficiency == 0.1
     assert sc.detector_a.dark_prob_per_ns == 1e-5
 
@@ -652,24 +655,37 @@ def run_python(*args) -> subprocess.CompletedProcess:
     )
 
 
+def _env_without_blas_setting() -> dict:
+    return {k: v for k, v in child_env().items() if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+
+
 def test_cli_starts_one_blas_thread_unless_told_otherwise():
     # numpy's OpenBLAS starts a worker thread at load unless
     # OPENBLAS_NUM_THREADS says 1; relaysim's einsums are at most 21 x 21.
     if not os.path.isdir("/proc/self/task") or (os.cpu_count() or 1) < 2:
         pytest.skip("needs /proc and more than one CPU")
     script = (
-        "import os, relaysim.cli, numpy\n"
+        "import os, relaysim.cli\n"
+        "relaysim.cli.main(['mc-run', '--preset', 'paper-fig6', '--pulses', '1000'])\n"
         "print(len(os.listdir('/proc/self/task')), os.environ['OPENBLAS_NUM_THREADS'])\n"
     )
-    unset = {k: v for k, v in child_env().items() if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
 
     def threads_and_setting(env):
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=120, env=env)
         assert proc.returncode == 0, proc.stderr
-        return proc.stdout.split()
+        return proc.stdout.splitlines()[-1].split()
 
-    assert threads_and_setting(unset) == ["1", "1"]
-    assert threads_and_setting({**unset, "OPENBLAS_NUM_THREADS": "2"})[1] == "2"
+    assert threads_and_setting(_env_without_blas_setting()) == ["1", "1"]
+    assert threads_and_setting({**_env_without_blas_setting(), "OPENBLAS_NUM_THREADS": "2"})[1] == "2"
+
+
+def test_importing_the_cli_leaves_the_environment_alone():
+    script = "import os, relaysim.cli\nprint(os.environ.get('OPENBLAS_NUM_THREADS'))\n"
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=120, env=_env_without_blas_setting()
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "None\n"
 
 
 @pytest.mark.parametrize(

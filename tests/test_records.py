@@ -200,6 +200,19 @@ def test_default_factory_runs_per_instance():
     assert "segments" not in vars(ChipLayout)  # the field() marker is not left on the class
 
 
+@pytest.mark.parametrize("name", sorted(CLASSES))
+def test_default_factory_only_for_unhashable_defaults(name):
+    # Records are immutable, so instances can share a default; only a
+    # default that can change (it holds a dict) is built per instance.
+    cls = CLASSES[name]
+    for f in fields(cls):
+        if f.default_factory is not None:
+            with pytest.raises(TypeError):
+                hash(f.default_factory())
+        elif f.name in vars(cls):
+            hash(vars(cls)[f.name])
+
+
 def test_fields_rejects_a_non_record():
     with pytest.raises(TypeError, match="not a record"):
         fields(object())
