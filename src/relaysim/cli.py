@@ -65,13 +65,19 @@ def _emit(args, content: str) -> None:
         sys.stdout.write(content)
 
 
-def _grid_points(cfg: ScenarioConfig, key: str, least: int = 1) -> int:
-    points = getattr(cfg, key)
+def _grid(cfg: ScenarioConfig, start_key: str, stop_key: str, points_key: str, least: int = 1) -> list[float]:
+    """The config's `_linspace` grid from start_key to stop_key, its point count and span checked."""
+    points = getattr(cfg, points_key)
     if not points >= least:
-        raise ConfigurationError(f"{key} must be >= {least}, got {points}")
+        raise ConfigurationError(f"{points_key} must be >= {least}, got {points}")
     if not points <= MAX_GRID_POINTS:
-        raise ConfigurationError(f"{key} must be <= {MAX_GRID_POINTS}, got {points}")
-    return points
+        raise ConfigurationError(f"{points_key} must be <= {MAX_GRID_POINTS}, got {points}")
+    start, stop = getattr(cfg, start_key), getattr(cfg, stop_key)
+    if not math.isfinite(stop - start):
+        raise ConfigurationError(
+            f"{start_key} and {stop_key} must span a finite range, got {start!r} to {stop!r}"
+        )
+    return _linspace(start, stop, points)
 
 
 def _linspace(start: float, stop: float, num: int) -> list[float]:
@@ -113,7 +119,7 @@ def _load(args) -> ScenarioConfig:
 def _cmd_spdc_spectrum(args) -> int:
     cfg = _load(args)
     source = SpdcSource(spectrum=cfg.spdc_mode())
-    lam = _linspace(cfg.spectrum_min_nm, cfg.spectrum_max_nm, _grid_points(cfg, "spectrum_points"))
+    lam = _grid(cfg, "spectrum_min_nm", "spectrum_max_nm", "spectrum_points")
     density = spdc_spectral_density(source, lam)
     rows = list(zip(lam, density))
     _emit(args, _table_csv(["wavelength_nm", "relative_density"], rows))
@@ -124,9 +130,7 @@ def _cmd_coupler_curve(args) -> int:
     cfg = _load(args)
     cal1 = calibrate_coupler(cfg.coupler_c1_anchors, kappa_lc_rad=cfg.coupler_kappa_lc_rad)
     cal2 = calibrate_coupler(cfg.coupler_c2_anchors, kappa_lc_rad=cfg.coupler_kappa_lc_rad)
-    volts = _linspace(
-        cfg.coupler_curve_min_v, cfg.coupler_curve_max_v, _grid_points(cfg, "coupler_curve_points")
-    )
+    volts = _grid(cfg, "coupler_curve_min_v", "coupler_curve_max_v", "coupler_curve_points")
     rows = [(v, coupler_ratio(cal1.model, v), coupler_ratio(cal2.model, v)) for v in volts]
     _emit(args, _table_csv(["voltage_V", "cross_ratio_c1", "cross_ratio_c2"], rows))
     for name, cal in (("c1", cal1), ("c2", cal2)):
@@ -164,9 +168,7 @@ def _cmd_hom_dip(args) -> int:
 
     cfg = _load(args)
     scenario = cfg.to_scenario()
-    positions = _linspace(
-        cfg.dip_scan_min_mm, cfg.dip_scan_max_mm, _grid_points(cfg, "dip_scan_points", 3)
-    )
+    positions = _grid(cfg, "dip_scan_min_mm", "dip_scan_max_mm", "dip_scan_points", 3)
     try:
         result = scan_dip(scenario, positions, args.pulses, seed=args.seed)
     except ScanSpanError as exc:

@@ -32,7 +32,10 @@ def v_timing(tau_uncert_ps: float, tau_c_ps: float) -> float:
         raise ValueError(f"coherence time must be > 0, got {tau_c_ps}")
     if not tau_uncert_ps >= 0:
         raise ValueError(f"time uncertainty must be >= 0, got {tau_uncert_ps}")
-    return 1.0 / math.sqrt((tau_uncert_ps / tau_c_ps) ** 2 + 1.0)
+    x = tau_uncert_ps / tau_c_ps
+    if x > 1e150:  # x ** 2 overflows past about 1.3e154; sqrt(x ** 2 + 1) rounds to x here
+        return 1.0 / x
+    return 1.0 / math.sqrt(x**2 + 1.0)
 
 
 def p_coincidence_bounds(

@@ -15,7 +15,8 @@ click cells by one multinomial draw, so its cost does not depend on n.
 Each leg draws from a numpy Generator seeded with `derive_key(seed, leg)`.
 The photon ledger is not a function of the click pattern; `run` computes it
 once, for the dip leg: expected flows, its gated pulses times the per-gate
-expectation.
+expectation.  `joint_law`, the exact enumeration `expected_rates` and the
+closed form `analytic_visibility` all read one set of `_model_inputs`.
 
 `CounterRng` is a stateless counter hash: pulse i, draw slot j reads a
 64-bit hash of (stream key, i * SLOTS + j), so a per-pulse sampler drawing
@@ -28,6 +29,7 @@ benchmark traces.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 
 import numpy as np
 
@@ -43,10 +45,10 @@ from .components import (
 from .interference import DipFit, FitFailureError, FOUR_LN2, fit_dip, v_statistics, v_timing
 from .photostats import (
     N_MAX,
-    HeraldModel,
     PhotonNumberDistribution,
+    UndefinedConditioningError,
     apply_loss,
-    herald_condition,
+    custom,
     thermal,
 )
 from .records import field, record
@@ -210,6 +212,12 @@ def compile_scenario(scenario: Scenario) -> SimParams:
         raise ConfigurationError("pump and gate rates must be positive")
     if scenario.gate_rate_hz > scenario.pump_repetition_rate_hz:
         raise ConfigurationError("gating rate cannot exceed the pump repetition rate")
+    p_gate = scenario.gate_rate_hz / scenario.pump_repetition_rate_hz
+    if not p_gate > 0:  # the quotient can underflow to 0
+        raise ConfigurationError(
+            "pump_repetition_rate_hz and gate_rate_hz must give a gate probability > 0, got "
+            f"{scenario.gate_rate_hz} / {scenario.pump_repetition_rate_hz} = {p_gate}"
+        )
     if not scenario.pump_duration_ps >= 0:
         raise ConfigurationError("pump duration must be >= 0")
     if not math.isfinite(scenario.delay_mm):
@@ -257,7 +265,7 @@ def compile_scenario(scenario: Scenario) -> SimParams:
     )
 
     return SimParams(
-        p_gate=scenario.gate_rate_hz / scenario.pump_repetition_rate_hz,
+        p_gate=p_gate,
         pmf_a=_pair_pmf(dist_a.pmf),
         pmf_b=_pair_pmf(dist_b.pmf),
         q_a=q_a,
@@ -288,7 +296,7 @@ def _clicks(m_max: int, p_det: float, dark: float) -> np.ndarray:
 
 
 def _model_inputs(params: SimParams) -> tuple:
-    """The overlap-free inputs of both engines, `joint_law` and the enumeration.
+    """The overlap-free inputs of `joint_law`, the enumeration and the closed form.
 
     Returns (pk_a, pk_b, pk_b_herald, pk_b_quiet, route, click_a, click_b):
     the law of the photons at C2 input a; that of the photons at input b,
@@ -321,7 +329,7 @@ def _model_inputs(params: SimParams) -> tuple:
         for x in range(k + 1):
             route[k, x] = math.comb(k, x) * cross**x * bar ** (k - x)
 
-    m_max = max(len(pk_a) + len(pk_b) - 2, 2)  # _rates_at reads the 2-photon entries
+    m_max = max(len(pk_a) + len(pk_b) - 2, 2)  # _rate_table reads the 2-photon entries
     click_a = _clicks(m_max, params.s_post * params.eta_a, params.dark_a)
     click_b = _clicks(m_max, params.s_post * params.eta_b, params.dark_b)
     return pk_a, pk_b, pk_b_herald, pk_b_quiet, route, click_a, click_b
@@ -612,39 +620,22 @@ def expected_rates(scenario: Scenario, overlap: float | None = None) -> Expected
     params = compile_scenario(scenario)
     if overlap is None:
         overlap = params.overlap_at(params.delay_mm)
-    return _rates_at(_rate_table(params), overlap)
+    return _rate_table(params)(overlap)
 
 
-@record
-class _RateTable:
-    """The overlap-free part of the enumeration of one compiled scenario.
+def _rate_table(params: SimParams) -> Callable[[float], ExpectedRates]:
+    """rates_at(overlap) -> expected_rates of a compiled scenario at that temporal overlap.
 
-    terms holds, for each (k_a, k_b) photon pattern in summation order, its
-    contributions to the A, B, AB and ABC sums: the pattern's weight times
-    its click probabilities.  The one-plus-one pattern, the only one whose
-    clicks depend on the overlap, is None there; weights_11 holds its two
-    weights, P(k_a=1) P(k_b=1) and P(k_a=1) P(k_b=1, herald click).
-    """
-
-    p_single_c: float
-    cross: float
-    click_a: list[float]  # P[click A] at 0, 1 and 2 photons, darks included
-    click_b: list[float]
-    weights_11: tuple[float, float]
-    terms: list[list[float] | None]
-
-
-def _rate_table(params: SimParams) -> _RateTable:
-    """Every photon pattern's overlap-free terms of expected_rates.
-
-    A pattern (k_a, k_b) sums its click probabilities over C2's routings, x
-    of the k_a photons crossing to output B and y of the k_b photons to A, in
+    Every photon pattern's overlap-free terms are computed once here: its
+    weight times its click probabilities, summed over C2's routings, x of
+    the k_a photons crossing to output B and y of the k_b photons to A, in
     (x, y) order.  All patterns take the routing steps together, one numpy
     add per step; a routing that a pattern does not have weighs exactly 0.0,
-    and adding it leaves the pattern's sums, which are >= 0, unchanged.  Each
-    sum therefore adds the same terms, in the same order, as the
-    pattern-by-pattern loop of tests/enumeration_reference.py, and is
-    bit-identical to it.
+    and adding it leaves the pattern's sums, which are >= 0, unchanged.  The
+    one-plus-one pattern, the only one whose clicks depend on the overlap,
+    has its row filled in on each call.  Each sum therefore adds the same
+    terms, in the same order, as the pattern-by-pattern loop of
+    tests/enumeration_reference.py, and is bit-identical to it.
     """
     pk_a, pk_b, pk_b_herald, _, route, click_a, click_b = _model_inputs(params)
     p_single_c = float(np.array(pk_b_herald).sum())  # includes the dark contribution
@@ -670,52 +661,47 @@ def _rate_table(params: SimParams) -> _RateTable:
     pa, pb, pab = stats
 
     wa = np.array(pk_a)[ka]
-    w_ab = wa * np.array(pk_b)[kb]
-    terms = np.stack([w_ab * pa, w_ab * pb, w_ab * pab, wa * np.array(pk_b_herald)[kb] * pab], axis=1)
-    terms = [None if cell == (1, 1) else t for cell, t in zip(cells, terms.tolist())]
-    weights_11 = (pk_a[1] * pk_b[1], pk_a[1] * pk_b_herald[1]) if None in terms else (0.0, 0.0)
-    return _RateTable(
-        p_single_c, params.cross2, click_a[:3, 1].tolist(), click_b[:3, 1].tolist(), weights_11, terms
-    )
+    w_ab, w_abc = wa * np.array(pk_b)[kb], wa * np.array(pk_b_herald)[kb]
+    terms = np.stack([w_ab * pa, w_ab * pb, w_ab * pab, w_abc * pab], axis=1).tolist()
+    one_plus_one = cells.index((1, 1)) if (1, 1) in cells else None
+    a0, a1, a2 = click_a[:3, 1].tolist()  # P[click A] at 0, 1 and 2 photons, darks included
+    b0, b1, b2 = click_b[:3, 1].tolist()
 
+    def rates_at(overlap: float) -> ExpectedRates:
+        if one_plus_one is not None:
+            p_coinc = _p_coinc(params.cross2, overlap)
+            p_bunch = (1.0 - p_coinc) / 2.0
+            pa = p_coinc * a1 + p_bunch * (a2 + a0)
+            pb = p_coinc * b1 + p_bunch * (b2 + b0)
+            pab = p_coinc * a1 * b1 + p_bunch * (a2 * b0 + a0 * b2)
+            w, wh = pk_a[1] * pk_b[1], pk_a[1] * pk_b_herald[1]
+            terms[one_plus_one] = (w * pa, w * pb, w * pab, wh * pab)
+        p_single_a = p_single_b = p_two = p_three = 0.0
+        for ta, tb, t2, t3 in terms:
+            p_single_a += ta
+            p_single_b += tb
+            p_two += t2
+            p_three += t3
+        return ExpectedRates(p_single_a, p_single_b, p_single_c, p_two, p_three)
 
-def _rates_at(table: _RateTable, overlap: float) -> ExpectedRates:
-    """expected_rates of a compiled scenario's rate table at one temporal overlap."""
-    p_coinc = _p_coinc(table.cross, overlap)
-    p_bunch = (1.0 - p_coinc) / 2.0
-    ca, cb = table.click_a, table.click_b
-    pa = p_coinc * ca[1] + p_bunch * (ca[2] + ca[0])
-    pb = p_coinc * cb[1] + p_bunch * (cb[2] + cb[0])
-    pab = p_coinc * ca[1] * cb[1] + p_bunch * (ca[2] * cb[0] + ca[0] * cb[2])
-    w, wh = table.weights_11
-    one_plus_one = (w * pa, w * pb, w * pab, wh * pab)
-
-    p_single_a = p_single_b = p_two = p_three = 0.0
-    for term in table.terms:
-        ta, tb, t2, t3 = one_plus_one if term is None else term
-        p_single_a += ta
-        p_single_b += tb
-        p_two += t2
-        p_three += t3
-    return ExpectedRates(p_single_a, p_single_b, table.p_single_c, p_two, p_three)
+    return rates_at
 
 
 def analytic_visibility(scenario: Scenario) -> float:
     """Closed-form three-fold dip visibility: the statistics factor times the timing factor.
 
     The statistics factor evaluates the coincidence bounds on the photon
-    number distributions presented to coupler C2: the loss-thinned external
-    distribution against the chip distribution conditioned on the herald
-    click and thinned by the b-arm survival.
+    number laws at coupler C2 that both engines read from `_model_inputs`:
+    the loss-thinned external law against the chip law at input b with a
+    herald click, normalised.  The latter is the chip law conditioned on the
+    herald click and thinned by the b-arm survival: both weight the pattern
+    of n pairs and k photons at C2 by p(n) Bin(k | n, q_b) P[herald | n].
     """
     params = compile_scenario(scenario)
-    dist_a = _pair_distribution(scenario.external_distribution, scenario.external_source, "external")
-    dist_b = herald_condition(
-        _pair_distribution(scenario.chip_distribution, scenario.chip_source, "chip"),
-        HeraldModel(params.p_c_arrive * params.eta_c, params.dark_c),
-    )
-    v_stat = v_statistics(apply_loss(dist_a, params.q_a), apply_loss(dist_b, params.q_b))
-    return v_stat * params.overlap_peak
+    pk_a, _, pk_b_herald, *_ = _model_inputs(params)
+    if not sum(pk_b_herald) > 0.0:
+        raise UndefinedConditioningError("herald click probability is zero; conditioning is undefined")
+    return v_statistics(PhotonNumberDistribution(pk_a), custom(pk_b_herald)) * params.overlap_peak
 
 
 # ---------------------------------------------------------------------------
@@ -771,13 +757,13 @@ def scan_dip(
             f"({2 * params.fwhm_mm:.3f} mm)"
         )
 
-    table = _rate_table(params) if n_pulses_per_point == 0 else None
+    rates_at = _rate_table(params) if n_pulses_per_point == 0 else None
     rates: list[float] = []
     errors: list[float] = []
     for i, pos in enumerate(positions):
         overlap = params.overlap_at(pos)
-        if table is not None:
-            rates.append(_rates_at(table, overlap).p_threefold_abc)
+        if rates_at is not None:
+            rates.append(rates_at(overlap).p_threefold_abc)
             errors.append(0.0)
         else:
             key = derive_key(seed, "scan", i)

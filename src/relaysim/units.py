@@ -55,7 +55,11 @@ def coherence_time(mode: SpectralMode) -> float:
     k = TIME_BANDWIDTH_PRODUCT[mode.lineshape]
     lam_m = mode.center_wavelength_nm * 1e-9
     dlam_m = mode.fwhm_pm * 1e-12
-    return k * lam_m**2 / (SPEED_OF_LIGHT_M_PER_S * dlam_m) * 1e12
+    try:
+        lam_sq = lam_m**2
+    except OverflowError:
+        raise ValueError(f"center wavelength {mode.center_wavelength_nm} nm overflows when squared") from None
+    return k * lam_sq / (SPEED_OF_LIGHT_M_PER_S * dlam_m) * 1e12
 
 
 def delay_to_path(delay_ps: float) -> float:

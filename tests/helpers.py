@@ -1,8 +1,10 @@
 """Shared scenario builders for the Monte Carlo and acceptance tests."""
 
 from relaysim.components import ChipLayout, DetectorModel, SpdcSource
+from relaysim.config import load_preset
 from relaysim.montecarlo import Scenario
 from relaysim.photostats import custom
+from relaysim.records import replace
 
 
 def lossless_layout() -> ChipLayout:
@@ -78,4 +80,17 @@ def oracle_scenarios() -> list[tuple[str, Scenario]]:
         ("Na.008_Nb.004_eta.9", bench_scenario(0.008, 0.004, eta=0.9)),
         # Nominal operating-point source statistics under a 10 dB external arm.
         ("Na.05_Nb.02_alice10dB", bench_scenario(0.05, 0.02, alice_db=10.0)),
+    ]
+
+
+def law_cases() -> list[tuple[str, Scenario]]:
+    """Named scenarios that every exact-law check runs over."""
+    return [
+        *oracle_scenarios(),
+        ("darks", bench_scenario(0.02, 0.01, dark_per_ns=1e-4, gate_window_ns=10.0)),
+        ("unbalanced_c2", replace(bench_scenario(0.05, 0.02), coupler_c2_voltage_v=20.0)),
+        ("bright_darks", bench_scenario(0.05, 0.02, dark_per_ns=1e-4)),
+        ("paper-fig6", load_preset("paper-fig6").to_scenario()),
+        # Pair distributions shorter than N_MAX + 1.
+        ("single_photon", single_photon_scenario(0.0)),
     ]

@@ -602,6 +602,27 @@ _NAMED_INPUT_ERRORS = [
         "must give at most 100000 distances from sweep_min_km in sweep_step_km steps, "
         "got 0.0 to 1000000000000.0 in steps of 5.0",
     ),
+    # A span that overflows: "math domain error", and for hom-dip "scan
+    # positions must be finite, got nan", named no key.
+    *(
+        (command, f"{low},{high}", "-1e308,1e308", "must span a finite range, got -1e+308 to 1e+308")
+        for command, low, high in (
+            ("spdc-spectrum", "spectrum_min_nm", "spectrum_max_nm"),
+            ("coupler-curve", "coupler_curve_min_v", "coupler_curve_max_v"),
+            ("hom-dip", "dip_scan_min_mm", "dip_scan_max_mm"),
+        )
+    ),
+    # The gate probability underflowed to 0.0, and the resolution check
+    # divided by it: a ZeroDivisionError.
+    *(
+        (
+            command,
+            "pump_repetition_rate_hz,gate_rate_hz",
+            "1e308,1e-308",
+            "must give a gate probability > 0, got 1e-308 / 1e+308 = 0.0",
+        )
+        for command in ("mc-run", "hom-dip")
+    ),
 ]
 
 
@@ -620,6 +641,34 @@ def test_cli_names_the_input_it_rejects(tmp_path, capsys, command, key, literal,
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: ConfigurationError: {' and '.join(keys)} {message}\n"
+
+
+_FINITE_EXTREMES = [
+    # An OverflowError in v_timing, squaring the pump duration over the coherence time.
+    ('{"pump_duration_ps": 1e308}', 0, None),
+    # An OverflowError in coherence_time, squaring the wavelength.
+    (
+        '{"photon_center_wavelength_nm": 1e300}',
+        2,
+        "error: ValueError: center wavelength 1e+300 nm overflows when squared\n",
+    ),
+]
+
+
+@pytest.mark.parametrize("command", ["mc-run", "hom-dip"])
+@pytest.mark.parametrize(
+    "body,status,error", _FINITE_EXTREMES, ids=["pump_duration_ps", "photon_center_wavelength_nm"]
+)
+def test_finite_extreme_input_ends_without_a_traceback(tmp_path, capsys, command, body, status, error):
+    # In process, an uncaught exception fails the test where the console showed a traceback.
+    path = tmp_path / "extreme.json"
+    path.write_text(body, encoding="utf-8")
+    assert run_cli(command, "--config", str(path), "--pulses", "1000") == status
+    err = capsys.readouterr().err
+    if error is None:
+        assert "error" not in err
+    else:
+        assert err == error
 
 
 # Flags a subcommand does not take: --pulses and --workers where no pulse is

@@ -33,6 +33,8 @@ def test_v_timing_quoted_point():
 def test_v_timing_limits():
     assert v_timing(0.0, 17.3) == 1.0
     assert v_timing(5.0, 5.0) == pytest.approx(1.0 / math.sqrt(2.0), rel=1e-12)
+    # The squared ratio overflows here; sqrt(x^2 + 1) rounds to x, so V = 1 / x.
+    assert v_timing(1e308, 1.0) == 1e-308
     with pytest.raises(ValueError):
         v_timing(1.0, 0.0)
     with pytest.raises(ValueError):

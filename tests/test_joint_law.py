@@ -14,27 +14,23 @@ import pytest
 from scipy.stats import chi2
 
 from enumeration_reference import reference_rates
-from helpers import bench_scenario, oracle_scenarios, single_photon_scenario
+from helpers import bench_scenario, law_cases
 from pulse_reference import LEDGER, click_table
 from relaysim.config import load_preset
-from relaysim.montecarlo import compile_scenario, derive_key, expected_rates, joint_law, run, scan_dip
+from relaysim.montecarlo import (
+    _rate_table,
+    compile_scenario,
+    derive_key,
+    expected_rates,
+    joint_law,
+    run,
+    scan_dip,
+)
 from relaysim.photostats import custom
 from relaysim.records import replace
 
 # A correct sampler fails a chi-square check at this p-value once in 1000 seeds.
 ALPHA = 1e-3
-
-
-def law_cases():
-    return [
-        *oracle_scenarios(),
-        ("darks", bench_scenario(0.02, 0.01, dark_per_ns=1e-4, gate_window_ns=10.0)),
-        ("unbalanced_c2", replace(bench_scenario(0.05, 0.02), coupler_c2_voltage_v=20.0)),
-        ("bright_darks", bench_scenario(0.05, 0.02, dark_per_ns=1e-4)),
-        ("paper-fig6", load_preset("paper-fig6").to_scenario()),
-        # Pair distributions shorter than N_MAX + 1.
-        ("single_photon", single_photon_scenario(0.0)),
-    ]
 
 
 # ---------------------------------------------------------------------------
@@ -78,6 +74,15 @@ def test_enumeration_matches_reference_bit_for_bit(name, scenario, overlap):
     params = compile_scenario(scenario)
     at = params.overlap_at(params.delay_mm) if overlap is None else overlap
     assert expected_rates(scenario, overlap=overlap) == reference_rates(params, at)
+
+
+@pytest.mark.parametrize("name,scenario", law_cases())
+def test_rate_table_matches_reference_on_reuse(name, scenario):
+    # One table serves every overlap: the one-plus-one row is refilled on each call.
+    params = compile_scenario(scenario)
+    rates_at = _rate_table(params)
+    for overlap in (1.0, 0.0, 0.37, 1.0):
+        assert rates_at(overlap) == reference_rates(params, overlap)
 
 
 def test_analytic_scan_matches_reference_bit_for_bit():

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import bench_scenario, oracle_scenarios, single_photon_scenario
+from helpers import bench_scenario, law_cases, oracle_scenarios, single_photon_scenario
 from relaysim import montecarlo
 from relaysim.cli import main
 from relaysim.components import ConfigurationError, DetectorModel, FilterModel
@@ -19,7 +19,15 @@ from relaysim.montecarlo import (
     scan_dip,
     subtract_accidentals,
 )
-from relaysim.photostats import custom
+from relaysim.interference import v_statistics
+from relaysim.photostats import (
+    HeraldModel,
+    UndefinedConditioningError,
+    apply_loss,
+    custom,
+    herald_condition,
+    thermal,
+)
 from relaysim.records import fields, replace
 from relaysim.units import coherence_time
 
@@ -179,6 +187,44 @@ def test_closed_form_gap_to_exact_visibility(name, scenario, stated):
     gap = exact - closed
     print(f"{name}: V_exact {exact:.5f} V_closed {closed:.5f} gap {gap:+.5f}")
     assert stated[0] - MARGIN <= gap <= stated[1] + MARGIN
+
+
+def photostats_closed_form(scenario) -> float:
+    """The closed form composed from photostats: the sources' pair laws built
+    again, the chip law conditioned on the herald click, then both thinned."""
+    params = compile_scenario(scenario)
+    dist_a, dist_b = scenario.external_distribution, scenario.chip_distribution
+    dist_a = thermal(scenario.external_source.mean_pairs) if dist_a is None else dist_a
+    dist_b = thermal(scenario.chip_source.mean_pairs) if dist_b is None else dist_b
+    dist_b = herald_condition(dist_b, HeraldModel(params.p_c_arrive * params.eta_c, params.dark_c))
+    v_stat = v_statistics(apply_loss(dist_a, params.q_a), apply_loss(dist_b, params.q_b))
+    return v_stat * params.overlap_peak
+
+
+@pytest.mark.parametrize("name,scenario", [case for case in law_cases() if case[0] != "single_photon"])
+def test_closed_form_matches_photostats_composition(name, scenario):
+    # It reads the engines' normalised cumulative-sum pmfs, not the raw
+    # thermal pmf: the worst relative difference over these cases is 2.1e-12.
+    assert analytic_visibility(scenario) == pytest.approx(photostats_closed_form(scenario), rel=1e-11)
+
+
+def test_closed_form_builds_the_pair_laws_once(monkeypatch):
+    counts = dict.fromkeys(("compile_scenario", "thermal"), 0)
+    for name in counts:
+        def counted(*args, _name=name, _original=getattr(montecarlo, name)):
+            counts[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(montecarlo, name, counted)
+    analytic_visibility(load_preset("paper-fig6").to_scenario())
+    assert counts == {"compile_scenario": 1, "thermal": 2}
+
+
+def test_closed_form_without_herald_photons_is_undefined():
+    sc = single_photon_scenario(0.0)
+    for closed_form in (analytic_visibility, photostats_closed_form):
+        with pytest.raises(UndefinedConditioningError, match="^herald click probability is zero; conditioning"):
+            closed_form(sc)
 
 
 def test_twofold_thermal_visibility_one_third():
@@ -412,10 +458,17 @@ def test_largest_pulse_count_runs():
     assert report.pulses_simulated == 2**63 - 1 == report.dip.gated
 
 
-def test_pattern_cutoff_clamps_distribution():
+def test_pair_law_of_n_max_pairs_is_kept_whole():
     sc = replace(bench_scenario(0.01, 0.01), external_distribution=custom([0.0] * 20 + [1.0]))
     params = compile_scenario(sc)
     assert params.pmf_a.shape[0] == 21
+
+
+@pytest.mark.parametrize("name", ["external", "chip"])
+def test_pair_law_past_n_max_pairs_is_rejected(name):
+    sc = replace(bench_scenario(0.01, 0.01), **{f"{name}_distribution": custom([0.0] * 21 + [1.0])})
+    with pytest.raises(ConfigurationError, match=r"^pair distributions must be truncated at <= 20$"):
+        compile_scenario(sc)
 
 
 @pytest.mark.parametrize("name", ["external", "chip"])

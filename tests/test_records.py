@@ -16,14 +16,7 @@ from relaysim.components import ChipLayout, DEFAULT_SEGMENTS, calibrate_coupler
 from relaysim.config import load_preset
 from relaysim.interference import dip_profile
 from relaysim.linkbudget import LinkModel, link_rates, max_distance, sweep
-from relaysim.montecarlo import (
-    _rate_table,
-    compile_scenario,
-    expected_rates,
-    run,
-    scan_dip,
-    subtract_accidentals,
-)
+from relaysim.montecarlo import compile_scenario, expected_rates, run, scan_dip, subtract_accidentals
 from relaysim.photostats import HeraldModel, thermal
 from relaysim.records import FrozenInstanceError, field, fields, record, replace
 from relaysim.units import SpectralMode
@@ -46,7 +39,6 @@ def _samples() -> dict:
     """One instance of every record class, each built by the code that builds it in use."""
     config = load_preset("paper-fig6")
     scenario = config.to_scenario()
-    params = compile_scenario(scenario)
     report = run(scenario, 10**6, seed=1)
     link = config.to_link_params()
     built = [
@@ -61,8 +53,7 @@ def _samples() -> dict:
         calibrate_coupler(config.coupler_c1_anchors),
         HeraldModel(0.1, 1e-5),
         thermal(0.05),
-        params,
-        _rate_table(params),
+        compile_scenario(scenario),
         expected_rates(scenario),
         report,
         report.dip,
@@ -104,7 +95,7 @@ def _values(x) -> list:
 
 
 def test_every_record_class_has_a_sample():
-    assert len(CLASSES) == 26
+    assert len(CLASSES) == 25
     assert sorted(SAMPLES) == sorted(CLASSES)
     for name, x in SAMPLES.items():
         assert type(x) is CLASSES[name]
