@@ -143,17 +143,18 @@ def _cmd_coupler_curve(args) -> int:
 
 def _cmd_visibility_map(args) -> int:
     from .interference import v_statistics, visibility_map
-    from .photostats import HeraldModel, herald_condition, thermal
+    from .photostats import herald_condition, thermal
 
     cfg = _load(args)
-    herald = HeraldModel(cfg.map_herald_efficiency, cfg.map_herald_dark_prob)
-    rows = visibility_map(cfg.map_na_values, cfg.map_nb_values, herald)
+    rows = visibility_map(
+        cfg.map_na_values, cfg.map_nb_values, cfg.map_herald_efficiency, cfg.map_herald_dark_prob
+    )
     _emit(args, _table_csv(["N_a", "N_b", "visibility"], rows))
 
     # Operating-point summary with the gap to the reference design target.
     na, nb = 0.05, 0.02
-    v_low = v_statistics(thermal(na), herald_condition(thermal(nb), HeraldModel(None, 0.0)))
-    v_unit = v_statistics(thermal(na), herald_condition(thermal(nb), HeraldModel(1.0, 0.0)))
+    v_low = v_statistics(thermal(na), herald_condition(thermal(nb), None))
+    v_unit = v_statistics(thermal(na), herald_condition(thermal(nb), 1.0))
     print(f"operating_point_Na={na!r} Nb={nb!r}")
     print(f"visibility_low_efficiency_herald={v_low!r}")
     print(f"visibility_unit_efficiency_herald={v_unit!r}")
@@ -206,16 +207,11 @@ def _cmd_keyrate_sweep(args) -> int:
             f"in steps of {cfg.sweep_step_km}"
         )
     params = cfg.to_link_params()
-    models = fig2_models()
-    distances = _arange(cfg.sweep_min_km, stop, cfg.sweep_step_km)
-    table = sweep(models, params, distances)
-    rows = [
-        (table.distances_km[i], *(table.rates[j][i] for j in range(len(models))))
-        for i in range(len(table.distances_km))
-    ]
-    _emit(args, _table_csv(["distance_km", *table.labels], rows))
+    variants = fig2_models()
+    rows = sweep(variants, params, _arange(cfg.sweep_min_km, stop, cfg.sweep_step_km))
+    _emit(args, _table_csv(["distance_km", *variants], rows))
 
-    results = {m.variant: max_distance(m, params) for m in models}
+    results = {v: max_distance(v, params) for v in variants}
     for name, res in results.items():
         dist = res.distance_km
         print(f"max_distance_{name}_km={dist!r}" + (" (unbounded)" if math.isinf(dist) else ""))

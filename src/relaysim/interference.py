@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import warnings
 
-from .photostats import PhotonNumberDistribution, HeraldModel, herald_condition, thermal
+from .photostats import PhotonNumberDistribution, herald_condition, thermal
 from .records import record
 from .units import delay_to_path
 
@@ -68,7 +68,9 @@ def v_statistics(
     return (p_max - p_min) / p_max
 
 
-def visibility_map(grid_na, grid_nb, herald: HeraldModel) -> list[tuple[float, float, float]]:
+def visibility_map(
+    grid_na, grid_nb, herald_efficiency: float | None, herald_dark_prob: float
+) -> list[tuple[float, float, float]]:
     """v_statistics over a (N_a, N_b) grid of thermal sources.
 
     Arm a is an unheralded thermal source; arm b is thermal, conditioned on
@@ -78,7 +80,7 @@ def visibility_map(grid_na, grid_nb, herald: HeraldModel) -> list[tuple[float, f
     grid_nb = list(grid_nb)
     if not grid_na or not grid_nb:
         raise ValueError("grids must be nonempty")
-    dists_b = [herald_condition(thermal(nb), herald) for nb in grid_nb]
+    dists_b = [herald_condition(thermal(nb), herald_efficiency, herald_dark_prob) for nb in grid_nb]
     rows = []
     for na in grid_na:
         dist_a = thermal(na)

@@ -3,9 +3,10 @@
 Four link variants are compared: a direct link, a textbook teleportation
 relay with ideal Bell-state detection, the folded relay implemented by the
 chip, where the herald travels forward along the channel and gates the
-receiver, and the same folded relay on a lossless chip.  Rates are
-normalized to the direct link's zero-distance value; absolute rates follow
-by multiplying with the pulse rate.
+receiver, and the same folded relay on a lossless chip.  Every entry point
+takes a variant by its name in VARIANTS.  Rates are normalized to the direct
+link's zero-distance value; absolute rates follow by multiplying with the
+pulse rate.
 
 The relay rate model (per gated pulse, probabilities small):
 
@@ -54,17 +55,6 @@ class LinkParams:
 
 
 @record
-class LinkModel:
-    """One link variant; a relay sits where the SNR is highest, per distance."""
-
-    variant: str = "direct"
-
-    def __post_init__(self) -> None:
-        if self.variant not in VARIANTS:
-            raise ValueError(f"unknown variant {self.variant!r}; expected one of {VARIANTS}")
-
-
-@record
 class LinkRates:
     """Per-gated-pulse link probabilities at one distance."""
 
@@ -73,9 +63,9 @@ class LinkRates:
     normalized_rate: float
 
 
-def _chip_transmissions(model: LinkModel, params: LinkParams) -> tuple[float, float, float]:
+def _chip_transmissions(variant: str, params: LinkParams) -> tuple[float, float, float]:
     """(g_a, g_b, g_c): chip transmissions of the incoming, measured and teleported photons."""
-    if model.variant in ("standard_relay", "folded_relay_lossless"):
+    if variant in ("standard_relay", "folded_relay_lossless"):
         return 1.0, 1.0, 1.0
     layout = params.layout
     return (
@@ -86,7 +76,7 @@ def _chip_transmissions(model: LinkModel, params: LinkParams) -> tuple[float, fl
 
 
 def _relay_probs(
-    model: LinkModel, params: LinkParams, distance_km: float
+    variant: str, params: LinkParams, distance_km: float
 ) -> Callable[[float], tuple[float, float]]:
     """probs(position) -> (signal, accidental) per pulse for a relay at distance_km.
 
@@ -98,11 +88,11 @@ def _relay_probs(
     neg_alpha = -params.fiber_loss_db_per_km
     eta = params.detector.efficiency
     d = params.detector.dark_prob_per_gate
-    eta_r = 1.0 if model.variant == "standard_relay" else eta
+    eta_r = 1.0 if variant == "standard_relay" else eta
     d_r = d
     mu = params.mean_photon_per_pulse
     nu = params.relay_pair_mean
-    g_a, g_b, g_c = _chip_transmissions(model, params)
+    g_a, g_b, g_c = _chip_transmissions(variant, params)
     p_b = nu * g_b * eta_r
     p_b_dark = p_b * d_r
     dark_pair = d_r * d_r
@@ -149,12 +139,15 @@ def _best_position(probs: Callable[[float], tuple[float, float]]) -> float:
     return (lo + hi) / 2.0
 
 
-def link_rates(model: LinkModel, params: LinkParams, distance_km: float) -> LinkRates:
-    """Signal/accidental probabilities and normalized rate at a distance.
+def link_rates(variant: str, params: LinkParams, distance_km: float) -> LinkRates:
+    """Signal/accidental probabilities and normalized rate of one variant at a distance.
 
-    Rates are normalized to the direct link's zero-distance rate mu eta + d,
-    which must hold signal: mu eta == 0 raises ValueError.
+    A relay variant places its relay where the SNR is highest.  Rates are
+    normalized to the direct link's zero-distance rate mu eta + d, which
+    must hold signal: mu eta == 0 raises ValueError.
     """
+    if variant not in VARIANTS:
+        raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
     if not distance_km >= 0:
         raise ValueError(f"distance must be >= 0, got {distance_km}")
     eta = params.detector.efficiency
@@ -167,11 +160,11 @@ def link_rates(model: LinkModel, params: LinkParams, distance_km: float) -> Link
         )
     norm = signal_norm + d
 
-    if model.variant == "direct":
+    if variant == "direct":
         signal = signal_norm * 10.0 ** (-params.fiber_loss_db_per_km * distance_km / 10.0)
         accidental = d
     else:
-        probs = _relay_probs(model, params, distance_km)
+        probs = _relay_probs(variant, params, distance_km)
         signal, accidental = probs(_best_position(probs) if distance_km > 0 else 0.5)
     return LinkRates(signal, accidental, (signal + accidental) / norm)
 
@@ -184,17 +177,7 @@ class MaxDistanceResult:
     midpoint_distance_km: float | None
 
 
-def _below_snr_unity(model: LinkModel, params: LinkParams, distance_km: float) -> bool:
-    rates = link_rates(model, params, distance_km)
-    return rates.signal_prob < rates.accidental_prob
-
-
-def _midpoint_below_snr_unity(model: LinkModel, params: LinkParams, distance_km: float) -> bool:
-    signal, accidental = _relay_probs(model, params, distance_km)(0.5)
-    return signal < accidental
-
-
-def max_distance(model: LinkModel, params: LinkParams) -> MaxDistanceResult:
+def max_distance(variant: str, params: LinkParams) -> MaxDistanceResult:
     """Smallest distance where the signal falls below the accidentals, bisected to 0.1 km.
 
     The relay position is optimized per distance; for relay variants the
@@ -203,52 +186,48 @@ def max_distance(model: LinkModel, params: LinkParams) -> MaxDistanceResult:
     inf, with no midpoint reach.
     """
 
-    def solve(below: Callable[[LinkModel, LinkParams, float], bool]) -> float | None:
-        if not below(model, params, MAX_SEARCH_KM):
+    def below_snr_unity(distance_km: float) -> bool:
+        rates = link_rates(variant, params, distance_km)
+        return rates.signal_prob < rates.accidental_prob
+
+    def midpoint_below_snr_unity(distance_km: float) -> bool:
+        signal, accidental = _relay_probs(variant, params, distance_km)(0.5)
+        return signal < accidental
+
+    def solve(below: Callable[[float], bool]) -> float | None:
+        if not below(MAX_SEARCH_KM):
             return None
-        if below(model, params, 0.0):
+        if below(0.0):
             return 0.0
         lo, hi = 0.0, MAX_SEARCH_KM
         while hi - lo > 0.1:
             mid = (lo + hi) / 2.0
-            if below(model, params, mid):
+            if below(mid):
                 hi = mid
             else:
                 lo = mid
         return (lo + hi) / 2.0
 
-    dist = solve(_below_snr_unity)
+    dist = solve(below_snr_unity)
     if dist is None:
         return MaxDistanceResult(math.inf, None)
 
     midpoint = None
-    if model.variant != "direct":
-        midpoint = solve(_midpoint_below_snr_unity)
+    if variant != "direct":
+        midpoint = solve(midpoint_below_snr_unity)
     return MaxDistanceResult(dist, midpoint)
 
 
-@record
-class SweepResult:
-    """Normalized rates per model over a distance grid."""
-
-    distances_km: tuple[float, ...]
-    labels: tuple[str, ...]
-    rates: tuple[tuple[float, ...], ...]  # one row of rates per label
-
-
-def sweep(models, params: LinkParams, distances_km) -> SweepResult:
-    """Evaluate normalized rates for each model over the distance grid."""
-    models = list(models)
+def sweep(variants, params: LinkParams, distances_km) -> list[tuple[float, ...]]:
+    """Rows (distance, normalized rate of each variant) over the distance grid."""
+    variants = list(variants)
     distances = [float(x) for x in distances_km]
-    if not models or not distances:
-        raise ValueError("models and distances must be nonempty")
-    labels = tuple(m.variant for m in models)
-    rates = tuple(
-        tuple(link_rates(m, params, x).normalized_rate for x in distances) for m in models
-    )
-    return SweepResult(tuple(distances), labels, rates)
+    if not variants or not distances:
+        raise ValueError("variants and distances must be nonempty")
+    rates = [[link_rates(v, params, x).normalized_rate for x in distances] for v in variants]
+    return list(zip(distances, *rates))
 
 
-def fig2_models() -> list[LinkModel]:
+def fig2_models() -> tuple[str, ...]:
     """The four standard comparison curves, one per variant."""
-    return [LinkModel(variant) for variant in VARIANTS]
+    return VARIANTS

@@ -235,14 +235,19 @@ def compile_scenario(scenario: Scenario) -> SimParams:
     lam_signal = scenario.photon_mode.center_wavelength_nm
     # Energy-matched partner of the interfering photons (chip pair).
     lam_partner = 1.0 / (2.0 / scenario.chip_source.spectrum.center_wavelength_nm - 1.0 / lam_signal)
-    if not scenario.filter_ab.passes(lam_signal):
-        raise ConfigurationError("output A/B filter must pass the interfering photons")
-    if not scenario.filter_c.passes(lam_partner):
-        raise ConfigurationError("port C filter must pass the partner photons")
-    if scenario.filter_ab.passes(lam_partner) or scenario.filter_c.passes(lam_signal):
-        raise ConfigurationError(
-            "signal and partner filter bands must be disjoint for clean heralding"
-        )
+    # Each output passes its own photons and, for clean heralding, blocks the other's.
+    for name, band, lam, photons, must_pass in (
+        ("filter_ab", scenario.filter_ab, lam_signal, "interfering", True),
+        ("filter_c", scenario.filter_c, lam_partner, "partner", True),
+        ("filter_ab", scenario.filter_ab, lam_partner, "partner", False),
+        ("filter_c", scenario.filter_c, lam_signal, "interfering", False),
+    ):
+        if band.passes(lam) != must_pass:
+            raise ConfigurationError(
+                f"{name}_center_nm and {name}_fwhm_pm must {'pass' if must_pass else 'block'} "
+                f"the {photons} photons at {lam!r} nm, "
+                f"got a {band.fwhm_pm!r} pm band at {band.center_nm!r} nm"
+            )
 
     dist_a = _pair_distribution(scenario.external_distribution, scenario.external_source, "external")
     dist_b = _pair_distribution(scenario.chip_distribution, scenario.chip_source, "chip")
@@ -458,11 +463,17 @@ class CountsReport:
 
 
 def _raw_visibility(report: CountsReport, count: str) -> tuple[float, float]:
-    """1 - (dip rate / reference rate) of one coincidence count, with its Poisson error."""
+    """1 - (dip rate / reference rate) of one coincidence count, with its Poisson error.
+
+    A dip with no count against a counted reference is a perfect dip: 1.0,
+    with no Poisson error (nan), as `subtract_accidentals` reports it.
+    """
     c0, c1 = getattr(report.dip, count), getattr(report.ref, count)
     g0, g1 = report.dip.gated, report.ref.gated
-    if c0 <= 0 or c1 <= 0 or g0 <= 0 or g1 <= 0:
+    if c1 <= 0 or g0 <= 0 or g1 <= 0:
         return float("nan"), float("nan")
+    if c0 <= 0:
+        return 1.0, float("nan")
     r = (c0 / g0) / (c1 / g1)
     return 1.0 - r, r * math.sqrt(1.0 / c0 + 1.0 / c1)
 
@@ -712,6 +723,11 @@ class ScanSpanError(ValueError):
     """Raised when scan positions do not span more than twice the expected dip width."""
 
 
+def _mm(length_mm: float) -> str:
+    """A length to the micrometre, in exponent form from 1 km up."""
+    return f"{length_mm:.3f} mm" if length_mm < 1e6 else f"{length_mm:.3e} mm"
+
+
 @record
 class DipScanResult:
     """Per-position three-fold rates with a gaussian fit of the dip."""
@@ -753,8 +769,7 @@ def scan_dip(
     span = max(positions) - min(positions)
     if not span > 2.0 * params.fwhm_mm:
         raise ScanSpanError(
-            f"scan span {span:.3f} mm must exceed twice the expected width "
-            f"({2 * params.fwhm_mm:.3f} mm)"
+            f"scan span {_mm(span)} must exceed twice the expected width ({_mm(2 * params.fwhm_mm)})"
         )
 
     rates_at = _rate_table(params) if n_pulses_per_point == 0 else None

@@ -2,9 +2,10 @@
 
 Number distributions for SPDC sources (thermal and poissonian families), cut
 at N_MAX pairs and rejected if they lose more than 1e-9 above it; Bayesian
-conditioning on a herald detector click, and binomial loss thinning.
-Distributions are immutable value objects; each pair is identified with one
-photon per arm, and losses are applied downstream via :func:`apply_loss`.
+conditioning on a herald detector click, given by its efficiency and dark
+probability, and binomial loss thinning.  Distributions are immutable value
+objects; each pair is identified with one photon per arm, and losses are
+applied downstream via :func:`apply_loss`.
 """
 
 from __future__ import annotations
@@ -20,27 +21,6 @@ PMF_TOLERANCE = 1e-9  # mass a truncated pmf may lose, or gain by rounding
 
 class UndefinedConditioningError(ValueError):
     """Raised when the herald click probability is exactly zero."""
-
-
-@record
-class HeraldModel:
-    """Herald detection model for conditioning a pair distribution.
-
-    efficiency is the end-to-end probability, per created pair, that the
-    herald photon produces a detector click.  efficiency=None selects the
-    vanishing-efficiency limit, where the conditioned pmf tends to
-    n*p(n)/mean.  dark_prob is an independent per-gate false-click
-    probability that mixes unconditioned pulses into the heralded set.
-    """
-
-    efficiency: float | None
-    dark_prob: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.efficiency is not None and not 0.0 <= self.efficiency <= 1.0:
-            raise ValueError(f"herald efficiency must be in [0, 1], got {self.efficiency}")
-        if not 0.0 <= self.dark_prob <= 1.0:
-            raise ValueError(f"herald dark probability must be in [0, 1], got {self.dark_prob}")
 
 
 @record
@@ -115,20 +95,35 @@ def custom(pmf) -> PhotonNumberDistribution:
 
 
 def herald_condition(
-    dist: PhotonNumberDistribution, model: HeraldModel
+    dist: PhotonNumberDistribution, efficiency: float | None, dark_prob: float = 0.0
 ) -> PhotonNumberDistribution:
     """Condition a pair distribution on a herald click.
 
-    The click probability given n pairs is 1 - (1-eta)^n (1-dark); the
-    returned pmf is p(n) * p(click|n), renormalized.  With dark=0 the
-    efficiency->0 limit is n*p(n)/mean, available via efficiency=None.
+    efficiency is the end-to-end probability, per created pair, that the
+    herald photon produces a detector click; dark_prob is an independent
+    per-gate false-click probability that mixes unconditioned pulses into
+    the heralded set.  The click probability given n pairs is
+    1 - (1-eta)^n (1-dark); the returned pmf is p(n) * p(click|n),
+    renormalized.  efficiency=None selects the vanishing-efficiency limit
+    n*p(n)/mean, which holds only without dark clicks: with dark > 0 the
+    conditioned pmf tends to the unconditioned one, so None with dark > 0
+    raises ValueError.
     """
-    if model.efficiency is None:
+    if efficiency is not None and not 0.0 <= efficiency <= 1.0:
+        raise ValueError(f"herald efficiency must be in [0, 1], got {efficiency}")
+    if not 0.0 <= dark_prob <= 1.0:
+        raise ValueError(f"herald dark probability must be in [0, 1], got {dark_prob}")
+    if efficiency is None:
+        if dark_prob > 0.0:
+            raise ValueError(
+                "the vanishing-efficiency herald takes no dark clicks, got dark probability "
+                f"{dark_prob!r}: as the efficiency goes to 0 the conditioned pmf tends to the "
+                "unconditioned one, not to n*p(n)/mean"
+            )
         weights = [n * p for n, p in enumerate(dist.pmf)]
     else:
-        eta, dark = model.efficiency, model.dark_prob
         weights = [
-            p * (1.0 - (1.0 - eta) ** n * (1.0 - dark)) for n, p in enumerate(dist.pmf)
+            p * (1.0 - (1.0 - efficiency) ** n * (1.0 - dark_prob)) for n, p in enumerate(dist.pmf)
         ]
     total = sum(weights)
     if not total > 0.0:

@@ -13,12 +13,12 @@ from __future__ import annotations
 
 import math
 
-from relaysim.linkbudget import LinkModel, LinkParams
+from relaysim.linkbudget import LinkParams
 
 
-def chip_transmissions(model: LinkModel, params: LinkParams) -> tuple[float, float, float]:
+def chip_transmissions(variant: str, params: LinkParams) -> tuple[float, float, float]:
     """(g_a, g_b, g_c) of the incoming, measured and teleported photons."""
-    if model.variant in ("standard_relay", "folded_relay_lossless"):
+    if variant in ("standard_relay", "folded_relay_lossless"):
         return 1.0, 1.0, 1.0
     layout = params.layout
     return (
@@ -29,17 +29,17 @@ def chip_transmissions(model: LinkModel, params: LinkParams) -> tuple[float, flo
 
 
 def relay_probs(
-    model: LinkModel, params: LinkParams, distance_km: float, position: float
+    variant: str, params: LinkParams, distance_km: float, position: float
 ) -> tuple[float, float]:
     """(signal, accidental) per pulse for a relay at the given position."""
     alpha = params.fiber_loss_db_per_km
     eta = params.detector.efficiency
     d = params.detector.dark_prob_per_gate
-    eta_r = 1.0 if model.variant == "standard_relay" else eta
+    eta_r = 1.0 if variant == "standard_relay" else eta
     d_r = d
     mu = params.mean_photon_per_pulse
     nu = params.relay_pair_mean
-    g_a, g_b, g_c = chip_transmissions(model, params)
+    g_a, g_b, g_c = chip_transmissions(variant, params)
 
     t1 = 10.0 ** (-alpha * position * distance_km / 10.0)
     t2 = 10.0 ** (-alpha * (1.0 - position) * distance_km / 10.0)
@@ -59,13 +59,13 @@ def relay_probs(
     return signal, accidental
 
 
-def best_position(model: LinkModel, params: LinkParams, distance_km: float) -> float:
+def best_position(variant: str, params: LinkParams, distance_km: float) -> float:
     """Golden-section maximization of SNR over the relay position, 80 steps."""
     if distance_km <= 0:
         return 0.5
 
     def snr(f: float) -> float:
-        s, a = relay_probs(model, params, distance_km, f)
+        s, a = relay_probs(variant, params, distance_km, f)
         return s / a if a > 0 else math.inf
 
     inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
@@ -86,31 +86,31 @@ def best_position(model: LinkModel, params: LinkParams, distance_km: float) -> f
 
 
 def reference_rates(
-    model: LinkModel, params: LinkParams, distance_km: float
+    variant: str, params: LinkParams, distance_km: float
 ) -> tuple[float, float, float]:
     """(signal, accidental, normalized rate) of one link variant at a distance."""
     eta = params.detector.efficiency
     d = params.detector.dark_prob_per_gate
     norm = params.mean_photon_per_pulse * eta + d
-    if model.variant == "direct":
+    if variant == "direct":
         signal = params.mean_photon_per_pulse * eta * 10.0 ** (
             -params.fiber_loss_db_per_km * distance_km / 10.0
         )
         accidental = d
     else:
-        position = best_position(model, params, distance_km)
-        signal, accidental = relay_probs(model, params, distance_km, position)
+        position = best_position(variant, params, distance_km)
+        signal, accidental = relay_probs(variant, params, distance_km, position)
     return signal, accidental, (signal + accidental) / norm
 
 
-def midpoint_reach(model: LinkModel, params: LinkParams) -> float | None:
+def midpoint_reach(variant: str, params: LinkParams) -> float | None:
     """Distance where a relay at the midpoint falls below SNR unity, bisected to 0.1 km.
 
     None when its SNR stays above unity within 10^4 km.
     """
 
     def below(distance_km: float) -> bool:
-        signal, accidental = relay_probs(model, params, distance_km, 0.5)
+        signal, accidental = relay_probs(variant, params, distance_km, 0.5)
         return signal < accidental
 
     if not below(1e4):

@@ -15,9 +15,9 @@ from helpers import bench_scenario, oracle_scenarios
 from relaysim.cli import main as cli_main
 from relaysim.components import calibrate_coupler, chip_insertion_loss, coupler_ratio, ChipLayout
 from relaysim.interference import dip_profile, fit_dip, v_statistics, v_timing
-from relaysim.linkbudget import LinkModel, LinkParams, max_distance
+from relaysim.linkbudget import LinkParams, max_distance
 from relaysim.montecarlo import analytic_visibility, run, scan_dip, subtract_accidentals
-from relaysim.photostats import HeraldModel, custom, herald_condition, thermal
+from relaysim.photostats import custom, herald_condition, thermal
 from relaysim.records import replace
 from relaysim.units import SpectralMode, coherence_time
 
@@ -70,8 +70,8 @@ def test_criterion_04_ideal_heralding():
 def test_criterion_05_operating_point_visibility():
     with criterion(5, "operating-point-visibility") as detail:
         dist_a = thermal(0.05)
-        v_low = v_statistics(dist_a, herald_condition(thermal(0.02), HeraldModel(None, 0.0)))
-        v_unit = v_statistics(dist_a, herald_condition(thermal(0.02), HeraldModel(1.0, 0.0)))
+        v_low = v_statistics(dist_a, herald_condition(thermal(0.02), None))
+        v_unit = v_statistics(dist_a, herald_condition(thermal(0.02), 1.0))
         target = 0.75
         detail["text"] = (
             f"(low-eta {v_low:.4f}, unit-eta {v_unit:.4f}; reference target {target}: "
@@ -142,9 +142,9 @@ def test_criterion_09_loss_budget():
 def test_criterion_10_keyrate_gains():
     with criterion(10, "keyrate-gains") as detail:
         params = LinkParams(layout=ChipLayout(measured_insertion_db=9.0))
-        direct = max_distance(LinkModel("direct"), params).distance_km
-        lossless = max_distance(LinkModel("folded_relay_lossless"), params).distance_km
-        realistic = max_distance(LinkModel("folded_relay"), params).distance_km
+        direct = max_distance("direct", params).distance_km
+        lossless = max_distance("folded_relay_lossless", params).distance_km
+        realistic = max_distance("folded_relay", params).distance_km
         g_lossless = lossless / direct
         g_real = realistic / direct
         detail["text"] = (

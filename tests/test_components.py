@@ -21,7 +21,7 @@ from relaysim.components import (
     spdc_spectral_density,
 )
 from relaysim.interference import dip_profile, v_timing
-from relaysim.linkbudget import LinkModel, LinkParams, link_rates
+from relaysim.linkbudget import LinkParams, link_rates
 from relaysim.montecarlo import Scenario, compile_scenario, scan_dip
 from relaysim.photostats import PhotonNumberDistribution, custom, poisson, thermal
 from relaysim.records import replace
@@ -386,7 +386,7 @@ _NAN_GUARDS = {
     "LinkParams.fiber_loss_db_per_km": (lambda: LinkParams(fiber_loss_db_per_km=NAN), "fiber loss"),
     "LinkParams.mean_photon_per_pulse": (lambda: LinkParams(mean_photon_per_pulse=NAN), "mean photon"),
     "LinkParams.relay_pair_mean": (lambda: LinkParams(relay_pair_mean=NAN), "mean photon"),
-    "link_rates.distance_km": (lambda: link_rates(LinkModel(), LinkParams(), NAN), "distance"),
+    "link_rates.distance_km": (lambda: link_rates("direct", LinkParams(), NAN), "distance"),
     "compile_scenario.gate_rate_hz": (_scenario_with(gate_rate_hz=NAN), "rates must be positive"),
     "compile_scenario.pump_repetition_rate_hz": (
         _scenario_with(pump_repetition_rate_hz=NAN), "rates must be positive"

@@ -429,6 +429,17 @@ def test_mc_run_resolves_paper_dip(capsys):
     assert captured.err == ""
 
 
+def test_mc_run_reports_a_perfect_dip_as_raw_visibility_one(capsys):
+    # No three-fold in the dip against one in the reference: raw_visibility
+    # was nan next to net_visibility 1.0.
+    argv = ("mc-run", "--preset", "paper-fig6", "--pulses", "100000000000", "--seed", "2")
+    assert run_cli(*argv) == 0
+    fields = dict(line.split(": ", 1) for line in capsys.readouterr().out.splitlines())
+    assert (fields["threefold_abc"], fields["ref_threefold_abc"]) == ("0", "1")
+    assert fields["raw_visibility"] == fields["net_visibility"] == "1.0"
+    assert fields["raw_visibility_err"] == fields["net_visibility_err"] == "nan"
+
+
 def test_hom_dip_warns_only_in_monte_carlo_mode(capsys):
     assert run_cli("hom-dip", "--preset", "paper-fig6", "--pulses", "0") == 0
     assert capsys.readouterr().err == ""
@@ -466,6 +477,24 @@ def test_visibility_map_mean_too_large_for_the_law_is_named(tmp_path, capsys, ke
     assert captured.err == (
         f"error: ValueError: thermal law at mean {mean!r} pairs per pulse "
         f"puts {lost} of its mass above n_max = 20 pairs, more than 1e-09\n"
+    )
+
+
+def test_visibility_map_rejects_dark_clicks_without_herald_efficiency(tmp_path, capsys):
+    # Printed the dark-free limit, V = 0.5483870967741935, whatever the dark probability.
+    document = {
+        "map_herald_efficiency": None,
+        "map_herald_dark_prob": 0.5,
+        "map_na_values": [0.05],
+        "map_nb_values": [0.02],
+    }
+    assert _run_with_config(tmp_path, document, "visibility-map") == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: ValueError: the vanishing-efficiency herald takes no dark clicks, got dark "
+        "probability 0.5: as the efficiency goes to 0 the conditioned pmf tends to the "
+        "unconditioned one, not to n*p(n)/mean\n"
     )
 
 
@@ -612,6 +641,32 @@ _NAMED_INPUT_ERRORS = [
             ("hom-dip", "dip_scan_min_mm", "dip_scan_max_mm"),
         )
     ),
+    # "output A/B filter must pass the interfering photons" and its three
+    # siblings named neither key nor value.
+    (
+        "mc-run",
+        "filter_ab_center_nm,filter_ab_fwhm_pm",
+        "1540.0,200.0",
+        "must pass the interfering photons at 1530.0 nm, got a 200.0 pm band at 1540.0 nm",
+    ),
+    (
+        "hom-dip",
+        "filter_c_center_nm,filter_c_fwhm_pm",
+        "1540.0,800.0",
+        "must pass the partner photons at 1534.005235602094 nm, got a 800.0 pm band at 1540.0 nm",
+    ),
+    (
+        "mc-run",
+        "filter_ab_center_nm,filter_ab_fwhm_pm",
+        "1530.0,10000.0",
+        "must block the partner photons at 1534.005235602094 nm, got a 10000.0 pm band at 1530.0 nm",
+    ),
+    (
+        "hom-dip",
+        "filter_c_center_nm,filter_c_fwhm_pm",
+        "1534.0,10000.0",
+        "must block the interfering photons at 1530.0 nm, got a 10000.0 pm band at 1534.0 nm",
+    ),
     # The gate probability underflowed to 0.0, and the resolution check
     # divided by it: a ZeroDivisionError.
     *(
@@ -641,6 +696,38 @@ def test_cli_names_the_input_it_rejects(tmp_path, capsys, command, key, literal,
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: ConfigurationError: {' and '.join(keys)} {message}\n"
+
+
+_PINNED_REJECTIONS = [
+    ("[]", "ConfigurationError: configuration must be a JSON object"),
+    (
+        '{"coupler_kappa_lc_rad": 1.0, "coupler_c1_anchors": [[0, 1.0]]}',
+        "CalibrationError: anchor ratio 1.0 at 0.0 V exceeds the zero-bias maximum 0.708073",
+    ),
+    ('{"detector_dark_prob_per_ns": 2.0}', "ValueError: dark probability must be in [0, 1], got 2.0"),
+]
+
+
+@pytest.mark.parametrize("command", ["mc-run", "hom-dip"])
+@pytest.mark.parametrize(
+    "body,error", _PINNED_REJECTIONS, ids=["not-an-object", "anchor-above-maximum", "dark-probability"]
+)
+def test_rejection_message_is_pinned(tmp_path, capsys, command, body, error):
+    path = tmp_path / "bad.json"
+    path.write_text(body, encoding="utf-8")
+    assert run_cli(command, "--config", str(path)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {error}\n"
+
+
+def test_scan_span_error_prints_a_huge_width_in_exponent_form(tmp_path, capsys):
+    # ":.3f" printed the width of a 1e-300 pm photon with about 300 digits.
+    assert _run_with_config(tmp_path, {"photon_fwhm_pm": 1e-300}, "hom-dip") == 2
+    assert capsys.readouterr().err == (
+        "error: ConfigurationError: dip_scan_min_mm and dip_scan_max_mm are too close: "
+        "scan span 18.000 mm must exceed twice the expected width (2.065e+303 mm)\n"
+    )
 
 
 _FINITE_EXTREMES = [

@@ -12,7 +12,7 @@ from relaysim.interference import (
     v_timing,
     visibility_map,
 )
-from relaysim.photostats import HeraldModel, custom, herald_condition, thermal
+from relaysim.photostats import custom, herald_condition, thermal
 from relaysim.units import SPEED_OF_LIGHT_M_PER_S
 
 # Frozen oracle values for the nominal operating point (hand evaluation of
@@ -43,7 +43,7 @@ def test_v_timing_limits():
 
 def test_coincidence_bounds_operating_point():
     dist_a = thermal(0.05)
-    dist_b = herald_condition(thermal(0.02), HeraldModel(None, 0.0))
+    dist_b = herald_condition(thermal(0.02), None)
     p_min, p_max = p_coincidence_bounds(dist_a, dist_b)
     assert p_min == pytest.approx(P_MIN_LOW_ETA, abs=1e-6)
     assert p_max == pytest.approx(P_MAX_LOW_ETA, abs=1e-6)
@@ -73,8 +73,8 @@ def test_ideal_heralding_reaches_unity():
 
 def test_operating_point_visibilities():
     dist_a = thermal(0.05)
-    low = herald_condition(thermal(0.02), HeraldModel(None, 0.0))
-    unit = herald_condition(thermal(0.02), HeraldModel(1.0, 0.0))
+    low = herald_condition(thermal(0.02), None)
+    unit = herald_condition(thermal(0.02), 1.0)
     assert v_statistics(dist_a, low) == pytest.approx(V_LOW_ETA, abs=1e-3)
     assert v_statistics(dist_a, unit) == pytest.approx(V_UNIT_ETA, abs=1e-3)
 
@@ -88,7 +88,7 @@ def test_visibility_undefined_without_coincidences():
 def test_visibility_in_unit_interval_and_product_bound():
     pairs = [
         (thermal(0.05), thermal(0.02)),
-        (thermal(0.01), herald_condition(thermal(0.05), HeraldModel(0.4, 1e-4))),
+        (thermal(0.01), herald_condition(thermal(0.05), 0.4, 1e-4)),
         (custom([0.2, 0.7, 0.1]), custom([0.5, 0.4, 0.1])),
     ]
     for da, db in pairs:
@@ -97,20 +97,20 @@ def test_visibility_in_unit_interval_and_product_bound():
 
 
 def test_visibility_map_operating_point_low_eta():
-    rows = visibility_map([0.05], [0.02], HeraldModel(None, 0.0))
+    rows = visibility_map([0.05], [0.02], None, 0.0)
     assert rows[0][2] == pytest.approx(V_LOW_ETA, abs=1e-3)
 
 
 def test_visibility_map_monotone_in_nb():
     nb_grid = [0.005, 0.01, 0.02, 0.04, 0.08]
-    rows = visibility_map([0.05], nb_grid, HeraldModel(None, 0.0))
+    rows = visibility_map([0.05], nb_grid, None, 0.0)
     values = [v for _, _, v in rows]
     assert all(a >= b - 1e-12 for a, b in zip(values, values[1:]))
 
 
 def test_visibility_map_rejects_empty_grid():
     with pytest.raises(ValueError):
-        visibility_map([], [0.01], HeraldModel(None, 0.0))
+        visibility_map([], [0.01], None, 0.0)
 
 
 # ---------------------------------------------------------------------------

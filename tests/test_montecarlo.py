@@ -21,7 +21,6 @@ from relaysim.montecarlo import (
 )
 from relaysim.interference import v_statistics
 from relaysim.photostats import (
-    HeraldModel,
     UndefinedConditioningError,
     apply_loss,
     custom,
@@ -196,7 +195,7 @@ def photostats_closed_form(scenario) -> float:
     dist_a, dist_b = scenario.external_distribution, scenario.chip_distribution
     dist_a = thermal(scenario.external_source.mean_pairs) if dist_a is None else dist_a
     dist_b = thermal(scenario.chip_source.mean_pairs) if dist_b is None else dist_b
-    dist_b = herald_condition(dist_b, HeraldModel(params.p_c_arrive * params.eta_c, params.dark_c))
+    dist_b = herald_condition(dist_b, params.p_c_arrive * params.eta_c, params.dark_c)
     v_stat = v_statistics(apply_loss(dist_a, params.q_a), apply_loss(dist_b, params.q_b))
     return v_stat * params.overlap_peak
 
@@ -312,6 +311,12 @@ def test_zero_darks_net_equals_raw():
     assert net.net_visibility == pytest.approx(report.raw_visibility, rel=1e-12)
     assert net.net_visibility_err == pytest.approx(report.raw_visibility_err, rel=1e-12)
     assert net.net_twofold_visibility == pytest.approx(report.raw_twofold_visibility, rel=1e-12)
+
+    # The textbook dip: no two-fold at zero delay against a counted
+    # reference is a perfect dip, raw as well as net.
+    report = run(single_photon_scenario(0.0), 10**5, seed=1)
+    assert report.dip.twofold_ab == 0 and report.ref.twofold_ab > 0
+    assert report.raw_twofold_visibility == subtract_accidentals(report).net_twofold_visibility == 1.0
 
 
 def test_signal_free_scenario_consistent_with_zero():

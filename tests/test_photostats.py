@@ -4,7 +4,6 @@ import re
 import pytest
 
 from relaysim.photostats import (
-    HeraldModel,
     PhotonNumberDistribution,
     UndefinedConditioningError,
     apply_loss,
@@ -125,7 +124,7 @@ def test_laws_keep_what_fits_below_n_max():
 
 def test_herald_unit_efficiency_frozen_values():
     # Perfect herald on thermal(0.02): no vacuum; pmf shifts down by one order.
-    h = herald_condition(thermal(0.02), HeraldModel(1.0, 0.0))
+    h = herald_condition(thermal(0.02), 1.0)
     assert h.p(0) == 0.0
     assert h.p(1) == pytest.approx(0.9803921568627453, abs=1e-4)
     assert h.p(2) == pytest.approx(0.0192233756, abs=1e-4)
@@ -135,7 +134,7 @@ def test_herald_unit_efficiency_frozen_values():
 
 
 def test_herald_low_efficiency_limit_frozen_values():
-    h = herald_condition(thermal(0.02), HeraldModel(None, 0.0))
+    h = herald_condition(thermal(0.02), None)
     assert h.p(0) == 0.0
     assert h.p(1) == pytest.approx(0.961169, abs=1e-6)
     assert h.p(2) == pytest.approx(0.037693, abs=1e-6)
@@ -143,22 +142,22 @@ def test_herald_low_efficiency_limit_frozen_values():
 
 def test_low_efficiency_limit_matches_small_eta():
     d = thermal(0.02)
-    limit = herald_condition(d, HeraldModel(None, 0.0))
-    small = herald_condition(d, HeraldModel(1e-9, 0.0))
+    limit = herald_condition(d, None)
+    small = herald_condition(d, 1e-9)
     for n in range(d.n_max + 1):
         assert small.p(n) == pytest.approx(limit.p(n), abs=1e-8)
 
 
 def test_herald_never_leaves_vacuum_with_perfect_click():
     for d in (thermal(0.05), poisson(0.1), custom([0.3, 0.5, 0.2])):
-        h = herald_condition(d, HeraldModel(1.0, 0.0))
+        h = herald_condition(d, 1.0)
         assert h.p(0) == 0.0
 
 
 def test_herald_normalization():
     for eta in (None, 1e-3, 0.3, 1.0):
         for dark in (0.0, 1e-5, 0.1) if eta is not None else (0.0,):
-            h = herald_condition(thermal(0.05), HeraldModel(eta, dark))
+            h = herald_condition(thermal(0.05), eta, dark)
             assert sum(h.pmf) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -168,7 +167,7 @@ def test_herald_ratio_monotone_in_efficiency():
     etas = [1e-6, 1e-3, 0.01, 0.1, 0.3, 0.6, 0.9, 1.0]
     ratios = []
     for eta in etas:
-        h = herald_condition(d, HeraldModel(eta, 0.0))
+        h = herald_condition(d, eta)
         ratios.append(h.p(2) / h.p(1))
     assert all(a >= b - 1e-12 for a, b in zip(ratios, ratios[1:]))
 
@@ -176,25 +175,33 @@ def test_herald_ratio_monotone_in_efficiency():
 def test_herald_dark_mixes_unconditioned():
     # With a pure dark click (eta = 0, dark > 0) conditioning changes nothing.
     d = thermal(0.05)
-    h = herald_condition(d, HeraldModel(0.0, 0.01))
+    h = herald_condition(d, 0.0, 0.01)
     for n in range(d.n_max + 1):
         assert h.p(n) == pytest.approx(d.p(n), rel=1e-12)
 
 
 def test_undefined_conditioning_raises():
     with pytest.raises(UndefinedConditioningError):
-        herald_condition(thermal(0.05), HeraldModel(0.0, 0.0))
+        herald_condition(thermal(0.05), 0.0)
     with pytest.raises(UndefinedConditioningError):
-        herald_condition(thermal(0.0), HeraldModel(1.0, 0.0))
+        herald_condition(thermal(0.0), 1.0)
     with pytest.raises(UndefinedConditioningError):
-        herald_condition(thermal(0.0), HeraldModel(None, 0.0))
+        herald_condition(thermal(0.0), None)
 
 
 def test_herald_model_validation():
-    with pytest.raises(ValueError):
-        HeraldModel(1.5, 0.0)
-    with pytest.raises(ValueError):
-        HeraldModel(0.5, -0.1)
+    with pytest.raises(ValueError, match=r"herald efficiency must be in \[0, 1\], got 1.5"):
+        herald_condition(thermal(0.05), 1.5)
+    with pytest.raises(ValueError, match=r"herald dark probability must be in \[0, 1\], got -0.1"):
+        herald_condition(thermal(0.05), 0.5, -0.1)
+
+
+def test_vanishing_efficiency_herald_rejects_dark_clicks():
+    # As the efficiency goes to 0 at a fixed dark probability the conditioned
+    # law tends to the unconditioned one, not to n p(n)/mean.
+    with pytest.raises(ValueError, match="herald takes no dark clicks, got dark probability 0.5"):
+        herald_condition(thermal(0.02), None, 0.5)
+    assert herald_condition(thermal(0.02), 1e-12, 0.5).pmf == pytest.approx(thermal(0.02).pmf, rel=1e-9)
 
 
 def test_apply_loss_thermal_stays_thermal():

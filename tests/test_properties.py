@@ -19,7 +19,7 @@ from relaysim.cli import _arange, _linspace
 from relaysim.components import _SINC2_HALF_MAX_X, SpdcSource, spdc_spectral_density
 from relaysim.interference import v_statistics
 from relaysim.montecarlo import compile_scenario, joint_law, run
-from relaysim.photostats import HeraldModel, apply_loss, herald_condition, poisson, thermal
+from relaysim.photostats import apply_loss, herald_condition, poisson, thermal
 from relaysim.units import SpectralMode
 
 FAST = settings(max_examples=25, deadline=None, derandomize=True, database=None)
@@ -53,7 +53,7 @@ def test_visibility_monotone_in_herald_efficiency(mean_a, mean_b, etas):
     # A dark-free herald: with herald darks the conditioned mean can move away
     # from the external one as the efficiency grows, and V can fall.
     def vis(eta):
-        return v_statistics(thermal(mean_a), herald_condition(thermal(mean_b), HeraldModel(eta)))
+        return v_statistics(thermal(mean_a), herald_condition(thermal(mean_b), eta))
 
     low, high = vis(etas[0]), vis(etas[1])
     assert vis(None) <= low + 1e-12

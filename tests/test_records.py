@@ -15,9 +15,9 @@ import pytest
 from relaysim.components import ChipLayout, DEFAULT_SEGMENTS, calibrate_coupler
 from relaysim.config import load_preset
 from relaysim.interference import dip_profile
-from relaysim.linkbudget import LinkModel, link_rates, max_distance, sweep
+from relaysim.linkbudget import link_rates, max_distance
 from relaysim.montecarlo import compile_scenario, expected_rates, run, scan_dip, subtract_accidentals
-from relaysim.photostats import HeraldModel, thermal
+from relaysim.photostats import thermal
 from relaysim.records import FrozenInstanceError, field, fields, record, replace
 from relaysim.units import SpectralMode
 
@@ -51,7 +51,6 @@ def _samples() -> dict:
         scenario.filter_c,
         scenario.detector_a,
         calibrate_coupler(config.coupler_c1_anchors),
-        HeraldModel(0.1, 1e-5),
         thermal(0.05),
         compile_scenario(scenario),
         expected_rates(scenario),
@@ -62,10 +61,8 @@ def _samples() -> dict:
         scan_dip(scenario, [-9.0 + 1.5 * i for i in range(13)], 0),
         dip_profile(0.5, 17.0, 1.0, [-1.0, 0.0, 1.0]),
         link,
-        LinkModel("folded_relay"),
-        link_rates(LinkModel("standard_relay"), link, 100.0),
-        max_distance(LinkModel("standard_relay"), link),
-        sweep([LinkModel()], link, [0.0, 50.0]),
+        link_rates("standard_relay", link, 100.0),
+        max_distance("standard_relay", link),
     ]
     samples = {type(x).__qualname__: x for x in built}
     samples["DipFit"] = samples["DipScanResult"].fit
@@ -95,7 +92,7 @@ def _values(x) -> list:
 
 
 def test_every_record_class_has_a_sample():
-    assert len(CLASSES) == 25
+    assert len(CLASSES) == 22
     assert sorted(SAMPLES) == sorted(CLASSES)
     for name, x in SAMPLES.items():
         assert type(x) is CLASSES[name]
@@ -138,10 +135,8 @@ def test_records_compare_on_field_values():
     assert SpectralMode(1530.0, 200.0) == SpectralMode(1530.0, 200.0, "gaussian")
     assert SpectralMode(1530.0, 200.0) != SpectralMode(1530.0, 100.0)
     assert hash(SpectralMode(1530.0, 200.0)) == hash(SpectralMode(1530.0, 200.0))
-    assert {LinkModel("direct"), LinkModel("direct"), LinkModel("folded_relay")} == {
-        LinkModel("direct"),
-        LinkModel("folded_relay"),
-    }
+    wide, narrow = SpectralMode(1530.0, 200.0), SpectralMode(1530.0, 100.0)
+    assert {wide, SpectralMode(1530.0, 200.0), narrow} == {wide, narrow}
 
 
 def test_replace_reruns_post_init():
@@ -174,7 +169,10 @@ def test_records_are_immutable(name):
         (lambda: SpectralMode(1530.0, 200.0, "gaussian", 1.0), r"takes 4 positional arguments but 5"),
         (lambda: SpectralMode(1530.0, 200.0, width=1.0), r"unexpected keyword argument 'width'"),
         (lambda: SpectralMode(1530.0, 200.0, fwhm_pm=1.0), r"multiple values for argument 'fwhm_pm'"),
-        (lambda: LinkModel("direct", variant="direct"), r"multiple values for argument 'variant'"),
+        (
+            lambda: SpectralMode(1530.0, 200.0, "gaussian", lineshape="gaussian"),
+            r"multiple values for argument 'lineshape'",
+        ),
     ],
     ids=["missing", "missing-first", "too-many", "unknown-keyword", "duplicate", "duplicate-all"],
 )
