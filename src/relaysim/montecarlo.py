@@ -457,25 +457,32 @@ class CountsReport:
     dark_c: float
     resolution_warning: str | None  # None when the pulse count resolves the dip
 
-    raw_visibility = property(lambda self: _raw_visibility(self, "threefold_abc")[0])
-    raw_visibility_err = property(lambda self: _raw_visibility(self, "threefold_abc")[1])
-    raw_twofold_visibility = property(lambda self: _raw_visibility(self, "twofold_ab")[0])
+    raw_visibility = property(lambda self: _dip_visibility(self.dip, self.ref, "threefold_abc")[0])
+    raw_visibility_err = property(lambda self: _dip_visibility(self.dip, self.ref, "threefold_abc")[1])
+    raw_twofold_visibility = property(lambda self: _dip_visibility(self.dip, self.ref, "twofold_ab")[0])
 
 
-def _raw_visibility(report: CountsReport, count: str) -> tuple[float, float]:
-    """1 - (dip rate / reference rate) of one coincidence count, with its Poisson error.
+def _dip_visibility(
+    dip: Tally, ref: Tally, count: str, acc_dip: float = 0.0, acc_ref: float = 0.0
+) -> tuple[float, float]:
+    """V = 1 - dip rate / reference rate of one coincidence count, with its Poisson error.
 
-    A dip with no count against a counted reference is a perfect dip: 1.0,
-    with no Poisson error (nan), as `subtract_accidentals` reports it.
+    Each leg's rate is its count per gated pulse less its per-gate accidental
+    probability, clamped at zero; with no accidentals it is the raw rate.  A
+    leg with no gated pulse, or a reference with no net rate, gives (nan, nan).
+    A dip with no net rate against a live reference is a perfect dip: 1.0,
+    with no Poisson error (nan).
     """
-    c0, c1 = getattr(report.dip, count), getattr(report.ref, count)
-    g0, g1 = report.dip.gated, report.ref.gated
-    if c1 <= 0 or g0 <= 0 or g1 <= 0:
-        return float("nan"), float("nan")
-    if c0 <= 0:
-        return 1.0, float("nan")
-    r = (c0 / g0) / (c1 / g1)
-    return 1.0 - r, r * math.sqrt(1.0 / c0 + 1.0 / c1)
+    c0, g0, c1, g1 = getattr(dip, count), dip.gated, getattr(ref, count), ref.gated
+    if g0 <= 0 or g1 <= 0:
+        return math.nan, math.nan
+    net0, net1 = max(c0 / g0 - acc_dip, 0.0), max(c1 / g1 - acc_ref, 0.0)
+    if net1 <= 0.0:
+        return math.nan, math.nan
+    if net0 <= 0.0:
+        return 1.0, math.nan
+    s0, s1 = math.sqrt(c0) / g0, math.sqrt(c1) / g1
+    return 1.0 - net0 / net1, math.sqrt((s0 / net1) ** 2 + (net0 * s1 / net1**2) ** 2)
 
 
 @record
@@ -523,24 +530,8 @@ def subtract_accidentals(report: CountsReport) -> NetRates:
     acc3_dip, acc2_dip = _leg_accidentals(report.dip, report.dark_a, report.dark_b, report.dark_c)
     acc3_ref, acc2_ref = _leg_accidentals(report.ref, report.dark_a, report.dark_b, report.dark_c)
 
-    g0, g1 = report.dip.gated, report.ref.gated
-    net3_dip = max(report.dip.threefold_abc / g0 - acc3_dip, 0.0) if g0 else 0.0
-    net3_ref = max(report.ref.threefold_abc / g1 - acc3_ref, 0.0) if g1 else 0.0
-    net2_dip = max(report.dip.twofold_ab / g0 - acc2_dip, 0.0) if g0 else 0.0
-    net2_ref = max(report.ref.twofold_ab / g1 - acc2_ref, 0.0) if g1 else 0.0
-
-    if net3_dip > 0 and net3_ref > 0:
-        vis = 1.0 - net3_dip / net3_ref
-        s0 = math.sqrt(report.dip.threefold_abc) / g0
-        s1 = math.sqrt(report.ref.threefold_abc) / g1
-        err = math.sqrt((s0 / net3_ref) ** 2 + (net3_dip * s1 / net3_ref**2) ** 2)
-    elif net3_ref > 0:
-        vis, err = 1.0, float("nan")
-    else:
-        vis, err = float("nan"), float("nan")
-
-    vis2 = 1.0 - net2_dip / net2_ref if net2_ref > 0 else float("nan")
-
+    vis, err = _dip_visibility(report.dip, report.ref, "threefold_abc", acc3_dip, acc3_ref)
+    vis2 = _dip_visibility(report.dip, report.ref, "twofold_ab", acc2_dip, acc2_ref)[0]
     return NetRates(acc3_dip, acc3_ref, vis, err, vis2)
 
 

@@ -1,16 +1,21 @@
 """Bit-identity snapshot of the checked CLI outputs and the exact pair-law engines.
 
-Prints one sorted JSON object: for each checked command, the exit status and
-the sha256 of stdout and stderr, run in-process through `relaysim.cli.main`;
-for each `law_cases()` scenario, the sha256 of `joint_law(...).tobytes()` and
-of `repr(expected_rates(...))` at the delay's overlap, 0, 0.37 and 1.
+Prints one sorted JSON object: for each checked command, the exit status,
+the sha256 of stdout and stderr, run in-process through `relaysim.cli.main`,
+and every number stdout prints, parsed as a float; for each `law_cases()`
+scenario, the sha256 and the values of `joint_law(...)` and of
+`expected_rates(...)` at the delay's overlap, 0, 0.37 and 1.
 
 To check that a change moves no byte, run it against both source trees and
-diff the outputs:
+compare the outputs:
 
     PYTHONPATH=<other checkout>/src:tests python tests/snapshot.py > before.json
     PYTHONPATH=src:tests python tests/snapshot.py > after.json
-    diff before.json after.json
+    python tests/snapshot.py --diff before.json after.json
+
+`--diff` prints each entry whose digests moved and, for every value that
+moved, its old and new value and their distance in units in the last place;
+it exits 1 when anything moved and 0 when the snapshots are identical.
 
 pytest does not collect this file.
 """
@@ -21,14 +26,18 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import os
+import re
+import struct
 import sys
 import tempfile
 
 from helpers import law_cases
-from relaysim.cli import main
+from relaysim.cli import main as cli_main
 from relaysim.config import PRESET_NAMES
 from relaysim.montecarlo import compile_scenario, expected_rates, joint_law
+from relaysim.records import fields
 
 CONTRACT = (
     ["spdc-spectrum", "--preset", "paper-fig3"],
@@ -51,6 +60,17 @@ def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def _floats(text: str) -> list[float]:
+    """Every token of text that parses as a number, in order."""
+    values = []
+    for token in re.split(r"[\s,=:()]+", text):
+        try:
+            values.append(float(token))
+        except ValueError:
+            pass
+    return values
+
+
 def _commands(config_dir: str) -> list[list[str]]:
     herald_path = os.path.join(config_dir, "dark_limit_herald.json")
     with open(herald_path, "w", encoding="utf-8") as fh:
@@ -70,20 +90,22 @@ def _commands(config_dir: str) -> list[list[str]]:
 def _run_cli(argv: list[str]) -> dict:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        status = main(argv)
+        status = cli_main(argv)
     return {
         "exit": status,
         "stdout_sha256": _sha(out.getvalue().encode()),
         "stderr_sha256": _sha(err.getvalue().encode()),
+        "stdout_values": _floats(out.getvalue()),
     }
 
 
-def _guarded(compute) -> str:
-    """sha256 of compute()'s bytes, or the exception a scenario raises instead."""
+def _guarded(compute) -> dict | str:
+    """sha256 and values of compute()'s (bytes, floats), or the exception raised instead."""
     try:
-        return _sha(compute())
+        data, values = compute()
     except ValueError as exc:
         return f"{type(exc).__name__}: {exc}"
+    return {"sha256": _sha(data), "values": values}
 
 
 def snapshot() -> dict:
@@ -97,14 +119,74 @@ def snapshot() -> dict:
         for label, overlap in (("delay", None), ("0", 0.0), ("0.37", 0.37), ("1", 1.0)):
             law_overlap = params.overlap_at(params.delay_mm) if overlap is None else overlap
             entries[f"joint_law {case} overlap={label}"] = _guarded(
-                lambda: joint_law(params, law_overlap).tobytes()
+                lambda: _law_bytes_and_values(joint_law(params, law_overlap))
             )
             entries[f"expected_rates {case} overlap={label}"] = _guarded(
-                lambda: repr(expected_rates(scenario, overlap)).encode()
+                lambda: _rates_bytes_and_values(expected_rates(scenario, overlap))
             )
     return entries
 
 
-if __name__ == "__main__":
+def _law_bytes_and_values(law) -> tuple[bytes, list[float]]:
+    return law.tobytes(), law.ravel().tolist()
+
+
+def _rates_bytes_and_values(rates) -> tuple[bytes, list[float]]:
+    return repr(rates).encode(), [getattr(rates, f.name) for f in fields(rates)]
+
+
+def _ordered_bits(x: float) -> int:
+    """x's bits as an integer that counts up through the floats in order."""
+    bits = struct.unpack("<q", struct.pack("<d", x))[0]
+    return bits if bits >= 0 else -(bits & 0x7FFF_FFFF_FFFF_FFFF)
+
+
+def _ulps(old: float, new: float) -> str:
+    if math.isnan(old) or math.isnan(new):
+        return "nan <-> number"
+    return f"{abs(_ordered_bits(new) - _ordered_bits(old))} ulp"
+
+
+def diff(before: dict, after: dict) -> list[str]:
+    """One line per entry whose digests, exit status or error moved, then one per moved value."""
+    lines = []
+    for name in sorted(before.keys() | after.keys()):
+        old, new = before.get(name), after.get(name)
+        if not isinstance(old, dict) or not isinstance(new, dict):
+            if old != new:
+                lines.append(f"{name}: {old!r} -> {new!r}")
+            continue
+        moved = [key for key in sorted(old) if not key.endswith("values") and old[key] != new.get(key)]
+        if not moved:
+            continue
+        lines.append(f"{name}: {', '.join(moved)} moved")
+        key = "stdout_values" if "stdout_values" in old else "values"
+        old_values, new_values = old[key], new[key]
+        if len(old_values) != len(new_values):
+            lines.append(f"  {len(old_values)} -> {len(new_values)} values")
+            continue
+        for i, (a, b) in enumerate(zip(old_values, new_values)):
+            if struct.pack("<d", a) != struct.pack("<d", b):
+                lines.append(f"  value {i}: {a!r} -> {b!r} ({_ulps(a, b)})")
+    return lines
+
+
+def main(argv: list[str]) -> int:
+    if argv[:1] == ["--diff"] and len(argv) == 3:
+        snapshots = []
+        for path in argv[1:]:
+            with open(path, encoding="utf-8") as fh:
+                snapshots.append(json.load(fh))
+        lines = diff(*snapshots)
+        print("\n".join(lines) if lines else "no entry moved")
+        return 1 if lines else 0
+    if argv:
+        print("usage: snapshot.py [--diff BEFORE.json AFTER.json]", file=sys.stderr)
+        return 2
     json.dump(snapshot(), sys.stdout, indent=1, sort_keys=True)
     sys.stdout.write("\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
