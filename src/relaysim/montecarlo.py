@@ -11,7 +11,9 @@ Gated pulses are independent and identically distributed, and every tally
 is a function of one pulse's joint click pattern (A, B, C).  `joint_law`
 gives that pattern's exact law over pair laws of at most N_MAX pairs.  A leg of n
 pulses is then exactly Binomial(n, p_gate) gated pulses split over the 8
-click cells by one multinomial draw, so its cost does not depend on n.
+click cells by one multinomial draw, so its cost does not depend on n.  A
+dip-scan point needs only the gated pulses and the three-folds (the law's
+[1, 1, 1] cell, read from the enumeration): two binomial draws, no law.
 Each leg draws from a numpy Generator seeded with `derive_key(seed, leg)`.
 The photon ledger is not a function of the click pattern; `run` computes it
 once, for the dip leg: expected flows, its gated pulses times the per-gate
@@ -737,10 +739,12 @@ def scan_dip(
     n_pulses_per_point: int,
     seed: int = 1,
 ) -> DipScanResult:
-    """Scan the delay line and fit the resulting coincidence dip.
+    """Scan the delay line and fit the resulting three-fold dip.
 
-    With n_pulses_per_point = 0 the scan is analytic: expected rates are
-    evaluated exactly at each position instead of sampling pulses.
+    One enumeration table gives the three-fold probability p3 at each
+    position.  With n_pulses_per_point = 0 the scan is analytic: the rate is
+    p3.  Otherwise point i draws Binomial(n, p_gate) gated pulses and
+    Binomial(gated, p3) three-folds from `derive_key(seed, "scan", i)`.
     Requires at least 3 positions spanning more than twice the expected dip
     width (ScanSpanError otherwise).  A fit that fails (no convergence, no
     positive rate, or a baseline that is not positive) is reported in
@@ -763,23 +767,19 @@ def scan_dip(
             f"scan span {_mm(span)} must exceed twice the expected width ({_mm(2 * params.fwhm_mm)})"
         )
 
-    rates_at = _rate_table(params) if n_pulses_per_point == 0 else None
-    rates: list[float] = []
-    errors: list[float] = []
+    rates_at = _rate_table(params)
+    rates, errors = [], []
     for i, pos in enumerate(positions):
-        overlap = params.overlap_at(pos)
-        if rates_at is not None:
-            rates.append(rates_at(overlap).p_threefold_abc)
+        p3 = rates_at(params.overlap_at(pos)).p_threefold_abc
+        if n_pulses_per_point == 0:
+            rates.append(p3)
             errors.append(0.0)
-        else:
-            key = derive_key(seed, "scan", i)
-            tally = _sample_leg(params, n_pulses_per_point, key, joint_law(params, overlap))
-            if tally.gated == 0:
-                rates.append(0.0)
-                errors.append(0.0)
-            else:
-                rates.append(tally.threefold_abc / tally.gated)
-                errors.append(max(tally.threefold_abc, 1) ** 0.5 / tally.gated)
+            continue
+        rng = np.random.default_rng(derive_key(seed, "scan", i))
+        gated = int(rng.binomial(n_pulses_per_point, params.p_gate))
+        threefold = int(rng.binomial(gated, min(p3, 1.0)))  # the sum can round past 1
+        rates.append(threefold / gated if gated else 0.0)
+        errors.append(max(threefold, 1) ** 0.5 / gated if gated else 0.0)
 
     sigma = None if n_pulses_per_point == 0 else errors
     try:
@@ -790,6 +790,6 @@ def scan_dip(
         failed = str(exc)
     warning = None
     if n_pulses_per_point > 0:
-        p_dip = joint_law(params, params.overlap_at(params.delay_mm))[1, 1, 1]
-        warning = _resolution_warning(params, n_pulses_per_point, p_dip, joint_law(params, 0.0)[1, 1, 1])
+        p_dip = rates_at(params.overlap_at(params.delay_mm)).p_threefold_abc
+        warning = _resolution_warning(params, n_pulses_per_point, p_dip, rates_at(0.0).p_threefold_abc)
     return DipScanResult(tuple(positions), tuple(rates), tuple(errors), fit, failed, warning)

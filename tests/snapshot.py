@@ -82,6 +82,7 @@ def _commands(config_dir: str) -> list[list[str]]:
         ["mc-run", "--pulses", "1000000", "--seed", "3"],
         ["mc-run", "--preset", "paper-fig6", "--pulses", "100000000000", "--seed", "2"],
         ["hom-dip", "--preset", "paper-fig6", "--pulses", "1000", "--seed", "1"],
+        ["hom-dip", "--preset", "paper-fig6", "--pulses", "50000000000000", "--seed", "7"],
         ["hom-dip", "--pulses", "0"],
         ["visibility-map", "--config", herald_path],
     ]

@@ -387,12 +387,46 @@ def test_analytic_scan_reproduces_dip_profile():
 
 
 def test_mc_scan_recovers_width():
+    """A 9-point Monte Carlo scan fits the model FWHM, 5.996 mm, to within 10 %.
+
+    Power: at 1e7 pulses per point the fitted FWHM spreads by 0.097 mm (sd
+    over seeds 1-150), so the +-0.600 mm band is 6.2 sd wide, and a width
+    bias of 0.79 mm (13 %, the band plus 2 sd) or more fails for at least
+    97.7 % of seeds.  A scan costs the same at any pulse count.
+    """
     # Bright sources: width recovery only needs counts, not low means.
     sc = replace(bench_scenario(0.2, 0.1, eta=0.9), dip_fwhm_time_ps=20.0)
     positions = np.linspace(-9.0, 9.0, 9)
-    result = scan_dip(sc, positions, n_pulses_per_point=400_000, seed=41)
+    result = scan_dip(sc, positions, n_pulses_per_point=10_000_000, seed=41)
     assert result.fit_failed is None
     assert result.fit.fwhm_mm == pytest.approx(compile_scenario(sc).fwhm_mm, rel=0.10)
+
+
+def test_mc_scan_samples_the_enumeration():
+    """Each Monte Carlo scan point's three-fold rate is within 5 errors of the exact one.
+
+    Power: 1e11 pulses, all gated, give at least 2.9e6 three-folds per
+    point, so 5 errors are 0.29 % of the rate: a sampler bias of about 0.3 %
+    at any one point fails.  A correct sampler fails one run in about 1e5
+    (13 points at 5.7e-7 each).
+    """
+    sc = bench_scenario(0.05, 0.02)
+    params = compile_scenario(sc)
+    positions = np.linspace(-15.0, 15.0, 13)
+    result = scan_dip(sc, positions, 10**11, seed=53)
+    for pos, rate, error in zip(positions, result.rates, result.errors):
+        exact = expected_rates(sc, params.overlap_at(pos)).p_threefold_abc
+        assert error < 0.0006 * rate
+        assert abs(rate - exact) <= 5.0 * error
+    assert scan_dip(sc, positions, 10**11, seed=53) == result
+
+
+def test_mc_scan_of_a_rate_rounded_past_one():
+    # Every detector always dark: every gated pulse is a three-fold, and the
+    # enumeration's sum reads 1 + 7e-16, which the draw must take as 1.
+    sc = bench_scenario(0.59, 0.3, dark_per_ns=1.0)
+    assert expected_rates(sc).p_threefold_abc > 1.0
+    assert scan_dip(sc, np.linspace(-30.0, 30.0, 5), 1000).rates == (1.0,) * 5
 
 
 def test_scan_with_no_counts_reports_fit_failure():
@@ -519,7 +553,8 @@ def test_resolution_warning():
     assert run(bright, 1_000_000).resolution_warning is None
     message = run(bright, 100).resolution_warning
     assert message.startswith("warning: 100 pulses give ") and "needs about" in message
-    # A Monte Carlo scan checks the same two laws; an analytic one has nothing to resolve.
+    # A Monte Carlo scan checks the same two three-fold probabilities, read from the
+    # enumeration; an analytic one has nothing to resolve.
     positions = [-30.0, 0.0, 30.0]
     assert scan_dip(bright, positions, 100).resolution_warning == message
     assert scan_dip(bright, positions, 0).resolution_warning is None
@@ -535,16 +570,17 @@ _BUILDS = ("compile_scenario", "joint_law", "_ledger_per_gate", "_rate_table", "
     "argv,calls",
     [
         (["mc-run", "--preset", "paper-fig6", "--pulses", "300000"], (1, 2, 1, 0, 2)),
-        (["hom-dip", "--preset", "paper-fig6", "--pulses", "1000"], (1, 15, 0, 0, 15)),
+        (["hom-dip", "--preset", "paper-fig6", "--pulses", "1000"], (1, 0, 0, 1, 1)),
         (["hom-dip", "--pulses", "0"], (1, 0, 0, 1, 1)),
     ],
     ids=["mc-run", "hom-dip-mc", "hom-dip-analytic"],
 )
 def test_cli_builds_the_model_once(monkeypatch, capsys, argv, calls):
     # The scenario is compiled once; the resolution check reads the laws the
-    # legs drew from (the scan builds its two), only the dip leg has a ledger,
-    # and an analytic scan builds one enumeration table for all its positions.
-    # Each law and each table reads one set of model inputs.
+    # legs drew from, only the dip leg has a ledger, and a scan, Monte Carlo
+    # or analytic, builds one enumeration table for all its positions and
+    # its resolution check.  Each law and each table reads one set of model
+    # inputs.
     counts = dict.fromkeys(_BUILDS, 0)
     for name in _BUILDS:
         def counted(*args, _name=name, _original=getattr(montecarlo, name), **kwargs):
