@@ -28,7 +28,7 @@ import os
 import sys
 from typing import TYPE_CHECKING
 
-from .components import ConfigurationError, SpdcSource, calibrate_coupler, coupler_ratio, spdc_spectral_density
+from .components import ConfigurationError, calibrate_coupler, coupler_ratio, spdc_spectral_density
 from .config import PRESET_NAMES, ScenarioConfig, load_config, load_preset
 
 if TYPE_CHECKING:
@@ -118,9 +118,8 @@ def _load(args) -> ScenarioConfig:
 
 def _cmd_spdc_spectrum(args) -> int:
     cfg = _load(args)
-    source = SpdcSource(spectrum=cfg.spdc_mode())
     lam = _grid(cfg, "spectrum_min_nm", "spectrum_max_nm", "spectrum_points")
-    density = spdc_spectral_density(source, lam)
+    density = spdc_spectral_density(cfg.spdc_mode(), lam)
     rows = list(zip(lam, density))
     _emit(args, _table_csv(["wavelength_nm", "relative_density"], rows))
     return 0

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import sys
 
-from .records import field, record
+from .records import record
 from .units import SpectralMode, db_to_linear
 
 # Half-max point of sinc^2(x): sinc(x) = sin(x)/x.
@@ -39,9 +39,9 @@ class SpdcSource:
     pulse (in the collected, filtered mode) to average pump power.
     """
 
+    pairs_per_mw: float
+    pump_power_mw: float
     spectrum: SpectralMode = SpectralMode(1532.0, 80_000.0, "sinc_squared")
-    pairs_per_mw: float = 0.05 / 1.5
-    pump_power_mw: float = 1.5
 
     def __post_init__(self) -> None:
         if not self.pairs_per_mw >= 0:
@@ -54,20 +54,20 @@ class SpdcSource:
         return self.pairs_per_mw * self.pump_power_mw
 
 
-def spdc_spectral_density(source: SpdcSource, wavelengths_nm) -> list[float]:
+def spdc_spectral_density(spectrum: SpectralMode, wavelengths_nm) -> list[float]:
     """Relative spectral density of the emitted pairs, normalized to 1 at center.
 
-    Evaluates the source's envelope (sinc^2 or gaussian with the configured
+    Evaluates the pair spectrum's envelope (sinc^2 or gaussian with the configured
     FWHM) at each wavelength of a sequence and returns one float per
     wavelength; the distribution is symmetric about the center wavelength.
     The sinc^2 branch repeats `np.sinc(...) ** 2` operation for operation,
     machine epsilon in place of a zero argument included, so it gives numpy's
     values without loading numpy.
     """
-    center = source.spectrum.center_wavelength_nm
-    fwhm_nm = source.spectrum.fwhm_pm * 1e-3
+    center = spectrum.center_wavelength_nm
+    fwhm_nm = spectrum.fwhm_pm * 1e-3
     xs = [(float(lam) - center) / fwhm_nm for lam in wavelengths_nm]
-    if source.spectrum.lineshape == "gaussian":
+    if spectrum.lineshape == "gaussian":
         scale = -4.0 * math.log(2.0)
         return [math.exp(scale * (x * x)) for x in xs]
     density = []
@@ -91,8 +91,8 @@ class CouplerModel:
     gamma_rad_per_v aggregates the electro-optic detuning: delta*Lc = gamma*V.
     """
 
-    kappa_lc_rad: float = math.pi / 2.0
-    gamma_rad_per_v: float = 0.0
+    kappa_lc_rad: float
+    gamma_rad_per_v: float
 
     def __post_init__(self) -> None:
         if not self.kappa_lc_rad > 0:  # NaN too: the gamma fit cannot terminate on it
@@ -173,13 +173,10 @@ class CouplerCalibration:
     gamma_constrained: bool
 
 
-def calibrate_coupler(
-    anchor_points,
-    kappa_lc_rad: float = math.pi / 2.0,
-) -> CouplerCalibration:
+def calibrate_coupler(anchor_points, kappa_lc_rad: float) -> CouplerCalibration:
     """Least-squares fit of the detuning slope gamma to anchors at fixed kappa*Lc.
 
-    Anchors are (voltage_V, cross_ratio) pairs; the default pair
+    Anchors are (voltage_V, cross_ratio) pairs; the default config's pair
     {(0, 1.0), (30, 0.5)} pins full transfer at zero bias and the 50/50 point.
     Anchors requesting more transfer than the zero-bias maximum are rejected.
     Anchors only at zero voltage leave gamma unconstrained at 0, and the
@@ -225,7 +222,7 @@ class FilterModel:
 
     center_nm: float
     fwhm_pm: float
-    insertion_loss_db: float = 0.0
+    insertion_loss_db: float
 
     def __post_init__(self) -> None:
         if not self.fwhm_pm > 0:
@@ -246,9 +243,9 @@ class FilterModel:
 class DetectorModel:
     """Gated avalanche photodiode: efficiency, dark counts, gate window."""
 
-    efficiency: float = 0.10
-    dark_prob_per_ns: float = 1e-5
-    gate_window_ns: float = 1.0
+    efficiency: float
+    dark_prob_per_ns: float
+    gate_window_ns: float
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.efficiency <= 1.0:
@@ -276,16 +273,6 @@ def detector_click_prob(model: DetectorModel, incident_photons: int) -> float:
 # Chip layout and loss composition
 # ---------------------------------------------------------------------------
 
-# Default per-segment losses in dB.  The through path (input fiber -> front
-# propagation -> back propagation -> output fiber) sums to 8.5 dB; the
-# measured port-to-port figure for the real device is ~9 dB.
-DEFAULT_SEGMENTS = {
-    "fiber_to_chip": 3.0,
-    "chip_to_fiber": 3.0,
-    "prop_front": 1.25,
-    "prop_back": 1.25,
-}
-
 # Port-to-port paths as ordered segment names; each ends at one output.
 PATHS = {
     # External photon: input port 1 up to the interference coupler C2.
@@ -311,7 +298,7 @@ class ChipLayout:
     every path through it (transmission 0) and cannot be rescaled.
     """
 
-    segments: dict[str, float] = field(default_factory=lambda: dict(DEFAULT_SEGMENTS))
+    segments: dict[str, float]
     measured_insertion_db: float | None = None
 
     def __post_init__(self) -> None:
@@ -351,5 +338,5 @@ class ChipLayout:
 
 
 def chip_insertion_loss(layout: ChipLayout) -> float:
-    """Total port-to-port insertion loss in dB (default layout: 8.5 dB)."""
+    """Total port-to-port insertion loss in dB (the default config's layout: 8.5 dB)."""
     return layout.path_loss_db("insertion")

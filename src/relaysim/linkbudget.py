@@ -30,7 +30,7 @@ import math
 from collections.abc import Callable
 
 from .components import ChipLayout, DetectorModel
-from .records import field, record
+from .records import record
 
 MAX_SEARCH_KM = 1e4
 
@@ -41,11 +41,11 @@ VARIANTS = ("direct", "standard_relay", "folded_relay", "folded_relay_lossless")
 class LinkParams:
     """Shared link-budget parameters for all variants."""
 
-    fiber_loss_db_per_km: float = 0.2
-    detector: DetectorModel = DetectorModel(efficiency=0.10, dark_prob_per_ns=1e-6, gate_window_ns=1.0)
-    mean_photon_per_pulse: float = 1.0
-    relay_pair_mean: float = 1.0
-    layout: ChipLayout = field(default_factory=ChipLayout)
+    fiber_loss_db_per_km: float
+    detector: DetectorModel
+    mean_photon_per_pulse: float
+    relay_pair_mean: float
+    layout: ChipLayout
 
     def __post_init__(self) -> None:
         if not self.fiber_loss_db_per_km >= 0:

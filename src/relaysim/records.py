@@ -7,11 +7,11 @@ table; no source is generated or compiled per class, so declaring a record
 costs a few microseconds on a cold start instead of milliseconds.
 
 Behaviour matches a frozen dataclass: construction by position and keyword in
-field order, plain defaults and `field(default_factory=...)`, `__post_init__`
-after construction (and after `replace`), equality only between instances of
-the same class on their field values, a hash of the field values, and the
-dataclass repr.  `fields()` gives each field's name and annotation (a string
-under `from __future__ import annotations`).
+field order, plain defaults (every instance shares a default, so it must not be
+mutable), `__post_init__` after construction (and after `replace`), equality
+only between instances of the same class on their field values, a hash of the
+field values, and the dataclass repr.  `fields()` gives each field's name and
+annotation (a string under `from __future__ import annotations`).
 """
 
 from __future__ import annotations
@@ -22,19 +22,13 @@ class FrozenInstanceError(AttributeError):
 
 
 class Field:
-    """One record field: its name, its annotation, and the factory of a field() default."""
+    """One record field: its name and its annotation."""
 
-    __slots__ = ("name", "type", "default_factory")
+    __slots__ = ("name", "type")
 
-    def __init__(self, default_factory, name: str = "", type: str = ""):
+    def __init__(self, name: str, type: str):
         self.name = name
         self.type = type
-        self.default_factory = default_factory
-
-
-def field(*, default_factory) -> Field:
-    """A field default built fresh for each instance by calling default_factory()."""
-    return Field(default_factory)
 
 
 def fields(obj) -> tuple[Field, ...]:
@@ -75,8 +69,6 @@ def _bind(cls, args: tuple, kwargs: dict) -> list:
             value = defaults.get(name, _MISSING)
             if value is _MISSING:
                 raise TypeError(f"{where} missing required argument: {name!r}")
-            if type(value) is Field:
-                value = value.default_factory()
         values.append(value)
     if unused:
         for key in kwargs:
@@ -142,13 +134,8 @@ def record(cls):
     table = []
     defaults = {}
     for name, annotation in vars(cls).get("__annotations__", {}).items():
+        table.append(Field(name, annotation))
         default = vars(cls).get(name, _MISSING)
-        if type(default) is Field:
-            delattr(cls, name)
-            default.name, default.type = name, annotation
-            table.append(default)
-        else:
-            table.append(Field(None, name, annotation))
         if default is not _MISSING:
             defaults[name] = default
         elif defaults:

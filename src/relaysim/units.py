@@ -35,7 +35,7 @@ class SpectralMode:
 
     center_wavelength_nm: float
     fwhm_pm: float
-    lineshape: str = "gaussian"
+    lineshape: str
 
     def __post_init__(self) -> None:
         if not self.center_wavelength_nm > 0:

@@ -1,7 +1,7 @@
 """Shared scenario builders for the Monte Carlo and acceptance tests."""
 
 from relaysim.components import ChipLayout, DetectorModel, SpdcSource
-from relaysim.config import load_preset
+from relaysim.config import ScenarioConfig, load_preset
 from relaysim.montecarlo import Scenario
 from relaysim.photostats import custom
 from relaysim.records import replace
@@ -49,8 +49,9 @@ def single_photon_scenario(delay_mm: float) -> Scenario:
     coincidence is the observable.
     """
     one = custom([0.0, 1.0])
-    det = DetectorModel(efficiency=1.0, dark_prob_per_ns=0.0)
-    return Scenario(
+    det = DetectorModel(efficiency=1.0, dark_prob_per_ns=0.0, gate_window_ns=1.0)
+    return replace(
+        ScenarioConfig().to_scenario(),
         gate_rate_hz=76e6,
         external_distribution=one,
         chip_distribution=one,

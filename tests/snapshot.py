@@ -17,7 +17,8 @@ compare the outputs:
 moved, its old and new value and their distance in units in the last place;
 it exits 1 when anything moved and 0 when the snapshots are identical.
 
-pytest does not collect this file.
+Only building a snapshot imports relaysim and the test helpers, so `--diff`
+runs in a bare checkout.  pytest does not collect this file.
 """
 
 from __future__ import annotations
@@ -32,12 +33,6 @@ import re
 import struct
 import sys
 import tempfile
-
-from helpers import law_cases
-from relaysim.cli import main as cli_main
-from relaysim.config import PRESET_NAMES
-from relaysim.montecarlo import compile_scenario, expected_rates, joint_law
-from relaysim.records import fields
 
 CONTRACT = (
     ["spdc-spectrum", "--preset", "paper-fig3"],
@@ -72,6 +67,8 @@ def _floats(text: str) -> list[float]:
 
 
 def _commands(config_dir: str) -> list[list[str]]:
+    from relaysim.config import PRESET_NAMES
+
     herald_path = os.path.join(config_dir, "dark_limit_herald.json")
     with open(herald_path, "w", encoding="utf-8") as fh:
         json.dump(DARK_LIMIT_HERALD, fh)
@@ -89,6 +86,8 @@ def _commands(config_dir: str) -> list[list[str]]:
 
 
 def _run_cli(argv: list[str]) -> dict:
+    from relaysim.cli import main as cli_main
+
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         status = cli_main(argv)
@@ -110,6 +109,9 @@ def _guarded(compute) -> dict | str:
 
 
 def snapshot() -> dict:
+    from helpers import law_cases
+    from relaysim.montecarlo import compile_scenario, expected_rates, joint_law
+
     entries = {}
     with tempfile.TemporaryDirectory() as config_dir:
         for argv in _commands(config_dir):
@@ -133,6 +135,8 @@ def _law_bytes_and_values(law) -> tuple[bytes, list[float]]:
 
 
 def _rates_bytes_and_values(rates) -> tuple[bytes, list[float]]:
+    from relaysim.records import fields
+
     return repr(rates).encode(), [getattr(rates, f.name) for f in fields(rates)]
 
 

@@ -13,9 +13,10 @@ import pytest
 
 from helpers import bench_scenario, oracle_scenarios
 from relaysim.cli import main as cli_main
-from relaysim.components import calibrate_coupler, chip_insertion_loss, coupler_ratio, ChipLayout
+from relaysim.components import calibrate_coupler, chip_insertion_loss, coupler_ratio
+from relaysim.config import ScenarioConfig
 from relaysim.interference import dip_profile, fit_dip, v_statistics, v_timing
-from relaysim.linkbudget import LinkParams, max_distance
+from relaysim.linkbudget import max_distance
 from relaysim.montecarlo import analytic_visibility, run, scan_dip, subtract_accidentals
 from relaysim.photostats import custom, herald_condition, thermal
 from relaysim.records import replace
@@ -138,7 +139,7 @@ def test_criterion_07_dip_geometry():
 
 def test_criterion_08_coupler_calibration():
     with criterion(8, "coupler-calibration") as detail:
-        cal = calibrate_coupler([(0.0, 1.0), (30.0, 0.5)])
+        cal = calibrate_coupler([(0.0, 1.0), (30.0, 0.5)], math.pi / 2.0)
         t0 = coupler_ratio(cal.model, 0.0)
         t30 = coupler_ratio(cal.model, 30.0)
         ratio = cal.model.gamma_rad_per_v * 30.0 / cal.model.kappa_lc_rad
@@ -150,7 +151,7 @@ def test_criterion_08_coupler_calibration():
 
 def test_criterion_09_loss_budget():
     with criterion(9, "loss-budget") as detail:
-        loss = chip_insertion_loss(ChipLayout())
+        loss = chip_insertion_loss(ScenarioConfig().chip_layout())
         detail["text"] = f"(default layout {loss} dB, measured figure ~9 dB)"
         assert loss == pytest.approx(8.5, abs=1e-12)
         assert 8.0 <= loss <= 9.5
@@ -158,7 +159,7 @@ def test_criterion_09_loss_budget():
 
 def test_criterion_10_keyrate_gains():
     with criterion(10, "keyrate-gains") as detail:
-        params = LinkParams(layout=ChipLayout(measured_insertion_db=9.0))
+        params = ScenarioConfig(measured_insertion_loss_db=9.0).to_link_params()
         direct = max_distance("direct", params).distance_km
         lossless = max_distance("folded_relay_lossless", params).distance_km
         realistic = max_distance("folded_relay", params).distance_km

@@ -9,7 +9,6 @@ from relaysim.components import (
     ChipLayout,
     ConfigurationError,
     CouplerModel,
-    DEFAULT_SEGMENTS,
     DetectorModel,
     FilterModel,
     PATHS,
@@ -20,9 +19,10 @@ from relaysim.components import (
     detector_click_prob,
     spdc_spectral_density,
 )
+from relaysim.config import ScenarioConfig
 from relaysim.interference import dip_profile, v_timing
-from relaysim.linkbudget import LinkParams, link_rates
-from relaysim.montecarlo import Scenario, compile_scenario, scan_dip
+from relaysim.linkbudget import link_rates
+from relaysim.montecarlo import compile_scenario, scan_dip
 from relaysim.photostats import PhotonNumberDistribution, custom, poisson, thermal
 from relaysim.records import replace
 from relaysim.units import SpectralMode
@@ -30,6 +30,13 @@ from relaysim.units import SpectralMode
 # Detuning-to-coupling ratio at the 50/50 point, from the root of
 # sin^2((pi/2) sqrt(1+x^2)) / (1+x^2) = 1/2 (scipy brentq, frozen).
 X_HALF = 0.7986853552847011
+
+# The default config's models.
+CONFIG = ScenarioConfig()
+SCENARIO = CONFIG.to_scenario()
+LAYOUT = CONFIG.chip_layout()
+DETECTOR = CONFIG.detector()
+LINK = CONFIG.to_link_params()
 
 
 # ---------------------------------------------------------------------------
@@ -42,7 +49,7 @@ def test_full_transfer_at_zero_bias():
 
 
 def test_default_calibration_hits_anchor_points():
-    cal = calibrate_coupler([(0.0, 1.0), (30.0, 0.5)])
+    cal = calibrate_coupler([(0.0, 1.0), (30.0, 0.5)], math.pi / 2)
     assert coupler_ratio(cal.model, 0.0) >= 0.999
     assert coupler_ratio(cal.model, 30.0) == pytest.approx(0.5, abs=1e-9)
     assert cal.residual_rms < 1e-6
@@ -51,29 +58,29 @@ def test_default_calibration_hits_anchor_points():
 
 def test_calibrated_detuning_ratio():
     # delta*Lc / kappa*Lc at 30 V lands at the frozen root, about 0.80.
-    cal = calibrate_coupler([(0.0, 1.0), (30.0, 0.5)])
+    cal = calibrate_coupler([(0.0, 1.0), (30.0, 0.5)], math.pi / 2)
     ratio = cal.model.gamma_rad_per_v * 30.0 / cal.model.kappa_lc_rad
     assert ratio == pytest.approx(X_HALF, abs=1e-6)
     assert abs(ratio - 0.80) <= 0.01
 
 
 def test_single_zero_anchor_flags_unconstrained_gamma():
-    cal = calibrate_coupler([(0.0, 1.0)])
+    cal = calibrate_coupler([(0.0, 1.0)], math.pi / 2)
     assert cal.model.kappa_lc_rad == pytest.approx(math.pi / 2)
     assert not cal.gamma_constrained
 
 
 def test_unreachable_anchor_rejected():
     with pytest.raises(CalibrationError):
-        calibrate_coupler([(0.0, 1.2)])
+        calibrate_coupler([(0.0, 1.2)], math.pi / 2)
     with pytest.raises(CalibrationError):
-        calibrate_coupler([(0.0, 1.0), (30.0, -0.1)])
+        calibrate_coupler([(0.0, 1.0), (30.0, -0.1)], math.pi / 2)
     with pytest.raises(CalibrationError):
-        calibrate_coupler([])
+        calibrate_coupler([], math.pi / 2)
 
 
 def test_cross_ratio_bounded_and_continuous():
-    cal = calibrate_coupler([(0.0, 1.0), (30.0, 0.5)])
+    cal = calibrate_coupler([(0.0, 1.0), (30.0, 0.5)], math.pi / 2)
     volts = np.linspace(0.0, 200.0, 4001)
     ratios = np.array([coupler_ratio(cal.model, float(v)) for v in volts])
     assert np.all(ratios >= 0.0) and np.all(ratios <= 1.0)
@@ -81,7 +88,7 @@ def test_cross_ratio_bounded_and_continuous():
 
 
 def test_energy_bookkeeping():
-    cal = calibrate_coupler([(0.0, 1.0), (30.0, 0.5)])
+    cal = calibrate_coupler([(0.0, 1.0), (30.0, 0.5)], math.pi / 2)
     for v in (0.0, 10.0, 30.0, 55.0):
         t = coupler_ratio(cal.model, v)
         assert t + (1.0 - t) == 1.0
@@ -96,9 +103,9 @@ def test_fit_kappa_from_partial_transfer_anchor():
 
 def test_nonfinite_anchor_voltage_rejected():
     with pytest.raises(CalibrationError):
-        calibrate_coupler([(0.0, 1.0), (math.inf, 0.5)])
+        calibrate_coupler([(0.0, 1.0), (math.inf, 0.5)], math.pi / 2)
     with pytest.raises(CalibrationError):
-        calibrate_coupler([(math.nan, 0.5)])
+        calibrate_coupler([(math.nan, 0.5)], math.pi / 2)
 
 
 # Oracle for the slope fit: scipy's bounded least squares from the same start,
@@ -135,7 +142,7 @@ def rms_residual(anchors, model):
     ids=["four_anchors", "three_anchors"],
 )
 def test_overdetermined_fit_cost_at_most_least_squares(anchors):
-    cal = calibrate_coupler(anchors)
+    cal = calibrate_coupler(anchors, math.pi / 2)
     oracle = CouplerModel(cal.model.kappa_lc_rad, least_squares_gamma(anchors, cal.model.kappa_lc_rad))
     assert half_squared_residual(anchors, cal.model) <= half_squared_residual(anchors, oracle) + 1e-15
 
@@ -144,7 +151,7 @@ def test_overdetermined_fit_cost_at_most_least_squares(anchors):
 def test_double_root_fit_residual_at_most_least_squares(anchor):
     # Cross ratio 1 is reached only at gamma = 0 and 0 only at sin(s) = 0;
     # both are tangent zeros of the residual.
-    cal = calibrate_coupler([anchor])
+    cal = calibrate_coupler([anchor], math.pi / 2)
     oracle = CouplerModel(cal.model.kappa_lc_rad, least_squares_gamma([anchor], cal.model.kappa_lc_rad))
     assert cal.gamma_constrained
     assert cal.residual_rms <= rms_residual([anchor], oracle)
@@ -180,8 +187,8 @@ def test_fit_whose_best_slope_is_zero_terminates():
 # ---------------------------------------------------------------------------
 
 def test_default_insertion_loss():
-    assert chip_insertion_loss(ChipLayout()) == pytest.approx(8.5, abs=1e-12)
-    assert 8.0 <= chip_insertion_loss(ChipLayout()) <= 9.5
+    assert chip_insertion_loss(LAYOUT) == pytest.approx(8.5, abs=1e-12)
+    assert 8.0 <= chip_insertion_loss(LAYOUT) <= 9.5
 
 
 def test_zeroed_segments_give_zero_loss():
@@ -194,14 +201,14 @@ def test_zeroed_segments_give_zero_loss():
 
 
 def test_measured_override_used_verbatim():
-    layout = ChipLayout(measured_insertion_db=9.0)
+    layout = replace(LAYOUT, measured_insertion_db=9.0)
     assert chip_insertion_loss(layout) == 9.0
     # Per-path losses rescale so segments still sum to the measured figure.
     assert layout.path_loss_db("insertion") == pytest.approx(9.0, rel=1e-12)
 
 
 def test_path_losses_additive_and_order_independent():
-    layout = ChipLayout()
+    layout = LAYOUT
     total = sum(layout.segments[s] for s in PATHS["insertion"])
     assert layout.path_loss_db("insertion") == pytest.approx(total, rel=1e-12)
     assert layout.path_loss_db("alice_to_c2") + layout.path_loss_db("c2_to_out") == pytest.approx(
@@ -215,7 +222,7 @@ def test_missing_segment_rejected():
     with pytest.raises(ConfigurationError):
         ChipLayout(segments={"fiber_to_chip": -1.0, "chip_to_fiber": 3.0, "prop_front": 1.0, "prop_back": 1.0})
     with pytest.raises(ConfigurationError):
-        ChipLayout(measured_insertion_db=-1.0)
+        replace(LAYOUT, measured_insertion_db=-1.0)
     with pytest.raises(ConfigurationError):
         ChipLayout(
             segments={"fiber_to_chip": 0.0, "chip_to_fiber": 0.0, "prop_front": 0.0, "prop_back": 0.0},
@@ -235,11 +242,11 @@ def test_non_finite_rescale_rejected(segments, measured, message):
     # Unchecked, the first gives NaN dB from the chip source to C2 (an
     # unbounded relay reach), the second 0 dB after C2 on a 9 dB chip.
     with pytest.raises(ConfigurationError, match=re.escape(message)):
-        ChipLayout({**DEFAULT_SEGMENTS, **segments}, measured_insertion_db=measured)
+        ChipLayout({**LAYOUT.segments, **segments}, measured_insertion_db=measured)
 
 
 def test_infinite_segment_blocks_its_paths():
-    layout = ChipLayout({**DEFAULT_SEGMENTS, "prop_back": math.inf})
+    layout = ChipLayout({**LAYOUT.segments, "prop_back": math.inf})
     assert chip_insertion_loss(layout) == math.inf
     assert layout.path_transmission("c2_to_out") == layout.path_transmission("insertion") == 0.0
     assert layout.path_loss_db("alice_to_c2") == 4.25
@@ -247,40 +254,36 @@ def test_infinite_segment_blocks_its_paths():
 
 def test_unknown_path_rejected():
     with pytest.raises(ConfigurationError):
-        ChipLayout().path_loss_db("nonexistent")
+        LAYOUT.path_loss_db("nonexistent")
 
 
 # ---------------------------------------------------------------------------
 # Pair source spectrum
 # ---------------------------------------------------------------------------
 
-def default_source():
-    return SpdcSource()
-
-
 def test_spectral_density_peaks_at_center():
-    src = default_source()
-    (peak,) = spdc_spectral_density(src, [1532.0])
+    spectrum = CONFIG.spdc_mode()
+    (peak,) = spdc_spectral_density(spectrum, [1532.0])
     assert peak == pytest.approx(1.0, rel=1e-12)
-    (off,) = spdc_spectral_density(src, [1500.0])
+    (off,) = spdc_spectral_density(spectrum, [1500.0])
     assert 0.0 <= off < 1.0
 
 
 @pytest.mark.parametrize("lineshape", ["gaussian", "sinc_squared"])
 def test_spectral_fwhm_is_80_nm(lineshape):
-    src = SpdcSource(spectrum=SpectralMode(1532.0, 80_000.0, lineshape))
+    spectrum = SpectralMode(1532.0, 80_000.0, lineshape)
     lam = np.linspace(1470.0, 1594.0, 200001)
-    dens = np.asarray(spdc_spectral_density(src, lam))
+    dens = np.asarray(spdc_spectral_density(spectrum, lam))
     above = lam[dens >= 0.5]
     fwhm = above.max() - above.min()
     assert fwhm == pytest.approx(80.0, abs=0.1)
 
 
 def test_spectral_density_symmetric():
-    src = default_source()
+    spectrum = CONFIG.spdc_mode()
     for dx in (1.0, 7.5, 40.0, 90.0):
-        left = spdc_spectral_density(src, [1532.0 - dx])
-        right = spdc_spectral_density(src, [1532.0 + dx])
+        left = spdc_spectral_density(spectrum, [1532.0 - dx])
+        right = spdc_spectral_density(spectrum, [1532.0 + dx])
         assert left == pytest.approx(right, rel=1e-9)
 
 
@@ -296,7 +299,7 @@ def test_source_brightness_linear_in_pump():
 # ---------------------------------------------------------------------------
 
 def test_filter_band_edges():
-    f = FilterModel(1530.0, 200.0)
+    f = FilterModel(1530.0, 200.0, 0.0)
     assert f.passes(1530.0)
     assert f.passes(1530.0 + 0.0999)
     assert not f.passes(1530.0 + 0.11)
@@ -305,7 +308,7 @@ def test_filter_band_edges():
 
 def test_filter_insertion_loss_applied_in_band():
     # In-band photons survive with the filters' insertion-loss transmission.
-    base = Scenario()
+    base = SCENARIO
     lossy = replace(
         base,
         filter_ab=FilterModel(1530.0, 200.0, insertion_loss_db=3.0),
@@ -327,27 +330,27 @@ def test_dark_prob_for_one_ns_gate_matches_per_ns_figure():
 
 
 def test_click_prob_examples():
-    det = DetectorModel(efficiency=0.10, dark_prob_per_ns=0.0)
+    det = DetectorModel(efficiency=0.10, dark_prob_per_ns=0.0, gate_window_ns=1.0)
     assert detector_click_prob(det, 1) == pytest.approx(0.1, rel=1e-12)
     assert detector_click_prob(det, 2) == pytest.approx(0.19, rel=1e-12)
 
 
 def test_click_prob_monotone():
-    det = DetectorModel(efficiency=0.10, dark_prob_per_ns=1e-5)
+    det = DetectorModel(efficiency=0.10, dark_prob_per_ns=1e-5, gate_window_ns=1.0)
     probs = [detector_click_prob(det, n) for n in range(6)]
     assert all(a <= b for a, b in zip(probs, probs[1:]))
-    assert detector_click_prob(DetectorModel(efficiency=0.2), 3) >= detector_click_prob(
-        DetectorModel(efficiency=0.1), 3
+    assert detector_click_prob(replace(DETECTOR, efficiency=0.2), 3) >= detector_click_prob(
+        replace(DETECTOR, efficiency=0.1), 3
     )
 
 
 def test_detector_validation():
     with pytest.raises(ValueError):
-        DetectorModel(efficiency=1.5)
+        replace(DETECTOR, efficiency=1.5)
     with pytest.raises(ValueError):
-        DetectorModel(gate_window_ns=0.0)
+        replace(DETECTOR, gate_window_ns=0.0)
     with pytest.raises(ValueError):
-        detector_click_prob(DetectorModel(), -1)
+        detector_click_prob(DETECTOR, -1)
 
 
 # ---------------------------------------------------------------------------
@@ -358,24 +361,24 @@ NAN = math.nan
 
 
 def _scenario_with(**changes):
-    return lambda: compile_scenario(replace(Scenario(), **changes))
+    return lambda: compile_scenario(replace(SCENARIO, **changes))
 
 
 # Each guard reads "if not <valid range>", so NaN, which compares false with
 # everything, fails it; written "if x < 0" it let NaN through.
 _NAN_GUARDS = {
-    "SpdcSource.pairs_per_mw": (lambda: SpdcSource(pairs_per_mw=NAN), "pairs_per_mw"),
-    "SpdcSource.pump_power_mw": (lambda: SpdcSource(pump_power_mw=NAN), "pump power"),
-    "FilterModel.fwhm_pm": (lambda: FilterModel(1530.0, NAN), "filter FWHM"),
+    "SpdcSource.pairs_per_mw": (lambda: SpdcSource(pairs_per_mw=NAN, pump_power_mw=1.5), "pairs_per_mw"),
+    "SpdcSource.pump_power_mw": (lambda: SpdcSource(pairs_per_mw=0.05 / 1.5, pump_power_mw=NAN), "pump power"),
+    "FilterModel.fwhm_pm": (lambda: FilterModel(1530.0, NAN, 0.0), "filter FWHM"),
     "FilterModel.insertion_loss_db": (lambda: FilterModel(1530.0, 200.0, NAN), "insertion loss"),
-    "DetectorModel.gate_window_ns": (lambda: DetectorModel(gate_window_ns=NAN), "gate window"),
-    "detector_click_prob": (lambda: detector_click_prob(DetectorModel(), NAN), "photon count"),
-    "ChipLayout.segments": (lambda: ChipLayout({**DEFAULT_SEGMENTS, "prop_back": NAN}), "prop_back"),
+    "DetectorModel.gate_window_ns": (lambda: replace(DETECTOR, gate_window_ns=NAN), "gate window"),
+    "detector_click_prob": (lambda: detector_click_prob(DETECTOR, NAN), "photon count"),
+    "ChipLayout.segments": (lambda: ChipLayout({**LAYOUT.segments, "prop_back": NAN}), "prop_back"),
     "ChipLayout.measured_insertion_db": (
-        lambda: ChipLayout(measured_insertion_db=NAN), "measured insertion loss"
+        lambda: replace(LAYOUT, measured_insertion_db=NAN), "measured insertion loss"
     ),
-    "SpectralMode.center_wavelength_nm": (lambda: SpectralMode(NAN, 200.0), "center wavelength"),
-    "SpectralMode.fwhm_pm": (lambda: SpectralMode(1530.0, NAN), "FWHM bandwidth"),
+    "SpectralMode.center_wavelength_nm": (lambda: SpectralMode(NAN, 200.0, "gaussian"), "center wavelength"),
+    "SpectralMode.fwhm_pm": (lambda: SpectralMode(1530.0, NAN, "gaussian"), "FWHM bandwidth"),
     "PhotonNumberDistribution": (lambda: PhotonNumberDistribution((NAN, 1.0)), "nonnegative"),
     "thermal": (lambda: thermal(NAN), "mean pair number"),
     "poisson": (lambda: poisson(NAN), "mean pair number"),
@@ -383,10 +386,10 @@ _NAN_GUARDS = {
     "v_timing.tau_uncert_ps": (lambda: v_timing(NAN, 17.0), "time uncertainty"),
     "v_timing.tau_c_ps": (lambda: v_timing(2.5, NAN), "coherence time"),
     "dip_profile": (lambda: dip_profile(0.5, NAN, 1.0, [0.0]), "dip FWHM time"),
-    "LinkParams.fiber_loss_db_per_km": (lambda: LinkParams(fiber_loss_db_per_km=NAN), "fiber loss"),
-    "LinkParams.mean_photon_per_pulse": (lambda: LinkParams(mean_photon_per_pulse=NAN), "mean photon"),
-    "LinkParams.relay_pair_mean": (lambda: LinkParams(relay_pair_mean=NAN), "mean photon"),
-    "link_rates.distance_km": (lambda: link_rates("direct", LinkParams(), NAN), "distance"),
+    "LinkParams.fiber_loss_db_per_km": (lambda: replace(LINK, fiber_loss_db_per_km=NAN), "fiber loss"),
+    "LinkParams.mean_photon_per_pulse": (lambda: replace(LINK, mean_photon_per_pulse=NAN), "mean photon"),
+    "LinkParams.relay_pair_mean": (lambda: replace(LINK, relay_pair_mean=NAN), "mean photon"),
+    "link_rates.distance_km": (lambda: link_rates("direct", LINK, NAN), "distance"),
     "compile_scenario.gate_rate_hz": (_scenario_with(gate_rate_hz=NAN), "rates must be positive"),
     "compile_scenario.pump_repetition_rate_hz": (
         _scenario_with(pump_repetition_rate_hz=NAN), "rates must be positive"
@@ -394,7 +397,7 @@ _NAN_GUARDS = {
     "compile_scenario.pump_duration_ps": (_scenario_with(pump_duration_ps=NAN), "pump duration"),
     "compile_scenario.alice_arm_loss_db": (_scenario_with(alice_arm_loss_db=NAN), "arm losses"),
     "compile_scenario.dip_fwhm_time_ps": (_scenario_with(dip_fwhm_time_ps=NAN), "dip_fwhm_time_ps"),
-    "scan_dip.positions_mm": (lambda: scan_dip(Scenario(), [NAN, 0.0, 9.0], 0), "must be finite"),
+    "scan_dip.positions_mm": (lambda: scan_dip(SCENARIO, [NAN, 0.0, 9.0], 0), "must be finite"),
 }
 
 

@@ -10,7 +10,7 @@ import pytest
 
 import relaysim
 from relaysim.cli import main
-from relaysim.components import ConfigurationError, calibrate_coupler, chip_insertion_loss
+from relaysim.components import ChipLayout, ConfigurationError, SpdcSource, calibrate_coupler, chip_insertion_loss
 from relaysim.config import (
     _FIELD_TYPES,
     PRESET_NAMES,
@@ -20,7 +20,6 @@ from relaysim.config import (
     load_preset,
     parse_config,
 )
-from relaysim.linkbudget import LinkParams
 from relaysim.montecarlo import Scenario, compile_scenario
 from relaysim.records import fields
 from relaysim.units import delay_to_path
@@ -40,10 +39,16 @@ def test_defaults_build_valid_models():
 
 
 def test_default_config_builds_the_default_records():
-    assert ScenarioConfig().to_scenario() == Scenario()
-    assert ScenarioConfig().to_link_params() == LinkParams()
+    # The record defaults that remain repeat the config's values.
+    cfg = ScenarioConfig()
+    scenario = cfg.to_scenario()
+    for f in fields(Scenario):
+        if f.name in vars(Scenario):
+            assert getattr(scenario, f.name) == vars(Scenario)[f.name], f.name
+    assert scenario.external_source.spectrum == vars(SpdcSource)["spectrum"] == cfg.spdc_mode()
+    assert scenario.layout.measured_insertion_db == vars(ChipLayout)["measured_insertion_db"]
     # The coupler literal is the calibration of the default anchors.
-    assert calibrate_coupler([(0, 1), (30, 0.5)]).model == Scenario().coupler_c1
+    assert calibrate_coupler(cfg.coupler_c1_anchors, cfg.coupler_kappa_lc_rad).model == Scenario.coupler_c1
 
 
 def test_round_trip_is_identity():

@@ -5,7 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from linkbudget_reference import midpoint_reach, reference_rates
-from relaysim.components import ChipLayout, DetectorModel
+from relaysim.components import DetectorModel
+from relaysim.config import ScenarioConfig
 from relaysim.linkbudget import (
     VARIANTS,
     LinkParams,
@@ -14,10 +15,18 @@ from relaysim.linkbudget import (
     max_distance,
     sweep,
 )
+from relaysim.records import replace
+
+LINK = ScenarioConfig().to_link_params()
+
+
+def link_params(chip_db: float | None = None, **changes) -> LinkParams:
+    """The default config's link, the chip's measured insertion loss and any other field replaced."""
+    return replace(LINK, layout=replace(LINK.layout, measured_insertion_db=chip_db), **changes)
 
 
 def reference_params(chip_db: float = 9.0) -> LinkParams:
-    return LinkParams(layout=ChipLayout(measured_insertion_db=chip_db))
+    return link_params(chip_db)
 
 
 # ---------------------------------------------------------------------------
@@ -74,9 +83,8 @@ def test_distance_gains_against_reference_targets():
 
 def test_lossless_relay_dominates_direct():
     for dark in (1e-7, 1e-6, 1e-5):
-        params = LinkParams(
-            detector=DetectorModel(efficiency=0.1, dark_prob_per_ns=dark, gate_window_ns=1.0),
-            layout=ChipLayout(measured_insertion_db=0.0),
+        params = link_params(
+            0.0, detector=DetectorModel(efficiency=0.1, dark_prob_per_ns=dark, gate_window_ns=1.0)
         )
         direct = max_distance("direct", params).distance_km
         relay = max_distance("folded_relay", params).distance_km
@@ -102,9 +110,9 @@ def test_optimized_position_beats_midpoint():
 )
 def test_midpoint_reach_equals_reference(variant, chip_db, dark_per_ns):
     # Exact: the reference recomputes the rates at position 0.5 per distance.
-    params = LinkParams(
+    params = link_params(
+        chip_db,
         detector=DetectorModel(efficiency=0.1, dark_prob_per_ns=dark_per_ns, gate_window_ns=1.0),
-        layout=ChipLayout(measured_insertion_db=chip_db),
     )
     midpoint = max_distance(variant, params).midpoint_distance_km
     assert midpoint is not None
@@ -121,7 +129,7 @@ def test_lossless_variant_is_the_zero_db_chip():
 
 
 def test_unbounded_distance_flagged():
-    params = LinkParams(
+    params = link_params(
         fiber_loss_db_per_km=0.0,
         detector=DetectorModel(efficiency=0.1, dark_prob_per_ns=1e-9, gate_window_ns=1.0),
     )
@@ -152,7 +160,7 @@ def test_link_rates_equal_reference(
         detector=DetectorModel(efficiency, dark_per_ns, gate_ns),
         mean_photon_per_pulse=mu,
         relay_pair_mean=nu,
-        layout=ChipLayout(measured_insertion_db=chip_db),
+        layout=replace(LINK.layout, measured_insertion_db=chip_db),
     )
     rates = link_rates(variant, params, distance_km)
     assert (rates.signal_prob, rates.accidental_prob, rates.normalized_rate) == reference_rates(
@@ -202,8 +210,8 @@ def test_sweep_validation():
 @pytest.mark.parametrize("variant", VARIANTS)
 @pytest.mark.parametrize("mu,efficiency", [(0.0, 0.1), (1.0, 0.0)])
 def test_zero_signal_normalization_rejected(variant, mu, efficiency):
-    params = LinkParams(
-        detector=DetectorModel(efficiency=efficiency, dark_prob_per_ns=1e-6),
+    params = link_params(
+        detector=DetectorModel(efficiency=efficiency, dark_prob_per_ns=1e-6, gate_window_ns=1.0),
         mean_photon_per_pulse=mu,
     )
     with pytest.raises(ValueError, match="mean_photon_per_pulse \\* link_detector_efficiency is 0"):
@@ -219,4 +227,4 @@ def test_model_and_params_validation():
     with pytest.raises(ValueError, match=unknown):
         sweep(["direct", "quantum_carrier_pigeon"], reference_params(), [0.0])
     with pytest.raises(ValueError):
-        LinkParams(fiber_loss_db_per_km=-0.1)
+        replace(LINK, fiber_loss_db_per_km=-0.1)

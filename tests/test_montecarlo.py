@@ -300,7 +300,7 @@ def test_worker_count_does_not_change_tallies():
 def test_detector_monitor_does_not_change_the_law():
     # `Scenario.detector_monitor` is accepted for compatibility and has no effect.
     sc = bench_scenario(0.05, 0.02, dark_per_ns=1e-4)
-    other = replace(sc, detector_monitor=DetectorModel(efficiency=0.3, dark_prob_per_ns=1e-3))
+    other = replace(sc, detector_monitor=DetectorModel(efficiency=0.3, dark_prob_per_ns=1e-3, gate_window_ns=1.0))
     params, params_other = compile_scenario(sc), compile_scenario(other)
     for f in fields(params):
         assert np.array_equal(getattr(params, f.name), getattr(params_other, f.name)), f.name
@@ -421,11 +421,21 @@ def test_mc_scan_samples_the_enumeration():
     assert scan_dip(sc, positions, 10**11, seed=53) == result
 
 
+@pytest.mark.parametrize("mean_a,mean_b", [(0.59, 0.3), (0.001, 0.05)])
+@pytest.mark.parametrize("overlap", [None, 0.0])
+def test_enumeration_never_exceeds_one(mean_a, mean_b, overlap):
+    # Every detector always dark: each event is certain, and the enumeration's
+    # sums of terms round to 1 + 7e-16 and 1 + 2e-16 before they are capped.
+    rates = expected_rates(bench_scenario(mean_a, mean_b, dark_per_ns=1.0), overlap)
+    for f in fields(rates):
+        assert getattr(rates, f.name) <= 1.0, f.name
+
+
 def test_mc_scan_of_a_rate_rounded_past_one():
     # Every detector always dark: every gated pulse is a three-fold, and the
-    # enumeration's sum reads 1 + 7e-16, which the draw must take as 1.
+    # enumeration's sum, which rounds to 1 + 7e-16, reads 1.
     sc = bench_scenario(0.59, 0.3, dark_per_ns=1.0)
-    assert expected_rates(sc).p_threefold_abc > 1.0
+    assert expected_rates(sc).p_threefold_abc == 1.0
     assert scan_dip(sc, np.linspace(-30.0, 30.0, 5), 1000).rates == (1.0,) * 5
 
 
@@ -482,7 +492,7 @@ def test_invalid_scenarios_rejected_before_sampling():
     # Overlapping signal/partner filter bands break clean heralding.
     with pytest.raises(ConfigurationError):
         compile_scenario(
-            replace(bench_scenario(0.01, 0.01), filter_c=FilterModel(1532.0, 8000.0))
+            replace(bench_scenario(0.01, 0.01), filter_c=FilterModel(1532.0, 8000.0, 0.0))
         )
     with pytest.raises(ValueError):
         run(bench_scenario(0.01, 0.01), 0)

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from helpers import bench_scenario
 from relaysim.cli import _arange, _linspace
-from relaysim.components import _SINC2_HALF_MAX_X, SpdcSource, spdc_spectral_density
+from relaysim.components import _SINC2_HALF_MAX_X, spdc_spectral_density
 from relaysim.interference import v_statistics
 from relaysim.montecarlo import compile_scenario, joint_law, run
 from relaysim.photostats import apply_loss, herald_condition, poisson, thermal
@@ -130,13 +130,12 @@ def test_spectral_density_equals_numpy(lineshape, center, fwhm_pm, wavelengths):
     # so the check allows 2 ulp; the spdc-spectrum contract digest pins the
     # sinc^2 values of the paper-fig3 grid exactly.
     wavelengths = [*wavelengths, center]
-    src = SpdcSource(spectrum=SpectralMode(center, fwhm_pm, lineshape))
     x = (np.asarray(wavelengths) - center) / (fwhm_pm * 1e-3)
     if lineshape == "gaussian":
         expected = np.exp(-4.0 * math.log(2.0) * x**2)
     else:
         expected = np.sinc(2.0 * _SINC2_HALF_MAX_X * x / math.pi) ** 2
-    density = spdc_spectral_density(src, wavelengths)
+    density = spdc_spectral_density(SpectralMode(center, fwhm_pm, lineshape), wavelengths)
     assert all(type(value) is float for value in density)
     np.testing.assert_array_max_ulp(np.asarray(density), expected, maxulp=2)
 

@@ -53,7 +53,7 @@ def test_coherence_time_decreasing_in_bandwidth():
 @pytest.mark.parametrize("lam,dlam", [(0.0, 200.0), (-1530.0, 200.0), (1530.0, 0.0), (1530.0, -5.0)])
 def test_invalid_spectral_mode_rejected(lam, dlam):
     with pytest.raises(ValueError):
-        SpectralMode(lam, dlam)
+        SpectralMode(lam, dlam, "gaussian")
 
 
 def test_unknown_lineshape_rejected():
