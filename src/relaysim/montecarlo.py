@@ -479,19 +479,20 @@ def _dip_visibility(
 ) -> tuple[float, float]:
     """V = 1 - dip rate / reference rate of one coincidence count, with its Poisson error.
 
-    Each leg's rate is its count per gated pulse less its per-gate accidental
-    probability, clamped at zero; with no accidentals it is the raw rate.  A
-    leg with no gated pulse, or a reference with no net rate, gives (nan, nan).
-    A dip with no net rate against a live reference is a perfect dip: 1.0,
-    with no Poisson error (nan).
+    Each leg's net rate is its count per gated pulse less its per-gate
+    accidental probability; with no accidentals it is the raw rate.  A leg
+    with no gated pulse, or a reference whose net rate is not positive, gives
+    (nan, nan).  A dip with no count against a live reference is a perfect
+    dip: 1.0, with no Poisson error (nan).  A dip whose accidentals exceed its
+    count has a negative net rate and reads above 1, with its error.
     """
     c0, g0, c1, g1 = getattr(dip, count), dip.gated, getattr(ref, count), ref.gated
     if g0 <= 0 or g1 <= 0:
         return math.nan, math.nan
-    net0, net1 = max(c0 / g0 - acc_dip, 0.0), max(c1 / g1 - acc_ref, 0.0)
+    net0, net1 = c0 / g0 - acc_dip, c1 / g1 - acc_ref
     if net1 <= 0.0:
         return math.nan, math.nan
-    if net0 <= 0.0:
+    if c0 == 0:
         return 1.0, math.nan
     s0, s1 = math.sqrt(c0) / g0, math.sqrt(c1) / g1
     return 1.0 - net0 / net1, math.sqrt((s0 / net1) ** 2 + (net0 * s1 / net1**2) ** 2)
@@ -640,27 +641,25 @@ def expected_rates(scenario: Scenario, overlap: float | None = None) -> Expected
 def _rate_table(params: SimParams) -> Callable[[float], ExpectedRates]:
     """rates_at(overlap) -> expected_rates of a compiled scenario at that temporal overlap.
 
-    Every photon pattern's overlap-free terms are computed once here: its
-    weight times its click probabilities, summed over C2's routings, x of
-    the k_a photons crossing to output B and y of the k_b photons to A, in
-    (x, y) order.  All patterns take the routing steps together, one numpy
-    add per step; a routing that a pattern does not have weighs exactly 0.0,
-    and adding it leaves the pattern's sums, which are >= 0, unchanged.  The
-    one-plus-one pattern, the only one whose clicks depend on the overlap,
-    has its row filled in on each call.  Each sum therefore adds the same
-    terms, in the same order, as the pattern-by-pattern loop of
-    tests/enumeration_reference.py, and is bit-identical to it until
-    `rates_at` caps it at 1.
+    The patterns are the (k_a, k_b) photon numbers at C2 with nonzero weight
+    in both laws (a herald weight is 0 wherever pk_b is), k_a-major, held as
+    two index arrays.  Every pattern's overlap-free terms are computed once
+    here: its weight times its click probabilities, summed over C2's
+    routings, x of the k_a photons crossing to output B and y of the k_b
+    photons to A, in (x, y) order.  All patterns take the routing steps
+    together, one numpy add per step; a routing that a pattern does not have
+    weighs exactly 0.0, and adding it leaves the pattern's sums, which are
+    >= 0, unchanged.  The one-plus-one pattern, the only one whose clicks
+    depend on the overlap, has its column of the (4, patterns) terms array
+    overwritten on each call.  Each rate is a sequential `np.add.accumulate`
+    over the patterns, so it adds the same terms, in the same order, as the
+    pattern-by-pattern loop of tests/enumeration_reference.py, and is
+    bit-identical to it until `rates_at` caps it at 1.
     """
     pk_a, pk_b, pk_b_herald, _, route, click_a, click_b = _model_inputs(params)
-    p_single_c = float(np.array(pk_b_herald).sum())  # includes the dark contribution
-
-    cells = [
-        (ka, kb)
-        for ka, wa in enumerate(pk_a) if wa != 0.0
-        for kb, (wb, wh) in enumerate(zip(pk_b, pk_b_herald)) if wb != 0.0 or wh != 0.0
-    ]
-    ka, kb = np.array(cells).T
+    pk_a, pk_b, pk_b_herald = np.array(pk_a), np.array(pk_b), np.array(pk_b_herald)
+    ka, kb = np.nonzero(np.outer(pk_a != 0.0, pk_b != 0.0))
+    one_plus_one = np.flatnonzero((ka == 1) & (kb == 1))
 
     # Routing (x, y) of every pattern leaves k_a - x + y photons at A and
     # x + k_b - y at B; arrays are indexed [x, y, pattern].
@@ -670,38 +669,29 @@ def _rate_table(params: SimParams) -> Callable[[float], ExpectedRates]:
     ca = click_a[np.maximum(ka - x + y, 0), 1]
     cb = click_b[np.maximum(x + kb - y, 0), 1]
     wca = w * ca
-    stats = np.zeros((3, len(cells)))  # P[click A], P[click B], P[click A and B]
-    for step in np.stack([wca, w * cb, wca * cb], axis=2).reshape(-1, 3, len(cells)):
+    stats = np.zeros((3, len(ka)))  # P[click A], P[click B], P[click A and B]
+    for step in np.stack([wca, w * cb, wca * cb], axis=2).reshape(-1, 3, len(ka)):
         stats += step
     pa, pb, pab = stats
 
-    wa = np.array(pk_a)[ka]
-    w_ab, w_abc = wa * np.array(pk_b)[kb], wa * np.array(pk_b_herald)[kb]
-    terms = np.stack([w_ab * pa, w_ab * pb, w_ab * pab, w_abc * pab], axis=1).tolist()
-    one_plus_one = cells.index((1, 1)) if (1, 1) in cells else None
+    w_ab, w_abc = pk_a[ka] * pk_b[kb], pk_a[ka] * pk_b_herald[kb]
+    terms = np.stack([w_ab * pa, w_ab * pb, w_ab * pab, w_abc * pab])  # [A, B, AB, ABC; pattern]
     a0, a1, a2 = click_a[:3, 1].tolist()  # P[click A] at 0, 1 and 2 photons, darks included
     b0, b1, b2 = click_b[:3, 1].tolist()
+    # A sum of terms that add up to 1 can round past it by an ulp or two.
+    p_single_c = min(float(pk_b_herald.sum()), 1.0)  # includes the dark contribution
 
     def rates_at(overlap: float) -> ExpectedRates:
-        if one_plus_one is not None:
+        if one_plus_one.size:
             p_coinc = _p_coinc(params.cross2, overlap)
             p_bunch = (1.0 - p_coinc) / 2.0
             pa = p_coinc * a1 + p_bunch * (a2 + a0)
             pb = p_coinc * b1 + p_bunch * (b2 + b0)
             pab = p_coinc * a1 * b1 + p_bunch * (a2 * b0 + a0 * b2)
             w, wh = pk_a[1] * pk_b[1], pk_a[1] * pk_b_herald[1]
-            terms[one_plus_one] = (w * pa, w * pb, w * pab, wh * pab)
-        p_single_a = p_single_b = p_two = p_three = 0.0
-        for ta, tb, t2, t3 in terms:
-            p_single_a += ta
-            p_single_b += tb
-            p_two += t2
-            p_three += t3
-        # A sum of terms that add up to 1 can round past it by an ulp or two.
-        return ExpectedRates(
-            min(p_single_a, 1.0), min(p_single_b, 1.0), min(p_single_c, 1.0),
-            min(p_two, 1.0), min(p_three, 1.0),
-        )
+            terms[:, one_plus_one[0]] = (w * pa, w * pb, w * pab, wh * pab)
+        p_a, p_b, p_ab, p_abc = np.minimum(np.add.accumulate(terms, axis=1)[:, -1], 1.0).tolist()
+        return ExpectedRates(p_a, p_b, p_single_c, p_ab, p_abc)
 
     return rates_at
 

@@ -219,6 +219,8 @@ def test_path_losses_additive_and_order_independent():
 def test_missing_segment_rejected():
     with pytest.raises(ConfigurationError, match="missing segment 'prop_back'"):
         ChipLayout(segments={"fiber_to_chip": 3.0, "chip_to_fiber": 3.0, "prop_front": 1.0})
+    with pytest.raises(ConfigurationError, match="segment 'prop_back' has no loss value"):
+        ChipLayout(segments={"fiber_to_chip": 3.0, "chip_to_fiber": 3.0, "prop_front": 1.0, "prop_back": None})
     with pytest.raises(ConfigurationError):
         ChipLayout(segments={"fiber_to_chip": -1.0, "chip_to_fiber": 3.0, "prop_front": 1.0, "prop_back": 1.0})
     with pytest.raises(ConfigurationError):

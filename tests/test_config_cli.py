@@ -581,6 +581,19 @@ def test_output_grid_rejects_fewer_than_one_point(tmp_path, capsys, command, key
 
 
 @pytest.mark.parametrize(
+    "command,key",
+    [("spdc-spectrum", "spectrum_points"), ("coupler-curve", "coupler_curve_points"), ("hom-dip", "dip_scan_points")],
+)
+def test_output_grid_rejects_more_than_max_points(tmp_path, capsys, command, key):
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps({key: 100_001}), encoding="utf-8")
+    assert run_cli(command, "--config", str(path)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: ConfigurationError: {key} must be <= 100000, got 100001\n"
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ("mc-run", "--pulses", str(2**63)),

@@ -167,7 +167,7 @@ def test_fit_with_offset_center():
     assert fit.fwhm_mm == pytest.approx(fwhm, rel=1e-6)
 
 
-def test_fit_failure_reported():
+def test_fit_failure_reported(monkeypatch):
     with pytest.raises(FitFailureError):
         fit_dip([0.0, 1.0, 2.0], [1.0, 1.0, 1.0])  # too few points for 4 params
     positions = [x * 1.5 for x in range(-6, 7)]
@@ -180,3 +180,10 @@ def test_fit_failure_reported():
     # A rate that does not depend on the delay has no dip, and no width to fit.
     with pytest.raises(FitFailureError, match="every rate is equal: no dip to fit"):
         fit_dip(positions, [2.5e-12] * len(positions))
+    # curve_fit raises when it does not converge; the error names the cause.
+    def no_convergence(*args, **kwargs):
+        raise RuntimeError("Optimal parameters not found")
+
+    monkeypatch.setattr("scipy.optimize.curve_fit", no_convergence)
+    with pytest.raises(FitFailureError, match="did not converge: Optimal parameters not found"):
+        fit_dip(positions, [1.0 - 0.5 * math.exp(-4 * math.log(2) * (x / 6.0) ** 2) for x in positions])

@@ -227,6 +227,8 @@ def test_apply_loss_edge_cases():
 
 
 def test_distribution_validation():
+    with pytest.raises(ValueError, match="at least one entry"):
+        PhotonNumberDistribution(())
     with pytest.raises(ValueError):
         PhotonNumberDistribution((0.5, 0.6))  # sums above 1
     with pytest.raises(ValueError):
