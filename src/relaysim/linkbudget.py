@@ -48,10 +48,10 @@ class LinkParams:
     layout: ChipLayout
 
     def __post_init__(self) -> None:
-        if not self.fiber_loss_db_per_km >= 0:
-            raise ValueError(f"fiber loss must be >= 0, got {self.fiber_loss_db_per_km}")
-        if not (self.mean_photon_per_pulse >= 0 and self.relay_pair_mean >= 0):
-            raise ValueError("mean photon numbers must be >= 0")
+        for name in ("fiber_loss_db_per_km", "mean_photon_per_pulse", "relay_pair_mean"):
+            value = getattr(self, name)
+            if not value >= 0:
+                raise ValueError(f"{name} must be >= 0, got {value}")
 
 
 @record

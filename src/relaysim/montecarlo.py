@@ -221,9 +221,15 @@ def _pair_pmf(pmf) -> np.ndarray:
 def compile_scenario(scenario: Scenario) -> SimParams:
     """Validate a scenario and reduce it to per-arm probabilities."""
     if not (scenario.gate_rate_hz > 0 and scenario.pump_repetition_rate_hz > 0):
-        raise ConfigurationError("pump and gate rates must be positive")
+        raise ConfigurationError(
+            "pump_repetition_rate_hz and gate_rate_hz must be > 0, got "
+            f"{scenario.pump_repetition_rate_hz} and {scenario.gate_rate_hz}"
+        )
     if scenario.gate_rate_hz > scenario.pump_repetition_rate_hz:
-        raise ConfigurationError("gating rate cannot exceed the pump repetition rate")
+        raise ConfigurationError(
+            "gate_rate_hz must be <= pump_repetition_rate_hz, got "
+            f"{scenario.gate_rate_hz} > {scenario.pump_repetition_rate_hz}"
+        )
     p_gate = scenario.gate_rate_hz / scenario.pump_repetition_rate_hz
     if not p_gate > 0:  # the quotient can underflow to 0
         raise ConfigurationError(
@@ -231,11 +237,11 @@ def compile_scenario(scenario: Scenario) -> SimParams:
             f"{scenario.gate_rate_hz} / {scenario.pump_repetition_rate_hz} = {p_gate}"
         )
     if not scenario.pump_duration_ps >= 0:
-        raise ConfigurationError("pump duration must be >= 0")
+        raise ConfigurationError(f"pump_duration_ps must be >= 0, got {scenario.pump_duration_ps}")
     if not math.isfinite(scenario.delay_mm):
-        raise ConfigurationError("delay must be finite")
+        raise ConfigurationError(f"delay_mm must be finite, got {scenario.delay_mm}")
     if not scenario.alice_arm_loss_db >= 0:
-        raise ConfigurationError("arm losses must be >= 0 dB")
+        raise ConfigurationError(f"alice_arm_loss_db must be >= 0, got {scenario.alice_arm_loss_db}")
     tau_c_ps = coherence_time(scenario.photon_mode)
     tau_ps = tau_c_ps if scenario.dip_fwhm_time_ps is None else scenario.dip_fwhm_time_ps
     # Only an override fails (the coherence time is > 0): one that is not > 0,
@@ -647,11 +653,11 @@ def _rate_table(params: SimParams) -> Callable[[float], ExpectedRates]:
     here: its weight times its click probabilities, summed over C2's
     routings, x of the k_a photons crossing to output B and y of the k_b
     photons to A, in (x, y) order.  All patterns take the routing steps
-    together, one numpy add per step; a routing that a pattern does not have
-    weighs exactly 0.0, and adding it leaves the pattern's sums, which are
-    >= 0, unchanged.  The one-plus-one pattern, the only one whose clicks
-    depend on the overlap, has its column of the (4, patterns) terms array
-    overwritten on each call.  Each rate is a sequential `np.add.accumulate`
+    together, in one sequential `np.add.accumulate` over the steps; a
+    routing that a pattern does not have weighs exactly 0.0, and adding it
+    leaves the pattern's sums, which are >= 0, unchanged.  The one-plus-one
+    pattern, the only one whose clicks depend on the overlap, has its column
+    of the (4, patterns) terms array overwritten on each call.  Each rate is a sequential `np.add.accumulate`
     over the patterns, so it adds the same terms, in the same order, as the
     pattern-by-pattern loop of tests/enumeration_reference.py, and is
     bit-identical to it until `rates_at` caps it at 1.
@@ -669,10 +675,8 @@ def _rate_table(params: SimParams) -> Callable[[float], ExpectedRates]:
     ca = click_a[np.maximum(ka - x + y, 0), 1]
     cb = click_b[np.maximum(x + kb - y, 0), 1]
     wca = w * ca
-    stats = np.zeros((3, len(ka)))  # P[click A], P[click B], P[click A and B]
-    for step in np.stack([wca, w * cb, wca * cb], axis=2).reshape(-1, 3, len(ka)):
-        stats += step
-    pa, pb, pab = stats
+    steps = np.stack([wca, w * cb, wca * cb], axis=2).reshape(-1, 3, len(ka))
+    pa, pb, pab = np.add.accumulate(steps)[-1]  # P[click A], P[click B], P[click A and B]
 
     w_ab, w_abc = pk_a[ka] * pk_b[kb], pk_a[ka] * pk_b_herald[kb]
     terms = np.stack([w_ab * pa, w_ab * pb, w_ab * pab, w_abc * pab])  # [A, B, AB, ABC; pattern]

@@ -388,16 +388,31 @@ _NAN_GUARDS = {
     "v_timing.tau_uncert_ps": (lambda: v_timing(NAN, 17.0), "time uncertainty"),
     "v_timing.tau_c_ps": (lambda: v_timing(2.5, NAN), "coherence time"),
     "dip_profile": (lambda: dip_profile(0.5, NAN, 1.0, [0.0]), "dip FWHM time"),
-    "LinkParams.fiber_loss_db_per_km": (lambda: replace(LINK, fiber_loss_db_per_km=NAN), "fiber loss"),
-    "LinkParams.mean_photon_per_pulse": (lambda: replace(LINK, mean_photon_per_pulse=NAN), "mean photon"),
-    "LinkParams.relay_pair_mean": (lambda: replace(LINK, relay_pair_mean=NAN), "mean photon"),
-    "link_rates.distance_km": (lambda: link_rates("direct", LINK, NAN), "distance"),
-    "compile_scenario.gate_rate_hz": (_scenario_with(gate_rate_hz=NAN), "rates must be positive"),
-    "compile_scenario.pump_repetition_rate_hz": (
-        _scenario_with(pump_repetition_rate_hz=NAN), "rates must be positive"
+    "LinkParams.fiber_loss_db_per_km": (
+        lambda: replace(LINK, fiber_loss_db_per_km=NAN), "fiber_loss_db_per_km must be >= 0, got nan"
     ),
-    "compile_scenario.pump_duration_ps": (_scenario_with(pump_duration_ps=NAN), "pump duration"),
-    "compile_scenario.alice_arm_loss_db": (_scenario_with(alice_arm_loss_db=NAN), "arm losses"),
+    "LinkParams.mean_photon_per_pulse": (
+        lambda: replace(LINK, mean_photon_per_pulse=NAN), "mean_photon_per_pulse must be >= 0, got nan"
+    ),
+    "LinkParams.relay_pair_mean": (
+        lambda: replace(LINK, relay_pair_mean=NAN), "relay_pair_mean must be >= 0, got nan"
+    ),
+    "link_rates.distance_km": (lambda: link_rates("direct", LINK, NAN), "distance"),
+    "compile_scenario.gate_rate_hz": (
+        _scenario_with(gate_rate_hz=NAN),
+        "pump_repetition_rate_hz and gate_rate_hz must be > 0, got 76000000.0 and nan",
+    ),
+    "compile_scenario.pump_repetition_rate_hz": (
+        _scenario_with(pump_repetition_rate_hz=NAN),
+        "pump_repetition_rate_hz and gate_rate_hz must be > 0, got nan and 600000.0",
+    ),
+    "compile_scenario.pump_duration_ps": (
+        _scenario_with(pump_duration_ps=NAN), "pump_duration_ps must be >= 0, got nan"
+    ),
+    "compile_scenario.delay_mm": (_scenario_with(delay_mm=NAN), "delay_mm must be finite, got nan"),
+    "compile_scenario.alice_arm_loss_db": (
+        _scenario_with(alice_arm_loss_db=NAN), "alice_arm_loss_db must be >= 0, got nan"
+    ),
     "compile_scenario.dip_fwhm_time_ps": (_scenario_with(dip_fwhm_time_ps=NAN), "dip_fwhm_time_ps"),
     "scan_dip.positions_mm": (lambda: scan_dip(SCENARIO, [NAN, 0.0, 9.0], 0), "must be finite"),
 }

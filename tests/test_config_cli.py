@@ -250,41 +250,26 @@ def test_coupler_curve_csv(tmp_path, capsys):
     assert "residual_rms" in summary
 
 
-def _coupler_curve_with_anchors(tmp_path, anchors):
-    """Run coupler-curve with the same measured anchors on both couplers."""
-    path = tmp_path / "anchors.json"
-    path.write_text(
-        json.dumps({"coupler_c1_anchors": anchors, "coupler_c2_anchors": anchors}), encoding="utf-8"
-    )
-    return run_cli("coupler-curve", "--config", str(path), "--out", str(tmp_path / "couplers.csv"))
+def _run_with_config(tmp_path, document, *argv) -> int:
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(document), encoding="utf-8")
+    return run_cli(*argv, "--config", str(path))
 
 
-def test_coupler_curve_config_anchors(tmp_path, capsys):
-    assert _coupler_curve_with_anchors(tmp_path, [[0.0, 1.0], [25.0, 0.5]]) == 0
+def test_coupler_curve_config_anchors(tmp_path):
+    anchors = [[0.0, 1.0], [25.0, 0.5]]
+    document = {"coupler_c1_anchors": anchors, "coupler_c2_anchors": anchors}
+    assert _run_with_config(tmp_path, document, "coupler-curve", "--out", str(tmp_path / "couplers.csv")) == 0
     lines = (tmp_path / "couplers.csv").read_text().splitlines()
     table = {float(r[0]): (float(r[1]), float(r[2])) for r in (l.split(",") for l in lines[1:])}
     assert table[25.0] == pytest.approx((0.5, 0.5), abs=1e-6)
-    assert _coupler_curve_with_anchors(tmp_path, [[0.0, 1.0], [25.0, 1.5]]) == 2
-    assert "CalibrationError: anchor ratio 1.5 at 25.0 V is outside [0, 1]" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("kappa", [0.0, -1.0])
-def test_coupler_curve_rejects_nonpositive_kappa_lc(tmp_path, capsys, kappa):
-    # kappa*Lc = 0 was reported as the default anchor ratio 1.0 exceeding the
-    # zero-bias maximum sin^2(0) = 0, which names the wrong input.  NaN, which
-    # hung the detuning-slope fit, is rejected when the config is parsed.
-    path = tmp_path / "kappa.json"
-    path.write_text(json.dumps({"coupler_kappa_lc_rad": kappa}), encoding="utf-8")
-    assert run_cli("coupler-curve", "--config", str(path)) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == f"error: ValueError: kappa*Lc must be > 0, got {kappa}\n"
 
 
 def test_coupler_curve_zero_bias_anchor_unconstrained(tmp_path, capsys):
     # One anchor at 0 V leaves the detuning slope free: gamma stays 0, and
     # the summary says the fit did not constrain it.
-    assert _coupler_curve_with_anchors(tmp_path, [[0.0, 1.0]]) == 0
+    document = {"coupler_c1_anchors": [[0.0, 1.0]], "coupler_c2_anchors": [[0.0, 1.0]]}
+    assert _run_with_config(tmp_path, document, "coupler-curve", "--out", str(tmp_path / "couplers.csv")) == 0
     summary = capsys.readouterr().out.splitlines()
     assert summary == [
         f"{name}: gamma_rad_per_V=0.0 residual_rms=0.0 gamma_constrained=False" for name in ("c1", "c2")
@@ -349,12 +334,6 @@ def test_config_segment_losses_reach_keyrate_sweep(tmp_path, capsys):
     assert reach[6.0] < reach[3.0]
 
 
-def _run_with_config(tmp_path, document, *argv) -> int:
-    path = tmp_path / "config.json"
-    path.write_text(json.dumps(document), encoding="utf-8")
-    return run_cli(*argv, "--config", str(path))
-
-
 def test_keyrate_sweep_lossless_fiber_reach_unbounded(tmp_path, capsys):
     # Without fiber loss no link falls to SNR unity: every reach is inf, and
     # the distance gains inf/inf are undefined, so a warning replaces them.
@@ -376,20 +355,6 @@ def test_keyrate_sweep_direct_reach_zero(tmp_path, capsys):
     assert "max_distance_direct_km=0.0\n" in captured.out
     assert "gain_" not in captured.out
     assert captured.err == "warning: direct reach is 0.0 km; distance gains are undefined\n"
-
-
-@pytest.mark.parametrize("key", ["link_detector_efficiency", "mean_photon_per_pulse"])
-def test_keyrate_sweep_rejects_zero_signal_normalization(tmp_path, capsys, key):
-    # With mu * eta = 0 the direct link's zero-distance rate is all dark
-    # counts, and the table printed direct = 1.0 at every distance.
-    path = tmp_path / "zero.json"
-    path.write_text(json.dumps({key: 0.0}), encoding="utf-8")
-    assert run_cli("keyrate-sweep", "--config", str(path)) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith(
-        "error: ValueError: mean_photon_per_pulse * link_detector_efficiency is 0"
-    )
 
 
 def test_mc_run_byte_identical(tmp_path):
@@ -452,57 +417,6 @@ def test_hom_dip_warns_only_in_monte_carlo_mode(capsys):
     assert capsys.readouterr().err.startswith("warning: 1000 pulses give ")
 
 
-_ENGINE_COMMANDS = [("mc-run",), ("hom-dip", "--pulses", "0")]
-
-
-@pytest.mark.parametrize("argv", _ENGINE_COMMANDS, ids=["mc-run", "hom-dip-analytic"])
-def test_thermal_source_too_bright_for_the_cutoff_is_named(tmp_path, capsys, argv):
-    # Mean 0.6 pairs puts 1.13e-9 of a thermal law above 20 pairs.
-    document = {"chip_pairs_per_mw": 0.6, "chip_pump_power_mw": 1.0}
-    assert _run_with_config(tmp_path, document, *argv) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == (
-        "error: ConfigurationError: chip source: thermal law at mean 0.6 pairs per pulse "
-        "puts 1.13e-09 of its mass above n_max = 20 pairs, more than 1e-09\n"
-    )
-
-
-@pytest.mark.parametrize(
-    "key,mean,lost",
-    [("map_na_values", 1e200, "1"), ("map_nb_values", 0.7, "8.08e-09")],
-    ids=["overflowing", "tail"],
-)
-def test_visibility_map_mean_too_large_for_the_law_is_named(tmp_path, capsys, key, mean, lost):
-    # These once failed as a bare OverflowError (exit 1) and as an
-    # unexplained "pmf must sum to ~1, got 0.99999999...".
-    assert _run_with_config(tmp_path, {key: [mean]}, "visibility-map") == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == (
-        f"error: ValueError: thermal law at mean {mean!r} pairs per pulse "
-        f"puts {lost} of its mass above n_max = 20 pairs, more than 1e-09\n"
-    )
-
-
-def test_visibility_map_rejects_dark_clicks_without_herald_efficiency(tmp_path, capsys):
-    # Printed the dark-free limit, V = 0.5483870967741935, whatever the dark probability.
-    document = {
-        "map_herald_efficiency": None,
-        "map_herald_dark_prob": 0.5,
-        "map_na_values": [0.05],
-        "map_nb_values": [0.02],
-    }
-    assert _run_with_config(tmp_path, document, "visibility-map") == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == (
-        "error: ValueError: the vanishing-efficiency herald takes no dark clicks, got dark "
-        "probability 0.5: as the efficiency goes to 0 the conditioned pmf tends to the "
-        "unconditioned one, not to n*p(n)/mean\n"
-    )
-
-
 @pytest.mark.parametrize("key", ["chip_pairs_per_mw", "external_pairs_per_mw"])
 def test_flat_analytic_scan_reports_no_fit(tmp_path, capsys, key):
     # Without one of the two sources no pattern interferes: every rate is
@@ -543,116 +457,163 @@ def test_every_config_field_is_read_by_a_subcommand(monkeypatch, capsys):
     assert {f.name for f in fields(ScenarioConfig)} - reads == {"schema_version"}
 
 
-def test_cli_error_paths(tmp_path, capsys):
-    bad = tmp_path / "bad.json"
-    bad.write_text('{"no_such_key": 1}', encoding="utf-8")
-    assert run_cli("mc-run", "--config", str(bad)) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ConfigurationError:")
-    # Unknown subcommands and flags exit nonzero via argparse.
-    with pytest.raises(SystemExit) as exc:
-        main(["no-such-command"])
-    assert exc.value.code != 0
-    with pytest.raises(SystemExit) as exc:
-        main(["mc-run", "--no-such-flag"])
-    assert exc.value.code != 0
-
-
-@pytest.mark.parametrize("step", [0, -5.0])
-def test_keyrate_sweep_rejects_nonpositive_step(tmp_path, capsys, step):
-    path = tmp_path / "step.json"
-    path.write_text(json.dumps({"sweep_step_km": step}), encoding="utf-8")
-    assert run_cli("keyrate-sweep", "--config", str(path)) == 2
-    assert capsys.readouterr().err.startswith("error: ConfigurationError: sweep_step_km must be > 0")
-
-
-@pytest.mark.parametrize("points", [0, -3])
-@pytest.mark.parametrize(
-    "command,key", [("spdc-spectrum", "spectrum_points"), ("coupler-curve", "coupler_curve_points")]
-)
-def test_output_grid_rejects_fewer_than_one_point(tmp_path, capsys, command, key, points):
-    # 0 printed a header-only table and exited 0.
-    path = tmp_path / "grid.json"
-    path.write_text(json.dumps({key: points}), encoding="utf-8")
-    assert run_cli(command, "--config", str(path)) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == f"error: ConfigurationError: {key} must be >= 1, got {points}\n"
-
-
-@pytest.mark.parametrize(
-    "command,key",
-    [("spdc-spectrum", "spectrum_points"), ("coupler-curve", "coupler_curve_points"), ("hom-dip", "dip_scan_points")],
-)
-def test_output_grid_rejects_more_than_max_points(tmp_path, capsys, command, key):
-    path = tmp_path / "grid.json"
-    path.write_text(json.dumps({key: 100_001}), encoding="utf-8")
-    assert run_cli(command, "--config", str(path)) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == f"error: ConfigurationError: {key} must be <= 100000, got 100001\n"
-
-
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ("mc-run", "--pulses", str(2**63)),
-        ("hom-dip", "--pulses", str(2**63)),
-        ("hom-dip", "--pulses", "-1"),
-    ],
-    ids=["mc_run_above_int64", "hom_dip_above_int64", "hom_dip_negative"],
-)
-def test_pulse_count_out_of_range_exits_2(capsys, argv):
-    assert run_cli(*argv) == 2
-    assert str(2**63 - 1) in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("low", [100.0, 50.4])
-def test_keyrate_sweep_rejects_min_above_max(tmp_path, capsys, low):
-    # 100 gave an empty grid; 50.4 gave one row beyond sweep_max_km.
-    path = tmp_path / "grid.json"
-    path.write_text(json.dumps({"sweep_min_km": low, "sweep_max_km": 50}), encoding="utf-8")
-    assert run_cli("keyrate-sweep", "--config", str(path)) == 2
-    assert capsys.readouterr().err == (
-        f"error: ConfigurationError: sweep_min_km must be <= sweep_max_km, got {low} > 50.0\n"
-    )
-
-
-_NAMED_INPUT_ERRORS = [
-    # Both exited 0 with nan rates; keyrate-sweep also put every reach at inf.
-    ("keyrate-sweep", "fiber_loss_db_per_km", "NaN", "must be a finite number, got nan"),
-    ("hom-dip", "pump_duration_ps", "NaN", "must be a finite number, got nan"),
-    # numpy's "pvals < 0, pvals > 1 or pvals contains NaNs" named no input.
-    ("mc-run", "alice_arm_loss_db", "NaN", "must be a finite number, got nan"),
-    # A zero width died with a ZeroDivisionError; a negative one was fitted as |FWHM|.
-    ("mc-run", "dip_fwhm_time_ps", "0", "must be > 0, got 0.0"),
-    ("mc-run", "dip_fwhm_time_ps", "-20", "must be > 0, got -20.0"),
-    ("hom-dip", "dip_fwhm_time_ps", "0", "must be > 0, got 0.0"),
-    ("hom-dip", "dip_fwhm_time_ps", "-20", "must be > 0, got -20.0"),
-    # A width this small underflowed to 0 mm and died with a ZeroDivisionError.
-    ("mc-run", "dip_fwhm_time_ps", "1e-320", "must be > 0, got 1e-320"),
-    ("hom-dip", "dip_fwhm_time_ps", "1e-320", "must be > 0, got 1e-320"),
-    # "need at least 3 scan positions" named no key.
-    ("hom-dip", "dip_scan_points", "2", "must be >= 3, got 2"),
-    # "scan span 1.000 mm must exceed twice the expected width" named no key.
+# Inputs the CLI rejects with exit 2, an empty stdout and one stderr line:
+# (argv, config text or None, that line after "error: ").  The config text
+# is written as it stands, so a row can hold NaN or a document that is not
+# an object.  The comments say how an input failed before it was rejected.
+_REJECTIONS = [
+    # kappa*Lc = 0 blamed the default anchors ("anchor ratio 1.0 at 0.0 V
+    # exceeds the zero-bias maximum 0.000000").  NaN hung the slope fit.
+    *(
+        (
+            ("coupler-curve",),
+            f'{{"coupler_kappa_lc_rad": {kappa}}}',
+            f"ValueError: kappa*Lc must be > 0, got {kappa}",
+        )
+        for kappa in (0.0, -1.0)
+    ),
     (
-        "hom-dip",
-        "dip_scan_min_mm,dip_scan_max_mm",
-        "0,1",
-        "are too close: scan span 1.000 mm must exceed twice the expected width (10.323 mm)",
+        ("coupler-curve",),
+        '{"coupler_c1_anchors": [[0.0, 1.0], [25.0, 1.5]], "coupler_c2_anchors": [[0.0, 1.0], [25.0, 1.5]]}',
+        "CalibrationError: anchor ratio 1.5 at 25.0 V is outside [0, 1]",
+    ),
+    # With mu * eta = 0 the direct link's zero-distance rate is all dark
+    # counts, and the table printed direct = 1.0 at every distance.
+    *(
+        (
+            ("keyrate-sweep",),
+            f'{{"{key}": 0.0}}',
+            "ValueError: mean_photon_per_pulse * link_detector_efficiency is 0: the direct link detects "
+            "no signal, so rates normalized to its zero-distance rate are undefined",
+        )
+        for key in ("link_detector_efficiency", "mean_photon_per_pulse")
+    ),
+    # Mean 0.6 pairs puts 1.13e-9 of a thermal law above 20 pairs.
+    *(
+        (
+            argv,
+            '{"chip_pairs_per_mw": 0.6, "chip_pump_power_mw": 1.0}',
+            "ConfigurationError: chip source: thermal law at mean 0.6 pairs per pulse "
+            "puts 1.13e-09 of its mass above n_max = 20 pairs, more than 1e-09",
+        )
+        for argv in (("mc-run",), ("hom-dip", "--pulses", "0"))
+    ),
+    # A bare OverflowError (exit 1), and an unexplained "pmf must sum to ~1,
+    # got 0.99999999...".
+    *(
+        (
+            ("visibility-map",),
+            f'{{"{key}": [{mean}]}}',
+            f"ValueError: thermal law at mean {mean} pairs per pulse "
+            f"puts {lost} of its mass above n_max = 20 pairs, more than 1e-09",
+        )
+        for key, mean, lost in (("map_na_values", "1e+200", "1"), ("map_nb_values", "0.7", "8.08e-09"))
+    ),
+    # Printed the dark-free limit, V = 0.5483870967741935, whatever the dark probability.
+    (
+        ("visibility-map",),
+        '{"map_herald_efficiency": null, "map_herald_dark_prob": 0.5, '
+        '"map_na_values": [0.05], "map_nb_values": [0.02]}',
+        "ValueError: the vanishing-efficiency herald takes no dark clicks, got dark probability 0.5: "
+        "as the efficiency goes to 0 the conditioned pmf tends to the unconditioned one, not to n*p(n)/mean",
+    ),
+    (("mc-run",), '{"no_such_key": 1}', "ConfigurationError: unknown configuration key 'no_such_key'"),
+    *(
+        (
+            ("keyrate-sweep",),
+            f'{{"sweep_step_km": {step}}}',
+            f"ConfigurationError: sweep_step_km must be > 0, got {float(step)}",
+        )
+        for step in (0, -5.0)
+    ),
+    # 0 points printed a header-only table and exited 0.
+    *(
+        ((command,), f'{{"{key}": {points}}}', f"ConfigurationError: {key} must be >= 1, got {points}")
+        for command, key in (("spdc-spectrum", "spectrum_points"), ("coupler-curve", "coupler_curve_points"))
+        for points in (0, -3)
+    ),
+    *(
+        ((command,), f'{{"{key}": 100001}}', f"ConfigurationError: {key} must be <= 100000, got 100001")
+        for command, key in (
+            ("spdc-spectrum", "spectrum_points"),
+            ("coupler-curve", "coupler_curve_points"),
+            ("hom-dip", "dip_scan_points"),
+        )
+    ),
+    *(
+        (
+            (command, "--pulses", pulses),
+            None,
+            f"ValueError: {name} must be in [{low}, 9223372036854775807], got {pulses}",
+        )
+        for command, name, low, pulses in (
+            ("mc-run", "n_pulses", 1, str(2**63)),
+            ("hom-dip", "n_pulses_per_point", 0, str(2**63)),
+            ("hom-dip", "n_pulses_per_point", 0, "-1"),
+        )
+    ),
+    # 100 gave an empty grid; 50.4 gave one row beyond sweep_max_km.
+    *(
+        (
+            ("keyrate-sweep",),
+            f'{{"sweep_min_km": {low}, "sweep_max_km": 50}}',
+            f"ConfigurationError: sweep_min_km must be <= sweep_max_km, got {low} > 50.0",
+        )
+        for low in (100.0, 50.4)
+    ),
+    # The first two exited 0 with nan rates, keyrate-sweep with every reach
+    # at inf; for the third numpy's "pvals < 0, pvals > 1 or pvals contains
+    # NaNs" named no input.
+    *(
+        ((command,), f'{{"{key}": NaN}}', f"ConfigurationError: {key} must be a finite number, got nan")
+        for command, key in (
+            ("keyrate-sweep", "fiber_loss_db_per_km"),
+            ("hom-dip", "pump_duration_ps"),
+            ("mc-run", "alice_arm_loss_db"),
+        )
+    ),
+    # A zero width died with a ZeroDivisionError, a negative one was fitted
+    # as |FWHM|, and one below about 2.5e-312 ps underflowed to 0 mm.
+    *(
+        (
+            (command,),
+            f'{{"dip_fwhm_time_ps": {literal}}}',
+            f"ConfigurationError: dip_fwhm_time_ps must be > 0, got {shown}",
+        )
+        for command in ("mc-run", "hom-dip")
+        for literal, shown in (("0", "0.0"), ("-20", "-20.0"), ("1e-320", "1e-320"))
+    ),
+    # "need at least 3 scan positions" named no key.
+    (("hom-dip",), '{"dip_scan_points": 2}', "ConfigurationError: dip_scan_points must be >= 3, got 2"),
+    # "scan span 1.000 mm must exceed twice the expected width" named no key,
+    # and ":.3f" printed the width of a 1e-300 pm photon with about 300 digits.
+    *(
+        (
+            ("hom-dip",),
+            body,
+            "ConfigurationError: dip_scan_min_mm and dip_scan_max_mm are too close: "
+            f"scan span {span} mm must exceed twice the expected width ({width} mm)",
+        )
+        for body, span, width in (
+            ('{"dip_scan_min_mm": 0, "dip_scan_max_mm": 1}', "1.000", "10.323"),
+            ('{"photon_fwhm_pm": 1e-300}', "18.000", "2.065e+303"),
+        )
     ),
     # Built a list of 2e11 distances until a MemoryError.
     (
-        "keyrate-sweep",
-        "sweep_max_km",
-        "1e12",
-        "must give at most 100000 distances from sweep_min_km in sweep_step_km steps, "
-        "got 0.0 to 1000000000000.0 in steps of 5.0",
+        ("keyrate-sweep",),
+        '{"sweep_max_km": 1e12}',
+        "ConfigurationError: sweep_max_km must give at most 100000 distances from sweep_min_km in "
+        "sweep_step_km steps, got 0.0 to 1000000000000.0 in steps of 5.0",
     ),
     # A span that overflows: "math domain error", and for hom-dip "scan
     # positions must be finite, got nan", named no key.
     *(
-        (command, f"{low},{high}", "-1e308,1e308", "must span a finite range, got -1e+308 to 1e+308")
+        (
+            (command,),
+            f'{{"{low}": -1e308, "{high}": 1e308}}',
+            f"ConfigurationError: {low} and {high} must span a finite range, got -1e+308 to 1e+308",
+        )
         for command, low, high in (
             ("spdc-spectrum", "spectrum_min_nm", "spectrum_max_nm"),
             ("coupler-curve", "coupler_curve_min_v", "coupler_curve_max_v"),
@@ -661,129 +622,121 @@ _NAMED_INPUT_ERRORS = [
     ),
     # "output A/B filter must pass the interfering photons" and its three
     # siblings named neither key nor value.
-    (
-        "mc-run",
-        "filter_ab_center_nm,filter_ab_fwhm_pm",
-        "1540.0,200.0",
-        "must pass the interfering photons at 1530.0 nm, got a 200.0 pm band at 1540.0 nm",
-    ),
-    (
-        "hom-dip",
-        "filter_c_center_nm,filter_c_fwhm_pm",
-        "1540.0,800.0",
-        "must pass the partner photons at 1534.005235602094 nm, got a 800.0 pm band at 1540.0 nm",
-    ),
-    (
-        "mc-run",
-        "filter_ab_center_nm,filter_ab_fwhm_pm",
-        "1530.0,10000.0",
-        "must block the partner photons at 1534.005235602094 nm, got a 10000.0 pm band at 1530.0 nm",
-    ),
-    (
-        "hom-dip",
-        "filter_c_center_nm,filter_c_fwhm_pm",
-        "1534.0,10000.0",
-        "must block the interfering photons at 1530.0 nm, got a 10000.0 pm band at 1534.0 nm",
+    *(
+        (
+            (command,),
+            f'{{"{name}_center_nm": {center}, "{name}_fwhm_pm": {fwhm}}}',
+            f"ConfigurationError: {name}_center_nm and {name}_fwhm_pm must {verb} the {photons} photons "
+            f"at {lam} nm, got a {fwhm} pm band at {center} nm",
+        )
+        for command, name, center, fwhm, verb, photons, lam in (
+            ("mc-run", "filter_ab", 1540.0, 200.0, "pass", "interfering", 1530.0),
+            ("hom-dip", "filter_c", 1540.0, 800.0, "pass", "partner", 1534.005235602094),
+            ("mc-run", "filter_ab", 1530.0, 10000.0, "block", "partner", 1534.005235602094),
+            ("hom-dip", "filter_c", 1534.0, 10000.0, "block", "interfering", 1530.0),
+        )
     ),
     # The gate probability underflowed to 0.0, and the resolution check
     # divided by it: a ZeroDivisionError.
     *(
         (
-            command,
-            "pump_repetition_rate_hz,gate_rate_hz",
-            "1e308,1e-308",
-            "must give a gate probability > 0, got 1e-308 / 1e+308 = 0.0",
+            (command,),
+            '{"pump_repetition_rate_hz": 1e308, "gate_rate_hz": 1e-308}',
+            "ConfigurationError: pump_repetition_rate_hz and gate_rate_hz must give a gate probability > 0, "
+            "got 1e-308 / 1e+308 = 0.0",
         )
         for command in ("mc-run", "hom-dip")
     ),
-]
-
-
-@pytest.mark.parametrize(
-    "command,key,literal,message",
-    _NAMED_INPUT_ERRORS,
-    ids=[f"{command}-{key}-{literal}" for command, key, literal, _ in _NAMED_INPUT_ERRORS],
-)
-def test_cli_names_the_input_it_rejects(tmp_path, capsys, command, key, literal, message):
-    # key and literal may list several keys and their values, comma-separated.
-    keys = key.split(",")
-    path = tmp_path / "bad.json"
-    body = ", ".join(f'"{k}": {v}' for k, v in zip(keys, literal.split(",")))
-    path.write_text(f"{{{body}}}", encoding="utf-8")
-    assert run_cli(command, "--config", str(path)) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == f"error: ConfigurationError: {' and '.join(keys)} {message}\n"
-
-
-_PINNED_REJECTIONS = [
-    ("[]", "ConfigurationError: configuration must be a JSON object"),
-    (
-        '{"coupler_kappa_lc_rad": 1.0, "coupler_c1_anchors": [[0, 1.0]]}',
-        "CalibrationError: anchor ratio 1.0 at 0.0 V exceeds the zero-bias maximum 0.708073",
+    *(
+        ((command,), body, error)
+        for command in ("mc-run", "hom-dip")
+        for body, error in (
+            ("[]", "ConfigurationError: configuration must be a JSON object"),
+            (
+                '{"coupler_kappa_lc_rad": 1.0, "coupler_c1_anchors": [[0, 1.0]]}',
+                "CalibrationError: anchor ratio 1.0 at 0.0 V exceeds the zero-bias maximum 0.708073",
+            ),
+            ('{"detector_dark_prob_per_ns": 2.0}', "ValueError: dark probability must be in [0, 1], got 2.0"),
+        )
     ),
-    ('{"detector_dark_prob_per_ns": 2.0}', "ValueError: dark probability must be in [0, 1], got 2.0"),
-]
-
-
-@pytest.mark.parametrize("command", ["mc-run", "hom-dip"])
-@pytest.mark.parametrize(
-    "body,error", _PINNED_REJECTIONS, ids=["not-an-object", "anchor-above-maximum", "dark-probability"]
-)
-def test_rejection_message_is_pinned(tmp_path, capsys, command, body, error):
-    path = tmp_path / "bad.json"
-    path.write_text(body, encoding="utf-8")
-    assert run_cli(command, "--config", str(path)) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == f"error: {error}\n"
-
-
-def test_scan_span_error_prints_a_huge_width_in_exponent_form(tmp_path, capsys):
-    # ":.3f" printed the width of a 1e-300 pm photon with about 300 digits.
-    assert _run_with_config(tmp_path, {"photon_fwhm_pm": 1e-300}, "hom-dip") == 2
-    assert capsys.readouterr().err == (
-        "error: ConfigurationError: dip_scan_min_mm and dip_scan_max_mm are too close: "
-        "scan span 18.000 mm must exceed twice the expected width (2.065e+303 mm)\n"
-    )
-
-
-_FINITE_EXTREMES = [
-    # An OverflowError in v_timing, squaring the pump duration over the coherence time.
-    ('{"pump_duration_ps": 1e308}', 0, None),
     # An OverflowError in coherence_time, squaring the wavelength.
+    *(
+        (
+            (command, "--pulses", "1000"),
+            '{"photon_center_wavelength_nm": 1e300}',
+            "ValueError: center wavelength 1e+300 nm overflows when squared",
+        )
+        for command in ("mc-run", "hom-dip")
+    ),
+    # The model's own range checks named neither key nor value ("arm losses
+    # must be >= 0 dB", "mean photon numbers must be >= 0").
     (
-        '{"photon_center_wavelength_nm": 1e300}',
-        2,
-        "error: ValueError: center wavelength 1e+300 nm overflows when squared\n",
+        ("mc-run",),
+        '{"gate_rate_hz": 0}',
+        "ConfigurationError: pump_repetition_rate_hz and gate_rate_hz must be > 0, got 76000000.0 and 0.0",
+    ),
+    (
+        ("mc-run",),
+        '{"gate_rate_hz": 1e9}',
+        "ConfigurationError: gate_rate_hz must be <= pump_repetition_rate_hz, got 1000000000.0 > 76000000.0",
+    ),
+    (("hom-dip",), '{"pump_duration_ps": -1}', "ConfigurationError: pump_duration_ps must be >= 0, got -1.0"),
+    (
+        ("mc-run",),
+        '{"alice_arm_loss_db": -1}',
+        "ConfigurationError: alice_arm_loss_db must be >= 0, got -1.0",
+    ),
+    *(
+        (("keyrate-sweep",), f'{{"{key}": {value}}}', f"ValueError: {key} must be >= 0, got {value}")
+        for key, value in (
+            ("fiber_loss_db_per_km", -0.2), ("mean_photon_per_pulse", -1.0), ("relay_pair_mean", -0.5)
+        )
     ),
 ]
 
 
+def _rejection_id(argv, text) -> str:
+    document = json.loads(text) if text else {}
+    if not isinstance(document, dict):
+        return " ".join([*argv, text])
+    return " ".join([*argv, *(f"{key}={json.dumps(value)}" for key, value in document.items())])
+
+
+@pytest.mark.parametrize("argv,text,line", _REJECTIONS, ids=[_rejection_id(a, t) for a, t, _ in _REJECTIONS])
+def test_cli_rejects_input(tmp_path, capsys, argv, text, line):
+    if text is not None:
+        path = tmp_path / "config.json"
+        path.write_text(text, encoding="utf-8")
+        argv = (*argv, "--config", str(path))
+    assert run_cli(*argv) == 2
+    assert capsys.readouterr() == ("", f"error: {line}\n")
+
+
 @pytest.mark.parametrize("command", ["mc-run", "hom-dip"])
-@pytest.mark.parametrize(
-    "body,status,error", _FINITE_EXTREMES, ids=["pump_duration_ps", "photon_center_wavelength_nm"]
-)
-def test_finite_extreme_input_ends_without_a_traceback(tmp_path, capsys, command, body, status, error):
-    # In process, an uncaught exception fails the test where the console showed a traceback.
-    path = tmp_path / "extreme.json"
-    path.write_text(body, encoding="utf-8")
-    assert run_cli(command, "--config", str(path), "--pulses", "1000") == status
-    err = capsys.readouterr().err
-    if error is None:
-        assert "error" not in err
-    else:
-        assert err == error
+def test_huge_pump_duration_runs_without_a_traceback(tmp_path, capsys, command):
+    # v_timing squared the pump duration over the coherence time: an
+    # OverflowError.  In process, an uncaught exception fails the test.
+    assert _run_with_config(tmp_path, {"pump_duration_ps": 1e308}, command, "--pulses", "1000") == 0
+    assert "error" not in capsys.readouterr().err
+
+
+def test_unknown_subcommand_exits_2(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["no-such-command"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'no-such-command'" in capsys.readouterr().err
 
 
 # Flags a subcommand does not take: --pulses and --workers where no pulse is
-# sampled, --format everywhere (each subcommand has one output format), and
-# --anchors-csv (measured anchors enter through the configuration).
+# sampled, --format everywhere (each subcommand has one output format),
+# --anchors-csv (measured anchors enter through the configuration), and one
+# that no subcommand has.
 _REJECTED_FLAGS = [
     *((name, flag, "1") for name in ANALYTIC for flag in ("--pulses", "--workers")),
     ("hom-dip", "--workers", "1"),
     ("coupler-curve", "--anchors-csv", "anchors.csv"),
     *((name, "--format", "csv") for name in (*ANALYTIC, "hom-dip", "mc-run")),
+    ("mc-run", "--no-such-flag", "1"),
 ]
 
 

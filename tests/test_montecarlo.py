@@ -93,53 +93,60 @@ def test_overlap_peak_is_timing_bound():
 # Monte Carlo against the exact enumeration
 # ---------------------------------------------------------------------------
 
-def test_mc_matches_exact_enumeration():
-    sc = bench_scenario(0.05, 0.02)
-    n = 2_000_000
-    report = run(sc, n, seed=11)
-    exact_dip = expected_rates(sc)
-    exact_ref = expected_rates(sc, overlap=0.0)
-
-    def check(count, expected_prob):
-        expected = expected_prob * n
-        assert abs(count - expected) <= 4.0 * math.sqrt(max(expected, 1.0))
-
-    check(report.dip.threefold_abc, exact_dip.p_threefold_abc)
-    check(report.ref.threefold_abc, exact_ref.p_threefold_abc)
-    check(report.dip.twofold_ab, exact_dip.p_twofold_ab)
-    check(report.dip.singles_a, exact_dip.p_single_a)
-    check(report.dip.singles_b, exact_dip.p_single_b)
-    check(report.dip.singles_c, exact_dip.p_single_c)
-
-
-def test_mc_matches_enumeration_unbalanced_coupler():
-    # Away from the 50/50 point the 1+1 coincidence probability follows
-    # bar^2 + cross^2 - 2 bar cross O; sampler and enumeration must agree.
-    sc = replace(bench_scenario(0.05, 0.02), coupler_c2_voltage_v=20.0)
-    t2 = compile_scenario(sc).cross2
-    assert not 0.45 < t2 < 0.55
-    n = 1_000_000
-    report = run(sc, n, seed=47)
-    for tally, overlap in ((report.dip, None), (report.ref, 0.0)):
-        exact = expected_rates(sc) if overlap is None else expected_rates(sc, overlap=0.0)
-        for count, prob in (
-            (tally.twofold_ab, exact.p_twofold_ab),
-            (tally.threefold_abc, exact.p_threefold_abc),
-        ):
-            assert abs(count - prob * n) <= 4.0 * math.sqrt(max(prob * n, 1.0))
+# Each case: scenario, pulses, seed, whether C2 is near 50/50, and the
+# tallies checked on each leg.
+_MC_TALLY_CASES = {
+    "balanced": (
+        bench_scenario(0.05, 0.02),
+        2_000_000,
+        11,
+        True,
+        {
+            "dip": ("threefold_abc", "twofold_ab", "singles_a", "singles_b", "singles_c"),
+            "ref": ("threefold_abc",),
+        },
+    ),
+    "unbalanced_c2": (
+        replace(bench_scenario(0.05, 0.02), coupler_c2_voltage_v=20.0),
+        1_000_000,
+        47,
+        False,
+        {"dip": ("twofold_ab", "threefold_abc"), "ref": ("twofold_ab", "threefold_abc")},
+    ),
+    "darks": (
+        bench_scenario(0.02, 0.01, dark_per_ns=1e-4, gate_window_ns=10.0),
+        500_000,
+        5,
+        True,
+        {"dip": ("singles_a", "singles_c", "threefold_abc")},
+    ),
+}
 
 
-def test_mc_matches_enumeration_with_darks():
-    sc = bench_scenario(0.02, 0.01, dark_per_ns=1e-4, gate_window_ns=10.0)
-    n = 500_000
-    report = run(sc, n, seed=5)
-    exact = expected_rates(sc)
-    for count, prob in (
-        (report.dip.singles_a, exact.p_single_a),
-        (report.dip.singles_c, exact.p_single_c),
-        (report.dip.threefold_abc, exact.p_threefold_abc),
-    ):
-        assert abs(count - prob * n) <= 4.0 * math.sqrt(max(prob * n, 1.0))
+@pytest.mark.parametrize("scenario,n,seed,c2_balanced,checked", _MC_TALLY_CASES.values(), ids=_MC_TALLY_CASES)
+def test_mc_matches_exact_enumeration(scenario, n, seed, c2_balanced, checked):
+    """Each checked tally lies within 4 sigma of n times its exact probability.
+
+    sigma is sqrt(max(expected count, 1)), so a check catches a relative
+    bias of about 4 / sqrt(expected count).  Expected counts, and that bias:
+    - balanced: singles_a and singles_b 46,885 (1.8 %), singles_c 15,873
+      (3.2 %), twofold_ab 1,585 (10 %), and threefold_abc 58.9 (52 %) in
+      the dip and 174 (30 %) in the reference.
+    - unbalanced_c2: C2's cross ratio is 0.746, where the 1+1 coincidence
+      probability follows bar^2 + cross^2 - 2 bar cross O.  twofold_ab 675
+      (15 %) and 783 (14 %), threefold_abc 52.4 (55 %) and 96.0 (41 %), dip
+      and reference.
+    - darks: singles_a 5,446 (5.4 %), singles_c 2,490 (8.0 %), and
+      threefold_abc 3.8, which catches only a bias above 200 %.
+    """
+    assert (0.45 < compile_scenario(scenario).cross2 < 0.55) == c2_balanced
+    report = run(scenario, n, seed=seed)
+    for leg, tallies in checked.items():
+        exact = expected_rates(scenario, overlap=None if leg == "dip" else 0.0)
+        for tally in tallies:
+            count = getattr(getattr(report, leg), tally)
+            expected = getattr(exact, "p_" + tally.replace("singles", "single")) * n
+            assert abs(count - expected) <= 4.0 * math.sqrt(max(expected, 1.0)), (leg, tally)
 
 
 # ---------------------------------------------------------------------------
