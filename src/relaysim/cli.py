@@ -28,7 +28,7 @@ import os
 import sys
 from typing import TYPE_CHECKING
 
-from .components import ConfigurationError, calibrate_coupler, coupler_ratio, spdc_spectral_density
+from .components import ConfigurationError, coupler_ratio, spdc_spectral_density
 from .config import PRESET_NAMES, ScenarioConfig, load_config, load_preset
 
 if TYPE_CHECKING:
@@ -127,8 +127,7 @@ def _cmd_spdc_spectrum(args) -> int:
 
 def _cmd_coupler_curve(args) -> int:
     cfg = _load(args)
-    cal1 = calibrate_coupler(cfg.coupler_c1_anchors, kappa_lc_rad=cfg.coupler_kappa_lc_rad)
-    cal2 = calibrate_coupler(cfg.coupler_c2_anchors, kappa_lc_rad=cfg.coupler_kappa_lc_rad)
+    cal1, cal2 = cfg.calibration("coupler_c1_anchors"), cfg.calibration("coupler_c2_anchors")
     volts = _grid(cfg, "coupler_curve_min_v", "coupler_curve_max_v", "coupler_curve_points")
     rows = [(v, coupler_ratio(cal1.model, v), coupler_ratio(cal2.model, v)) for v in volts]
     _emit(args, _table_csv(["voltage_V", "cross_ratio_c1", "cross_ratio_c2"], rows))
@@ -145,6 +144,12 @@ def _cmd_visibility_map(args) -> int:
     from .photostats import herald_condition, thermal
 
     cfg = _load(args)
+    for key in ("map_na_values", "map_nb_values"):
+        for mean in getattr(cfg, key):
+            try:
+                thermal(mean)
+            except ValueError as exc:
+                raise ConfigurationError(f"{key}: {exc}") from None
     rows = visibility_map(
         cfg.map_na_values, cfg.map_nb_values, cfg.map_herald_efficiency, cfg.map_herald_dark_prob
     )

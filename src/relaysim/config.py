@@ -17,9 +17,10 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from .components import (
+    CalibrationError,
     ChipLayout,
     ConfigurationError,
-    CouplerModel,
+    CouplerCalibration,
     DetectorModel,
     FilterModel,
     SpdcSource,
@@ -143,15 +144,24 @@ class ScenarioConfig:
             measured_insertion_db=self.measured_insertion_loss_db,
         )
 
-    def coupler(self, anchors) -> CouplerModel:
-        return calibrate_coupler(anchors, kappa_lc_rad=self.coupler_kappa_lc_rad).model
+    def calibration(self, anchors_key: str) -> CouplerCalibration:
+        """The calibration of the coupler whose anchors are the config key anchors_key."""
+        if not self.coupler_kappa_lc_rad > 0:
+            raise ConfigurationError(f"coupler_kappa_lc_rad must be > 0, got {self.coupler_kappa_lc_rad}")
+        try:
+            return calibrate_coupler(getattr(self, anchors_key), kappa_lc_rad=self.coupler_kappa_lc_rad)
+        except CalibrationError as exc:
+            raise CalibrationError(f"{anchors_key}: {exc}") from None
 
     def detector(self) -> DetectorModel:
-        return DetectorModel(
-            efficiency=self.detector_efficiency,
-            dark_prob_per_ns=self.detector_dark_prob_per_ns,
-            gate_window_ns=self.detector_gate_window_ns,
-        )
+        return self._detector("detector_efficiency", "detector_dark_prob_per_ns", "detector_gate_window_ns")
+
+    def _detector(self, efficiency_key: str, dark_key: str, window_key: str) -> DetectorModel:
+        """The detector of three config keys; a dark probability outside [0, 1] names its key."""
+        dark = getattr(self, dark_key)
+        if not 0.0 <= dark <= 1.0:
+            raise ConfigurationError(f"{dark_key} must be in [0, 1], got {dark}")
+        return DetectorModel(getattr(self, efficiency_key), dark, getattr(self, window_key))
 
     def spdc_mode(self) -> SpectralMode:
         return SpectralMode(
@@ -180,8 +190,8 @@ class ScenarioConfig:
                 self.photon_center_wavelength_nm, self.photon_fwhm_pm, self.photon_lineshape
             ),
             dip_fwhm_time_ps=self.dip_fwhm_time_ps,
-            coupler_c1=self.coupler(self.coupler_c1_anchors),
-            coupler_c2=self.coupler(self.coupler_c2_anchors),
+            coupler_c1=self.calibration("coupler_c1_anchors").model,
+            coupler_c2=self.calibration("coupler_c2_anchors").model,
             coupler_c1_voltage_v=self.coupler_c1_voltage_v,
             coupler_c2_voltage_v=self.coupler_c2_voltage_v,
             layout=self.chip_layout(),
@@ -203,11 +213,7 @@ class ScenarioConfig:
 
         return LinkParams(
             fiber_loss_db_per_km=self.fiber_loss_db_per_km,
-            detector=DetectorModel(
-                efficiency=self.link_detector_efficiency,
-                dark_prob_per_ns=self.link_dark_prob_per_ns,
-                gate_window_ns=self.link_gate_window_ns,
-            ),
+            detector=self._detector("link_detector_efficiency", "link_dark_prob_per_ns", "link_gate_window_ns"),
             mean_photon_per_pulse=self.mean_photon_per_pulse,
             relay_pair_mean=self.relay_pair_mean,
             layout=self.chip_layout(),

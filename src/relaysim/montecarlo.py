@@ -242,7 +242,10 @@ def compile_scenario(scenario: Scenario) -> SimParams:
         raise ConfigurationError(f"delay_mm must be finite, got {scenario.delay_mm}")
     if not scenario.alice_arm_loss_db >= 0:
         raise ConfigurationError(f"alice_arm_loss_db must be >= 0, got {scenario.alice_arm_loss_db}")
-    tau_c_ps = coherence_time(scenario.photon_mode)
+    try:
+        tau_c_ps = coherence_time(scenario.photon_mode)
+    except ValueError as exc:  # the only failure: a center wavelength whose square overflows
+        raise ConfigurationError(f"photon_center_wavelength_nm: {exc}") from None
     tau_ps = tau_c_ps if scenario.dip_fwhm_time_ps is None else scenario.dip_fwhm_time_ps
     # Only an override fails (the coherence time is > 0): one that is not > 0,
     # or one so small (below about 2.5e-312 ps) that its path underflows to 0 mm.

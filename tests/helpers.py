@@ -1,9 +1,10 @@
-"""Shared scenario builders for the Monte Carlo and acceptance tests."""
+"""Scenarios and a closed form shared by the Monte Carlo, acceptance and rejection tests."""
 
 from relaysim.components import ChipLayout, DetectorModel, SpdcSource
 from relaysim.config import ScenarioConfig, load_preset
-from relaysim.montecarlo import Scenario
-from relaysim.photostats import custom
+from relaysim.interference import v_statistics
+from relaysim.montecarlo import Scenario, compile_scenario
+from relaysim.photostats import apply_loss, custom, herald_condition, thermal
 from relaysim.records import replace
 
 
@@ -95,3 +96,15 @@ def law_cases() -> list[tuple[str, Scenario]]:
         # Pair distributions shorter than N_MAX + 1.
         ("single_photon", single_photon_scenario(0.0)),
     ]
+
+
+def photostats_closed_form(scenario) -> float:
+    """The closed form composed from photostats: the sources' pair laws built
+    again, the chip law conditioned on the herald click, then both thinned."""
+    params = compile_scenario(scenario)
+    dist_a, dist_b = scenario.external_distribution, scenario.chip_distribution
+    dist_a = thermal(scenario.external_source.mean_pairs) if dist_a is None else dist_a
+    dist_b = thermal(scenario.chip_source.mean_pairs) if dist_b is None else dist_b
+    dist_b = herald_condition(dist_b, params.p_c_arrive * params.eta_c, params.dark_c)
+    v_stat = v_statistics(apply_loss(dist_a, params.q_a), apply_loss(dist_b, params.q_b))
+    return v_stat * params.overlap_peak

@@ -15,7 +15,10 @@ compare the outputs:
 
 `--diff` prints each entry whose digests moved and, for every value that
 moved, its old and new value and their distance in units in the last place;
-it exits 1 when anything moved and 0 when the snapshots are identical.
+it exits 1 when anything moved and 0 when the snapshots are identical.  An
+input it cannot read or compare exits 2 with one `error:` line on stderr, so
+a failed diff never reads as a moved entry.  A reader that closes the output
+early, like `| head -1`, ends it quietly.
 
 Only building a snapshot imports relaysim and the test helpers, so `--diff`
 runs in a bare checkout.  pytest does not collect this file.
@@ -176,20 +179,34 @@ def diff(before: dict, after: dict) -> list[str]:
     return lines
 
 
+def _write(text: str) -> None:
+    """Write text to stdout; a reader that closed early ends the output quietly."""
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # Send what is left to devnull so the flush at exit cannot fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+
+
+def _load(path: str) -> dict:
+    with open(path, encoding="utf-8") as fh:
+        return json.load(fh)
+
+
 def main(argv: list[str]) -> int:
     if argv[:1] == ["--diff"] and len(argv) == 3:
-        snapshots = []
-        for path in argv[1:]:
-            with open(path, encoding="utf-8") as fh:
-                snapshots.append(json.load(fh))
-        lines = diff(*snapshots)
-        print("\n".join(lines) if lines else "no entry moved")
+        try:
+            lines = diff(_load(argv[1]), _load(argv[2]))
+        except Exception as exc:  # exit status 1 means "moved": no failure may end with it
+            print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+            return 2
+        _write("\n".join(lines) + "\n" if lines else "no entry moved\n")
         return 1 if lines else 0
     if argv:
         print("usage: snapshot.py [--diff BEFORE.json AFTER.json]", file=sys.stderr)
         return 2
-    json.dump(snapshot(), sys.stdout, indent=1, sort_keys=True)
-    sys.stdout.write("\n")
+    _write(json.dumps(snapshot(), indent=1, sort_keys=True) + "\n")
     return 0
 
 

@@ -15,12 +15,16 @@ from helpers import bench_scenario, oracle_scenarios
 from relaysim.cli import main as cli_main
 from relaysim.components import calibrate_coupler, chip_insertion_loss, coupler_ratio
 from relaysim.config import ScenarioConfig
-from relaysim.interference import dip_profile, fit_dip, v_statistics, v_timing
+from relaysim.interference import dip_profile, fit_dip, p_coincidence_bounds, v_statistics, v_timing
 from relaysim.linkbudget import max_distance
 from relaysim.montecarlo import analytic_visibility, run, scan_dip, subtract_accidentals
 from relaysim.photostats import custom, herald_condition, thermal
 from relaysim.records import replace
-from relaysim.units import SpectralMode, coherence_time
+from relaysim.units import SPEED_OF_LIGHT_M_PER_S, SpectralMode, coherence_time
+
+# Detuning-to-coupling ratio at the 50/50 point, from the root of
+# sin^2((pi/2) sqrt(1+x^2)) / (1+x^2) = 1/2 (scipy brentq, frozen).
+X_HALF = 0.7986853552847011
 
 
 @contextmanager
@@ -40,6 +44,9 @@ def test_criterion_01_coherence_time():
         detail["text"] = f"(17.2 ps nominal: got {ct:.4f} ps, reference 17.3 ps)"
         assert round(ct, 1) == 17.2
         assert abs(ct - 17.3) <= 0.2
+        # K lambda^2 / (c dlambda) by hand, K = 0.441 for a gaussian.
+        assert ct == pytest.approx(0.441 * 1530e-9**2 / (SPEED_OF_LIGHT_M_PER_S * 200e-12) * 1e12, rel=1e-12)
+        assert ct == pytest.approx(17.2175, abs=5e-4)
 
 
 def test_criterion_02_timing_bound():
@@ -47,6 +54,7 @@ def test_criterion_02_timing_bound():
         v = v_timing(2.5, 17.3)
         detail["text"] = f"(v_timing = {v:.5f})"
         assert 0.985 <= v <= 0.995
+        assert v == pytest.approx(0.98972, abs=1e-4)
 
 
 def test_criterion_03_thermal_identity():
@@ -66,6 +74,7 @@ def test_criterion_04_ideal_heralding():
         v = v_statistics(dist_a, dist_b)
         detail["text"] = f"(V = {v})"
         assert v == 1.0
+        assert p_coincidence_bounds(dist_a, dist_b)[0] == 0.0
 
 
 def test_criterion_05_operating_point_visibility():
@@ -81,6 +90,9 @@ def test_criterion_05_operating_point_visibility():
         )
         assert abs(v_low - 0.548) <= 0.001
         assert abs(v_unit - 0.708) <= 0.001
+        # Hand evaluation of the coincidence bounds, frozen.
+        assert v_low == pytest.approx(0.5483870967741935, abs=1e-3)
+        assert v_unit == pytest.approx(0.7083333333333334, abs=1e-3)
 
 
 def test_criterion_06_oracle_equivalence():
@@ -147,6 +159,11 @@ def test_criterion_08_coupler_calibration():
         assert t0 >= 0.999
         assert abs(t30 - 0.5) <= 0.005
         assert abs(ratio - 0.80) <= 0.01
+        # Both anchors are met exactly, at the frozen root.
+        assert t30 == pytest.approx(0.5, abs=1e-9)
+        assert cal.residual_rms < 1e-6
+        assert cal.gamma_constrained
+        assert ratio == pytest.approx(X_HALF, abs=1e-6)
 
 
 def test_criterion_09_loss_budget():
@@ -226,3 +243,5 @@ def test_criterion_12_determinism(tmp_path):
             outputs.append(out.read_bytes())
         detail["text"] = f"(3 invocations, {len(outputs[0])} bytes each, workers 1/1/2)"
         assert outputs[0] == outputs[1] == outputs[2]
+        assert outputs[0].startswith(b"pulses_simulated: 300000\n")
+        assert b"\nnet_visibility: " in outputs[0]

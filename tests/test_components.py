@@ -1,13 +1,10 @@
 import math
-import re
 
 import numpy as np
 import pytest
 
 from relaysim.components import (
-    CalibrationError,
     ChipLayout,
-    ConfigurationError,
     CouplerModel,
     DetectorModel,
     FilterModel,
@@ -20,23 +17,15 @@ from relaysim.components import (
     spdc_spectral_density,
 )
 from relaysim.config import ScenarioConfig
-from relaysim.interference import dip_profile, v_timing
-from relaysim.linkbudget import link_rates
-from relaysim.montecarlo import compile_scenario, scan_dip
-from relaysim.photostats import PhotonNumberDistribution, custom, poisson, thermal
+from relaysim.montecarlo import compile_scenario
 from relaysim.records import replace
 from relaysim.units import SpectralMode
-
-# Detuning-to-coupling ratio at the 50/50 point, from the root of
-# sin^2((pi/2) sqrt(1+x^2)) / (1+x^2) = 1/2 (scipy brentq, frozen).
-X_HALF = 0.7986853552847011
 
 # The default config's models.
 CONFIG = ScenarioConfig()
 SCENARIO = CONFIG.to_scenario()
 LAYOUT = CONFIG.chip_layout()
 DETECTOR = CONFIG.detector()
-LINK = CONFIG.to_link_params()
 
 
 # ---------------------------------------------------------------------------
@@ -48,35 +37,10 @@ def test_full_transfer_at_zero_bias():
     assert coupler_ratio(model, 0.0) == pytest.approx(1.0, abs=1e-12)
 
 
-def test_default_calibration_hits_anchor_points():
-    cal = calibrate_coupler([(0.0, 1.0), (30.0, 0.5)], math.pi / 2)
-    assert coupler_ratio(cal.model, 0.0) >= 0.999
-    assert coupler_ratio(cal.model, 30.0) == pytest.approx(0.5, abs=1e-9)
-    assert cal.residual_rms < 1e-6
-    assert cal.gamma_constrained
-
-
-def test_calibrated_detuning_ratio():
-    # delta*Lc / kappa*Lc at 30 V lands at the frozen root, about 0.80.
-    cal = calibrate_coupler([(0.0, 1.0), (30.0, 0.5)], math.pi / 2)
-    ratio = cal.model.gamma_rad_per_v * 30.0 / cal.model.kappa_lc_rad
-    assert ratio == pytest.approx(X_HALF, abs=1e-6)
-    assert abs(ratio - 0.80) <= 0.01
-
-
 def test_single_zero_anchor_flags_unconstrained_gamma():
     cal = calibrate_coupler([(0.0, 1.0)], math.pi / 2)
     assert cal.model.kappa_lc_rad == pytest.approx(math.pi / 2)
     assert not cal.gamma_constrained
-
-
-def test_unreachable_anchor_rejected():
-    with pytest.raises(CalibrationError):
-        calibrate_coupler([(0.0, 1.2)], math.pi / 2)
-    with pytest.raises(CalibrationError):
-        calibrate_coupler([(0.0, 1.0), (30.0, -0.1)], math.pi / 2)
-    with pytest.raises(CalibrationError):
-        calibrate_coupler([], math.pi / 2)
 
 
 def test_cross_ratio_bounded_and_continuous():
@@ -99,13 +63,6 @@ def test_fit_kappa_from_partial_transfer_anchor():
     cal = calibrate_coupler([(0.0, 0.9), (30.0, 0.5)], kappa_lc_rad=math.asin(math.sqrt(0.9)))
     assert coupler_ratio(cal.model, 0.0) == pytest.approx(0.9, abs=1e-9)
     assert coupler_ratio(cal.model, 30.0) == pytest.approx(0.5, abs=1e-6)
-
-
-def test_nonfinite_anchor_voltage_rejected():
-    with pytest.raises(CalibrationError):
-        calibrate_coupler([(0.0, 1.0), (math.inf, 0.5)], math.pi / 2)
-    with pytest.raises(CalibrationError):
-        calibrate_coupler([(math.nan, 0.5)], math.pi / 2)
 
 
 # Oracle for the slope fit: scipy's bounded least squares from the same start,
@@ -186,11 +143,6 @@ def test_fit_whose_best_slope_is_zero_terminates():
 # Chip layout / losses
 # ---------------------------------------------------------------------------
 
-def test_default_insertion_loss():
-    assert chip_insertion_loss(LAYOUT) == pytest.approx(8.5, abs=1e-12)
-    assert 8.0 <= chip_insertion_loss(LAYOUT) <= 9.5
-
-
 def test_zeroed_segments_give_zero_loss():
     layout = ChipLayout(
         segments={"fiber_to_chip": 0.0, "chip_to_fiber": 0.0, "prop_front": 0.0, "prop_back": 0.0}
@@ -216,47 +168,11 @@ def test_path_losses_additive_and_order_independent():
     )
 
 
-def test_missing_segment_rejected():
-    with pytest.raises(ConfigurationError, match="missing segment 'prop_back'"):
-        ChipLayout(segments={"fiber_to_chip": 3.0, "chip_to_fiber": 3.0, "prop_front": 1.0})
-    with pytest.raises(ConfigurationError, match="segment 'prop_back' has no loss value"):
-        ChipLayout(segments={"fiber_to_chip": 3.0, "chip_to_fiber": 3.0, "prop_front": 1.0, "prop_back": None})
-    with pytest.raises(ConfigurationError):
-        ChipLayout(segments={"fiber_to_chip": -1.0, "chip_to_fiber": 3.0, "prop_front": 1.0, "prop_back": 1.0})
-    with pytest.raises(ConfigurationError):
-        replace(LAYOUT, measured_insertion_db=-1.0)
-    with pytest.raises(ConfigurationError):
-        ChipLayout(
-            segments={"fiber_to_chip": 0.0, "chip_to_fiber": 0.0, "prop_front": 0.0, "prop_back": 0.0},
-            measured_insertion_db=9.0,
-        )
-
-
-@pytest.mark.parametrize(
-    "segments,measured,message",
-    [
-        ({"prop_front": 0.0}, math.inf, "measured insertion loss must be finite and >= 0 dB, got inf"),
-        ({"prop_back": math.inf}, 9.0, "cannot rescale an insertion path of inf dB to 9.0 dB"),
-    ],
-    ids=["infinite-measured", "infinite-nominal"],
-)
-def test_non_finite_rescale_rejected(segments, measured, message):
-    # Unchecked, the first gives NaN dB from the chip source to C2 (an
-    # unbounded relay reach), the second 0 dB after C2 on a 9 dB chip.
-    with pytest.raises(ConfigurationError, match=re.escape(message)):
-        ChipLayout({**LAYOUT.segments, **segments}, measured_insertion_db=measured)
-
-
 def test_infinite_segment_blocks_its_paths():
     layout = ChipLayout({**LAYOUT.segments, "prop_back": math.inf})
     assert chip_insertion_loss(layout) == math.inf
     assert layout.path_transmission("c2_to_out") == layout.path_transmission("insertion") == 0.0
     assert layout.path_loss_db("alice_to_c2") == 4.25
-
-
-def test_unknown_path_rejected():
-    with pytest.raises(ConfigurationError):
-        LAYOUT.path_loss_db("nonexistent")
 
 
 # ---------------------------------------------------------------------------
@@ -344,81 +260,3 @@ def test_click_prob_monotone():
     assert detector_click_prob(replace(DETECTOR, efficiency=0.2), 3) >= detector_click_prob(
         replace(DETECTOR, efficiency=0.1), 3
     )
-
-
-def test_detector_validation():
-    with pytest.raises(ValueError):
-        replace(DETECTOR, efficiency=1.5)
-    with pytest.raises(ValueError):
-        replace(DETECTOR, gate_window_ns=0.0)
-    with pytest.raises(ValueError):
-        detector_click_prob(DETECTOR, -1)
-
-
-# ---------------------------------------------------------------------------
-# Range guards: a NaN fails each one
-# ---------------------------------------------------------------------------
-
-NAN = math.nan
-
-
-def _scenario_with(**changes):
-    return lambda: compile_scenario(replace(SCENARIO, **changes))
-
-
-# Each guard reads "if not <valid range>", so NaN, which compares false with
-# everything, fails it; written "if x < 0" it let NaN through.
-_NAN_GUARDS = {
-    "SpdcSource.pairs_per_mw": (lambda: SpdcSource(pairs_per_mw=NAN, pump_power_mw=1.5), "pairs_per_mw"),
-    "SpdcSource.pump_power_mw": (lambda: SpdcSource(pairs_per_mw=0.05 / 1.5, pump_power_mw=NAN), "pump power"),
-    "FilterModel.fwhm_pm": (lambda: FilterModel(1530.0, NAN, 0.0), "filter FWHM"),
-    "FilterModel.insertion_loss_db": (lambda: FilterModel(1530.0, 200.0, NAN), "insertion loss"),
-    "DetectorModel.gate_window_ns": (lambda: replace(DETECTOR, gate_window_ns=NAN), "gate window"),
-    "detector_click_prob": (lambda: detector_click_prob(DETECTOR, NAN), "photon count"),
-    "ChipLayout.segments": (lambda: ChipLayout({**LAYOUT.segments, "prop_back": NAN}), "prop_back"),
-    "ChipLayout.measured_insertion_db": (
-        lambda: replace(LAYOUT, measured_insertion_db=NAN), "measured insertion loss"
-    ),
-    "SpectralMode.center_wavelength_nm": (lambda: SpectralMode(NAN, 200.0, "gaussian"), "center wavelength"),
-    "SpectralMode.fwhm_pm": (lambda: SpectralMode(1530.0, NAN, "gaussian"), "FWHM bandwidth"),
-    "PhotonNumberDistribution": (lambda: PhotonNumberDistribution((NAN, 1.0)), "nonnegative"),
-    "thermal": (lambda: thermal(NAN), "mean pair number"),
-    "poisson": (lambda: poisson(NAN), "mean pair number"),
-    "custom": (lambda: custom([NAN, 1.0]), "positive total mass"),
-    "v_timing.tau_uncert_ps": (lambda: v_timing(NAN, 17.0), "time uncertainty"),
-    "v_timing.tau_c_ps": (lambda: v_timing(2.5, NAN), "coherence time"),
-    "dip_profile": (lambda: dip_profile(0.5, NAN, 1.0, [0.0]), "dip FWHM time"),
-    "LinkParams.fiber_loss_db_per_km": (
-        lambda: replace(LINK, fiber_loss_db_per_km=NAN), "fiber_loss_db_per_km must be >= 0, got nan"
-    ),
-    "LinkParams.mean_photon_per_pulse": (
-        lambda: replace(LINK, mean_photon_per_pulse=NAN), "mean_photon_per_pulse must be >= 0, got nan"
-    ),
-    "LinkParams.relay_pair_mean": (
-        lambda: replace(LINK, relay_pair_mean=NAN), "relay_pair_mean must be >= 0, got nan"
-    ),
-    "link_rates.distance_km": (lambda: link_rates("direct", LINK, NAN), "distance"),
-    "compile_scenario.gate_rate_hz": (
-        _scenario_with(gate_rate_hz=NAN),
-        "pump_repetition_rate_hz and gate_rate_hz must be > 0, got 76000000.0 and nan",
-    ),
-    "compile_scenario.pump_repetition_rate_hz": (
-        _scenario_with(pump_repetition_rate_hz=NAN),
-        "pump_repetition_rate_hz and gate_rate_hz must be > 0, got nan and 600000.0",
-    ),
-    "compile_scenario.pump_duration_ps": (
-        _scenario_with(pump_duration_ps=NAN), "pump_duration_ps must be >= 0, got nan"
-    ),
-    "compile_scenario.delay_mm": (_scenario_with(delay_mm=NAN), "delay_mm must be finite, got nan"),
-    "compile_scenario.alice_arm_loss_db": (
-        _scenario_with(alice_arm_loss_db=NAN), "alice_arm_loss_db must be >= 0, got nan"
-    ),
-    "compile_scenario.dip_fwhm_time_ps": (_scenario_with(dip_fwhm_time_ps=NAN), "dip_fwhm_time_ps"),
-    "scan_dip.positions_mm": (lambda: scan_dip(SCENARIO, [NAN, 0.0, 9.0], 0), "must be finite"),
-}
-
-
-@pytest.mark.parametrize("call,message", _NAN_GUARDS.values(), ids=_NAN_GUARDS)
-def test_range_guard_rejects_nan(call, message):
-    with pytest.raises(ValueError, match=message):
-        call()

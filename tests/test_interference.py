@@ -4,7 +4,6 @@ import pytest
 
 from relaysim.interference import (
     FitFailureError,
-    UndefinedVisibilityError,
     dip_profile,
     fit_dip,
     p_coincidence_bounds,
@@ -20,14 +19,6 @@ from relaysim.units import SPEED_OF_LIGHT_M_PER_S
 P_MIN_LOW_ETA = 0.035897993697030256
 P_MAX_LOW_ETA = 0.0794884146148527
 V_LOW_ETA = 0.5483870967741935
-V_UNIT_ETA = 0.7083333333333334
-
-
-def test_v_timing_quoted_point():
-    # 2.5 ps pump against 17.3 ps photons keeps the bound close to 100%.
-    v = v_timing(2.5, 17.3)
-    assert v == pytest.approx(0.98972, abs=1e-4)
-    assert 0.985 <= v <= 0.995
 
 
 def test_v_timing_limits():
@@ -35,10 +26,6 @@ def test_v_timing_limits():
     assert v_timing(5.0, 5.0) == pytest.approx(1.0 / math.sqrt(2.0), rel=1e-12)
     # The squared ratio overflows here; sqrt(x^2 + 1) rounds to x, so V = 1 / x.
     assert v_timing(1e308, 1.0) == 1e-308
-    with pytest.raises(ValueError):
-        v_timing(1.0, 0.0)
-    with pytest.raises(ValueError):
-        v_timing(-1.0, 10.0)
 
 
 def test_coincidence_bounds_operating_point():
@@ -55,34 +42,6 @@ def test_coincidence_bounds_against_vacuum():
     p_min, p_max = p_coincidence_bounds(dist_a, vacuum)
     assert p_min == p_max == pytest.approx(dist_a.p(2), rel=1e-12)
     assert v_statistics(dist_a, vacuum) == 0.0
-
-
-def test_thermal_thermal_visibility_exactly_one_third():
-    for n_mean in (0.001, 0.02, 0.05, 0.2):
-        v = v_statistics(thermal(n_mean), thermal(n_mean))
-        assert abs(v - 1.0 / 3.0) < 1e-10
-
-
-def test_ideal_heralding_reaches_unity():
-    no_vacuum_a = custom([0.0, 0.97, 0.03])
-    no_vacuum_b = custom([0.0, 0.99, 0.01])
-    assert v_statistics(no_vacuum_a, no_vacuum_b) == 1.0
-    p_min, _ = p_coincidence_bounds(no_vacuum_a, no_vacuum_b)
-    assert p_min == 0.0
-
-
-def test_operating_point_visibilities():
-    dist_a = thermal(0.05)
-    low = herald_condition(thermal(0.02), None)
-    unit = herald_condition(thermal(0.02), 1.0)
-    assert v_statistics(dist_a, low) == pytest.approx(V_LOW_ETA, abs=1e-3)
-    assert v_statistics(dist_a, unit) == pytest.approx(V_UNIT_ETA, abs=1e-3)
-
-
-def test_visibility_undefined_without_coincidences():
-    vacuum = thermal(0.0)
-    with pytest.raises(UndefinedVisibilityError):
-        v_statistics(vacuum, vacuum)
 
 
 def test_visibility_in_unit_interval_and_product_bound():
@@ -106,11 +65,6 @@ def test_visibility_map_monotone_in_nb():
     rows = visibility_map([0.05], nb_grid, None, 0.0)
     values = [v for _, _, v in rows]
     assert all(a >= b - 1e-12 for a, b in zip(values, values[1:]))
-
-
-def test_visibility_map_rejects_empty_grid():
-    with pytest.raises(ValueError):
-        visibility_map([], [0.01], None, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -140,13 +94,6 @@ def test_dip_profile_even_in_position():
 def test_dip_profile_flat_when_visibility_zero():
     prof = dip_profile(0.0, 20.0, 42.0, [-5.0, 0.0, 5.0])
     assert all(r == pytest.approx(42.0, rel=1e-12) for r in prof.rates)
-
-
-def test_dip_profile_validation():
-    with pytest.raises(ValueError):
-        dip_profile(1.5, 20.0, 1.0, [0.0])
-    with pytest.raises(ValueError):
-        dip_profile(0.5, -1.0, 1.0, [0.0])
 
 
 def test_fit_recovers_profile_parameters():

@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from helpers import bench_scenario, law_cases, oracle_scenarios, single_photon_scenario
+from helpers import bench_scenario, law_cases, oracle_scenarios, photostats_closed_form, single_photon_scenario
 from relaysim import montecarlo
 from relaysim.cli import main
-from relaysim.components import ConfigurationError, DetectorModel, FilterModel
+from relaysim.components import DetectorModel
 from relaysim.config import load_preset
 from relaysim.montecarlo import (
     CounterRng,
@@ -19,14 +19,7 @@ from relaysim.montecarlo import (
     scan_dip,
     subtract_accidentals,
 )
-from relaysim.interference import v_statistics
-from relaysim.photostats import (
-    UndefinedConditioningError,
-    apply_loss,
-    custom,
-    herald_condition,
-    thermal,
-)
+from relaysim.photostats import custom
 from relaysim.records import fields, replace
 from relaysim.units import coherence_time
 
@@ -115,7 +108,7 @@ _MC_TALLY_CASES = {
     ),
     "darks": (
         bench_scenario(0.02, 0.01, dark_per_ns=1e-4, gate_window_ns=10.0),
-        500_000,
+        60_000_000,
         5,
         True,
         {"dip": ("singles_a", "singles_c", "threefold_abc")},
@@ -136,8 +129,9 @@ def test_mc_matches_exact_enumeration(scenario, n, seed, c2_balanced, checked):
       probability follows bar^2 + cross^2 - 2 bar cross O.  twofold_ab 675
       (15 %) and 783 (14 %), threefold_abc 52.4 (55 %) and 96.0 (41 %), dip
       and reference.
-    - darks: singles_a 5,446 (5.4 %), singles_c 2,490 (8.0 %), and
-      threefold_abc 3.8, which catches only a bias above 200 %.
+    - darks: singles_a 653,466 (0.49 %), singles_c 298,778 (0.73 %), and
+      threefold_abc 460.6 (19 %).
+    A run costs the same at any pulse count.
     """
     assert (0.45 < compile_scenario(scenario).cross2 < 0.55) == c2_balanced
     report = run(scenario, n, seed=seed)
@@ -184,18 +178,6 @@ def test_closed_form_gap_to_exact_visibility(name, scenario, stated):
     assert stated[0] - MARGIN <= gap <= stated[1] + MARGIN
 
 
-def photostats_closed_form(scenario) -> float:
-    """The closed form composed from photostats: the sources' pair laws built
-    again, the chip law conditioned on the herald click, then both thinned."""
-    params = compile_scenario(scenario)
-    dist_a, dist_b = scenario.external_distribution, scenario.chip_distribution
-    dist_a = thermal(scenario.external_source.mean_pairs) if dist_a is None else dist_a
-    dist_b = thermal(scenario.chip_source.mean_pairs) if dist_b is None else dist_b
-    dist_b = herald_condition(dist_b, params.p_c_arrive * params.eta_c, params.dark_c)
-    v_stat = v_statistics(apply_loss(dist_a, params.q_a), apply_loss(dist_b, params.q_b))
-    return v_stat * params.overlap_peak
-
-
 @pytest.mark.parametrize("name,scenario", [case for case in law_cases() if case[0] != "single_photon"])
 def test_closed_form_matches_photostats_composition(name, scenario):
     # It reads the engines' normalised cumulative-sum pmfs, not the raw
@@ -215,29 +197,28 @@ def test_closed_form_builds_the_pair_laws_once(monkeypatch):
     assert counts == {"compile_scenario": 1, "thermal": 2}
 
 
-def test_closed_form_without_herald_photons_is_undefined():
-    sc = single_photon_scenario(0.0)
-    for closed_form in (analytic_visibility, photostats_closed_form):
-        with pytest.raises(UndefinedConditioningError, match="^herald click probability is zero; conditioning"):
-            closed_form(sc)
-
-
 def test_twofold_thermal_visibility_one_third():
     """Equal coupler-level means: the raw two-fold dip shows the thermal 1/3.
 
     A 3 dB external arm loss halves the external mean; C1 halves the chip
-    one.  Power: from the expected counts at 2e6 gated pulses per leg (189
-    reference two-folds), 3 sigma_V is 0.232, so a bias below 0.232 in V
-    passes.  The exact two-fold V of this scenario is 0.3255.
+    one.  The exact two-fold V of this scenario, 0.32547, lies within 0.008
+    of 1/3: the detector efficiency, 0.8, is outside the low-efficiency
+    limit where it is exactly 1/3.  The Monte Carlo V is checked against the
+    exact V.  Power: from the expected counts at 1e9 gated pulses per leg
+    (63,730 dip and 94,482 reference two-folds), 3 sigma_V is 0.0104, so
+    the check catches a bias of about 0.010 in V.  Seed 17 reads 0.32536,
+    -0.03 sigma from the exact V.
     """
     sc = bench_scenario(0.02, 0.02, alice_db=10.0 * math.log10(2.0))
-    report = run(sc, 2_000_000, seed=17)
+    exact = 1.0 - expected_rates(sc).p_twofold_ab / expected_rates(sc, overlap=0.0).p_twofold_ab
+    assert abs(exact - 1.0 / 3.0) <= 0.008
+    report = run(sc, 1_000_000_000, seed=17)
     v = report.raw_twofold_visibility
     c_dip, c_ref = report.dip.twofold_ab, report.ref.twofold_ab
     ratio = (c_dip / report.dip.gated) / (c_ref / report.ref.gated)
     assert v == pytest.approx(1.0 - ratio, rel=1e-12)
     err = ratio * math.sqrt(1.0 / c_dip + 1.0 / c_ref)  # Poisson error of the ratio
-    assert abs(v - 1.0 / 3.0) <= 3.0 * err
+    assert abs(v - exact) <= 3.0 * err
 
 
 # ---------------------------------------------------------------------------
@@ -456,30 +437,6 @@ def test_scan_with_no_counts_reports_fit_failure():
     assert "no positive rate" in result.fit_failed
 
 
-def test_scan_preconditions():
-    sc = bench_scenario(0.01, 0.01)
-    with pytest.raises(ValueError):
-        scan_dip(sc, [0.0, 1.0], 0)
-    with pytest.raises(ValueError):
-        scan_dip(sc, [-1.0, 0.0, 1.0], 0)  # span below twice the dip width
-
-
-@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")], ids=["nan", "inf", "-inf"])
-@pytest.mark.parametrize("n_pulses", [0, 1000], ids=["analytic", "mc"])
-def test_scan_rejects_non_finite_positions(bad, n_pulses):
-    # A non-finite position has no rate to fit; it is rejected, not scanned.
-    sc = load_preset("paper-fig6").to_scenario()
-    with pytest.raises(ValueError, match="finite"):
-        scan_dip(sc, [-30.0, bad, 0.0, 30.0, 10.0], n_pulses)
-
-
-@pytest.mark.parametrize("overlap", [float("nan"), -0.5, 1.5, 2.0])
-def test_expected_rates_rejects_overlap_outside_unit_interval(overlap):
-    # At overlap 2.0 the three-fold probability would come out negative.
-    with pytest.raises(ValueError, match="overlap"):
-        expected_rates(load_preset("paper-fig6").to_scenario(), overlap=overlap)
-
-
 @pytest.mark.parametrize("overlap", [0.0, 1.0])
 def test_expected_rates_accepts_unit_interval_ends(overlap):
     rates = expected_rates(load_preset("paper-fig6").to_scenario(), overlap=overlap)
@@ -489,43 +446,6 @@ def test_expected_rates_accepts_unit_interval_ends(overlap):
 # ---------------------------------------------------------------------------
 # Scenario validation
 # ---------------------------------------------------------------------------
-
-def test_invalid_scenarios_rejected_before_sampling():
-    with pytest.raises(ConfigurationError):
-        compile_scenario(replace(bench_scenario(0.01, 0.01), gate_rate_hz=100e6))
-    with pytest.raises(ConfigurationError):
-        compile_scenario(replace(bench_scenario(0.01, 0.01), delay_mm=float("nan")))
-    # Overlapping signal/partner filter bands break clean heralding.
-    with pytest.raises(ConfigurationError):
-        compile_scenario(
-            replace(bench_scenario(0.01, 0.01), filter_c=FilterModel(1532.0, 8000.0, 0.0))
-        )
-    with pytest.raises(ValueError):
-        run(bench_scenario(0.01, 0.01), 0)
-
-
-@pytest.mark.parametrize("n", [-1, 2**63, 10**30])
-def test_pulse_count_out_of_range_rejected(n):
-    # The message names the int64 bound of numpy's binomial draw.
-    sc = bench_scenario(0.01, 0.01)
-    with pytest.raises(ValueError, match=str(2**63 - 1)):
-        run(sc, n)
-    with pytest.raises(ValueError, match=str(2**63 - 1)):
-        scan_dip(sc, np.linspace(-30.0, 30.0, 5), n)
-
-
-@pytest.mark.parametrize("seed", [-1, 2**64, 2**65 - 1])
-def test_seed_out_of_range_rejected(seed):
-    # The stream key reads the seed modulo 2**64: these three drew the same
-    # tallies as seed 2**64 - 1 and printed three other seed lines.
-    sc = bench_scenario(0.01, 0.01)
-    with pytest.raises(ValueError, match=rf"^seed must be in \[0, {2**64 - 1}\], got {seed}$"):
-        run(sc, 1000, seed=seed)
-    for pulses in (0, 1000):
-        with pytest.raises(ValueError, match=rf"^seed must be in \[0, {2**64 - 1}\]"):
-            scan_dip(sc, np.linspace(-30.0, 30.0, 5), pulses, seed=seed)
-    assert main(["mc-run", "--pulses", "1000", "--seed", str(seed)]) == 2
-
 
 def test_seed_range_endpoints_run():
     sc = bench_scenario(0.01, 0.01)
@@ -538,26 +458,12 @@ def test_largest_pulse_count_runs():
     assert report.pulses_simulated == 2**63 - 1 == report.dip.gated
 
 
-def test_pair_law_of_n_max_pairs_is_kept_whole():
+def test_pair_laws_at_the_cutoff_are_kept():
     sc = replace(bench_scenario(0.01, 0.01), external_distribution=custom([0.0] * 20 + [1.0]))
     params = compile_scenario(sc)
     assert params.pmf_a.shape[0] == 21
-
-
-@pytest.mark.parametrize("name", ["external", "chip"])
-def test_pair_law_past_n_max_pairs_is_rejected(name):
-    sc = replace(bench_scenario(0.01, 0.01), **{f"{name}_distribution": custom([0.0] * 21 + [1.0])})
-    with pytest.raises(ConfigurationError, match=r"^pair distributions must be truncated at <= 20$"):
-        compile_scenario(sc)
-
-
-@pytest.mark.parametrize("name", ["external", "chip"])
-def test_thermal_law_losing_mass_above_max_cutoff_is_rejected(name):
-    means = {"external": (0.6, 0.01), "chip": (0.01, 0.6)}[name]
-    with pytest.raises(ConfigurationError, match=f"^{name} source: .* at mean 0.6 .* puts 1.13e-09 "):
-        compile_scenario(bench_scenario(*means))
-    # Just inside the check: mean 0.59 loses 9.1e-10.
-    compile_scenario(bench_scenario(*(0.59 if m == 0.6 else m for m in means)))
+    # Just inside the mass check on both sources: mean 0.59 loses 9.1e-10.
+    compile_scenario(bench_scenario(0.59, 0.59))
 
 
 # ---------------------------------------------------------------------------

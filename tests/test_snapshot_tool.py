@@ -1,4 +1,8 @@
-"""`tests/snapshot.py --diff` compares two snapshots without importing relaysim or the test helpers."""
+"""`tests/snapshot.py --diff` compares two snapshots without importing relaysim or the test helpers.
+
+It exits 0 when nothing moved, 1 when an entry moved, and 2 when an input
+cannot be read.
+"""
 
 import json
 import math
@@ -24,16 +28,22 @@ BEFORE = {
 }
 
 
-def _bare_diff(tmp_path, before: dict, after: dict) -> subprocess.CompletedProcess:
+def _bare_diff_argv(*paths) -> list[str]:
+    return [sys.executable, "-c", _BARE_DIFF, str(SNAPSHOT_TOOL), "--diff", *map(str, paths)]
+
+
+def _snapshot_paths(tmp_path, before: dict, after: dict) -> list[Path]:
     paths = []
     for name, snapshot in (("before.json", before), ("after.json", after)):
         path = tmp_path / name
         path.write_text(json.dumps(snapshot), encoding="utf-8")
-        paths.append(str(path))
-    return subprocess.run(
-        [sys.executable, "-c", _BARE_DIFF, str(SNAPSHOT_TOOL), "--diff", *paths],
-        capture_output=True, text=True, timeout=120,
-    )
+        paths.append(path)
+    return paths
+
+
+def _bare_diff(tmp_path, before: dict, after: dict) -> subprocess.CompletedProcess:
+    argv = _bare_diff_argv(*_snapshot_paths(tmp_path, before, after))
+    return subprocess.run(argv, capture_output=True, text=True, timeout=120)
 
 
 def test_identical_snapshots_move_nothing(tmp_path):
@@ -62,3 +72,26 @@ def test_moved_error_and_new_entry_are_reported(tmp_path):
         "joint_law case overlap=0: 'ValueError: pmf must sum to ~1' -> 'ValueError: pmf has a negative entry'",
         "joint_law case overlap=1: None -> {'sha256': 'ee', 'values': [1.0]}",
     ]
+
+
+def test_unreadable_input_exits_2_with_one_line(tmp_path):
+    # A crash exited 1, the status of a moved entry, so CI read it as a diff.
+    before, _ = _snapshot_paths(tmp_path, BEFORE, BEFORE)
+    missing = tmp_path / "missing.json"
+    proc = subprocess.run(_bare_diff_argv(before, missing), capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2
+    assert (proc.stdout, proc.stderr) == (
+        "", f"error: FileNotFoundError: [Errno 2] No such file or directory: {str(missing)!r}\n"
+    )
+
+
+def test_closed_stdout_ends_the_diff_quietly(tmp_path):
+    # A reader that closes early, like `| head -1`, ended in a BrokenPipeError traceback.
+    after = {**BEFORE, "expected_rates case overlap=0": {"sha256": "dd", "values": [0.5, 0.25]}}
+    proc = subprocess.Popen(
+        _bare_diff_argv(*_snapshot_paths(tmp_path, BEFORE, after)), stdout=subprocess.PIPE, stderr=subprocess.PIPE
+    )
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert err == b""
+    assert proc.returncode == 1

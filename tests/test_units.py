@@ -13,19 +13,6 @@ from relaysim.units import (
 C = SPEED_OF_LIGHT_M_PER_S
 
 
-def by_hand_coherence_ps(lam_nm, dlam_pm, k):
-    # Independent evaluation of K * lambda^2 / (c * dlambda).
-    return k * (lam_nm * 1e-9) ** 2 / (C * dlam_pm * 1e-12) * 1e12
-
-
-def test_filtered_photon_coherence_time_matches_quoted_value():
-    # 200 pm gaussian filter at 1530 nm: 17.2 ps, rounding to the quoted 17.3 ps.
-    ct = coherence_time(SpectralMode(1530.0, 200.0, "gaussian"))
-    assert ct == pytest.approx(by_hand_coherence_ps(1530, 200, 0.441), rel=1e-12)
-    assert ct == pytest.approx(17.2175, abs=5e-4)
-    assert abs(ct - 17.3) <= 0.2
-
-
 def test_pump_mode_coherence_time():
     # 250 pm gaussian at 766 nm; the transform-limited value, 3.45 ps.
     ct = coherence_time(SpectralMode(766.0, 250.0, "gaussian"))
@@ -50,17 +37,6 @@ def test_coherence_time_decreasing_in_bandwidth():
     assert all(a > b for a, b in zip(times, times[1:]))
 
 
-@pytest.mark.parametrize("lam,dlam", [(0.0, 200.0), (-1530.0, 200.0), (1530.0, 0.0), (1530.0, -5.0)])
-def test_invalid_spectral_mode_rejected(lam, dlam):
-    with pytest.raises(ValueError):
-        SpectralMode(lam, dlam, "gaussian")
-
-
-def test_unknown_lineshape_rejected():
-    with pytest.raises(ValueError):
-        SpectralMode(1530.0, 200.0, "lorentzian")
-
-
 def test_path_to_delay_quoted_point():
     # 6 mm of free-space path corresponds to 20 ps.
     assert delay_to_path(20.0) == pytest.approx(6.0, abs=0.015)
@@ -78,13 +54,6 @@ def test_delay_path_round_trip_within_ulp():
     for x in xs:
         back = delay_to_path(x * 1e-3 / C * 1e12)
         assert abs(back - x) <= math.ulp(max(abs(x), 1e-300)) * 2
-
-
-def test_non_finite_inputs_rejected():
-    with pytest.raises(ValueError):
-        delay_to_path(float("inf"))
-    with pytest.raises(ValueError):
-        delay_to_path(float("nan"))
 
 
 def test_db_linear_round_trip():
