@@ -7,17 +7,17 @@ has one output format: the five tables are CSV, the counts report is one
 "field: value" line per field.  Same config + seed + flags always produce
 byte-identical output files.
 
-Only `hom-dip` and `mc-run` load numpy, through the Monte Carlo engine; the
-four figure studies `spdc-spectrum`, `coupler-curve`, `visibility-map` and
-`keyrate-sweep` load neither numpy nor the standard library's dataclass
-module (every record type comes from `relaysim.records`).  Each handler
-imports the modules only it needs, so a cold start compiles and loads no
-other study's code.
+Only `hom-dip` and `mc-run` load numpy, for the Monte Carlo draws and the
+dip fit; the four figure studies `spdc-spectrum`, `coupler-curve`,
+`visibility-map` and `keyrate-sweep` load neither numpy nor the standard
+library's dataclass module (every record type comes from `relaysim.records`).
+Each handler imports the modules only it needs, so a cold start compiles and
+loads no other study's code.
 
 `main` defaults OPENBLAS_NUM_THREADS to 1 unless it is set or numpy is
-already loaded: the only BLAS work is `einsum` on operands of at most
-21 x 21, so a BLAS worker pool only costs start-up.  Importing this module
-leaves the environment alone.
+already loaded: the only BLAS work is `einsum` and one dot product on
+operands of at most 21 x 21, so a BLAS worker pool only costs start-up.
+Importing this module leaves the environment alone.
 """
 
 from __future__ import annotations
@@ -150,6 +150,9 @@ def _cmd_visibility_map(args) -> int:
                 thermal(mean)
             except ValueError as exc:
                 raise ConfigurationError(f"{key}: {exc}") from None
+    if cfg.map_herald_efficiency is not None:
+        cfg.checked("map_herald_efficiency", "in [0, 1]")
+    cfg.checked("map_herald_dark_prob", "in [0, 1]")
     rows = visibility_map(
         cfg.map_na_values, cfg.map_nb_values, cfg.map_herald_efficiency, cfg.map_herald_dark_prob
     )

@@ -39,6 +39,13 @@ PRESET_NAMES = ("paper-fig2", "paper-fig3", "paper-fig4", "paper-fig5", "paper-f
 
 _MAP_GRID = tuple(round(0.005 * i, 3) for i in range(1, 21))
 
+# The ranges a key is checked against, by `ScenarioConfig.checked`.
+_BOUNDS = {
+    "> 0": lambda value: value > 0,
+    ">= 0": lambda value: value >= 0,
+    "in [0, 1]": lambda value: 0.0 <= value <= 1.0,
+}
+
 
 @record
 class ScenarioConfig:
@@ -133,23 +140,35 @@ class ScenarioConfig:
     # Model builders
     # ------------------------------------------------------------------
 
+    def checked(self, key: str, bound: str) -> float:
+        """The value of key, which must be `bound`: "> 0", ">= 0" or "in [0, 1]".
+
+        The models check their own ranges, but one model class serves
+        several keys (`DetectorModel` the `detector_*` and the `link_*` ones),
+        so each builder checks the keys it reads here and a rejection names
+        the key.
+        """
+        value = getattr(self, key)
+        if not _BOUNDS[bound](value):
+            raise ConfigurationError(f"{key} must be {bound}, got {value}")
+        return value
+
     def chip_layout(self) -> ChipLayout:
         return ChipLayout(
             segments={
-                "fiber_to_chip": self.loss_fiber_to_chip_db,
-                "chip_to_fiber": self.loss_chip_to_fiber_db,
-                "prop_front": self.loss_propagation_front_db,
-                "prop_back": self.loss_propagation_back_db,
+                "fiber_to_chip": self.checked("loss_fiber_to_chip_db", ">= 0"),
+                "chip_to_fiber": self.checked("loss_chip_to_fiber_db", ">= 0"),
+                "prop_front": self.checked("loss_propagation_front_db", ">= 0"),
+                "prop_back": self.checked("loss_propagation_back_db", ">= 0"),
             },
             measured_insertion_db=self.measured_insertion_loss_db,
         )
 
     def calibration(self, anchors_key: str) -> CouplerCalibration:
         """The calibration of the coupler whose anchors are the config key anchors_key."""
-        if not self.coupler_kappa_lc_rad > 0:
-            raise ConfigurationError(f"coupler_kappa_lc_rad must be > 0, got {self.coupler_kappa_lc_rad}")
+        kappa_lc_rad = self.checked("coupler_kappa_lc_rad", "> 0")
         try:
-            return calibrate_coupler(getattr(self, anchors_key), kappa_lc_rad=self.coupler_kappa_lc_rad)
+            return calibrate_coupler(getattr(self, anchors_key), kappa_lc_rad=kappa_lc_rad)
         except CalibrationError as exc:
             raise CalibrationError(f"{anchors_key}: {exc}") from None
 
@@ -157,19 +176,21 @@ class ScenarioConfig:
         return self._detector("detector_efficiency", "detector_dark_prob_per_ns", "detector_gate_window_ns")
 
     def _detector(self, efficiency_key: str, dark_key: str, window_key: str) -> DetectorModel:
-        """The detector of three config keys; a dark probability outside [0, 1] names its key."""
-        dark = getattr(self, dark_key)
-        if not 0.0 <= dark <= 1.0:
-            raise ConfigurationError(f"{dark_key} must be in [0, 1], got {dark}")
-        return DetectorModel(getattr(self, efficiency_key), dark, getattr(self, window_key))
+        return DetectorModel(
+            self.checked(efficiency_key, "in [0, 1]"),
+            self.checked(dark_key, "in [0, 1]"),
+            self.checked(window_key, "> 0"),
+        )
 
     def spdc_mode(self) -> SpectralMode:
         return SpectralMode(
-            self.spdc_center_wavelength_nm, self.spdc_fwhm_nm * 1e3, self.spdc_lineshape
+            self.checked("spdc_center_wavelength_nm", "> 0"),
+            self.checked("spdc_fwhm_nm", "> 0") * 1e3,
+            self.spdc_lineshape,
         )
 
     def to_scenario(self) -> Scenario:
-        from .montecarlo import Scenario  # deferred: the engine imports numpy
+        from .montecarlo import Scenario  # deferred: only the two sampling studies need it
 
         det = self.detector()
         return Scenario(
@@ -178,16 +199,18 @@ class ScenarioConfig:
             gate_rate_hz=self.gate_rate_hz,
             external_source=SpdcSource(
                 spectrum=self.spdc_mode(),
-                pairs_per_mw=self.external_pairs_per_mw,
-                pump_power_mw=self.external_pump_power_mw,
+                pairs_per_mw=self.checked("external_pairs_per_mw", ">= 0"),
+                pump_power_mw=self.checked("external_pump_power_mw", ">= 0"),
             ),
             chip_source=SpdcSource(
                 spectrum=self.spdc_mode(),
-                pairs_per_mw=self.chip_pairs_per_mw,
-                pump_power_mw=self.chip_pump_power_mw,
+                pairs_per_mw=self.checked("chip_pairs_per_mw", ">= 0"),
+                pump_power_mw=self.checked("chip_pump_power_mw", ">= 0"),
             ),
             photon_mode=SpectralMode(
-                self.photon_center_wavelength_nm, self.photon_fwhm_pm, self.photon_lineshape
+                self.checked("photon_center_wavelength_nm", "> 0"),
+                self.checked("photon_fwhm_pm", "> 0"),
+                self.photon_lineshape,
             ),
             dip_fwhm_time_ps=self.dip_fwhm_time_ps,
             coupler_c1=self.calibration("coupler_c1_anchors").model,
@@ -197,10 +220,14 @@ class ScenarioConfig:
             layout=self.chip_layout(),
             alice_arm_loss_db=self.alice_arm_loss_db,
             filter_ab=FilterModel(
-                self.filter_ab_center_nm, self.filter_ab_fwhm_pm, self.filter_ab_insertion_loss_db
+                self.filter_ab_center_nm,
+                self.checked("filter_ab_fwhm_pm", "> 0"),
+                self.checked("filter_ab_insertion_loss_db", ">= 0"),
             ),
             filter_c=FilterModel(
-                self.filter_c_center_nm, self.filter_c_fwhm_pm, self.filter_c_insertion_loss_db
+                self.filter_c_center_nm,
+                self.checked("filter_c_fwhm_pm", "> 0"),
+                self.checked("filter_c_insertion_loss_db", ">= 0"),
             ),
             detector_a=det,
             detector_b=det,

@@ -20,6 +20,14 @@ once, for the dip leg: expected flows, its gated pulses times the per-gate
 expectation.  `joint_law`, the exact enumeration `expected_rates` and the
 closed form `analytic_visibility` all read one set of `_model_inputs`.
 
+numpy is imported only inside the functions whose numpy work no plain loop
+reproduces bit for bit: `joint_law`'s einsum, the ledger's BLAS dot product,
+the Generator draws (`_generator`) and `CounterRng`.  Compiling a scenario,
+the enumeration and the closed form are standard-library Python that adds in
+numpy's order (`_add_reduce` is numpy's pairwise sum; only the click table's
+powers may round otherwise, see `_clicks`), so `expected_rates` and
+`analytic_visibility` run without loading numpy.
+
 `CounterRng` is a stateless counter hash: pulse i, draw slot j reads a
 64-bit hash of (stream key, i * SLOTS + j), so a per-pulse sampler drawing
 from it gives the same draws for any split of the pulse range.  No engine
@@ -32,8 +40,8 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-
-import numpy as np
+from itertools import accumulate
+from typing import TYPE_CHECKING
 
 from .components import (
     ChipLayout,
@@ -55,6 +63,9 @@ from .photostats import (
 )
 from .records import record
 from .units import SpectralMode, coherence_time, db_to_linear, delay_to_path
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # ---------------------------------------------------------------------------
 # Counter-based RNG
@@ -95,6 +106,8 @@ def derive_key(seed: int, *tags) -> int:
 
 
 def _mix64(x: np.ndarray) -> np.ndarray:
+    import numpy as np
+
     x ^= x >> np.uint64(30)
     x *= np.uint64(_MIX_A)
     x ^= x >> np.uint64(27)
@@ -109,9 +122,13 @@ class CounterRng:
     __slots__ = ("key",)
 
     def __init__(self, key: int):
+        import numpy as np
+
         self.key = np.uint64(key & _MASK64)
 
     def uniform(self, pulse_idx: np.ndarray, slot: int) -> np.ndarray:
+        import numpy as np
+
         c = pulse_idx * np.uint64(SLOTS) + np.uint64(slot)
         x = self.key + c * np.uint64(_GOLDEN)
         return (_mix64(x) >> np.uint64(11)) * 2.0**-53
@@ -173,8 +190,8 @@ class SimParams:
     """Scenario compiled to per-arm probabilities and routing fractions."""
 
     p_gate: float
-    pmf_a: np.ndarray     # external pair number, at most N_MAX pairs
-    pmf_b: np.ndarray     # chip pair number, likewise
+    pmf_a: tuple[float, ...]  # external pair number, at most N_MAX pairs
+    pmf_b: tuple[float, ...]  # chip pair number, likewise
     q_a: float            # external photon survives to C2 input a
     q_b: float            # chip photon b routed up and surviving to C2 input b
     p_c_arrive: float     # chip photon c routed down and surviving to D_c input
@@ -205,17 +222,47 @@ def _pair_distribution(override, source: SpdcSource, name: str) -> PhotonNumberD
         raise ConfigurationError(f"{name} source: {exc}") from None
 
 
-def _pair_pmf(pmf) -> np.ndarray:
+def _add_reduce(values) -> float:
+    """`np.add.reduce` of a float64 sequence, bit for bit: numpy's pairwise sum.
+
+    Runs longer than 128 values are split at the multiple of 8 at or below
+    half, and the halves' sums added.  Up to 128, value i goes to running
+    sum i % 8 over the longest multiple-of-8 prefix, the 8 sums are added as
+    ((0 + 1) + (2 + 3)) + ((4 + 5) + (6 + 7)), and the rest are added in
+    order.  The sum starts from +0.0, so negative zeros sum to +0.0.
+    """
+    n = len(values)
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _add_reduce(values[:half]) + _add_reduce(values[half:])
+    total = 0.0
+    end = n - n % 8
+    if end:
+        r = list(values[:8])
+        for i in range(8, end, 8):
+            for j in range(8):
+                r[j] += values[i + j]
+        total += ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    for v in values[end:]:
+        total += v
+    return total
+
+
+def _pair_pmf(pmf) -> tuple[float, ...]:
     """Normalised pair-number pmf.
 
-    The differences of the cumulative sum are normalised, not pmf itself:
-    they differ from it by up to 1.1e-16, and the enumeration and Monte
-    Carlo outputs are defined from them to the last bit.  In the far tail
-    that is a large relative error (5.7 % at p(9) of a thermal law of mean
-    0.02), and past the point where the sum saturates they are exact zeros.
+    The differences of the sequential cumulative sum are normalised by their
+    `_add_reduce`, not pmf itself: they differ from it by up to 1.1e-16, and
+    the enumeration and Monte Carlo outputs are defined from them to the
+    last bit (numpy's `diff(cumsum(pmf), prepend=0.0)` and `sum`).  In the
+    far tail that is a large relative error (5.7 % at p(9) of a thermal law
+    of mean 0.02), and past the point where the sum saturates they are exact
+    zeros.
     """
-    pmf = np.diff(np.cumsum(pmf), prepend=0.0)
-    return pmf / pmf.sum()
+    cumulative = list(accumulate(pmf))
+    diffs = [c - below for c, below in zip(cumulative, [0.0, *cumulative])]
+    total = _add_reduce(diffs)
+    return tuple(p / total for p in diffs)
 
 
 def compile_scenario(scenario: Scenario) -> SimParams:
@@ -315,10 +362,14 @@ def compile_scenario(scenario: Scenario) -> SimParams:
 # Joint click law and tallies
 # ---------------------------------------------------------------------------
 
-def _clicks(m_max: int, p_det: float, dark: float) -> np.ndarray:
-    """P[no click, click] of a gated detector reached by m = 0..m_max photons."""
-    quiet = (1.0 - p_det) ** np.arange(m_max + 1) * (1.0 - dark)
-    return np.stack([quiet, 1.0 - quiet], axis=-1)
+def _clicks(m_max: int, p_det: float, dark: float) -> list[tuple[float, float]]:
+    """(P[no click], P[click]) of a gated detector reached by m = 0..m_max photons.
+
+    The powers are the C library's `pow`; numpy's vectorised `power` rounds
+    some of them differently in the last bit.
+    """
+    quiet = [(1.0 - p_det) ** m * (1.0 - dark) for m in range(m_max + 1)]
+    return [(q, 1.0 - q) for q in quiet]
 
 
 def _model_inputs(params: SimParams) -> tuple:
@@ -326,18 +377,18 @@ def _model_inputs(params: SimParams) -> tuple:
 
     Returns (pk_a, pk_b, pk_b_herald, pk_b_quiet, route, click_a, click_b):
     the law of the photons at C2 input a; that of the photons at input b,
-    alone, with a herald click and with none; route[k, x], the probability
+    alone, with a herald click and with none; route[k][x], the probability
     that x of k photons take C2's cross port; and the D_a and D_b `_clicks`
     tables for as many photons as both laws together hold, and at least 2.
     """
     # Photons from the external source at C2 input a: binomial thinning.
-    pk_a = apply_loss(PhotonNumberDistribution(tuple(params.pmf_a.tolist())), params.q_a).pmf
+    pk_a = apply_loss(PhotonNumberDistribution(params.pmf_a), params.q_a).pmf
 
     # Joint law of (photons at C2 input b, herald click), correlated through
     # the chip pair number n.
     h_det = params.p_c_arrive * params.eta_c
-    pk_b, pk_b_herald, pk_b_quiet = ([0.0] * params.pmf_b.shape[0] for _ in range(3))
-    for n, pn in enumerate(params.pmf_b.tolist()):
+    pk_b, pk_b_herald, pk_b_quiet = ([0.0] * len(params.pmf_b) for _ in range(3))
+    for n, pn in enumerate(params.pmf_b):
         if pn == 0.0:
             continue
         quiet = (1.0 - h_det) ** n * (1.0 - params.dark_c)
@@ -350,10 +401,10 @@ def _model_inputs(params: SimParams) -> tuple:
     cross = params.cross2
     bar = 1.0 - cross
     n = max(len(pk_a), len(pk_b))
-    route = np.zeros((n, n))
-    for k in range(n):
-        for x in range(k + 1):
-            route[k, x] = math.comb(k, x) * cross**x * bar ** (k - x)
+    route = [
+        [math.comb(k, x) * cross**x * bar ** (k - x) if x <= k else 0.0 for x in range(n)]
+        for k in range(n)
+    ]
 
     m_max = max(len(pk_a) + len(pk_b) - 2, 2)  # _rate_table reads the 2-photon entries
     click_a = _clicks(m_max, params.s_post * params.eta_a, params.dark_a)
@@ -376,7 +427,10 @@ def joint_law(params: SimParams, overlap: float) -> np.ndarray:
     independently by its cross ratio, except the one-plus-one pattern, which
     interferes at the given temporal overlap.
     """
+    import numpy as np
+
     pk_a, pk_b, pk_b_herald, pk_b_quiet, route, click_a, click_b = _model_inputs(params)
+    route, click_a, click_b = np.array(route), np.array(click_a), np.array(click_b)
     i, j = len(pk_a), len(pk_b)
 
     # C2 routing table T[k_a, k_b, A, B]: x of the k_a photons cross to
@@ -404,9 +458,13 @@ def _ledger_per_gate(params: SimParams) -> tuple[float, float, float, float]:
 
     The C2 outputs carry k_a (1 - cross) + k_b cross and k_a cross +
     k_b (1 - cross) photons on average; the interfering one-plus-one pattern
-    has the same means as independent routing.
+    has the same means as independent routing.  The mean pair numbers are
+    numpy dot products: BLAS fuses and reorders their multiply-adds, so no
+    sequential sum gives their bits.
     """
-    n_a, n_b = (float(np.arange(pmf.shape[0]) @ pmf) for pmf in (params.pmf_a, params.pmf_b))
+    import numpy as np
+
+    n_a, n_b = (float(np.arange(len(pmf)) @ np.array(pmf)) for pmf in (params.pmf_a, params.pmf_b))
     k_a, k_b, cross = params.q_a * n_a, params.q_b * n_b, params.cross2
     out_a = (1.0 - cross) * k_a + cross * k_b
     out_b = cross * k_a + (1.0 - cross) * k_b
@@ -450,9 +508,16 @@ class PhotonLedger:
     detected: float
 
 
+def _generator(key: int) -> np.random.Generator:
+    """The numpy Generator of a stream key."""
+    import numpy as np
+
+    return np.random.default_rng(key)
+
+
 def _sample_leg(params: SimParams, n_pulses: int, key: int, law: np.ndarray) -> Tally:
     """Draw one leg's gated pulses and their click-pattern counts from its joint law."""
-    rng = np.random.default_rng(key)
+    rng = _generator(key)
     gated = int(rng.binomial(n_pulses, params.p_gate))
     cells = rng.multinomial(gated, law.ravel()).reshape(law.shape)
     counts = (cells[1], cells[:, 1], cells[:, :, 1], cells[1, 1], cells[1, 1, 1])  # A, B, C, AB, ABC
@@ -650,54 +715,60 @@ def expected_rates(scenario: Scenario, overlap: float | None = None) -> Expected
 def _rate_table(params: SimParams) -> Callable[[float], ExpectedRates]:
     """rates_at(overlap) -> expected_rates of a compiled scenario at that temporal overlap.
 
-    The patterns are the (k_a, k_b) photon numbers at C2 with nonzero weight
-    in both laws (a herald weight is 0 wherever pk_b is), k_a-major, held as
-    two index arrays.  Every pattern's overlap-free terms are computed once
-    here: its weight times its click probabilities, summed over C2's
-    routings, x of the k_a photons crossing to output B and y of the k_b
-    photons to A, in (x, y) order.  All patterns take the routing steps
-    together, in one sequential `np.add.accumulate` over the steps; a
-    routing that a pattern does not have weighs exactly 0.0, and adding it
-    leaves the pattern's sums, which are >= 0, unchanged.  The one-plus-one
-    pattern, the only one whose clicks depend on the overlap, has its column
-    of the (4, patterns) terms array overwritten on each call.  Each rate is a sequential `np.add.accumulate`
-    over the patterns, so it adds the same terms, in the same order, as the
-    pattern-by-pattern loop of tests/enumeration_reference.py, and is
-    bit-identical to it until `rates_at` caps it at 1.
+    The pattern-by-pattern loop of tests/enumeration_reference.py, with the
+    same terms added in the same order, so it is bit-identical to it until
+    `rates_at` caps a rate at 1.  The patterns are the (k_a, k_b) photon
+    numbers at C2 with nonzero weight in both laws (a herald weight is 0
+    wherever pk_b is), k_a-major.  Every pattern's overlap-free terms are
+    computed once here: its weight times its click probabilities, summed
+    over C2's routings, x of the k_a photons crossing to output B and y of
+    the k_b photons to A, in (x, y) order.  The one-plus-one pattern, the
+    only one whose clicks depend on the overlap, has its entry filled on
+    each call.  Each rate is a sequential sum over the patterns.
     """
     pk_a, pk_b, pk_b_herald, _, route, click_a, click_b = _model_inputs(params)
-    pk_a, pk_b, pk_b_herald = np.array(pk_a), np.array(pk_b), np.array(pk_b_herald)
-    ka, kb = np.nonzero(np.outer(pk_a != 0.0, pk_b != 0.0))
-    one_plus_one = np.flatnonzero((ka == 1) & (kb == 1))
-
-    # Routing (x, y) of every pattern leaves k_a - x + y photons at A and
-    # x + k_b - y at B; arrays are indexed [x, y, pattern].
-    x = np.arange(ka.max() + 1)[:, None, None]
-    y = np.arange(kb.max() + 1)[None, :, None]
-    w = route[ka, x] * route[kb, y]
-    ca = click_a[np.maximum(ka - x + y, 0), 1]
-    cb = click_b[np.maximum(x + kb - y, 0), 1]
-    wca = w * ca
-    steps = np.stack([wca, w * cb, wca * cb], axis=2).reshape(-1, 3, len(ka))
-    pa, pb, pab = np.add.accumulate(steps)[-1]  # P[click A], P[click B], P[click A and B]
-
-    w_ab, w_abc = pk_a[ka] * pk_b[kb], pk_a[ka] * pk_b_herald[kb]
-    terms = np.stack([w_ab * pa, w_ab * pb, w_ab * pab, w_abc * pab])  # [A, B, AB, ABC; pattern]
-    a0, a1, a2 = click_a[:3, 1].tolist()  # P[click A] at 0, 1 and 2 photons, darks included
-    b0, b1, b2 = click_b[:3, 1].tolist()
+    ca = [c for _, c in click_a]  # P[click A] at m photons, darks included
+    cb = [c for _, c in click_b]
+    terms = []  # (A, B, AB, ABC) of each pattern
+    one_plus_one = None
+    for ka, wa in enumerate(pk_a):
+        if wa == 0.0:
+            continue
+        for kb, wb in enumerate(pk_b):
+            if wb == 0.0:
+                continue
+            if ka == kb == 1:
+                one_plus_one = len(terms)
+                terms.append(None)
+                continue
+            # Routing (x, y) leaves k_a - x + y photons at A and x + k_b - y at B.
+            pa = pb = pab = 0.0  # P[click A], P[click B], P[click A and B]
+            for x in range(ka + 1):
+                for y in range(kb + 1):
+                    w = route[ka][x] * route[kb][y]
+                    wca = w * ca[ka - x + y]
+                    pa += wca
+                    pb += w * cb[x + kb - y]
+                    pab += wca * cb[x + kb - y]
+            w_ab, w_abc = wa * wb, wa * pk_b_herald[kb]
+            terms.append((w_ab * pa, w_ab * pb, w_ab * pab, w_abc * pab))
     # A sum of terms that add up to 1 can round past it by an ulp or two.
-    p_single_c = min(float(pk_b_herald.sum()), 1.0)  # includes the dark contribution
+    p_single_c = min(_add_reduce(pk_b_herald), 1.0)  # includes the dark contribution
 
     def rates_at(overlap: float) -> ExpectedRates:
-        if one_plus_one.size:
+        if one_plus_one is not None:
             p_coinc = _p_coinc(params.cross2, overlap)
             p_bunch = (1.0 - p_coinc) / 2.0
-            pa = p_coinc * a1 + p_bunch * (a2 + a0)
-            pb = p_coinc * b1 + p_bunch * (b2 + b0)
-            pab = p_coinc * a1 * b1 + p_bunch * (a2 * b0 + a0 * b2)
+            pa = p_coinc * ca[1] + p_bunch * (ca[2] + ca[0])
+            pb = p_coinc * cb[1] + p_bunch * (cb[2] + cb[0])
+            pab = p_coinc * ca[1] * cb[1] + p_bunch * (ca[2] * cb[0] + ca[0] * cb[2])
             w, wh = pk_a[1] * pk_b[1], pk_a[1] * pk_b_herald[1]
-            terms[:, one_plus_one[0]] = (w * pa, w * pb, w * pab, wh * pab)
-        p_a, p_b, p_ab, p_abc = np.minimum(np.add.accumulate(terms, axis=1)[:, -1], 1.0).tolist()
+            terms[one_plus_one] = (w * pa, w * pb, w * pab, wh * pab)
+        sums = [0.0] * 4
+        for term in terms:
+            for r in range(4):
+                sums[r] += term[r]
+        p_a, p_b, p_ab, p_abc = (min(rate, 1.0) for rate in sums)
         return ExpectedRates(p_a, p_b, p_single_c, p_ab, p_abc)
 
     return rates_at
@@ -787,7 +858,7 @@ def scan_dip(
             rates.append(p3)
             errors.append(0.0)
             continue
-        rng = np.random.default_rng(derive_key(seed, "scan", i))
+        rng = _generator(derive_key(seed, "scan", i))
         gated = int(rng.binomial(n_pulses_per_point, params.p_gate))
         threefold = int(rng.binomial(gated, p3))
         rates.append(threefold / gated if gated else 0.0)

@@ -30,8 +30,8 @@ def reference_rates(params: SimParams, overlap: float) -> ExpectedRates:
     # Joint law of (photons at C2 input b, herald click), correlated through
     # the chip pair number n.
     h_det = params.p_c_arrive * params.eta_c
-    pk_b_herald = np.zeros(params.pmf_b.shape[0])
-    pk_b = np.zeros(params.pmf_b.shape[0])
+    pk_b_herald = np.zeros(len(params.pmf_b))
+    pk_b = np.zeros(len(params.pmf_b))
     for n, pn in enumerate(params.pmf_b):
         if pn == 0.0:
             continue
@@ -48,7 +48,7 @@ def reference_rates(params: SimParams, overlap: float) -> ExpectedRates:
     bar = 1.0 - cross
     p_coinc = bar * bar + cross * cross - 2.0 * bar * cross * overlap
 
-    max_m = max(params.pmf_a.shape[0] + params.pmf_b.shape[0] - 1, 3)
+    max_m = max(len(params.pmf_a) + len(params.pmf_b) - 1, 3)
     click_a = _click_probs(max_m - 1, p_det_a, params.dark_a)
     click_b = _click_probs(max_m - 1, p_det_b, params.dark_b)
 

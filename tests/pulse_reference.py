@@ -70,8 +70,8 @@ def _batch(params: SimParams, rng: CounterRng, idx: np.ndarray, overlap: float):
     n_a = np.searchsorted(np.cumsum(params.pmf_a), rng.uniform(idx, _S_NA), side="right")
     n_b = np.searchsorted(np.cumsum(params.pmf_b), rng.uniform(idx, _S_NB), side="right")
     # A uniform past a cumulative sum that rounds below 1 reads the last pair number.
-    np.minimum(n_a, params.pmf_a.shape[0] - 1, out=n_a)
-    np.minimum(n_b, params.pmf_b.shape[0] - 1, out=n_b)
+    np.minimum(n_a, len(params.pmf_a) - 1, out=n_a)
+    np.minimum(n_b, len(params.pmf_b) - 1, out=n_b)
 
     k_a = _survivor_counts(rng, idx, n_a, _S_A_SURV, params.q_a)
     k_b = _survivor_counts(rng, idx, n_b, _S_B_SURV, params.q_b)

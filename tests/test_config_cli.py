@@ -554,6 +554,41 @@ _REJECTIONS = [
         '{"link_dark_prob_per_ns": 2.0}',
         "ConfigurationError: link_dark_prob_per_ns must be in [0, 1], got 2.0",
     ),
+    # The models' range checks named a quantity, not the key: "efficiency
+    # must be in [0, 1]" for either detector, "FWHM bandwidth must be > 0",
+    # "center wavelength must be > 0", "filter FWHM must be > 0", "insertion
+    # loss must be >= 0 dB", "pump power must be >= 0", "pairs_per_mw must be
+    # >= 0", "gate window must be > 0 ns", "segment 'prop_back' loss must be
+    # >= 0 dB", and "herald efficiency" or "herald dark probability must be
+    # in [0, 1]".
+    *(
+        ((command,), f'{{"{key}": {value}}}', f"ConfigurationError: {key} must be {bound}, got {float(value)}")
+        for command, key, value, bound in (
+            ("mc-run", "detector_efficiency", 1.5, "in [0, 1]"),
+            ("keyrate-sweep", "link_detector_efficiency", 1.5, "in [0, 1]"),
+            ("hom-dip", "detector_gate_window_ns", 0, "> 0"),
+            ("keyrate-sweep", "link_gate_window_ns", 0, "> 0"),
+            ("spdc-spectrum", "spdc_center_wavelength_nm", 0, "> 0"),
+            ("spdc-spectrum", "spdc_fwhm_nm", 0, "> 0"),
+            ("mc-run", "spdc_fwhm_nm", -80, "> 0"),
+            ("mc-run", "photon_center_wavelength_nm", 0, "> 0"),
+            ("hom-dip", "photon_fwhm_pm", 0, "> 0"),
+            ("mc-run", "external_pairs_per_mw", -1, ">= 0"),
+            ("mc-run", "external_pump_power_mw", -1, ">= 0"),
+            ("hom-dip", "chip_pairs_per_mw", -1, ">= 0"),
+            ("hom-dip", "chip_pump_power_mw", -1, ">= 0"),
+            ("mc-run", "filter_ab_fwhm_pm", 0, "> 0"),
+            ("mc-run", "filter_ab_insertion_loss_db", -1, ">= 0"),
+            ("hom-dip", "filter_c_fwhm_pm", 0, "> 0"),
+            ("hom-dip", "filter_c_insertion_loss_db", -1, ">= 0"),
+            ("mc-run", "loss_fiber_to_chip_db", -1, ">= 0"),
+            ("mc-run", "loss_chip_to_fiber_db", -1, ">= 0"),
+            ("hom-dip", "loss_propagation_front_db", -1, ">= 0"),
+            ("keyrate-sweep", "loss_propagation_back_db", -1, ">= 0"),
+            ("visibility-map", "map_herald_efficiency", 1.5, "in [0, 1]"),
+            ("visibility-map", "map_herald_dark_prob", 2, "in [0, 1]"),
+        )
+    ),
     # An OverflowError in coherence_time, squaring the wavelength.
     *(
         (
@@ -752,6 +787,27 @@ def test_import_and_closed_form_studies_leave_numpy_unloaded():
     assert lines[0] == "[]"
     assert lines[-2] == "[]"
     assert lines[-1] == "False"
+
+
+def test_exact_model_leaves_numpy_unloaded_until_a_run():
+    # Compiling a scenario, the enumeration and the closed form are the whole
+    # Monte Carlo set-up; only sampling loads numpy, which the last line shows.
+    script = (
+        "import sys\n"
+        "from relaysim.config import load_preset\n"
+        "from relaysim.montecarlo import analytic_visibility, compile_scenario, expected_rates, run\n"
+        "scenario = load_preset('paper-fig6').to_scenario()\n"
+        "compile_scenario(scenario)\n"
+        "expected_rates(scenario)\n"
+        "expected_rates(scenario, overlap=0.0)\n"
+        "analytic_visibility(scenario)\n"
+        "print('numpy' in sys.modules)\n"
+        "run(scenario, 1000)\n"
+        "print('numpy' in sys.modules)\n"
+    )
+    proc = run_python("-c", script)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["False", "True"]
 
 
 @pytest.mark.parametrize(
