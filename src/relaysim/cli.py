@@ -200,8 +200,7 @@ def _cmd_keyrate_sweep(args) -> int:
     from .linkbudget import fig2_models, max_distance, sweep
 
     cfg = _load(args)
-    if not cfg.sweep_step_km > 0:
-        raise ConfigurationError(f"sweep_step_km must be > 0, got {cfg.sweep_step_km}")
+    cfg.checked("sweep_step_km", "> 0")
     if not cfg.sweep_min_km <= cfg.sweep_max_km:
         raise ConfigurationError(
             f"sweep_min_km must be <= sweep_max_km, got {cfg.sweep_min_km} > {cfg.sweep_max_km}"

@@ -20,13 +20,13 @@ once, for the dip leg: expected flows, its gated pulses times the per-gate
 expectation.  `joint_law`, the exact enumeration `expected_rates` and the
 closed form `analytic_visibility` all read one set of `_model_inputs`.
 
-numpy is imported only inside the functions whose numpy work no plain loop
-reproduces bit for bit: `joint_law`'s einsum, the ledger's BLAS dot product,
-the Generator draws (`_generator`) and `CounterRng`.  Compiling a scenario,
-the enumeration and the closed form are standard-library Python that adds in
-numpy's order (`_add_reduce` is numpy's pairwise sum; only the click table's
-powers may round otherwise, see `_clicks`), so `expected_rates` and
-`analytic_visibility` run without loading numpy.
+numpy is imported in three places only: `joint_law`'s einsum, the Generator
+draws (`_generator`) and `CounterRng` with its `_mix64`.  Compiling a
+scenario, the enumeration, the closed form and the photon ledger are
+standard-library Python: sums are sequential or `math.fsum`, which is
+correctly rounded in any order, and powers are `**`.  So `expected_rates`,
+`analytic_visibility` and the ledger run without loading numpy, and their
+bits do not depend on its version.
 
 `CounterRng` is a stateless counter hash: pulse i, draw slot j reads a
 64-bit hash of (stream key, i * SLOTS + j), so a per-pulse sampler drawing
@@ -222,46 +222,20 @@ def _pair_distribution(override, source: SpdcSource, name: str) -> PhotonNumberD
         raise ConfigurationError(f"{name} source: {exc}") from None
 
 
-def _add_reduce(values) -> float:
-    """`np.add.reduce` of a float64 sequence, bit for bit: numpy's pairwise sum.
-
-    Runs longer than 128 values are split at the multiple of 8 at or below
-    half, and the halves' sums added.  Up to 128, value i goes to running
-    sum i % 8 over the longest multiple-of-8 prefix, the 8 sums are added as
-    ((0 + 1) + (2 + 3)) + ((4 + 5) + (6 + 7)), and the rest are added in
-    order.  The sum starts from +0.0, so negative zeros sum to +0.0.
-    """
-    n = len(values)
-    if n > 128:
-        half = n // 2 - n // 2 % 8
-        return _add_reduce(values[:half]) + _add_reduce(values[half:])
-    total = 0.0
-    end = n - n % 8
-    if end:
-        r = list(values[:8])
-        for i in range(8, end, 8):
-            for j in range(8):
-                r[j] += values[i + j]
-        total += ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-    for v in values[end:]:
-        total += v
-    return total
-
-
 def _pair_pmf(pmf) -> tuple[float, ...]:
     """Normalised pair-number pmf.
 
     The differences of the sequential cumulative sum are normalised by their
-    `_add_reduce`, not pmf itself: they differ from it by up to 1.1e-16, and
+    `math.fsum`, not pmf itself: they differ from it by up to 1.1e-16, and
     the enumeration and Monte Carlo outputs are defined from them to the
-    last bit (numpy's `diff(cumsum(pmf), prepend=0.0)` and `sum`).  In the
-    far tail that is a large relative error (5.7 % at p(9) of a thermal law
-    of mean 0.02), and past the point where the sum saturates they are exact
-    zeros.
+    last bit.  In the far tail that is a large relative error (5.7 % at p(9)
+    of a thermal law of mean 0.02), and past the point where the sum
+    saturates they are exact zeros.  Where every difference is exact, as for
+    a thermal law, their sum is the last cumulative value in any order.
     """
     cumulative = list(accumulate(pmf))
     diffs = [c - below for c, below in zip(cumulative, [0.0, *cumulative])]
-    total = _add_reduce(diffs)
+    total = math.fsum(diffs)
     return tuple(p / total for p in diffs)
 
 
@@ -291,11 +265,11 @@ def compile_scenario(scenario: Scenario) -> SimParams:
         raise ConfigurationError(f"alice_arm_loss_db must be >= 0, got {scenario.alice_arm_loss_db}")
     try:
         tau_c_ps = coherence_time(scenario.photon_mode)
-    except ValueError as exc:  # the only failure: a center wavelength whose square overflows
+    except ValueError as exc:  # a center wavelength whose square overflows or underflows
         raise ConfigurationError(f"photon_center_wavelength_nm: {exc}") from None
     tau_ps = tau_c_ps if scenario.dip_fwhm_time_ps is None else scenario.dip_fwhm_time_ps
-    # Only an override fails (the coherence time is > 0): one that is not > 0,
-    # or one so small (below about 2.5e-312 ps) that its path underflows to 0 mm.
+    # An override that is not > 0, or one so small (below about 2.5e-312 ps)
+    # that its path underflows to 0 mm, fails here.
     fwhm_mm = delay_to_path(tau_ps) if tau_ps > 0 else 0.0
     if not fwhm_mm > 0:
         raise ConfigurationError(f"dip_fwhm_time_ps must be > 0, got {scenario.dip_fwhm_time_ps}")
@@ -459,12 +433,9 @@ def _ledger_per_gate(params: SimParams) -> tuple[float, float, float, float]:
     The C2 outputs carry k_a (1 - cross) + k_b cross and k_a cross +
     k_b (1 - cross) photons on average; the interfering one-plus-one pattern
     has the same means as independent routing.  The mean pair numbers are
-    numpy dot products: BLAS fuses and reorders their multiply-adds, so no
-    sequential sum gives their bits.
+    the `math.fsum` of n p(n), so they load no numpy.
     """
-    import numpy as np
-
-    n_a, n_b = (float(np.arange(len(pmf)) @ np.array(pmf)) for pmf in (params.pmf_a, params.pmf_b))
+    n_a, n_b = (math.fsum(n * p for n, p in enumerate(pmf)) for pmf in (params.pmf_a, params.pmf_b))
     k_a, k_b, cross = params.q_a * n_a, params.q_b * n_b, params.cross2
     out_a = (1.0 - cross) * k_a + cross * k_b
     out_b = cross * k_a + (1.0 - cross) * k_b
@@ -724,7 +695,8 @@ def _rate_table(params: SimParams) -> Callable[[float], ExpectedRates]:
     over C2's routings, x of the k_a photons crossing to output B and y of
     the k_b photons to A, in (x, y) order.  The one-plus-one pattern, the
     only one whose clicks depend on the overlap, has its entry filled on
-    each call.  Each rate is a sequential sum over the patterns.
+    each call.  Each rate is a sequential sum over the patterns, except
+    p_single_c, the `math.fsum` of the herald weights.
     """
     pk_a, pk_b, pk_b_herald, _, route, click_a, click_b = _model_inputs(params)
     ca = [c for _, c in click_a]  # P[click A] at m photons, darks included
@@ -752,8 +724,8 @@ def _rate_table(params: SimParams) -> Callable[[float], ExpectedRates]:
                     pab += wca * cb[x + kb - y]
             w_ab, w_abc = wa * wb, wa * pk_b_herald[kb]
             terms.append((w_ab * pa, w_ab * pb, w_ab * pab, w_abc * pab))
-    # A sum of terms that add up to 1 can round past it by an ulp or two.
-    p_single_c = min(_add_reduce(pk_b_herald), 1.0)  # includes the dark contribution
+    # Terms that add up to 1 can each round up, so even their exact sum can pass it.
+    p_single_c = min(math.fsum(pk_b_herald), 1.0)  # includes the dark contribution
 
     def rates_at(overlap: float) -> ExpectedRates:
         if one_plus_one is not None:

@@ -59,6 +59,8 @@ def coherence_time(mode: SpectralMode) -> float:
         lam_sq = lam_m**2
     except OverflowError:
         raise ValueError(f"center wavelength {mode.center_wavelength_nm} nm overflows when squared") from None
+    if not lam_sq > 0:
+        raise ValueError(f"center wavelength {mode.center_wavelength_nm} nm underflows when squared")
     return k * lam_sq / (SPEED_OF_LIGHT_M_PER_S * dlam_m) * 1e12
 
 

@@ -17,9 +17,13 @@ from relaysim.montecarlo import ExpectedRates, SimParams
 from relaysim.photostats import PhotonNumberDistribution, apply_loss
 
 
-def _click_probs(m_max: int, p_det: float, dark: float) -> np.ndarray:
-    """P[click] of a gated detector reached by m = 0..m_max photons."""
-    return 1.0 - (1.0 - p_det) ** np.arange(m_max + 1) * (1.0 - dark)
+def _click_probs(m_max: int, p_det: float, dark: float) -> list[float]:
+    """P[click] of a gated detector reached by m = 0..m_max photons.
+
+    Each power is Python's `**`, as in the engine: numpy's vectorised
+    `power` rounds some of them differently in the last bit.
+    """
+    return [1.0 - (1.0 - p_det) ** m * (1.0 - dark) for m in range(m_max + 1)]
 
 
 def reference_rates(params: SimParams, overlap: float) -> ExpectedRates:
@@ -40,7 +44,7 @@ def reference_rates(params: SimParams, overlap: float) -> ExpectedRates:
             b = math.comb(n, k) * params.q_b**k * (1.0 - params.q_b) ** (n - k)
             pk_b[k] += pn * b
             pk_b_herald[k] += pn * b * p_click_c
-    p_single_c = float(pk_b_herald.sum())  # includes the dark contribution
+    p_single_c = math.fsum(pk_b_herald)  # includes the dark contribution
 
     p_det_a = params.s_post * params.eta_a
     p_det_b = params.s_post * params.eta_b

@@ -1,5 +1,8 @@
 """Scenarios and a closed form shared by the Monte Carlo, acceptance and rejection tests."""
 
+import math
+import random
+
 from relaysim.components import ChipLayout, DetectorModel, SpdcSource
 from relaysim.config import ScenarioConfig, load_preset
 from relaysim.interference import v_statistics
@@ -96,6 +99,24 @@ def law_cases() -> list[tuple[str, Scenario]]:
         # Pair distributions shorter than N_MAX + 1.
         ("single_photon", single_photon_scenario(0.0)),
     ]
+
+
+def random_bench_cases(seed: int, count: int) -> list[tuple[str, Scenario]]:
+    """Bench scenarios at random means (1e-4 to 0.56 pairs), efficiency, darks, delay and coupler voltages."""
+    rnd = random.Random(seed)
+    log_mean = (math.log10(1e-4), math.log10(0.56))
+    cases = []
+    for i in range(count):
+        scenario = bench_scenario(
+            10 ** rnd.uniform(*log_mean),
+            10 ** rnd.uniform(*log_mean),
+            eta=rnd.uniform(0.05, 1.0),
+            dark_per_ns=rnd.choice([0.0, 10 ** rnd.uniform(-7.0, -3.0)]),
+            delay_mm=rnd.uniform(-10.0, 10.0),
+        )
+        c1_v, c2_v = rnd.uniform(0.0, 60.0), rnd.uniform(0.0, 60.0)
+        cases.append((f"random{seed}_{i}", replace(scenario, coupler_c1_voltage_v=c1_v, coupler_c2_voltage_v=c2_v)))
+    return cases
 
 
 def photostats_closed_form(scenario) -> float:

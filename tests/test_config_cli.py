@@ -598,6 +598,15 @@ _REJECTIONS = [
         )
         for command in ("mc-run", "hom-dip")
     ),
+    # A square that underflows to 0 would give a coherence time of 0.
+    *(
+        (
+            argv,
+            '{"photon_center_wavelength_nm": 1e-300}',
+            "ConfigurationError: photon_center_wavelength_nm: center wavelength 1e-300 nm underflows when squared",
+        )
+        for argv in (("mc-run",), ("hom-dip", "--pulses", "0"))
+    ),
     # The model's own range checks named neither key nor value ("arm losses
     # must be >= 0 dB", "mean photon numbers must be >= 0").
     (
@@ -791,13 +800,16 @@ def test_import_and_closed_form_studies_leave_numpy_unloaded():
 
 def test_exact_model_leaves_numpy_unloaded_until_a_run():
     # Compiling a scenario, the enumeration and the closed form are the whole
-    # Monte Carlo set-up; only sampling loads numpy, which the last line shows.
+    # Monte Carlo set-up, and a run's photon ledger is plain Python too; only
+    # sampling loads numpy, which the last line shows.
     script = (
         "import sys\n"
         "from relaysim.config import load_preset\n"
-        "from relaysim.montecarlo import analytic_visibility, compile_scenario, expected_rates, run\n"
+        "from relaysim.montecarlo import (\n"
+        "    _ledger_per_gate, analytic_visibility, compile_scenario, expected_rates, run,\n"
+        ")\n"
         "scenario = load_preset('paper-fig6').to_scenario()\n"
-        "compile_scenario(scenario)\n"
+        "_ledger_per_gate(compile_scenario(scenario))\n"
         "expected_rates(scenario)\n"
         "expected_rates(scenario, overlap=0.0)\n"
         "analytic_visibility(scenario)\n"

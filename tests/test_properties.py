@@ -5,7 +5,6 @@ suite stays fast and gives the same result on every run.
 """
 
 import math
-import random
 import subprocess
 import sys
 from pathlib import Path
@@ -19,7 +18,7 @@ from helpers import bench_scenario
 from relaysim.cli import _arange, _linspace
 from relaysim.components import _SINC2_HALF_MAX_X, spdc_spectral_density
 from relaysim.interference import v_statistics
-from relaysim.montecarlo import _add_reduce, compile_scenario, joint_law, run
+from relaysim.montecarlo import compile_scenario, joint_law, run
 from relaysim.photostats import apply_loss, herald_condition, poisson, thermal
 from relaysim.units import SpectralMode
 
@@ -116,28 +115,6 @@ def test_linspace_grids_equal_numpy(args):
 )
 def test_arange_grids_equal_numpy(args):
     assert _arange(*args) == np.arange(*args).tolist()
-
-
-# Zeros of either sign and subnormals, among the values summed below.
-_SPECIAL_FLOATS = (0.0, -0.0, 5e-324, -5e-324, 1e-310)
-
-
-@settings(max_examples=10, deadline=None, derandomize=True, database=None)
-@given(seed=st.integers(0, 2**64 - 1))
-def test_add_reduce_equals_numpy(seed):
-    # Every length from 1 to 160: below 8 values numpy adds them in order, up
-    # to 128 it keeps 8 running sums, past that it splits the run.  Most
-    # values carry a full mantissa, so each order of adding them rounds
-    # differently.  hex tells the two zeros apart; numpy's sum of negative
-    # zeros is +0.0.
-    rnd = random.Random(seed)
-    for n in range(1, 161):
-        values = [
-            rnd.choice(_SPECIAL_FLOATS) if rnd.random() < 0.1 else rnd.uniform(-1.0, 1.0) * 2.0 ** rnd.randint(-8, 8)
-            for _ in range(n)
-        ]
-        for case in (values, [-0.0] * n):
-            assert _add_reduce(case).hex() == float(np.add.reduce(np.array(case))).hex(), case
 
 
 @FAST
