@@ -15,8 +15,8 @@ Each handler imports the modules only it needs, so a cold start compiles and
 loads no other study's code.
 
 `main` defaults OPENBLAS_NUM_THREADS to 1 unless it is set or numpy is
-already loaded: the only BLAS work is `einsum` and one dot product on
-operands of at most 21 x 21, so a BLAS worker pool only costs start-up.
+already loaded: the only BLAS work is `joint_law`'s `einsum` on operands
+of at most 21 x 21, so a BLAS worker pool only costs start-up.
 Importing this module leaves the environment alone.
 """
 

@@ -267,6 +267,11 @@ def compile_scenario(scenario: Scenario) -> SimParams:
         tau_c_ps = coherence_time(scenario.photon_mode)
     except ValueError as exc:  # a center wavelength whose square overflows or underflows
         raise ConfigurationError(f"photon_center_wavelength_nm: {exc}") from None
+    if not 0 < tau_c_ps < math.inf:  # the quotient by the bandwidth can underflow or overflow
+        raise ConfigurationError(
+            "photon_center_wavelength_nm and photon_fwhm_pm must give a coherence time that is finite and > 0, "
+            f"got {tau_c_ps} ps"
+        )
     tau_ps = tau_c_ps if scenario.dip_fwhm_time_ps is None else scenario.dip_fwhm_time_ps
     # An override that is not > 0, or one so small (below about 2.5e-312 ps)
     # that its path underflows to 0 mm, fails here.
@@ -635,7 +640,8 @@ def _resolution_warning(params: SimParams, n_pulses: int, p_dip: float, p_ref: f
     n_pulses * p_gate * p_ref three-folds.  Below RESOLVABLE_REF_TRIPLES the
     warning names the pulse count that gives a raw-visibility sigma of
     TARGET_SIGMA_V, r sqrt(1/c_dip + 1/c_ref) with r = p_dip / p_ref, and at
-    least RESOLVABLE_REF_TRIPLES reference three-folds (a full dip has sigma 0).
+    least RESOLVABLE_REF_TRIPLES reference three-folds (a full dip has sigma 0),
+    or says that no count a leg can draw, MAX_PULSES at most, reaches it.
     """
     p_dip, p_ref = float(p_dip), float(p_ref)
     ref_triples = n_pulses * params.p_gate * p_ref
@@ -648,6 +654,8 @@ def _resolution_warning(params: SimParams, n_pulses: int, p_dip: float, p_ref: f
         p_dip * (p_dip + p_ref) / p_ref**3 / (params.p_gate * TARGET_SIGMA_V**2),
         RESOLVABLE_REF_TRIPLES / (params.p_gate * p_ref),
     )
+    if not needed <= MAX_PULSES:
+        return head + f"; no pulse count a leg can draw (at most {MAX_PULSES}) reaches sigma_V = {TARGET_SIGMA_V}"
     return head + f"; sigma_V = {TARGET_SIGMA_V} needs about {needed:.2g} pulses"
 
 

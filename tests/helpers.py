@@ -3,7 +3,6 @@
 import math
 import random
 
-from relaysim.components import ChipLayout, DetectorModel, SpdcSource
 from relaysim.config import ScenarioConfig, load_preset
 from relaysim.interference import v_statistics
 from relaysim.montecarlo import Scenario, compile_scenario
@@ -11,10 +10,19 @@ from relaysim.photostats import apply_loss, custom, herald_condition, thermal
 from relaysim.records import replace
 
 
-def lossless_layout() -> ChipLayout:
-    return ChipLayout(
-        segments={"fiber_to_chip": 0.0, "chip_to_fiber": 0.0, "prop_front": 0.0, "prop_back": 0.0}
-    )
+# The bench: a lossless chip, every pulse gated, no darks, and each source's
+# mean pairs per pulse equal to its pairs_per_mw.
+BENCH = ScenarioConfig(
+    gate_rate_hz=76e6,
+    pump_duration_ps=0.0,
+    external_pump_power_mw=1.0,
+    chip_pump_power_mw=1.0,
+    loss_fiber_to_chip_db=0.0,
+    loss_chip_to_fiber_db=0.0,
+    loss_propagation_front_db=0.0,
+    loss_propagation_back_db=0.0,
+    detector_dark_prob_per_ns=0.0,
+)
 
 
 def bench_scenario(
@@ -26,23 +34,21 @@ def bench_scenario(
     alice_db: float = 0.0,
     pump_ps: float = 0.0,
     delay_mm: float = 0.0,
-    layout: ChipLayout | None = None,
     gate_rate_hz: float = 76e6,
 ) -> Scenario:
     """Bright bench scenario: every pulse gated, losses and darks as given."""
-    det = DetectorModel(efficiency=eta, dark_prob_per_ns=dark_per_ns, gate_window_ns=gate_window_ns)
-    return Scenario(
+    return replace(
+        BENCH,
         gate_rate_hz=gate_rate_hz,
-        external_source=SpdcSource(pairs_per_mw=mean_a, pump_power_mw=1.0),
-        chip_source=SpdcSource(pairs_per_mw=mean_b, pump_power_mw=1.0),
-        layout=layout if layout is not None else lossless_layout(),
-        alice_arm_loss_db=alice_db,
-        detector_a=det,
-        detector_b=det,
-        detector_c=det,
         pump_duration_ps=pump_ps,
+        external_pairs_per_mw=mean_a,
+        chip_pairs_per_mw=mean_b,
+        alice_arm_loss_db=alice_db,
+        detector_efficiency=eta,
+        detector_dark_prob_per_ns=dark_per_ns,
+        detector_gate_window_ns=gate_window_ns,
         delay_mm=delay_mm,
-    )
+    ).to_scenario()
 
 
 def single_photon_scenario(delay_mm: float) -> Scenario:
@@ -53,20 +59,8 @@ def single_photon_scenario(delay_mm: float) -> Scenario:
     coincidence is the observable.
     """
     one = custom([0.0, 1.0])
-    det = DetectorModel(efficiency=1.0, dark_prob_per_ns=0.0, gate_window_ns=1.0)
-    return replace(
-        ScenarioConfig().to_scenario(),
-        gate_rate_hz=76e6,
-        external_distribution=one,
-        chip_distribution=one,
-        coupler_c1_voltage_v=0.0,
-        layout=lossless_layout(),
-        detector_a=det,
-        detector_b=det,
-        detector_c=det,
-        pump_duration_ps=0.0,
-        delay_mm=delay_mm,
-    )
+    scenario = replace(BENCH, detector_efficiency=1.0, coupler_c1_voltage_v=0.0, delay_mm=delay_mm).to_scenario()
+    return replace(scenario, external_distribution=one, chip_distribution=one)
 
 
 def oracle_scenarios() -> list[tuple[str, Scenario]]:

@@ -4,7 +4,9 @@ Prints one sorted JSON object: for each checked command, the exit status,
 the sha256 of stdout and stderr, run in-process through `relaysim.cli.main`,
 and every number stdout prints, parsed as a float; for each `law_cases()`
 scenario, the sha256 and the values of `joint_law(...)` and of
-`expected_rates(...)` at the delay's overlap, 0, 0.37 and 1.
+`expected_rates(...)` at the delay's overlap, 0, 0.37 and 1.  The checked
+commands start with the benchmark's pinned ones, read from
+`perfbench/cli_contract.json`, each run with `--seed 1`.
 
 To check that a change moves no byte, run it against both source trees and
 compare the outputs:
@@ -37,13 +39,7 @@ import struct
 import sys
 import tempfile
 
-CONTRACT = (
-    ["spdc-spectrum", "--preset", "paper-fig3"],
-    ["coupler-curve", "--preset", "paper-fig4"],
-    ["visibility-map", "--preset", "paper-fig5"],
-    ["hom-dip", "--preset", "paper-fig6", "--pulses", "0"],
-    ["keyrate-sweep", "--preset", "paper-fig2"],
-)
+CONTRACT_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "perfbench", "cli_contract.json")
 
 # The vanishing-efficiency herald with dark clicks, which has no such limit.
 DARK_LIMIT_HERALD = {
@@ -76,7 +72,7 @@ def _commands(config_dir: str) -> list[list[str]]:
     with open(herald_path, "w", encoding="utf-8") as fh:
         json.dump(DARK_LIMIT_HERALD, fh)
     return [
-        *(argv + ["--seed", "1"] for argv in CONTRACT),
+        *(entry["argv"] + ["--seed", "1"] for entry in _load(CONTRACT_PATH).values()),
         *([cmd, "--preset", p] for cmd in ("visibility-map", "keyrate-sweep") for p in PRESET_NAMES),
         ["mc-run", "--preset", "paper-fig6", "--pulses", "5000000000000", "--seed", "1"],
         ["mc-run", "--pulses", "1000000", "--seed", "3"],

@@ -607,6 +607,19 @@ _REJECTIONS = [
         )
         for argv in (("mc-run",), ("hom-dip", "--pulses", "0"))
     ),
+    # A coherence time whose quotient by the bandwidth underflows to 0 blamed
+    # dip_fwhm_time_ps ("must be > 0, got None"); one that overflows named no
+    # key ("ValueError: delay must be finite, got inf").
+    *(
+        (
+            argv,
+            f'{{"photon_center_wavelength_nm": {center}, "photon_fwhm_pm": {fwhm}}}',
+            "ConfigurationError: photon_center_wavelength_nm and photon_fwhm_pm must give a coherence time "
+            f"that is finite and > 0, got {tau} ps",
+        )
+        for center, fwhm, tau in (("1e-151", "1e300", 0.0), ("1e150", "1e-300", math.inf))
+        for argv in (("mc-run",), ("hom-dip", "--pulses", "0"))
+    ),
     # The model's own range checks named neither key nor value ("arm losses
     # must be >= 0 dB", "mean photon numbers must be >= 0").
     (
@@ -750,100 +763,51 @@ def test_blas_thread_count_leaves_stdout_unchanged(argv):
     assert outputs[0] == outputs[1]
 
 
-def test_cli_entry_point_installed():
-    proc = run_python("-m", "relaysim.cli", "keyrate-sweep", "--preset", "paper-fig2")
-    assert proc.returncode == 0
-    assert "gain_lossless" in proc.stdout
+def _cli(*argv) -> tuple[str, ...]:
+    return ("-m", "relaysim.cli", *argv, "--out", os.devnull)
 
 
-def test_import_defers_scipy_optimize():
-    # scipy.optimize is most of the import time; only fits need it.
-    proc = run_python("-c", "import sys, relaysim; print('scipy.optimize' in sys.modules)")
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
-
-
-def test_monte_carlo_and_coupler_curve_run_without_scipy_optimize():
-    # Both calibrate the couplers; only the hom-dip fit needs scipy.optimize.
-    script = (
-        "import sys\n"
-        "from relaysim.cli import main\n"
-        "assert main(['mc-run', '--preset', 'paper-fig6', '--pulses', '1000']) == 0\n"
-        "assert main(['coupler-curve', '--preset', 'paper-fig4']) == 0\n"
-        "print('scipy.optimize' in sys.modules)\n"
-    )
-    proc = run_python("-c", script)
-    assert proc.returncode == 0, proc.stderr
-    assert "ref_threefold_abc: " in proc.stdout and "c1: gamma_rad_per_V=" in proc.stdout
-    assert proc.stdout.splitlines()[-1] == "False"
-
-
-def test_import_and_closed_form_studies_leave_numpy_unloaded():
-    # numpy is most of a cold start for the four studies that do not sample;
-    # dataclasses, and the inspect module it imports, cost milliseconds more.
-    script = (
-        "import os, sys, relaysim\n"
-        "print(sorted(m for m in sys.modules if m.startswith(('relaysim.', 'numpy'))))\n"
-        "from relaysim.cli import main\n"
-        "for name in ('spdc-spectrum', 'coupler-curve', 'visibility-map', 'keyrate-sweep'):\n"
-        "    assert main([name, '--out', os.devnull]) == 0, name\n"
-        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n"
-        "print('numpy' in sys.modules)\n"
-    )
-    proc = run_python("-c", script)
-    assert proc.returncode == 0, proc.stderr
-    lines = proc.stdout.splitlines()
-    assert lines[0] == "[]"
-    assert lines[-2] == "[]"
-    assert lines[-1] == "False"
-
-
-def test_exact_model_leaves_numpy_unloaded_until_a_run():
-    # Compiling a scenario, the enumeration and the closed form are the whole
-    # Monte Carlo set-up, and a run's photon ledger is plain Python too; only
-    # sampling loads numpy, which the last line shows.
-    script = (
-        "import sys\n"
-        "from relaysim.config import load_preset\n"
-        "from relaysim.montecarlo import (\n"
-        "    _ledger_per_gate, analytic_visibility, compile_scenario, expected_rates, run,\n"
-        ")\n"
-        "scenario = load_preset('paper-fig6').to_scenario()\n"
-        "_ledger_per_gate(compile_scenario(scenario))\n"
-        "expected_rates(scenario)\n"
-        "expected_rates(scenario, overlap=0.0)\n"
-        "analytic_visibility(scenario)\n"
-        "print('numpy' in sys.modules)\n"
-        "run(scenario, 1000)\n"
-        "print('numpy' in sys.modules)\n"
-    )
-    proc = run_python("-c", script)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == ["False", "True"]
-
-
-@pytest.mark.parametrize(
-    "argv,unloaded",
-    [
-        (["coupler-curve"], ["relaysim.interference", "relaysim.linkbudget", "relaysim.photostats"]),
-        (["keyrate-sweep"], ["relaysim.interference", "relaysim.photostats"]),
-        (["mc-run", "--pulses", "1000"], ["relaysim.linkbudget"]),
-    ],
-    ids=["coupler-curve", "keyrate-sweep", "mc-run"],
+# The Monte Carlo set-up without a run: compile, enumeration, closed form, ledger.
+_EXACT_MODEL = (
+    "from relaysim.config import load_preset\n"
+    "from relaysim.montecarlo import _ledger_per_gate, analytic_visibility, compile_scenario, expected_rates\n"
+    "scenario = load_preset('paper-fig6').to_scenario()\n"
+    "_ledger_per_gate(compile_scenario(scenario))\n"
+    "expected_rates(scenario)\n"
+    "expected_rates(scenario, overlap=0.0)\n"
+    "analytic_visibility(scenario)\n"
 )
-def test_subcommand_loads_only_the_modules_it_uses(argv, unloaded):
-    # Every module a cold start imports is compiled again when no bytecode
-    # is cached, so a study should not load another study's code.
-    script = (
-        "import os, sys\n"
-        "from relaysim.cli import main\n"
-        f"assert main({argv!r} + ['--out', os.devnull]) == 0\n"
-        "print(sorted(m for m in sys.modules if m.startswith('relaysim.')))\n"
-    )
-    proc = run_python("-c", script)
+_STUDY = ("relaysim", "components", "config", "records", "units")
+_SAMPLER = (*_STUDY, "interference", "montecarlo", "photostats")
+
+# What each cold start loads.  numpy is most of a cold start, scipy.optimize
+# most of the rest and only the hom-dip fit needs it; dataclasses, and the
+# inspect module it imports, cost milliseconds more.  A module a cold start
+# imports is compiled again when no bytecode is cached, so no study loads
+# another study's code.
+_COLD_STARTS = {
+    # id: (argv after `python`, its relaysim modules, then whether numpy, scipy.optimize, dataclasses, inspect load)
+    "import":         (("-c", "import relaysim"),          ("relaysim",),                           0, 0, 0, 0),
+    "spdc-spectrum":  (_cli("spdc-spectrum"),              _STUDY,                                  0, 0, 0, 0),
+    "coupler-curve":  (_cli("coupler-curve"),              _STUDY,                                  0, 0, 0, 0),
+    "visibility-map": (_cli("visibility-map"),             (*_STUDY, "interference", "photostats"), 0, 0, 0, 0),
+    "keyrate-sweep":  (_cli("keyrate-sweep"),              (*_STUDY, "linkbudget"),                 0, 0, 0, 0),
+    "hom-dip":        (_cli("hom-dip", "--pulses", "0"),   _SAMPLER,                                1, 1, 1, 1),
+    "mc-run":         (_cli("mc-run", "--pulses", "1000"), _SAMPLER,                                1, 0, 0, 1),
+    "exact-model":    (("-c", _EXACT_MODEL),               _SAMPLER,                                0, 0, 0, 0),
+}
+
+
+@pytest.mark.parametrize("name", _COLD_STARTS)
+def test_cold_start_loads_only_what_it_uses(name):
+    argv, modules, *watched = _COLD_STARTS[name]
+    proc = run_python("-X", "importtime", *argv)
     assert proc.returncode == 0, proc.stderr
-    loaded = proc.stdout.splitlines()[-1]
-    assert not [name for name in unloaded if repr(name) in loaded], loaded
+    # Each "import time:" line ends with a module the child loaded.
+    lines = proc.stderr.splitlines()
+    loaded = {line.rsplit("|", 1)[-1].strip() for line in lines if line.startswith("import time:")}
+    assert sorted(m.removeprefix("relaysim.") for m in loaded if m.split(".")[0] == "relaysim") == sorted(modules)
+    assert [m in loaded for m in ("numpy", "scipy.optimize", "dataclasses", "inspect")] == list(map(bool, watched))
 
 
 @pytest.mark.parametrize(

@@ -483,6 +483,18 @@ def test_resolution_warning():
     # No herald photons and no darks: no pulse count gives a reference three-fold.
     warning = run(single_photon_scenario(500.0), 10**12).resolution_warning
     assert warning.endswith("probability is zero")
+    # At paper-fig6 and 2 Hz a leg can still draw the count named; at 0.5 Hz
+    # the warning named 1.7e+19 pulses, which `run` rejects, and at 1e-300 Hz
+    # "inf pulses".
+    paper = load_preset("paper-fig6").to_scenario()
+    assert run(replace(paper, gate_rate_hz=2.0), 1000).resolution_warning.endswith("needs about 4.2e+18 pulses")
+    for gate_rate_hz in (0.5, 1e-300):
+        scenario = replace(paper, gate_rate_hz=gate_rate_hz)
+        warning = run(scenario, 1000).resolution_warning
+        assert warning.endswith(
+            f"; no pulse count a leg can draw (at most {montecarlo.MAX_PULSES}) reaches sigma_V = 0.05"
+        ), warning
+        assert scan_dip(scenario, positions, 1000).resolution_warning == warning
 
 
 _BUILDS = ("compile_scenario", "joint_law", "_ledger_per_gate", "_rate_table", "_model_inputs")
