@@ -140,8 +140,8 @@ def _cmd_coupler_curve(args) -> int:
 
 
 def _cmd_visibility_map(args) -> int:
-    from .interference import v_statistics, visibility_map
-    from .photostats import herald_condition, thermal
+    from .interference import UndefinedVisibilityError, v_statistics, visibility_map
+    from .photostats import UndefinedConditioningError, herald_condition, thermal
 
     cfg = _load(args)
     for key in ("map_na_values", "map_nb_values"):
@@ -153,9 +153,12 @@ def _cmd_visibility_map(args) -> int:
     if cfg.map_herald_efficiency is not None:
         cfg.checked("map_herald_efficiency", "in [0, 1]")
     cfg.checked("map_herald_dark_prob", "in [0, 1]")
-    rows = visibility_map(
-        cfg.map_na_values, cfg.map_nb_values, cfg.map_herald_efficiency, cfg.map_herald_dark_prob
-    )
+    try:
+        rows = visibility_map(cfg.map_na_values, cfg.map_nb_values, cfg.map_herald_efficiency, cfg.map_herald_dark_prob)
+    except UndefinedConditioningError as exc:
+        raise ConfigurationError(f"map_nb_values, map_herald_efficiency and map_herald_dark_prob: {exc}") from None
+    except UndefinedVisibilityError as exc:
+        raise ConfigurationError(f"map_na_values and map_nb_values: {exc}") from None
     _emit(args, _table_csv(["N_a", "N_b", "visibility"], rows))
 
     # Operating-point summary with the gap to the reference design target.
@@ -186,11 +189,8 @@ def _cmd_hom_dip(args) -> int:
     rows = list(zip(result.positions_mm, result.rates, result.errors))
     _emit(args, _table_csv(["position_mm", "threefold_rate", "error"], rows))
     if result.fit is not None:
-        print(f"fit_visibility={result.fit.visibility!r}")
-        print(f"fit_visibility_err={result.fit.visibility_err!r}")
-        print(f"fit_fwhm_mm={result.fit.fwhm_mm!r}")
-        print(f"fit_fwhm_err={result.fit.fwhm_err!r}")
-        print(f"fit_baseline={result.fit.baseline!r}")
+        for name in ("visibility", "visibility_err", "fwhm_mm", "fwhm_err", "baseline"):
+            print(f"fit_{name}={getattr(result.fit, name)!r}")
     else:
         print(f"fit_failed={result.fit_failed}")
     return 0
@@ -234,26 +234,19 @@ def _cmd_keyrate_sweep(args) -> int:
 
 def _report_rows(report: CountsReport, net: NetRates) -> list[tuple[str, object]]:
     d, r = report.dip, report.ref
+    counts = ("singles_a", "singles_b", "singles_c", "twofold_ab", "threefold_abc")
     return [
         ("pulses_simulated", report.pulses_simulated),
         ("seed", report.seed),
         ("delay_mm", report.delay_mm),
         ("gated_pulses", d.gated),
-        ("singles_a", d.singles_a),
-        ("singles_b", d.singles_b),
-        ("singles_c", d.singles_c),
-        ("twofold_ab", d.twofold_ab),
-        ("threefold_abc", d.threefold_abc),
+        *((name, getattr(d, name)) for name in counts),
         ("photons_generated", report.ledger.generated),
         ("photons_lost", report.ledger.lost),
         ("photons_undetected_at_detector", report.ledger.undetected),
         ("photons_detected", report.ledger.detected),
         ("ref_gated_pulses", r.gated),
-        ("ref_singles_a", r.singles_a),
-        ("ref_singles_b", r.singles_b),
-        ("ref_singles_c", r.singles_c),
-        ("ref_twofold_ab", r.twofold_ab),
-        ("ref_threefold_abc", r.threefold_abc),
+        *((f"ref_{name}", getattr(r, name)) for name in counts),
         ("accidental_threefold_dip", net.accidental_threefold_dip * d.gated),
         ("accidental_threefold_ref", net.accidental_threefold_ref * r.gated),
         ("raw_visibility", report.raw_visibility),

@@ -260,13 +260,22 @@ class DetectorModel:
         return 1.0 - (1.0 - self.dark_prob_per_ns) ** self.gate_window_ns
 
 
+def detector_clicks(m_max: int, p_det: float, dark: float) -> list[tuple[float, float]]:
+    """(P[no click], P[click]) of a gated detector reached by m = 0..m_max photons.
+
+    The click law of every detector: P[no click] = (1 - p_det)^m (1 - dark).
+    The powers are the C library's `pow`; numpy's vectorised `power` rounds
+    some of them differently in the last bit.
+    """
+    quiet = [(1.0 - p_det) ** m * (1.0 - dark) for m in range(m_max + 1)]
+    return [(q, 1.0 - q) for q in quiet]
+
+
 def detector_click_prob(model: DetectorModel, incident_photons: int) -> float:
     """Per-gate click probability for n incident photons: 1-(1-eta)^n (1-dark)."""
     if not incident_photons >= 0:
         raise ValueError(f"photon count must be >= 0, got {incident_photons}")
-    return 1.0 - (1.0 - model.efficiency) ** incident_photons * (
-        1.0 - model.dark_prob_per_gate
-    )
+    return detector_clicks(incident_photons, model.efficiency, model.dark_prob_per_gate)[-1][1]
 
 
 # ---------------------------------------------------------------------------

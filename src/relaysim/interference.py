@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import warnings
 
-from .photostats import PhotonNumberDistribution, herald_condition, thermal
+from .photostats import PhotonNumberDistribution, UndefinedConditioningError, herald_condition, thermal
 from .records import record
 from .units import delay_to_path
 
@@ -75,16 +75,25 @@ def visibility_map(
 
     Arm a is an unheralded thermal source; arm b is thermal, conditioned on
     a herald click.  Rows are emitted in grid order as (N_a, N_b, visibility).
+    An undefined conditioning or visibility names the grid point it fails at.
     """
-    grid_na = list(grid_na)
-    grid_nb = list(grid_nb)
+    grid_na, grid_nb = list(grid_na), list(grid_nb)
     if not grid_na or not grid_nb:
         raise ValueError("grids must be nonempty")
-    dists_b = [herald_condition(thermal(nb), herald_efficiency, herald_dark_prob) for nb in grid_nb]
+    dists_b = []
+    for nb in grid_nb:
+        try:
+            dists_b.append(herald_condition(thermal(nb), herald_efficiency, herald_dark_prob))
+        except UndefinedConditioningError as exc:
+            raise UndefinedConditioningError(f"{exc} at N_b = {nb!r}") from None
     rows = []
     for na in grid_na:
         dist_a = thermal(na)
-        rows.extend((na, nb, v_statistics(dist_a, dist_b)) for nb, dist_b in zip(grid_nb, dists_b))
+        for nb, dist_b in zip(grid_nb, dists_b):
+            try:
+                rows.append((na, nb, v_statistics(dist_a, dist_b)))
+            except UndefinedVisibilityError as exc:
+                raise UndefinedVisibilityError(f"{exc} at N_a = {na!r}, N_b = {nb!r}") from None
     return rows
 
 

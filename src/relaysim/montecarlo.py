@@ -51,6 +51,7 @@ from .components import (
     FilterModel,
     SpdcSource,
     coupler_ratio,
+    detector_clicks,
 )
 from .interference import DipFit, FitFailureError, FOUR_LN2, fit_dip, v_statistics, v_timing
 from .photostats import (
@@ -341,23 +342,13 @@ def compile_scenario(scenario: Scenario) -> SimParams:
 # Joint click law and tallies
 # ---------------------------------------------------------------------------
 
-def _clicks(m_max: int, p_det: float, dark: float) -> list[tuple[float, float]]:
-    """(P[no click], P[click]) of a gated detector reached by m = 0..m_max photons.
-
-    The powers are the C library's `pow`; numpy's vectorised `power` rounds
-    some of them differently in the last bit.
-    """
-    quiet = [(1.0 - p_det) ** m * (1.0 - dark) for m in range(m_max + 1)]
-    return [(q, 1.0 - q) for q in quiet]
-
-
 def _model_inputs(params: SimParams) -> tuple:
     """The overlap-free inputs of `joint_law`, the enumeration and the closed form.
 
     Returns (pk_a, pk_b, pk_b_herald, pk_b_quiet, route, click_a, click_b):
     the law of the photons at C2 input a; that of the photons at input b,
     alone, with a herald click and with none; route[k][x], the probability
-    that x of k photons take C2's cross port; and the D_a and D_b `_clicks`
+    that x of k photons take C2's cross port; and the D_a and D_b click
     tables for as many photons as both laws together hold, and at least 2.
     """
     # Photons from the external source at C2 input a: binomial thinning.
@@ -365,16 +356,16 @@ def _model_inputs(params: SimParams) -> tuple:
 
     # Joint law of (photons at C2 input b, herald click), correlated through
     # the chip pair number n.
-    h_det = params.p_c_arrive * params.eta_c
+    herald = detector_clicks(len(params.pmf_b) - 1, params.p_c_arrive * params.eta_c, params.dark_c)
     pk_b, pk_b_herald, pk_b_quiet = ([0.0] * len(params.pmf_b) for _ in range(3))
     for n, pn in enumerate(params.pmf_b):
         if pn == 0.0:
             continue
-        quiet = (1.0 - h_det) ** n * (1.0 - params.dark_c)
+        quiet, click = herald[n]
         for k in range(n + 1):
             b = math.comb(n, k) * params.q_b**k * (1.0 - params.q_b) ** (n - k)
             pk_b[k] += pn * b
-            pk_b_herald[k] += pn * b * (1.0 - quiet)
+            pk_b_herald[k] += pn * b * click
             pk_b_quiet[k] += pn * b * quiet
 
     cross = params.cross2
@@ -386,8 +377,8 @@ def _model_inputs(params: SimParams) -> tuple:
     ]
 
     m_max = max(len(pk_a) + len(pk_b) - 2, 2)  # _rate_table reads the 2-photon entries
-    click_a = _clicks(m_max, params.s_post * params.eta_a, params.dark_a)
-    click_b = _clicks(m_max, params.s_post * params.eta_b, params.dark_b)
+    click_a = detector_clicks(m_max, params.s_post * params.eta_a, params.dark_a)
+    click_b = detector_clicks(m_max, params.s_post * params.eta_b, params.dark_b)
     return pk_a, pk_b, pk_b_herald, pk_b_quiet, route, click_a, click_b
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from itertools import accumulate
 
+from .components import detector_clicks
 from .records import record
 
 N_MAX = 20  # the largest pair number of every pair law (the joint law's routing table has 21**4 cells)
@@ -122,9 +123,7 @@ def herald_condition(
             )
         weights = [n * p for n, p in enumerate(dist.pmf)]
     else:
-        weights = [
-            p * (1.0 - (1.0 - efficiency) ** n * (1.0 - dark_prob)) for n, p in enumerate(dist.pmf)
-        ]
+        weights = [p * c for p, (_, c) in zip(dist.pmf, detector_clicks(dist.n_max, efficiency, dark_prob))]
     total = sum(weights)
     if not total > 0.0:
         raise UndefinedConditioningError(

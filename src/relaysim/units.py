@@ -1,10 +1,10 @@
 """Physical quantities and unit-safe spectral/temporal conversions.
 
-All conversions between wavelength bandwidth, coherence time, and path delay
-live here; no other module does raw unit math.  Lengths are carried in the
-units conventional for each quantity (wavelengths in nm, filter bandwidths in
-pm, delay-line positions in mm) and converted through the vacuum speed of
-light.
+All conversions between wavelength bandwidth, coherence time, path delay and
+loss live here; only `linkbudget`'s relay search inlines `db_to_linear`, for
+speed.  Lengths are carried in the units conventional for each quantity
+(wavelengths in nm, filter bandwidths in pm, delay-line positions in mm) and
+converted through the vacuum speed of light.
 """
 
 from __future__ import annotations

@@ -393,6 +393,28 @@ _REJECTIONS = [
         "ValueError: the vanishing-efficiency herald takes no dark clicks, got dark probability 0.5: "
         "as the efficiency goes to 0 the conditioned pmf tends to the unconditioned one, not to n*p(n)/mean",
     ),
+    # An UndefinedConditioningError or UndefinedVisibilityError that named
+    # neither a key nor the grid point.  An efficiency of 1e-320 rounds
+    # 1 - efficiency to 1.0: the click law's form cancels, and no pair clicks.
+    *(
+        (
+            ("visibility-map",),
+            text,
+            "ConfigurationError: map_nb_values, map_herald_efficiency and map_herald_dark_prob: "
+            f"herald click probability is zero; conditioning is undefined at N_b = {nb}",
+        )
+        for text, nb in (
+            ('{"map_nb_values": [0.0]}', 0.0),
+            ('{"map_herald_efficiency": 0.0}', 0.005),
+            ('{"map_herald_efficiency": 1e-320, "map_nb_values": [0.01]}', 0.01),
+        )
+    ),
+    (
+        ("visibility-map",),
+        '{"map_na_values": [0.0], "map_nb_values": [1e-200], "map_herald_efficiency": 1.0}',
+        "ConfigurationError: map_na_values and map_nb_values: out-of-dip coincidence probability is zero; "
+        "visibility undefined at N_a = 0.0, N_b = 1e-200",
+    ),
     (("mc-run",), '{"no_such_key": 1}', "ConfigurationError: unknown configuration key 'no_such_key'"),
     *(
         (

@@ -17,9 +17,9 @@ from scipy.stats import chi2
 from enumeration_reference import _click_probs, reference_rates
 from helpers import bench_scenario, law_cases, random_bench_cases
 from pulse_reference import LEDGER, click_table
+from relaysim.components import DetectorModel, detector_click_prob, detector_clicks
 from relaysim.config import load_preset
 from relaysim.montecarlo import (
-    _clicks,
     _rate_table,
     compile_scenario,
     derive_key,
@@ -28,7 +28,7 @@ from relaysim.montecarlo import (
     run,
     scan_dip,
 )
-from relaysim.photostats import custom
+from relaysim.photostats import custom, herald_condition
 from relaysim.records import replace
 
 # A correct sampler fails a chi-square check at this p-value once in 1000 seeds.
@@ -72,11 +72,20 @@ OVERLAPS = [None, 0.0, 0.37, 1.0, 0.999999, 1e-300]
 
 def test_click_table_matches_reference_bit_for_bit():
     # Both take each power with `**`.  numpy's vectorised `power` rounds
-    # about one table in ten of this sample differently on some hosts.
-    rnd = random.Random(31)
+    # about one table in ten of this sample differently on some hosts.  The
+    # click law's other readers, the single-detector probability and the
+    # herald conditioning, must give the same bits as the table.
+    rnd, pmfs = random.Random(31), random.Random(32)
     for _ in range(2000):
         m_max, p_det, dark = rnd.randint(0, 40), rnd.random(), rnd.random() * 1e-3
-        assert [c for _, c in _clicks(m_max, p_det, dark)] == _click_probs(m_max, p_det, dark)
+        want = _click_probs(m_max, p_det, dark)
+        assert [c for _, c in detector_clicks(m_max, p_det, dark)] == want
+        det = DetectorModel(efficiency=p_det, dark_prob_per_ns=dark, gate_window_ns=1.0)
+        assert detector_click_prob(det, m_max) == _click_probs(m_max, p_det, det.dark_prob_per_gate)[-1]
+        dist = custom([pmfs.random() for _ in range(m_max + 1)])
+        weights = [p * c for p, c in zip(dist.pmf, want)]
+        total = sum(weights)
+        assert herald_condition(dist, p_det, dark).pmf == tuple(w / total for w in weights)
 
 
 @pytest.mark.parametrize("overlap", OVERLAPS)

@@ -254,6 +254,14 @@ REJECTIONS = {
         "out-of-dip coincidence probability is zero; visibility undefined",
     ),
     "visibility_map empty grid": (partial(visibility_map, [], [0.01], None, 0.0), ValueError, "grids must be nonempty"),
+    # Each named no grid point.
+    "visibility_map no herald click": (
+        partial(visibility_map, [0.01], [0.01, 0.0], None, 0.0), UndefinedConditioningError, f"{_NO_HERALD} at N_b = 0.0"
+    ),
+    "visibility_map vacuum": (
+        partial(visibility_map, [0.01, 0.0], [1e-200], 1.0, 0.0), UndefinedVisibilityError,
+        "out-of-dip coincidence probability is zero; visibility undefined at N_a = 0.0, N_b = 1e-200",
+    ),
     **_rows("dip_profile", dip_profile, ValueError, [
         ("visibility 1.5", (1.5, 20.0, 1.0, [0.0]), "visibility must be in [0, 1], got 1.5"),
         ("width -1.0", (0.5, -1.0, 1.0, [0.0]), "dip FWHM time must be > 0, got -1.0"),
