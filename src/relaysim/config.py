@@ -189,6 +189,29 @@ class ScenarioConfig:
             self.spdc_lineshape,
         )
 
+    def source(self, name: str) -> SpdcSource:
+        """The "external" or the "chip" pair source."""
+        return SpdcSource(
+            spectrum=self.spdc_mode(),
+            pairs_per_mw=self.checked(f"{name}_pairs_per_mw", ">= 0"),
+            pump_power_mw=self.checked(f"{name}_pump_power_mw", ">= 0"),
+        )
+
+    def photon_mode(self) -> SpectralMode:
+        return SpectralMode(
+            self.checked("photon_center_wavelength_nm", "> 0"),
+            self.checked("photon_fwhm_pm", "> 0"),
+            self.photon_lineshape,
+        )
+
+    def passband(self, name: str) -> FilterModel:
+        """The "filter_ab" or the "filter_c" bandpass."""
+        return FilterModel(
+            getattr(self, f"{name}_center_nm"),
+            self.checked(f"{name}_fwhm_pm", "> 0"),
+            self.checked(f"{name}_insertion_loss_db", ">= 0"),
+        )
+
     def to_scenario(self) -> Scenario:
         from .montecarlo import Scenario  # deferred: only the two sampling studies need it
 
@@ -197,21 +220,9 @@ class ScenarioConfig:
             pump_repetition_rate_hz=self.pump_repetition_rate_hz,
             pump_duration_ps=self.pump_duration_ps,
             gate_rate_hz=self.gate_rate_hz,
-            external_source=SpdcSource(
-                spectrum=self.spdc_mode(),
-                pairs_per_mw=self.checked("external_pairs_per_mw", ">= 0"),
-                pump_power_mw=self.checked("external_pump_power_mw", ">= 0"),
-            ),
-            chip_source=SpdcSource(
-                spectrum=self.spdc_mode(),
-                pairs_per_mw=self.checked("chip_pairs_per_mw", ">= 0"),
-                pump_power_mw=self.checked("chip_pump_power_mw", ">= 0"),
-            ),
-            photon_mode=SpectralMode(
-                self.checked("photon_center_wavelength_nm", "> 0"),
-                self.checked("photon_fwhm_pm", "> 0"),
-                self.photon_lineshape,
-            ),
+            external_source=self.source("external"),
+            chip_source=self.source("chip"),
+            photon_mode=self.photon_mode(),
             dip_fwhm_time_ps=self.dip_fwhm_time_ps,
             coupler_c1=self.calibration("coupler_c1_anchors").model,
             coupler_c2=self.calibration("coupler_c2_anchors").model,
@@ -219,16 +230,8 @@ class ScenarioConfig:
             coupler_c2_voltage_v=self.coupler_c2_voltage_v,
             layout=self.chip_layout(),
             alice_arm_loss_db=self.alice_arm_loss_db,
-            filter_ab=FilterModel(
-                self.filter_ab_center_nm,
-                self.checked("filter_ab_fwhm_pm", "> 0"),
-                self.checked("filter_ab_insertion_loss_db", ">= 0"),
-            ),
-            filter_c=FilterModel(
-                self.filter_c_center_nm,
-                self.checked("filter_c_fwhm_pm", "> 0"),
-                self.checked("filter_c_insertion_loss_db", ">= 0"),
-            ),
+            filter_ab=self.passband("filter_ab"),
+            filter_c=self.passband("filter_c"),
             detector_a=det,
             detector_b=det,
             detector_c=det,

@@ -53,6 +53,7 @@ from .components import (
     coupler_ratio,
     detector_clicks,
 )
+from .config import ScenarioConfig
 from .interference import DipFit, FitFailureError, FOUR_LN2, fit_dip, v_statistics, v_timing
 from .photostats import (
     N_MAX,
@@ -139,15 +140,17 @@ class CounterRng:
 # Scenario
 # ---------------------------------------------------------------------------
 
+_DEFAULTS = ScenarioConfig()
+
+
 @record
 class Scenario:
     """Full experiment description for one Monte Carlo run.
 
-    `ScenarioConfig` states the model's defaults, and
-    `ScenarioConfig().to_scenario()` is the default scenario.  The fields
-    that still carry a default repeat the config's values only because the
-    benchmark's bench scenario (`perfbench/run.py`) builds a Scenario
-    without them; they lose them once it builds from a config.
+    `ScenarioConfig` states the model's defaults, and `_DEFAULTS.to_scenario()`
+    is the default scenario.  The defaults below read `_DEFAULTS` through the
+    builders `to_scenario` calls.  They remain only because the benchmark's
+    bench scenario (`perfbench/run.py`) builds a Scenario without them.
     """
 
     pump_duration_ps: float
@@ -161,29 +164,28 @@ class Scenario:
     detector_b: DetectorModel
     detector_c: DetectorModel
 
-    pump_repetition_rate_hz: float = 76e6
+    pump_repetition_rate_hz: float = _DEFAULTS.pump_repetition_rate_hz
 
     # Explicit pair-number distributions override the sources' thermal laws.
     external_distribution: PhotonNumberDistribution | None = None
     chip_distribution: PhotonNumberDistribution | None = None
 
-    photon_mode: SpectralMode = SpectralMode(1530.0, 200.0, "gaussian")
-    dip_fwhm_time_ps: float | None = None
+    photon_mode: SpectralMode = _DEFAULTS.photon_mode()
+    dip_fwhm_time_ps: float | None = _DEFAULTS.dip_fwhm_time_ps
 
-    # gamma set so the cross ratio is 0.5 at 30 V (see calibrate_coupler).
-    coupler_c1: CouplerModel = CouplerModel(math.pi / 2.0, 0.041819067411536176)
-    coupler_c2: CouplerModel = coupler_c1
-    coupler_c1_voltage_v: float = 30.0
-    coupler_c2_voltage_v: float = 30.0
+    coupler_c1: CouplerModel = _DEFAULTS.calibration("coupler_c1_anchors").model
+    coupler_c2: CouplerModel = _DEFAULTS.calibration("coupler_c2_anchors").model
+    coupler_c1_voltage_v: float = _DEFAULTS.coupler_c1_voltage_v
+    coupler_c2_voltage_v: float = _DEFAULTS.coupler_c2_voltage_v
 
-    alice_arm_loss_db: float = 0.0
-    filter_ab: FilterModel = FilterModel(1530.0, 200.0, 0.0)
-    filter_c: FilterModel = FilterModel(1534.0, 800.0, 0.0)
+    alice_arm_loss_db: float = _DEFAULTS.alice_arm_loss_db
+    filter_ab: FilterModel = _DEFAULTS.passband("filter_ab")
+    filter_c: FilterModel = _DEFAULTS.passband("filter_c")
 
     # Accepted and read by nothing; the benchmark's bench scenario still passes it.
     detector_monitor: DetectorModel | None = None
 
-    delay_mm: float = 0.0
+    delay_mm: float = _DEFAULTS.delay_mm
 
 
 @record

@@ -9,7 +9,7 @@ import pytest
 
 import relaysim
 from relaysim.cli import main
-from relaysim.components import ChipLayout, ConfigurationError, SpdcSource, calibrate_coupler, chip_insertion_loss
+from relaysim.components import ChipLayout, ConfigurationError, SpdcSource, chip_insertion_loss
 from relaysim.config import (
     PRESET_NAMES,
     SCHEMA_VERSION,
@@ -18,7 +18,7 @@ from relaysim.config import (
     load_preset,
     parse_config,
 )
-from relaysim.montecarlo import Scenario, compile_scenario
+from relaysim.montecarlo import compile_scenario
 from relaysim.records import fields
 from relaysim.units import delay_to_path
 
@@ -37,16 +37,12 @@ def test_defaults_build_valid_models():
 
 
 def test_default_config_builds_the_default_records():
-    # The record defaults that remain repeat the config's values.
+    # Scenario's defaults read the config.  components sits below config in
+    # the imports, so these two record defaults repeat the config's values.
     cfg = ScenarioConfig()
     scenario = cfg.to_scenario()
-    for f in fields(Scenario):
-        if f.name in vars(Scenario):
-            assert getattr(scenario, f.name) == vars(Scenario)[f.name], f.name
     assert scenario.external_source.spectrum == vars(SpdcSource)["spectrum"] == cfg.spdc_mode()
     assert scenario.layout.measured_insertion_db == vars(ChipLayout)["measured_insertion_db"]
-    # The coupler literal is the calibration of the default anchors.
-    assert calibrate_coupler(cfg.coupler_c1_anchors, cfg.coupler_kappa_lc_rad).model == Scenario.coupler_c1
 
 
 def test_round_trip_is_identity():

@@ -79,8 +79,12 @@ def test_joint_law_normalised_and_counts_ordered(mean_a, mean_b, eta, dark_per_n
     p_ab, p_abc = law[1, 1].sum(), law[1, 1, 1]
     assert p_abc <= min(p_ab, p_c)
     assert p_ab <= min(p_a, p_b)
-    # The expected photon ledger balances.
-    ledger = run(sc, 1000, seed=1).ledger
+    # The sampled tallies keep the same order, and the expected photon ledger balances.
+    report = run(sc, 1000, seed=1)
+    for leg in (report.dip, report.ref):
+        assert leg.threefold_abc <= min(leg.twofold_ab, leg.singles_c)
+        assert leg.twofold_ab <= min(leg.singles_a, leg.singles_b)
+    ledger = report.ledger
     assert ledger.generated == pytest.approx(ledger.lost + ledger.undetected + ledger.detected, rel=1e-12)
 
 

@@ -192,9 +192,10 @@ def test_defaults_are_hashable(name):
 
 
 # The fields that may carry a default.  The config states each model default
-# once; the Scenario, SpdcSource and ChipLayout defaults below repeat it only
-# because the benchmark's bench scenario builds a Scenario without them, and
-# the last three are None defaults that no config key states.
+# once.  The Scenario defaults below read it, and remain only because the
+# benchmark's bench scenario builds a Scenario without them.  SpdcSource and
+# ChipLayout repeat the config's value, since components sits below config in
+# the imports.  The last three are None defaults that no config key states.
 ALLOWED_DEFAULTS = {
     *(f"ScenarioConfig.{f.name}" for f in fields(ScenarioConfig)),
     "Scenario.pump_repetition_rate_hz",
