@@ -140,21 +140,17 @@ def _cmd_coupler_curve(args) -> int:
 
 
 def _cmd_visibility_map(args) -> int:
-    from .interference import UndefinedVisibilityError, v_statistics, visibility_map
+    from .interference import GridMeanError, UndefinedVisibilityError, v_statistics, visibility_map
     from .photostats import UndefinedConditioningError, herald_condition, thermal
 
     cfg = _load(args)
-    for key in ("map_na_values", "map_nb_values"):
-        for mean in getattr(cfg, key):
-            try:
-                thermal(mean)
-            except ValueError as exc:
-                raise ConfigurationError(f"{key}: {exc}") from None
     if cfg.map_herald_efficiency is not None:
         cfg.checked("map_herald_efficiency", "in [0, 1]")
     cfg.checked("map_herald_dark_prob", "in [0, 1]")
     try:
         rows = visibility_map(cfg.map_na_values, cfg.map_nb_values, cfg.map_herald_efficiency, cfg.map_herald_dark_prob)
+    except GridMeanError as exc:
+        raise ConfigurationError(f"map_n{exc.arm}_values: {exc}") from None
     except UndefinedConditioningError as exc:
         raise ConfigurationError(f"map_nb_values, map_herald_efficiency and map_herald_dark_prob: {exc}") from None
     except UndefinedVisibilityError as exc:
@@ -163,8 +159,9 @@ def _cmd_visibility_map(args) -> int:
 
     # Operating-point summary with the gap to the reference design target.
     na, nb = 0.05, 0.02
-    v_low = v_statistics(thermal(na), herald_condition(thermal(nb), None))
-    v_unit = v_statistics(thermal(na), herald_condition(thermal(nb), 1.0))
+    dist_a, law_b = thermal(na), thermal(nb)
+    v_low = v_statistics(dist_a, herald_condition(law_b, None))
+    v_unit = v_statistics(dist_a, herald_condition(law_b, 1.0))
     print(f"operating_point_Na={na!r} Nb={nb!r}")
     print(f"visibility_low_efficiency_herald={v_low!r}")
     print(f"visibility_unit_efficiency_herald={v_unit!r}")

@@ -41,7 +41,7 @@ class SpdcSource:
 
     pairs_per_mw: float
     pump_power_mw: float
-    spectrum: SpectralMode = SpectralMode(1532.0, 80_000.0, "sinc_squared")
+    spectrum: SpectralMode = SpectralMode(1532.0, 80_000.0)
 
     def __post_init__(self) -> None:
         if not self.pairs_per_mw >= 0:
@@ -57,21 +57,18 @@ class SpdcSource:
 def spdc_spectral_density(spectrum: SpectralMode, wavelengths_nm) -> list[float]:
     """Relative spectral density of the emitted pairs, normalized to 1 at center.
 
-    Evaluates the pair spectrum's envelope (sinc^2 or gaussian with the configured
-    FWHM) at each wavelength of a sequence and returns one float per
-    wavelength; the distribution is symmetric about the center wavelength.
-    The sinc^2 branch repeats `np.sinc(...) ** 2` operation for operation,
-    machine epsilon in place of a zero argument included, so it gives numpy's
-    values without loading numpy.
+    Evaluates the pair spectrum's sinc^2 phase-matching envelope, with the
+    spectrum's FWHM, at each wavelength of a sequence and returns one float
+    per wavelength; the envelope is symmetric about the center wavelength.
+    It repeats `np.sinc(...) ** 2` operation for operation, machine epsilon
+    in place of a zero argument included, so it gives numpy's values without
+    loading numpy.
     """
     center = spectrum.center_wavelength_nm
     fwhm_nm = spectrum.fwhm_pm * 1e-3
-    xs = [(float(lam) - center) / fwhm_nm for lam in wavelengths_nm]
-    if spectrum.lineshape == "gaussian":
-        scale = -4.0 * math.log(2.0)
-        return [math.exp(scale * (x * x)) for x in xs]
     density = []
-    for x in xs:
+    for lam in wavelengths_nm:
+        x = (float(lam) - center) / fwhm_nm
         y = math.pi * (2.0 * _SINC2_HALF_MAX_X * x / math.pi) or _FLOAT_EPS
         s = math.sin(y) / y
         density.append(s * s)

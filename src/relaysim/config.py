@@ -68,10 +68,8 @@ class ScenarioConfig:
     # Spectra
     spdc_center_wavelength_nm: float = 1532.0
     spdc_fwhm_nm: float = 80.0
-    spdc_lineshape: str = "sinc_squared"
     photon_center_wavelength_nm: float = 1530.0
     photon_fwhm_pm: float = 200.0
-    photon_lineshape: str = "gaussian"
     dip_fwhm_time_ps: float | None = None
     delay_mm: float = 0.0
 
@@ -186,7 +184,6 @@ class ScenarioConfig:
         return SpectralMode(
             self.checked("spdc_center_wavelength_nm", "> 0"),
             self.checked("spdc_fwhm_nm", "> 0") * 1e3,
-            self.spdc_lineshape,
         )
 
     def source(self, name: str) -> SpdcSource:
@@ -201,7 +198,6 @@ class ScenarioConfig:
         return SpectralMode(
             self.checked("photon_center_wavelength_nm", "> 0"),
             self.checked("photon_fwhm_pm", "> 0"),
-            self.photon_lineshape,
         )
 
     def passband(self, name: str) -> FilterModel:
@@ -303,7 +299,6 @@ _COERCE = {
     "float": _number,
     "float | None": lambda key, value: None if value is None else _number(key, value),
     "int": _exact(int, "an integer"),
-    "str": _exact(str, "a string"),
     "tuple[float, ...]": _list_of(_number, "finite numbers"),
     "tuple[tuple[float, float], ...]": _list_of(_pair, "[voltage, ratio] pairs of finite numbers"),
 }
@@ -327,6 +322,8 @@ _REMOVED_KEYS = {
         "lines mean; the relay position is optimised per distance"
     ),
     "pair_number_cutoff": "folding the tail onto it moved the dip with no warning; laws span 0-20 pairs",
+    "spdc_lineshape": "no preset chose a gaussian; the pair spectrum is the sinc^2 phase-matching envelope",
+    "photon_lineshape": "only the coherence time read it; the dip's overlap, timing factor and fit are gaussian",
 }
 
 

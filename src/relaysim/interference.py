@@ -22,6 +22,14 @@ class UndefinedVisibilityError(ValueError):
     """Raised when the out-of-dip coincidence probability is zero."""
 
 
+class GridMeanError(ValueError):
+    """Raised when a mean of arm a's or arm b's visibility-map grid has no thermal law."""
+
+    def __init__(self, arm: str, message: str) -> None:
+        super().__init__(message)
+        self.arm = arm
+
+
 class FitFailureError(RuntimeError):
     """Raised when a gaussian dip fit does not converge or finds no dip baseline."""
 
@@ -75,20 +83,26 @@ def visibility_map(
 
     Arm a is an unheralded thermal source; arm b is thermal, conditioned on
     a herald click.  Rows are emitted in grid order as (N_a, N_b, visibility).
-    An undefined conditioning or visibility names the grid point it fails at.
+    A mean with no thermal law raises GridMeanError, naming its arm; an
+    undefined conditioning or visibility names the grid point it fails at.
     """
     grid_na, grid_nb = list(grid_na), list(grid_nb)
     if not grid_na or not grid_nb:
         raise ValueError("grids must be nonempty")
-    dists_b = []
-    for nb in grid_nb:
+    laws = {}
+    for arm, grid in (("a", grid_na), ("b", grid_nb)):
         try:
-            dists_b.append(herald_condition(thermal(nb), herald_efficiency, herald_dark_prob))
+            laws[arm] = [thermal(mean) for mean in grid]
+        except ValueError as exc:
+            raise GridMeanError(arm, str(exc)) from None
+    dists_b = []
+    for nb, law in zip(grid_nb, laws["b"]):
+        try:
+            dists_b.append(herald_condition(law, herald_efficiency, herald_dark_prob))
         except UndefinedConditioningError as exc:
             raise UndefinedConditioningError(f"{exc} at N_b = {nb!r}") from None
     rows = []
-    for na in grid_na:
-        dist_a = thermal(na)
+    for na, dist_a in zip(grid_na, laws["a"]):
         for nb, dist_b in zip(grid_nb, dists_b):
             try:
                 rows.append((na, nb, v_statistics(dist_a, dist_b)))
@@ -144,14 +158,14 @@ def _dip_model(x, baseline, visibility, fwhm, center):
     return baseline * (1.0 - visibility * np.exp(-FOUR_LN2 * ((x - center) / fwhm) ** 2))
 
 
-def fit_dip(positions_mm, rates, errors=None, fwhm_guess_mm: float | None = None) -> DipFit:
+def fit_dip(positions_mm, rates, fwhm_guess_mm: float, errors=None) -> DipFit:
     """Fit baseline, visibility, FWHM, and center of a gaussian dip to samples.
 
-    errors, when given, are absolute 1-sigma rate uncertainties.  Raises
-    FitFailureError on non-convergence, when no rate is positive, when every
-    rate is equal, or when the fitted baseline is not positive; callers that
-    must preserve raw samples catch it and report the failure alongside the
-    data.
+    The width's search starts at fwhm_guess_mm (> 0).  errors, when given,
+    are absolute 1-sigma rate uncertainties.  Raises FitFailureError when
+    the fit does not converge, when no rate is positive, when every rate is
+    equal, or when the fitted baseline is not positive; callers that must
+    preserve raw samples catch it and report the failure alongside the data.
     """
     import numpy as np
     from scipy.optimize import OptimizeWarning, curve_fit  # deferred: costs most of a cold hom-dip
@@ -164,10 +178,8 @@ def fit_dip(positions_mm, rates, errors=None, fwhm_guess_mm: float | None = None
         raise FitFailureError("no positive rate to fit: every sampled rate is <= 0")
     if np.all(y == y[0]):
         raise FitFailureError("every rate is equal: no dip to fit")
-    baseline0 = float(np.max(y))
-    depth0 = 1.0 - float(np.min(y)) / baseline0 if baseline0 > 0 else 0.5
-    depth0 = min(max(depth0, 1e-3), 1.0)
-    fwhm0 = fwhm_guess_mm if fwhm_guess_mm else max((x.max() - x.min()) / 4.0, 1e-6)
+    baseline0 = float(np.max(y))  # > 0: some rate is
+    depth0 = min(max(1.0 - float(np.min(y)) / baseline0, 1e-3), 1.0)
     center0 = float(x[np.argmin(y)])
     sigma = None
     if errors is not None:
@@ -179,7 +191,7 @@ def fit_dip(positions_mm, rates, errors=None, fwhm_guess_mm: float | None = None
             warnings.simplefilter("ignore", OptimizeWarning)
             popt, pcov = curve_fit(
                 _dip_model, x, y,
-                p0=[baseline0, depth0, fwhm0, center0],
+                p0=[baseline0, depth0, fwhm_guess_mm, center0],
                 sigma=sigma, absolute_sigma=sigma is not None, maxfev=20000,
             )
     except (RuntimeError, ValueError) as exc:

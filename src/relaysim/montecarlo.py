@@ -839,7 +839,7 @@ def scan_dip(
 
     sigma = None if n_pulses_per_point == 0 else errors
     try:
-        fit = fit_dip(positions, rates, errors=sigma, fwhm_guess_mm=params.fwhm_mm)
+        fit = fit_dip(positions, rates, params.fwhm_mm, errors=sigma)
         failed = None
     except FitFailureError as exc:
         fit = None

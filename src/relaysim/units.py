@@ -15,19 +15,14 @@ from .records import record
 
 SPEED_OF_LIGHT_M_PER_S = 299_792_458.0
 
-# Time-bandwidth products linking spectral FWHM to transform-limited
-# coherence time for the two supported lineshapes.
-TIME_BANDWIDTH_PRODUCT = {
-    "gaussian": 0.441,
-    "sinc_squared": 0.886,
-}
-
-LINESHAPES = tuple(TIME_BANDWIDTH_PRODUCT)
+# Time-bandwidth product of a gaussian spectrum, linking its FWHM to the
+# transform-limited coherence time.
+TIME_BANDWIDTH_PRODUCT = 0.441
 
 
 @record
 class SpectralMode:
-    """A light field's spectrum: center wavelength, FWHM bandwidth, lineshape.
+    """A light field's spectrum: center wavelength and FWHM bandwidth.
 
     center_wavelength_nm and fwhm_pm must both be positive.  The derived
     coherence time decreases monotonically with bandwidth at fixed center.
@@ -35,24 +30,21 @@ class SpectralMode:
 
     center_wavelength_nm: float
     fwhm_pm: float
-    lineshape: str
 
     def __post_init__(self) -> None:
         if not self.center_wavelength_nm > 0:
             raise ValueError(f"center wavelength must be > 0, got {self.center_wavelength_nm}")
         if not self.fwhm_pm > 0:
             raise ValueError(f"FWHM bandwidth must be > 0, got {self.fwhm_pm}")
-        if self.lineshape not in TIME_BANDWIDTH_PRODUCT:
-            raise ValueError(f"unknown lineshape {self.lineshape!r}; expected one of {LINESHAPES}")
 
 
 def coherence_time(mode: SpectralMode) -> float:
-    """Transform-limited coherence time in ps: K * lambda^2 / (c * dlambda).
+    """Transform-limited coherence time in ps: 0.441 * lambda^2 / (c * dlambda).
 
-    K is the lineshape's time-bandwidth product (0.441 gaussian, 0.886 sinc^2).
-    A 200 pm gaussian filter at 1530 nm gives 17.2 ps.
+    0.441 is the time-bandwidth product of a gaussian spectrum, the one the
+    photons have (the dip's overlap, its timing factor and the dip fit are
+    gaussian too).  A 200 pm bandwidth at 1530 nm gives 17.2 ps.
     """
-    k = TIME_BANDWIDTH_PRODUCT[mode.lineshape]
     lam_m = mode.center_wavelength_nm * 1e-9
     dlam_m = mode.fwhm_pm * 1e-12
     try:
@@ -61,7 +53,7 @@ def coherence_time(mode: SpectralMode) -> float:
         raise ValueError(f"center wavelength {mode.center_wavelength_nm} nm overflows when squared") from None
     if not lam_sq > 0:
         raise ValueError(f"center wavelength {mode.center_wavelength_nm} nm underflows when squared")
-    return k * lam_sq / (SPEED_OF_LIGHT_M_PER_S * dlam_m) * 1e12
+    return TIME_BANDWIDTH_PRODUCT * lam_sq / (SPEED_OF_LIGHT_M_PER_S * dlam_m) * 1e12
 
 
 def delay_to_path(delay_ps: float) -> float:

@@ -40,7 +40,7 @@ def criterion(number: int, name: str):
 
 def test_criterion_01_coherence_time():
     with criterion(1, "coherence-time") as detail:
-        ct = coherence_time(SpectralMode(1530.0, 200.0, "gaussian"))
+        ct = coherence_time(SpectralMode(1530.0, 200.0))
         detail["text"] = f"(17.2 ps nominal: got {ct:.4f} ps, reference 17.3 ps)"
         assert round(ct, 1) == 17.2
         assert abs(ct - 17.3) <= 0.2
@@ -136,7 +136,7 @@ def test_criterion_07_dip_geometry():
         # Analytic profile re-fit from its own samples.
         positions = np.linspace(-9.0, 9.0, 25)
         prof = dip_profile(0.75, 20.0, 1.0, positions)
-        fit_a = fit_dip(prof.positions_mm, prof.rates)
+        fit_a = fit_dip(prof.positions_mm, prof.rates, 4.5)  # a width guess of a quarter of the span
         assert abs(fit_a.fwhm_mm - 6.0) <= 0.005 * 6.0
         # Monte Carlo scan at tau = 20 ps.
         sc = replace(bench_scenario(0.2, 0.1, eta=0.9), dip_fwhm_time_ps=20.0)

@@ -381,6 +381,23 @@ _REJECTIONS = [
         )
         for key, mean, lost in (("map_na_values", "1e+200", "1"), ("map_nb_values", "0.7", "8.08e-09"))
     ),
+    # The first two ran with a sinc^2 coherence time under a gaussian dip,
+    # overlap and fit; the third printed a gaussian pair spectrum.
+    *(
+        (
+            argv,
+            '{"photon_lineshape": "sinc_squared"}',
+            "ConfigurationError: configuration key 'photon_lineshape' was removed: only the coherence time "
+            "read it; the dip's overlap, timing factor and fit are gaussian",
+        )
+        for argv in (("mc-run",), ("hom-dip", "--pulses", "0"))
+    ),
+    (
+        ("spdc-spectrum",),
+        '{"spdc_lineshape": "gaussian"}',
+        "ConfigurationError: configuration key 'spdc_lineshape' was removed: no preset chose a gaussian; "
+        "the pair spectrum is the sinc^2 phase-matching envelope",
+    ),
     # Printed the dark-free limit, V = 0.5483870967741935, whatever the dark probability.
     (
         ("visibility-map",),

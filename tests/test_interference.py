@@ -2,6 +2,8 @@ import math
 
 import pytest
 
+from relaysim import interference, photostats
+from relaysim.cli import main
 from relaysim.interference import (
     FitFailureError,
     dip_profile,
@@ -67,6 +69,23 @@ def test_visibility_map_monotone_in_nb():
     assert all(a >= b - 1e-12 for a, b in zip(values, values[1:]))
 
 
+def test_visibility_map_cli_builds_each_law_once(monkeypatch, capsys):
+    # paper-fig5 maps 20 x 20 means: one thermal law per grid mean and two for
+    # the operating-point summary.  Building each twice, once only to name the
+    # key of a rejected mean, took 84.
+    means = []
+
+    def counted(mean, _original=photostats.thermal):
+        means.append(mean)
+        return _original(mean)
+
+    for module in (photostats, interference):
+        monkeypatch.setattr(module, "thermal", counted)
+    assert main(["visibility-map", "--preset", "paper-fig5"]) == 0
+    capsys.readouterr()
+    assert len(means) == 42
+
+
 # ---------------------------------------------------------------------------
 # Dip profile and fitting
 # ---------------------------------------------------------------------------
@@ -99,7 +118,7 @@ def test_dip_profile_flat_when_visibility_zero():
 def test_fit_recovers_profile_parameters():
     positions = [x * 0.75 for x in range(-16, 17)]
     prof = dip_profile(0.6, 20.0, 250.0, positions)
-    fit = fit_dip(prof.positions_mm, prof.rates)
+    fit = fit_dip(prof.positions_mm, prof.rates, 6.0)
     assert fit.visibility == pytest.approx(0.6, rel=1e-6)
     assert fit.fwhm_mm == pytest.approx(prof.fwhm_mm, rel=5e-3)
     assert fit.baseline == pytest.approx(250.0, rel=1e-6)
@@ -109,28 +128,28 @@ def test_fit_with_offset_center():
     positions = [x * 0.75 for x in range(-16, 17)]
     fwhm = 20e-12 * SPEED_OF_LIGHT_M_PER_S * 1e3
     rates = [10.0 * (1 - 0.4 * math.exp(-4 * math.log(2) * ((x - 1.5) / fwhm) ** 2)) for x in positions]
-    fit = fit_dip(positions, rates)
+    fit = fit_dip(positions, rates, 6.0)
     assert fit.visibility == pytest.approx(0.4, rel=1e-6)
     assert fit.fwhm_mm == pytest.approx(fwhm, rel=1e-6)
 
 
 def test_fit_failure_reported(monkeypatch):
     with pytest.raises(FitFailureError):
-        fit_dip([0.0, 1.0, 2.0], [1.0, 1.0, 1.0])  # too few points for 4 params
+        fit_dip([0.0, 1.0, 2.0], [1.0, 1.0, 1.0], 1.0)  # too few points for 4 params
     positions = [x * 1.5 for x in range(-6, 7)]
     with pytest.raises(FitFailureError, match="no positive rate"):
-        fit_dip(positions, [0.0] * len(positions))
+        fit_dip(positions, [0.0] * len(positions), 6.0)
     # An inverted peak fits exactly, but to a negative baseline: no dip.
     rates = [-1.0 + 1.2 * math.exp(-4 * math.log(2) * (x / 6.0) ** 2) for x in positions]
     with pytest.raises(FitFailureError, match="baseline .* is not positive"):
-        fit_dip(positions, rates, fwhm_guess_mm=6.0)
+        fit_dip(positions, rates, 6.0)
     # A rate that does not depend on the delay has no dip, and no width to fit.
     with pytest.raises(FitFailureError, match="every rate is equal: no dip to fit"):
-        fit_dip(positions, [2.5e-12] * len(positions))
+        fit_dip(positions, [2.5e-12] * len(positions), 6.0)
     # curve_fit raises when it does not converge; the error names the cause.
     def no_convergence(*args, **kwargs):
         raise RuntimeError("Optimal parameters not found")
 
     monkeypatch.setattr("scipy.optimize.curve_fit", no_convergence)
     with pytest.raises(FitFailureError, match="did not converge: Optimal parameters not found"):
-        fit_dip(positions, [1.0 - 0.5 * math.exp(-4 * math.log(2) * (x / 6.0) ** 2) for x in positions])
+        fit_dip(positions, [1.0 - 0.5 * math.exp(-4 * math.log(2) * (x / 6.0) ** 2) for x in positions], 6.0)

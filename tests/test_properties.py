@@ -123,23 +123,19 @@ def test_arange_grids_equal_numpy(args):
 
 @FAST
 @given(
-    lineshape=st.sampled_from(["sinc_squared", "gaussian"]),
     center=st.floats(1400.0, 1700.0),
     fwhm_pm=st.floats(1.0, 2e5),
     wavelengths=st.lists(st.floats(1000.0, 2000.0), max_size=50),
 )
-def test_spectral_density_equals_numpy(lineshape, center, fwhm_pm, wavelengths):
+def test_spectral_density_equals_numpy(center, fwhm_pm, wavelengths):
     # The center itself takes np.sinc's zero-argument branch.  numpy's
-    # vectorized sin and exp may round the last bit unlike the C library's,
+    # vectorized sin may round the last bit unlike the C library's,
     # so the check allows 2 ulp; the spdc-spectrum contract digest pins the
     # sinc^2 values of the paper-fig3 grid exactly.
     wavelengths = [*wavelengths, center]
     x = (np.asarray(wavelengths) - center) / (fwhm_pm * 1e-3)
-    if lineshape == "gaussian":
-        expected = np.exp(-4.0 * math.log(2.0) * x**2)
-    else:
-        expected = np.sinc(2.0 * _SINC2_HALF_MAX_X * x / math.pi) ** 2
-    density = spdc_spectral_density(SpectralMode(center, fwhm_pm, lineshape), wavelengths)
+    expected = np.sinc(2.0 * _SINC2_HALF_MAX_X * x / math.pi) ** 2
+    density = spdc_spectral_density(SpectralMode(center, fwhm_pm), wavelengths)
     assert all(type(value) is float for value in density)
     np.testing.assert_array_max_ulp(np.asarray(density), expected, maxulp=2)
 

@@ -129,18 +129,18 @@ def test_record_matches_frozen_dataclass(name):
 
 
 def test_records_compare_on_field_values():
-    assert SpectralMode(1530.0, 200.0, "gaussian") == SpectralMode(1530.0, 200.0, lineshape="gaussian")
-    assert SpectralMode(1530.0, 200.0, "gaussian") != SpectralMode(1530.0, 100.0, "gaussian")
-    assert hash(SpectralMode(1530.0, 200.0, "gaussian")) == hash(SpectralMode(1530.0, 200.0, "gaussian"))
-    wide, narrow = SpectralMode(1530.0, 200.0, "gaussian"), SpectralMode(1530.0, 100.0, "gaussian")
-    assert {wide, SpectralMode(1530.0, 200.0, "gaussian"), narrow} == {wide, narrow}
+    assert SpectralMode(1530.0, 200.0) == SpectralMode(1530.0, fwhm_pm=200.0)
+    assert SpectralMode(1530.0, 200.0) != SpectralMode(1530.0, 100.0)
+    assert hash(SpectralMode(1530.0, 200.0)) == hash(SpectralMode(1530.0, 200.0))
+    wide, narrow = SpectralMode(1530.0, 200.0), SpectralMode(1530.0, 100.0)
+    assert {wide, SpectralMode(1530.0, 200.0), narrow} == {wide, narrow}
 
 
 def test_replace_reruns_post_init():
-    mode = SpectralMode(1530.0, 200.0, "gaussian")
+    mode = SpectralMode(1530.0, 200.0)
     with pytest.raises(ValueError, match="FWHM bandwidth"):
         replace(mode, fwhm_pm=-1.0)
-    assert replace(mode, fwhm_pm=100.0) == SpectralMode(1530.0, 100.0, "gaussian")
+    assert replace(mode, fwhm_pm=100.0) == SpectralMode(1530.0, 100.0)
     with pytest.raises(TypeError, match="unexpected keyword argument 'width'"):
         replace(mode, width=1.0)
 
@@ -163,15 +163,15 @@ def test_records_are_immutable(name):
     [
         (lambda: SpectralMode(1530.0), r"missing required argument: 'fwhm_pm'"),
         (lambda: SpectralMode(fwhm_pm=1.0), r"missing required argument: 'center_wavelength_nm'"),
-        (lambda: SpectralMode(1530.0, 200.0, "gaussian", 1.0), r"takes 4 positional arguments but 5"),
-        (lambda: SpectralMode(1530.0, 200.0, "gaussian", width=1.0), r"unexpected keyword argument 'width'"),
+        (lambda: SpectralMode(1530.0, 200.0, 1.0), r"takes 3 positional arguments but 4"),
+        (lambda: SpectralMode(1530.0, 200.0, width=1.0), r"unexpected keyword argument 'width'"),
         (
-            lambda: SpectralMode(1530.0, 200.0, lineshape="gaussian", fwhm_pm=1.0),
-            r"multiple values for argument 'fwhm_pm'",
+            lambda: SpectralMode(1530.0, fwhm_pm=200.0, center_wavelength_nm=1.0),
+            r"multiple values for argument 'center_wavelength_nm'",
         ),
         (
-            lambda: SpectralMode(1530.0, 200.0, "gaussian", lineshape="gaussian"),
-            r"multiple values for argument 'lineshape'",
+            lambda: SpectralMode(1530.0, 200.0, fwhm_pm=1.0),
+            r"multiple values for argument 'fwhm_pm'",
         ),
     ],
     ids=["missing", "missing-first", "too-many", "unknown-keyword", "duplicate", "duplicate-all"],

@@ -30,7 +30,14 @@ from relaysim.components import (
     detector_click_prob,
 )
 from relaysim.config import SCHEMA_VERSION, ScenarioConfig, load_preset, parse_config
-from relaysim.interference import UndefinedVisibilityError, dip_profile, v_statistics, v_timing, visibility_map
+from relaysim.interference import (
+    GridMeanError,
+    UndefinedVisibilityError,
+    dip_profile,
+    v_statistics,
+    v_timing,
+    visibility_map,
+)
 from relaysim.linkbudget import VARIANTS, link_rates, max_distance, sweep
 from relaysim.montecarlo import ScanSpanError, analytic_visibility, compile_scenario, expected_rates, run, scan_dip
 from relaysim.photostats import (
@@ -102,6 +109,8 @@ _REMOVED_KEYS = {
         "the relay position is optimised per distance"
     ),
     "pair_number_cutoff": "folding the tail onto it moved the dip with no warning; laws span 0-20 pairs",
+    "spdc_lineshape": "no preset chose a gaussian; the pair spectrum is the sinc^2 phase-matching envelope",
+    "photon_lineshape": "only the coherence time read it; the dip's overlap, timing factor and fit are gaussian",
 }
 # Numeric keys since removed: a non-finite value is rejected by the key's
 # removal too, before any coercion.
@@ -176,14 +185,10 @@ REJECTIONS = {
     # ----- units --------------------------------------------------------
     **_rows("SpectralMode", SpectralMode, ValueError, [
         *(
-            (f"center {x}", (x, 200.0, "gaussian"), f"center wavelength must be > 0, got {x}")
+            (f"center {x}", (x, 200.0), f"center wavelength must be > 0, got {x}")
             for x in (0.0, -1530.0, NAN)
         ),
-        *((f"fwhm {x}", (1530.0, x, "gaussian"), f"FWHM bandwidth must be > 0, got {x}") for x in (0.0, -5.0, NAN)),
-        (
-            "lineshape", (1530.0, 200.0, "lorentzian"),
-            "unknown lineshape 'lorentzian'; expected one of ('gaussian', 'sinc_squared')",
-        ),
+        *((f"fwhm {x}", (1530.0, x), f"FWHM bandwidth must be > 0, got {x}") for x in (0.0, -5.0, NAN)),
     ]),
     **_rows("delay_to_path", delay_to_path, ValueError, [
         (x, (x,), f"delay must be finite, got {x}") for x in (INF, NAN)
@@ -254,6 +259,16 @@ REJECTIONS = {
         "out-of-dip coincidence probability is zero; visibility undefined",
     ),
     "visibility_map empty grid": (partial(visibility_map, [], [0.01], None, 0.0), ValueError, "grids must be nonempty"),
+    # Each names the arm of the first mean with no thermal law, arm a's first.
+    **{
+        f"visibility_map arm {arm} mean {mean}": (
+            partial(visibility_map, *grids, 1.0, 0.0), GridMeanError, _lost_mass("thermal", mean, lost)
+        )
+        for arm, grids, mean, lost in (
+            ("a", ([0.01, 30.0], [0.7]), 30.0, "0.502"),
+            ("b", ([0.01], [0.02, 0.7]), 0.7, "8.08e-09"),
+        )
+    },
     # Each named no grid point.
     "visibility_map no herald click": (
         partial(visibility_map, [0.01], [0.01, 0.0], None, 0.0), UndefinedConditioningError, f"{_NO_HERALD} at N_b = 0.0"
@@ -412,7 +427,6 @@ REJECTIONS = {
             for key, value, noun in (
                 ("dip_scan_points", 2.5, "an integer"),
                 ("dip_scan_points", True, "an integer"),
-                ("photon_lineshape", 3, "a string"),
                 ("delay_mm", "far", "a finite number"),
                 ("delay_mm", 10**400, "a finite number"),
                 ("map_na_values", ["0.1"], "a list of finite numbers"),
@@ -432,7 +446,7 @@ REJECTIONS = {
 
 
 def test_every_config_field_is_numeric_or_exact():
-    # Every field the non-finite rows skip is an int or a str.
+    # Every field the non-finite rows skip is an int.
     types = Counter(f.type for f in fields(ScenarioConfig))
     assert {t: n for t, n in types.items() if t in _NUMBER_SLOTS} == {
         "float": 45,
@@ -440,7 +454,7 @@ def test_every_config_field_is_numeric_or_exact():
         "tuple[float, ...]": 2,
         "tuple[tuple[float, float], ...]": 2,
     }
-    assert set(types) - set(_NUMBER_SLOTS) == {"int", "str"}
+    assert set(types) - set(_NUMBER_SLOTS) == {"int"}
 
 
 @pytest.mark.parametrize("call,cls,message", REJECTIONS.values(), ids=REJECTIONS)

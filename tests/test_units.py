@@ -15,25 +15,25 @@ C = SPEED_OF_LIGHT_M_PER_S
 
 def test_pump_mode_coherence_time():
     # 250 pm gaussian at 766 nm; the transform-limited value, 3.45 ps.
-    ct = coherence_time(SpectralMode(766.0, 250.0, "gaussian"))
+    ct = coherence_time(SpectralMode(766.0, 250.0))
     assert ct == pytest.approx(3.4525, abs=5e-4)
 
 
 def test_doubling_bandwidth_halves_coherence_time():
-    base = coherence_time(SpectralMode(1530.0, 200.0, "gaussian"))
-    halved = coherence_time(SpectralMode(1530.0, 400.0, "gaussian"))
+    base = coherence_time(SpectralMode(1530.0, 200.0))
+    halved = coherence_time(SpectralMode(1530.0, 400.0))
     assert halved == pytest.approx(base / 2.0, rel=1e-12)
 
 
-def test_lineshape_constant_ratio():
-    g = coherence_time(SpectralMode(1550.0, 300.0, "gaussian"))
-    s = coherence_time(SpectralMode(1550.0, 300.0, "sinc_squared"))
-    assert g / s == pytest.approx(0.441 / 0.886, rel=1e-12)
+def test_coherence_time_is_the_gaussian_transform_limit():
+    # The photons are gaussian: time-bandwidth product 0.441.
+    ct = coherence_time(SpectralMode(1550.0, 300.0))
+    assert ct == pytest.approx(0.441 * 1550e-9**2 / (C * 300e-12) * 1e12, rel=1e-15)
 
 
 def test_coherence_time_decreasing_in_bandwidth():
     widths = [50.0, 100.0, 200.0, 400.0, 800.0, 1600.0]
-    times = [coherence_time(SpectralMode(1530.0, w, "gaussian")) for w in widths]
+    times = [coherence_time(SpectralMode(1530.0, w)) for w in widths]
     assert all(a > b for a, b in zip(times, times[1:]))
 
 
