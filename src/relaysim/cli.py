@@ -93,17 +93,6 @@ def _linspace(start: float, stop: float, num: int) -> list[float]:
     return grid
 
 
-def _arange(start: float, stop: float, step: float) -> list[float]:
-    """`np.arange(start, stop, step)` as a list, equal to it value for value.
-
-    numpy stores start and start + step, then fills start + i * delta with
-    delta = (start + step) - start.
-    """
-    num = math.ceil((stop - start) / step)
-    delta = (start + step) - start
-    return [start, start + step][: max(num, 0)] + [start + i * delta for i in range(2, num)]
-
-
 def _load(args) -> ScenarioConfig:
     if args.preset:
         return load_preset(args.preset)
@@ -146,9 +135,14 @@ def _cmd_visibility_map(args) -> int:
     cfg = _load(args)
     if cfg.map_herald_efficiency is not None:
         cfg.checked("map_herald_efficiency", "in [0, 1]")
-    cfg.checked("map_herald_dark_prob", "in [0, 1]")
+    dark = cfg.checked("map_herald_dark_prob", "in [0, 1]")
+    if cfg.map_herald_efficiency is None and dark > 0:  # herald_condition's vanishing-efficiency limit
+        raise ConfigurationError(
+            f"map_herald_dark_prob must be 0 when map_herald_efficiency is null, got {dark}: "
+            "the vanishing-efficiency herald takes no dark clicks"
+        )
     try:
-        rows = visibility_map(cfg.map_na_values, cfg.map_nb_values, cfg.map_herald_efficiency, cfg.map_herald_dark_prob)
+        rows = visibility_map(cfg.map_na_values, cfg.map_nb_values, cfg.map_herald_efficiency, dark)
     except GridMeanError as exc:
         raise ConfigurationError(f"map_n{exc.arm}_values: {exc}") from None
     except UndefinedConditioningError as exc:
@@ -197,21 +191,12 @@ def _cmd_keyrate_sweep(args) -> int:
     from .linkbudget import fig2_models, max_distance, sweep
 
     cfg = _load(args)
-    cfg.checked("sweep_step_km", "> 0")
-    if not cfg.sweep_min_km <= cfg.sweep_max_km:
-        raise ConfigurationError(
-            f"sweep_min_km must be <= sweep_max_km, got {cfg.sweep_min_km} > {cfg.sweep_max_km}"
-        )
-    stop = cfg.sweep_max_km + cfg.sweep_step_km / 2
-    if not (stop - cfg.sweep_min_km) / cfg.sweep_step_km <= MAX_GRID_POINTS:  # _arange's point count
-        raise ConfigurationError(
-            f"sweep_max_km must give at most {MAX_GRID_POINTS} distances from sweep_min_km in "
-            f"sweep_step_km steps, got {cfg.sweep_min_km} to {cfg.sweep_max_km} "
-            f"in steps of {cfg.sweep_step_km}"
-        )
+    cfg.checked("sweep_min_km", ">= 0")
+    cfg.checked("sweep_max_km", ">= 0")
+    distances = _grid(cfg, "sweep_min_km", "sweep_max_km", "sweep_points")
     params = cfg.to_link_params()
     variants = fig2_models()
-    rows = sweep(variants, params, _arange(cfg.sweep_min_km, stop, cfg.sweep_step_km))
+    rows = sweep(variants, params, distances)
     _emit(args, _table_csv(["distance_km", *variants], rows))
 
     results = {v: max_distance(v, params) for v in variants}

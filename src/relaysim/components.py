@@ -62,7 +62,8 @@ def spdc_spectral_density(spectrum: SpectralMode, wavelengths_nm) -> list[float]
     per wavelength; the envelope is symmetric about the center wavelength.
     It repeats `np.sinc(...) ** 2` operation for operation, machine epsilon
     in place of a zero argument included, so it gives numpy's values without
-    loading numpy.
+    loading numpy.  An argument that overflows, as far from a narrow
+    envelope, gives the limit, 0.0.
     """
     center = spectrum.center_wavelength_nm
     fwhm_nm = spectrum.fwhm_pm * 1e-3
@@ -70,7 +71,7 @@ def spdc_spectral_density(spectrum: SpectralMode, wavelengths_nm) -> list[float]
     for lam in wavelengths_nm:
         x = (float(lam) - center) / fwhm_nm
         y = math.pi * (2.0 * _SINC2_HALF_MAX_X * x / math.pi) or _FLOAT_EPS
-        s = math.sin(y) / y
+        s = 0.0 if math.isinf(y) else math.sin(y) / y
         density.append(s * s)
     return density
 
@@ -99,11 +100,14 @@ class CouplerModel:
 def coupler_ratio(model: CouplerModel, voltage_v: float) -> float:
     """Cross-port power fraction T(V) = kappa^2/(kappa^2+delta^2) * sin^2(Lc*sqrt(...)).
 
-    Total function of voltage, always in [0, 1]; bar fraction is 1 - T.
+    Total function of voltage, always in [0, 1]; bar fraction is 1 - T.  A
+    detuning gamma * V that overflows gives the limit, 0.0.
     """
     a = model.kappa_lc_rad
     b = model.gamma_rad_per_v * voltage_v
     s = math.hypot(a, b)
+    if math.isinf(s):
+        return 0.0
     return (a / s) ** 2 * math.sin(s) ** 2
 
 

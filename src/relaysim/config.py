@@ -111,7 +111,7 @@ class ScenarioConfig:
     relay_pair_mean: float = 1.0
     sweep_min_km: float = 0.0
     sweep_max_km: float = 500.0
-    sweep_step_km: float = 5.0
+    sweep_points: int = 101
 
     # Visibility map grids
     map_na_values: tuple[float, ...] = _MAP_GRID
@@ -152,6 +152,7 @@ class ScenarioConfig:
         return value
 
     def chip_layout(self) -> ChipLayout:
+        measured = self.measured_insertion_loss_db
         return ChipLayout(
             segments={
                 "fiber_to_chip": self.checked("loss_fiber_to_chip_db", ">= 0"),
@@ -159,7 +160,7 @@ class ScenarioConfig:
                 "prop_front": self.checked("loss_propagation_front_db", ">= 0"),
                 "prop_back": self.checked("loss_propagation_back_db", ">= 0"),
             },
-            measured_insertion_db=self.measured_insertion_loss_db,
+            measured_insertion_db=None if measured is None else self.checked("measured_insertion_loss_db", ">= 0"),
         )
 
     def calibration(self, anchors_key: str) -> CouplerCalibration:
@@ -324,6 +325,10 @@ _REMOVED_KEYS = {
     "pair_number_cutoff": "folding the tail onto it moved the dip with no warning; laws span 0-20 pairs",
     "spdc_lineshape": "no preset chose a gaussian; the pair spectrum is the sinc^2 phase-matching envelope",
     "photon_lineshape": "only the coherence time read it; the dip's overlap, timing factor and fit are gaussian",
+    "sweep_step_km": (
+        "set sweep_points instead: the distance grid holds sweep_points evenly spaced distances "
+        "from sweep_min_km to sweep_max_km, like every other output grid"
+    ),
 }
 
 

@@ -23,7 +23,7 @@ class UndefinedVisibilityError(ValueError):
 
 
 class GridMeanError(ValueError):
-    """Raised when a mean of arm a's or arm b's visibility-map grid has no thermal law."""
+    """Raised when arm a's or arm b's visibility-map grid is empty or holds a mean with no thermal law."""
 
     def __init__(self, arm: str, message: str) -> None:
         super().__init__(message)
@@ -83,14 +83,15 @@ def visibility_map(
 
     Arm a is an unheralded thermal source; arm b is thermal, conditioned on
     a herald click.  Rows are emitted in grid order as (N_a, N_b, visibility).
-    A mean with no thermal law raises GridMeanError, naming its arm; an
-    undefined conditioning or visibility names the grid point it fails at.
+    An empty grid or a mean with no thermal law raises GridMeanError, naming
+    its arm; an undefined conditioning or visibility names the grid point it
+    fails at.
     """
     grid_na, grid_nb = list(grid_na), list(grid_nb)
-    if not grid_na or not grid_nb:
-        raise ValueError("grids must be nonempty")
     laws = {}
     for arm, grid in (("a", grid_na), ("b", grid_nb)):
+        if not grid:
+            raise GridMeanError(arm, "the grid must be nonempty")
         try:
             laws[arm] = [thermal(mean) for mean in grid]
         except ValueError as exc:
@@ -186,8 +187,10 @@ def fit_dip(positions_mm, rates, fwhm_guess_mm: float, errors=None) -> DipFit:
         sigma = np.asarray(errors, dtype=float)
         sigma = np.where(sigma > 0, sigma, np.max(sigma[sigma > 0]) if np.any(sigma > 0) else 1.0)
     try:
-        with warnings.catch_warnings():
-            # Exact-model samples fit perfectly; the covariance is then singular.
+        # A far argument of the gaussian overflows to inf, and exp(-inf) is
+        # its limit, 0.  Exact-model samples fit perfectly; the covariance is
+        # then singular.
+        with warnings.catch_warnings(), np.errstate(over="ignore"):
             warnings.simplefilter("ignore", OptimizeWarning)
             popt, pcov = curve_fit(
                 _dip_model, x, y,

@@ -216,13 +216,13 @@ class SimParams:
 
 
 def _pair_distribution(override, source: SpdcSource, name: str) -> PhotonNumberDistribution:
-    """The override, else the source's thermal law; a law that does not fit N_MAX pairs names the source."""
+    """The override, else the source's thermal law; a mean with no law names the source's two keys."""
     if override is not None:
         return override
     try:
         return thermal(source.mean_pairs)
     except ValueError as exc:
-        raise ConfigurationError(f"{name} source: {exc}") from None
+        raise ConfigurationError(f"{name}_pairs_per_mw and {name}_pump_power_mw: {exc}") from None
 
 
 def _pair_pmf(pmf) -> tuple[float, ...]:
@@ -283,8 +283,15 @@ def compile_scenario(scenario: Scenario) -> SimParams:
         raise ConfigurationError(f"dip_fwhm_time_ps must be > 0, got {scenario.dip_fwhm_time_ps}")
 
     lam_signal = scenario.photon_mode.center_wavelength_nm
-    # Energy-matched partner of the interfering photons (chip pair).
-    lam_partner = 1.0 / (2.0 / scenario.chip_source.spectrum.center_wavelength_nm - 1.0 / lam_signal)
+    # Energy-matched partner of the interfering photons (chip pair).  Photons
+    # at or past twice the pairs' center frequency leave it no energy.
+    inverse_partner = 2.0 / scenario.chip_source.spectrum.center_wavelength_nm - 1.0 / lam_signal
+    lam_partner = 1.0 / inverse_partner if inverse_partner else math.inf
+    if not 0 < lam_partner < math.inf:
+        raise ConfigurationError(
+            "spdc_center_wavelength_nm and photon_center_wavelength_nm must give a partner wavelength "
+            f"that is finite and > 0, got {lam_partner!r} nm"
+        )
     # Each output passes its own photons and, for clean heralding, blocks the other's.
     for name, band, lam, photons, must_pass in (
         ("filter_ab", scenario.filter_ab, lam_signal, "interfering", True),
@@ -643,10 +650,13 @@ def _resolution_warning(params: SimParams, n_pulses: int, p_dip: float, p_ref: f
     head = f"warning: {n_pulses} pulses give {ref_triples:.3g} expected reference three-folds"
     if p_ref <= 0.0:
         return head + "; the reference three-fold probability is zero"
-    needed = max(
-        p_dip * (p_dip + p_ref) / p_ref**3 / (params.p_gate * TARGET_SIGMA_V**2),
-        RESOLVABLE_REF_TRIPLES / (params.p_gate * p_ref),
-    )
+    try:
+        needed = max(
+            p_dip * (p_dip + p_ref) / p_ref**3 / (params.p_gate * TARGET_SIGMA_V**2),
+            RESOLVABLE_REF_TRIPLES / (params.p_gate * p_ref),
+        )
+    except ZeroDivisionError:  # a product underflowed to 0: the count is past any float
+        needed = math.inf
     if not needed <= MAX_PULSES:
         return head + f"; no pulse count a leg can draw (at most {MAX_PULSES}) reaches sigma_V = {TARGET_SIGMA_V}"
     return head + f"; sigma_V = {TARGET_SIGMA_V} needs about {needed:.2g} pulses"

@@ -43,7 +43,9 @@ def coherence_time(mode: SpectralMode) -> float:
 
     0.441 is the time-bandwidth product of a gaussian spectrum, the one the
     photons have (the dip's overlap, its timing factor and the dip fit are
-    gaussian too).  A 200 pm bandwidth at 1530 nm gives 17.2 ps.
+    gaussian too).  A 200 pm bandwidth at 1530 nm gives 17.2 ps.  A
+    bandwidth that underflows to 0 m gives the limit, inf; a center
+    wavelength whose square overflows or underflows raises ValueError.
     """
     lam_m = mode.center_wavelength_nm * 1e-9
     dlam_m = mode.fwhm_pm * 1e-12
@@ -53,6 +55,8 @@ def coherence_time(mode: SpectralMode) -> float:
         raise ValueError(f"center wavelength {mode.center_wavelength_nm} nm overflows when squared") from None
     if not lam_sq > 0:
         raise ValueError(f"center wavelength {mode.center_wavelength_nm} nm underflows when squared")
+    if dlam_m == 0.0:
+        return math.inf
     return TIME_BANDWIDTH_PRODUCT * lam_sq / (SPEED_OF_LIGHT_M_PER_S * dlam_m) * 1e12
 
 

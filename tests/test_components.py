@@ -51,6 +51,12 @@ def test_cross_ratio_bounded_and_continuous():
     assert np.max(np.abs(np.diff(ratios))) < 0.01  # no jumps on a fine grid
 
 
+def test_cross_ratio_limit_where_the_detuning_overflows():
+    # gamma * V = inf took math.sin(inf): "math domain error".
+    model = CouplerModel(kappa_lc_rad=math.pi / 2, gamma_rad_per_v=1.2566370614359173e308)
+    assert [coupler_ratio(model, v) for v in (0.0, 2.0, -2.0)] == [1.0, 0.0, 0.0]
+
+
 def test_energy_bookkeeping():
     cal = calibrate_coupler([(0.0, 1.0), (30.0, 0.5)], math.pi / 2)
     for v in (0.0, 10.0, 30.0, 55.0):
@@ -194,6 +200,12 @@ def test_spectral_fwhm_is_80_nm():
     above = lam[dens >= 0.5]
     fwhm = above.max() - above.min()
     assert fwhm == pytest.approx(80.0, abs=0.1)
+
+
+def test_spectral_density_limit_far_from_a_narrow_envelope():
+    # An argument that overflows took math.sin(inf): "math domain error".
+    density = spdc_spectral_density(SpectralMode(1532.0, 1e-305), [1532.0, 1430.0, 1634.0])
+    assert density == [1.0, 0.0, 0.0]
 
 
 def test_spectral_density_symmetric():

@@ -297,26 +297,70 @@ def test_config_flag_round_trip(tmp_path):
     assert "delay_mm: 2.5" in out.read_text()
 
 
-def test_every_config_field_is_read_by_a_subcommand(monkeypatch, capsys):
-    # A key that no subcommand reads is stored but never used; such a key
-    # belongs in _REMOVED_KEYS with its reason.
-    reads = set()
+# Each subcommand, hom-dip in both its analytic and its Monte Carlo mode.
+_READERS = (
+    *((name,) for name in ANALYTIC),
+    ("hom-dip",),
+    ("hom-dip", "--pulses", "1000"),
+    ("mc-run", "--pulses", "1000"),
+)
+
+
+def _keys_read(monkeypatch, capsys) -> dict[tuple[str, ...], set[str]]:
+    """The configuration keys that each argv of _READERS reads from the default config."""
+    reads = {}
 
     class RecordingConfig(ScenarioConfig):
         def __getattribute__(self, name):
-            reads.add(name)
+            reads[argv].add(name)
             return super().__getattribute__(name)
 
     monkeypatch.setattr("relaysim.cli._load", lambda args: RecordingConfig())
-    for argv in (
-        *([name] for name in ANALYTIC),
-        ["hom-dip"],
-        ["hom-dip", "--pulses", "1000"],
-        ["mc-run", "--pulses", "1000"],
-    ):
-        assert main(argv) == 0, argv
+    for argv in _READERS:
+        reads[argv] = set()
+        assert main(list(argv)) == 0, argv
+    monkeypatch.undo()
     capsys.readouterr()
+    return reads
+
+
+def test_every_config_field_is_read_by_a_subcommand(monkeypatch, capsys):
+    # A key that no subcommand reads is stored but never used; such a key
+    # belongs in _REMOVED_KEYS with its reason.
+    reads = set().union(*_keys_read(monkeypatch, capsys).values())
     assert {f.name for f in fields(ScenarioConfig)} - reads == {"schema_version"}
+
+
+_FIELD_NAMES = tuple(f.name for f in fields(ScenarioConfig))
+_EXTREMES = (0.0, -1.0, 5e-324, 1e-308, 1e308)
+
+
+def test_extreme_float_values_exit_0_or_name_a_key(tmp_path, monkeypatch, capsys):
+    # Every float key at each of _EXTREMES, and an anchor whose calibrated
+    # slope makes gamma * V overflow, through each subcommand that reads it.
+    # These failed before: a photon_fwhm_pm of 5e-324 and a gate_rate_hz of
+    # 1e-308 ended in a ZeroDivisionError, that anchor and a tiny
+    # spdc_fwhm_nm in "math domain error", and the dip fit of a tiny
+    # dip_fwhm_time_ps or a huge scan range in numpy's overflow warning; a
+    # map_herald_dark_prob under the null efficiency, a negative
+    # sweep_min_km or measured_insertion_loss_db, and a pair source with no
+    # thermal law named no key.
+    readers = _keys_read(monkeypatch, capsys)
+    float_keys = [f.name for f in fields(ScenarioConfig) if f.type in ("float", "float | None")]
+    documents = [*({key: value} for key in float_keys for value in _EXTREMES), {"coupler_c1_anchors": [[1e-308, 0.5]]}]
+    cases = [(document, argv) for document in documents for argv in _READERS if not readers[argv].isdisjoint(document)]
+    failures = []
+    for document, argv in cases:
+        try:
+            status = _run_with_config(tmp_path, document, *argv)
+        except Exception as exc:  # every escape is a failure
+            failures.append((document, argv, f"escaped: {type(exc).__name__}: {exc}"))
+            continue
+        out, err = capsys.readouterr()
+        named = err.count("\n") == 1 and err.startswith("error: ") and any(k in err for k in _FIELD_NAMES)
+        if not (status == 0 or (status == 2 and out == "" and named)):
+            failures.append((document, argv, f"exit {status}: {err!r}"))
+    assert failures == []
 
 
 # Inputs the CLI rejects with exit 2, an empty stdout and one stderr line:
@@ -365,10 +409,17 @@ _REJECTIONS = [
         (
             argv,
             '{"chip_pairs_per_mw": 0.6, "chip_pump_power_mw": 1.0}',
-            "ConfigurationError: chip source: thermal law at mean 0.6 pairs per pulse "
+            "ConfigurationError: chip_pairs_per_mw and chip_pump_power_mw: thermal law at mean 0.6 pairs per pulse "
             "puts 1.13e-09 of its mass above n_max = 20 pairs, more than 1e-09",
         )
         for argv in (("mc-run",), ("hom-dip", "--pulses", "0"))
+    ),
+    # A mean that overflows named the "chip source", not its keys.
+    (
+        ("mc-run",),
+        '{"chip_pairs_per_mw": 1e308}',
+        "ConfigurationError: chip_pairs_per_mw and chip_pump_power_mw: "
+        "mean pair number must be finite and >= 0, got inf",
     ),
     # A bare OverflowError (exit 1), and an unexplained "pmf must sum to ~1,
     # got 0.99999999...".
@@ -398,13 +449,25 @@ _REJECTIONS = [
         "ConfigurationError: configuration key 'spdc_lineshape' was removed: no preset chose a gaussian; "
         "the pair spectrum is the sinc^2 phase-matching envelope",
     ),
-    # Printed the dark-free limit, V = 0.5483870967741935, whatever the dark probability.
-    (
-        ("visibility-map",),
-        '{"map_herald_efficiency": null, "map_herald_dark_prob": 0.5, '
-        '"map_na_values": [0.05], "map_nb_values": [0.02]}',
-        "ValueError: the vanishing-efficiency herald takes no dark clicks, got dark probability 0.5: "
-        "as the efficiency goes to 0 the conditioned pmf tends to the unconditioned one, not to n*p(n)/mean",
+    # Printed the dark-free limit, V = 0.5483870967741935, whatever the dark
+    # probability; then herald_condition's ValueError named no key.
+    *(
+        (
+            ("visibility-map",),
+            text,
+            "ConfigurationError: map_herald_dark_prob must be 0 when map_herald_efficiency is null, got 0.5: "
+            "the vanishing-efficiency herald takes no dark clicks",
+        )
+        for text in (
+            '{"map_herald_dark_prob": 0.5}',
+            '{"map_herald_efficiency": null, "map_herald_dark_prob": 0.5, '
+            '"map_na_values": [0.05], "map_nb_values": [0.02]}',
+        )
+    ),
+    # "grids must be nonempty" named neither grid.
+    *(
+        (("visibility-map",), f'{{"{key}": []}}', f"ConfigurationError: {key}: the grid must be nonempty")
+        for key in ("map_na_values", "map_nb_values")
     ),
     # An UndefinedConditioningError or UndefinedVisibilityError that named
     # neither a key nor the grid point.  An efficiency of 1e-320 rounds
@@ -429,18 +492,21 @@ _REJECTIONS = [
         "visibility undefined at N_a = 0.0, N_b = 1e-200",
     ),
     (("mc-run",), '{"no_such_key": 1}', "ConfigurationError: unknown configuration key 'no_such_key'"),
-    *(
-        (
-            ("keyrate-sweep",),
-            f'{{"sweep_step_km": {step}}}',
-            f"ConfigurationError: sweep_step_km must be > 0, got {float(step)}",
-        )
-        for step in (0, -5.0)
+    (
+        ("keyrate-sweep",),
+        '{"sweep_step_km": 5.0}',
+        "ConfigurationError: configuration key 'sweep_step_km' was removed: set sweep_points instead: the "
+        "distance grid holds sweep_points evenly spaced distances from sweep_min_km to sweep_max_km, "
+        "like every other output grid",
     ),
     # 0 points printed a header-only table and exited 0.
     *(
         ((command,), f'{{"{key}": {points}}}', f"ConfigurationError: {key} must be >= 1, got {points}")
-        for command, key in (("spdc-spectrum", "spectrum_points"), ("coupler-curve", "coupler_curve_points"))
+        for command, key in (
+            ("spdc-spectrum", "spectrum_points"),
+            ("coupler-curve", "coupler_curve_points"),
+            ("keyrate-sweep", "sweep_points"),
+        )
         for points in (0, -3)
     ),
     *(
@@ -449,6 +515,7 @@ _REJECTIONS = [
             ("spdc-spectrum", "spectrum_points"),
             ("coupler-curve", "coupler_curve_points"),
             ("hom-dip", "dip_scan_points"),
+            ("keyrate-sweep", "sweep_points"),
         )
     ),
     *(
@@ -473,14 +540,10 @@ _REJECTIONS = [
         )
         for seed in (-1, 2**64, 2**65 - 1)
     ),
-    # 100 gave an empty grid; 50.4 gave one row beyond sweep_max_km.
+    # "distance must be >= 0" named no key.
     *(
-        (
-            ("keyrate-sweep",),
-            f'{{"sweep_min_km": {low}, "sweep_max_km": 50}}',
-            f"ConfigurationError: sweep_min_km must be <= sweep_max_km, got {low} > 50.0",
-        )
-        for low in (100.0, 50.4)
+        (("keyrate-sweep",), f'{{"{key}": -1}}', f"ConfigurationError: {key} must be >= 0, got -1.0")
+        for key in ("sweep_min_km", "sweep_max_km")
     ),
     # The first two exited 0 with nan rates, keyrate-sweep with every reach
     # at inf; for the third numpy's "pvals < 0, pvals > 1 or pvals contains
@@ -519,13 +582,6 @@ _REJECTIONS = [
             ('{"dip_scan_min_mm": 0, "dip_scan_max_mm": 1}', "1.000", "10.323"),
             ('{"photon_fwhm_pm": 1e-300}', "18.000", "2.065e+303"),
         )
-    ),
-    # Built a list of 2e11 distances until a MemoryError.
-    (
-        ("keyrate-sweep",),
-        '{"sweep_max_km": 1e12}',
-        "ConfigurationError: sweep_max_km must give at most 100000 distances from sweep_min_km in "
-        "sweep_step_km steps, got 0.0 to 1000000000000.0 in steps of 5.0",
     ),
     # A span that overflows: "math domain error", and for hom-dip "scan
     # positions must be finite, got nan", named no key.
@@ -594,8 +650,8 @@ _REJECTIONS = [
     # "center wavelength must be > 0", "filter FWHM must be > 0", "insertion
     # loss must be >= 0 dB", "pump power must be >= 0", "pairs_per_mw must be
     # >= 0", "gate window must be > 0 ns", "segment 'prop_back' loss must be
-    # >= 0 dB", and "herald efficiency" or "herald dark probability must be
-    # in [0, 1]".
+    # >= 0 dB", "measured insertion loss must be finite and >= 0 dB", and
+    # "herald efficiency" or "herald dark probability must be in [0, 1]".
     *(
         ((command,), f'{{"{key}": {value}}}', f"ConfigurationError: {key} must be {bound}, got {float(value)}")
         for command, key, value, bound in (
@@ -620,6 +676,7 @@ _REJECTIONS = [
             ("mc-run", "loss_chip_to_fiber_db", -1, ">= 0"),
             ("hom-dip", "loss_propagation_front_db", -1, ">= 0"),
             ("keyrate-sweep", "loss_propagation_back_db", -1, ">= 0"),
+            ("keyrate-sweep", "measured_insertion_loss_db", -1, ">= 0"),
             ("visibility-map", "map_herald_efficiency", 1.5, "in [0, 1]"),
             ("visibility-map", "map_herald_dark_prob", 2, "in [0, 1]"),
         )
@@ -653,6 +710,28 @@ _REJECTIONS = [
             f"that is finite and > 0, got {tau} ps",
         )
         for center, fwhm, tau in (("1e-151", "1e300", 0.0), ("1e150", "1e-300", math.inf))
+        for argv in (("mc-run",), ("hom-dip", "--pulses", "0"))
+    ),
+    # A bandwidth that underflows to 0 m died with a ZeroDivisionError.
+    *(
+        (
+            argv,
+            '{"photon_fwhm_pm": 5e-324}',
+            "ConfigurationError: photon_center_wavelength_nm and photon_fwhm_pm must give a coherence time "
+            "that is finite and > 0, got inf ps",
+        )
+        for argv in (("mc-run",), ("hom-dip", "--pulses", "0"))
+    ),
+    # The partner of photons at half the pairs' center wavelength died with a
+    # ZeroDivisionError; past it the filter check named a negative wavelength.
+    *(
+        (
+            argv,
+            f'{{"spdc_center_wavelength_nm": {center}}}',
+            "ConfigurationError: spdc_center_wavelength_nm and photon_center_wavelength_nm must give a partner "
+            f"wavelength that is finite and > 0, got {partner} nm",
+        )
+        for center, partner in ((3060, "inf"), (3100, "-118575.00000000063"))
         for argv in (("mc-run",), ("hom-dip", "--pulses", "0"))
     ),
     # The model's own range checks named neither key nor value ("arm losses
@@ -705,6 +784,14 @@ def test_huge_pump_duration_runs_without_a_traceback(tmp_path, capsys, command):
     # OverflowError.  In process, an uncaught exception fails the test.
     assert _run_with_config(tmp_path, {"pump_duration_ps": 1e308}, command, "--pulses", "1000") == 0
     assert "error" not in capsys.readouterr().err
+
+
+def test_gate_probability_past_any_pulse_count_warns(tmp_path, capsys):
+    # p_gate * p_ref underflowed to 0 and the pulse count needed divided by
+    # it: a ZeroDivisionError.
+    assert _run_with_config(tmp_path, {"gate_rate_hz": 1e-308}, "mc-run", "--pulses", "1000") == 0
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "; no pulse count a leg can draw (at most 9223372036854775807)" in err
 
 
 def test_unknown_subcommand_exits_2(capsys):

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import bench_scenario
-from relaysim.cli import _arange, _linspace
+from relaysim.cli import _linspace
 from relaysim.components import _SINC2_HALF_MAX_X, spdc_spectral_density
 from relaysim.interference import v_statistics
 from relaysim.montecarlo import compile_scenario, joint_law, run
@@ -98,27 +98,12 @@ def test_linspace_equals_numpy(start, stop, num, same):
     assert _linspace(start, stop, num) == np.linspace(start, stop, num).tolist()
 
 
-@FAST
-@given(start=finite, span=st.floats(0.0, 1e4), step=st.floats(1e-2, 1e3), sign=st.sampled_from([1, -1]))
-def test_arange_equals_numpy(start, span, step, sign):
-    # Spans of either sign, and steps that need not divide them.
-    stop, step = start + sign * span, sign * step
-    assert _arange(start, stop, step) == np.arange(start, stop, step).tolist()
-
-
 @pytest.mark.parametrize(
     "args", [(0.0, 60.0, 1), (-9.0, 9.0, 13), (2.5, 2.5, 4), (9.0, -9.0, 7), (0.0, 5e-324, 3), (0.0, 1.0, 0)]
 )
 def test_linspace_grids_equal_numpy(args):
     # One point, a zero span, a negative span, a step that underflows to 0, no points.
     assert _linspace(*args) == np.linspace(*args).tolist()
-
-
-@pytest.mark.parametrize(
-    "args", [(0.0, 500.0 + 2.5, 5.0), (3.3, 97.1, 0.7), (0.0, 0.1, 0.1), (1.0, 1.0, 0.5), (2.0, 0.0, -0.3)]
-)
-def test_arange_grids_equal_numpy(args):
-    assert _arange(*args) == np.arange(*args).tolist()
 
 
 @FAST

@@ -258,8 +258,13 @@ REJECTIONS = {
         partial(v_statistics, thermal(0.0), thermal(0.0)), UndefinedVisibilityError,
         "out-of-dip coincidence probability is zero; visibility undefined",
     ),
-    "visibility_map empty grid": (partial(visibility_map, [], [0.01], None, 0.0), ValueError, "grids must be nonempty"),
-    # Each names the arm of the first mean with no thermal law, arm a's first.
+    # Each names the arm of the first empty grid or mean with no thermal law, arm a's first.
+    **{
+        f"visibility_map arm {arm} empty grid": (
+            partial(visibility_map, *grids, None, 0.0), GridMeanError, "the grid must be nonempty"
+        )
+        for arm, grids in (("a", ([], [])), ("b", ([0.01], [])))
+    },
     **{
         f"visibility_map arm {arm} mean {mean}": (
             partial(visibility_map, *grids, 1.0, 0.0), GridMeanError, _lost_mass("thermal", mean, lost)
@@ -326,6 +331,19 @@ REJECTIONS = {
             "alice_arm_loss_db must be >= 0, got nan",
         ),
         ("dip_fwhm_time_ps nan", (replace(SCENARIO, dip_fwhm_time_ps=NAN),), "dip_fwhm_time_ps must be > 0, got nan"),
+        # A ZeroDivisionError at twice the photon wavelength; past it the
+        # filter check reported a negative partner wavelength.
+        *(
+            (
+                f"partner at {label}", (replace(SCENARIO, chip_source=replace(SCENARIO.chip_source, spectrum=mode)),),
+                "spdc_center_wavelength_nm and photon_center_wavelength_nm must give a partner wavelength "
+                f"that is finite and > 0, got {partner} nm",
+            )
+            for label, mode, partner in (
+                ("3060 nm", SpectralMode(3060.0, 80_000.0), "inf"),
+                ("3100 nm", SpectralMode(3100.0, 80_000.0), "-118575.00000000063"),
+            )
+        ),
         # Overlapping signal and partner filter bands break clean heralding.
         (
             "filter_c passes the signal", (replace(BENCH, filter_c=FilterModel(1532.0, 8000.0, 0.0)),),
@@ -342,7 +360,7 @@ REJECTIONS = {
         *(
             (
                 f"{name} law losing mass", (bench_scenario(*means),),
-                f"{name} source: {_lost_mass('thermal', 0.6, '1.13e-09')}",
+                f"{name}_pairs_per_mw and {name}_pump_power_mw: {_lost_mass('thermal', 0.6, '1.13e-09')}",
             )
             for name, means in (("external", (0.6, 0.01)), ("chip", (0.01, 0.6)))
         ),
@@ -449,7 +467,7 @@ def test_every_config_field_is_numeric_or_exact():
     # Every field the non-finite rows skip is an int.
     types = Counter(f.type for f in fields(ScenarioConfig))
     assert {t: n for t, n in types.items() if t in _NUMBER_SLOTS} == {
-        "float": 45,
+        "float": 44,
         "float | None": 3,
         "tuple[float, ...]": 2,
         "tuple[tuple[float, float], ...]": 2,

@@ -37,6 +37,11 @@ def test_coherence_time_decreasing_in_bandwidth():
     assert all(a > b for a, b in zip(times, times[1:]))
 
 
+def test_coherence_time_limit_of_a_bandwidth_that_underflows():
+    # 5e-324 pm is 0 m: the quotient died with a ZeroDivisionError.
+    assert coherence_time(SpectralMode(1530.0, 5e-324)) == math.inf
+
+
 def test_path_to_delay_quoted_point():
     # 6 mm of free-space path corresponds to 20 ps.
     assert delay_to_path(20.0) == pytest.approx(6.0, abs=0.015)
