@@ -133,26 +133,19 @@ def _cmd_visibility_map(args) -> int:
     from .photostats import UndefinedConditioningError, herald_condition, thermal
 
     cfg = _load(args)
-    if cfg.map_herald_efficiency is not None:
-        cfg.checked("map_herald_efficiency", "in [0, 1]")
-    dark = cfg.checked("map_herald_dark_prob", "in [0, 1]")
-    if cfg.map_herald_efficiency is None and dark > 0:  # herald_condition's vanishing-efficiency limit
-        raise ConfigurationError(
-            f"map_herald_dark_prob must be 0 when map_herald_efficiency is null, got {dark}: "
-            "the vanishing-efficiency herald takes no dark clicks"
-        )
     try:
-        rows = visibility_map(cfg.map_na_values, cfg.map_nb_values, cfg.map_herald_efficiency, dark)
+        rows = visibility_map(cfg.map_na_values, cfg.map_nb_values)
     except GridMeanError as exc:
         raise ConfigurationError(f"map_n{exc.arm}_values: {exc}") from None
     except UndefinedConditioningError as exc:
-        raise ConfigurationError(f"map_nb_values, map_herald_efficiency and map_herald_dark_prob: {exc}") from None
+        raise ConfigurationError(f"map_nb_values: {exc}") from None
     except UndefinedVisibilityError as exc:
         raise ConfigurationError(f"map_na_values and map_nb_values: {exc}") from None
     _emit(args, _table_csv(["N_a", "N_b", "visibility"], rows))
 
-    # Operating-point summary with the gap to the reference design target.
-    na, nb = 0.05, 0.02
+    # Operating-point summary at the nominal sources, with the gap to the reference design target.
+    nominal = ScenarioConfig()
+    na, nb = nominal.source("external").mean_pairs, nominal.source("chip").mean_pairs
     dist_a, law_b = thermal(na), thermal(nb)
     v_low = v_statistics(dist_a, herald_condition(law_b, None))
     v_unit = v_statistics(dist_a, herald_condition(law_b, 1.0))

@@ -181,7 +181,9 @@ def calibrate_coupler(anchor_points, kappa_lc_rad: float) -> CouplerCalibration:
     {(0, 1.0), (30, 0.5)} pins full transfer at zero bias and the 50/50 point.
     Anchors requesting more transfer than the zero-bias maximum are rejected.
     Anchors only at zero voltage leave gamma unconstrained at 0, and the
-    calibration says so in gamma_constrained.
+    calibration says so in gamma_constrained.  The fit starts at
+    0.8 kappa*Lc / |V| at the largest nonzero |V|; anchors where that
+    overflows (below about 7e-309 V at kappa*Lc = pi/2) are rejected.
     """
     model = CouplerModel(kappa_lc_rad, 0.0)  # rejects a bad kappa*Lc before anchors are judged by it
     anchors = tuple((float(v), float(r)) for v, r in anchor_points)
@@ -204,7 +206,10 @@ def calibrate_coupler(anchor_points, kappa_lc_rad: float) -> CouplerCalibration:
     if nonzero:
         # Initial slope: detuning comparable to coupling at the largest anchor voltage.
         v_ref = max(abs(v) for v, _ in nonzero)
-        model = CouplerModel(kappa_lc_rad, _fit_gamma(nonzero, kappa_lc_rad, 0.8 * kappa_lc_rad / v_ref))
+        gamma = 0.8 * kappa_lc_rad / v_ref
+        if gamma == math.inf:
+            raise CalibrationError(f"anchor voltage {v_ref!r} V is too small: the fit's starting slope overflows")
+        model = CouplerModel(kappa_lc_rad, _fit_gamma(nonzero, kappa_lc_rad, gamma))
     res = [coupler_ratio(model, v) - r for v, r in anchors]
     return CouplerCalibration(model, math.sqrt(sum(x * x for x in res) / len(res)), bool(nonzero))
 

@@ -116,8 +116,6 @@ class ScenarioConfig:
     # Visibility map grids
     map_na_values: tuple[float, ...] = _MAP_GRID
     map_nb_values: tuple[float, ...] = _MAP_GRID
-    map_herald_efficiency: float | None = None
-    map_herald_dark_prob: float = 0.0
 
     # Dip scan
     dip_scan_min_mm: float = -9.0
@@ -329,6 +327,8 @@ _REMOVED_KEYS = {
         "set sweep_points instead: the distance grid holds sweep_points evenly spaced distances "
         "from sweep_min_km to sweep_max_km, like every other output grid"
     ),
+    "map_herald_efficiency": "every preset left it null; the map heralds arm b in the vanishing-efficiency limit",
+    "map_herald_dark_prob": "the map's vanishing-efficiency herald takes no dark clicks",
 }
 
 

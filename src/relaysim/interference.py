@@ -76,13 +76,13 @@ def v_statistics(
     return (p_max - p_min) / p_max
 
 
-def visibility_map(
-    grid_na, grid_nb, herald_efficiency: float | None, herald_dark_prob: float
-) -> list[tuple[float, float, float]]:
+def visibility_map(grid_na, grid_nb) -> list[tuple[float, float, float]]:
     """v_statistics over a (N_a, N_b) grid of thermal sources.
 
     Arm a is an unheralded thermal source; arm b is thermal, conditioned on
-    a herald click.  Rows are emitted in grid order as (N_a, N_b, visibility).
+    a herald click in the vanishing-efficiency limit with no dark clicks,
+    n p(n) / N_b (`herald_condition(law, None)`).  Rows are emitted in grid
+    order as (N_a, N_b, visibility).
     An empty grid or a mean with no thermal law raises GridMeanError, naming
     its arm; an undefined conditioning or visibility names the grid point it
     fails at.
@@ -99,7 +99,7 @@ def visibility_map(
     dists_b = []
     for nb, law in zip(grid_nb, laws["b"]):
         try:
-            dists_b.append(herald_condition(law, herald_efficiency, herald_dark_prob))
+            dists_b.append(herald_condition(law, None))
         except UndefinedConditioningError as exc:
             raise UndefinedConditioningError(f"{exc} at N_b = {nb!r}") from None
     rows = []

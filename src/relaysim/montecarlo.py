@@ -60,6 +60,7 @@ from .photostats import (
     PhotonNumberDistribution,
     UndefinedConditioningError,
     apply_loss,
+    binomial,
     custom,
     thermal,
 )
@@ -371,19 +372,13 @@ def _model_inputs(params: SimParams) -> tuple:
         if pn == 0.0:
             continue
         quiet, click = herald[n]
-        for k in range(n + 1):
-            b = math.comb(n, k) * params.q_b**k * (1.0 - params.q_b) ** (n - k)
+        for k, b in enumerate(binomial(n, params.q_b)):
             pk_b[k] += pn * b
             pk_b_herald[k] += pn * b * click
             pk_b_quiet[k] += pn * b * quiet
 
-    cross = params.cross2
-    bar = 1.0 - cross
     n = max(len(pk_a), len(pk_b))
-    route = [
-        [math.comb(k, x) * cross**x * bar ** (k - x) if x <= k else 0.0 for x in range(n)]
-        for k in range(n)
-    ]
+    route = [binomial(k, params.cross2) + [0.0] * (n - 1 - k) for k in range(n)]
 
     m_max = max(len(pk_a) + len(pk_b) - 2, 2)  # _rate_table reads the 2-photon entries
     click_a = detector_clicks(m_max, params.s_post * params.eta_a, params.dark_a)

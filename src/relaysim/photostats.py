@@ -132,6 +132,12 @@ def herald_condition(
     return PhotonNumberDistribution(tuple(w / total for w in weights))
 
 
+def binomial(n: int, p: float) -> list[float]:
+    """Bin(k | n, p) for k = 0..n: the law of how many of n photons pass, each with probability p."""
+    q = 1.0 - p
+    return [math.comb(n, k) * p**k * q ** (n - k) for k in range(n + 1)]
+
+
 def apply_loss(dist: PhotonNumberDistribution, survival_prob: float) -> PhotonNumberDistribution:
     """Binomial thinning: each photon independently survives with survival_prob.
 
@@ -140,12 +146,10 @@ def apply_loss(dist: PhotonNumberDistribution, survival_prob: float) -> PhotonNu
     """
     if not 0.0 <= survival_prob <= 1.0:
         raise ValueError(f"survival probability must be in [0, 1], got {survival_prob}")
-    n_max = dist.n_max
-    out = [0.0] * (n_max + 1)
-    q = 1.0 - survival_prob
+    out = [0.0] * (dist.n_max + 1)
     for n, p in enumerate(dist.pmf):
         if p == 0.0:
             continue
-        for k in range(n + 1):
-            out[k] += p * math.comb(n, k) * survival_prob**k * q ** (n - k)
+        for k, b in enumerate(binomial(n, survival_prob)):
+            out[k] += p * b
     return PhotonNumberDistribution(tuple(out))

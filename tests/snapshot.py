@@ -37,17 +37,8 @@ import os
 import re
 import struct
 import sys
-import tempfile
 
 CONTRACT_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "perfbench", "cli_contract.json")
-
-# The vanishing-efficiency herald with dark clicks, which has no such limit.
-DARK_LIMIT_HERALD = {
-    "map_herald_efficiency": None,
-    "map_herald_dark_prob": 0.5,
-    "map_na_values": [0.05],
-    "map_nb_values": [0.02],
-}
 
 
 def _sha(data: bytes) -> str:
@@ -65,12 +56,9 @@ def _floats(text: str) -> list[float]:
     return values
 
 
-def _commands(config_dir: str) -> list[list[str]]:
+def _commands() -> list[list[str]]:
     from relaysim.config import PRESET_NAMES
 
-    herald_path = os.path.join(config_dir, "dark_limit_herald.json")
-    with open(herald_path, "w", encoding="utf-8") as fh:
-        json.dump(DARK_LIMIT_HERALD, fh)
     return [
         *(entry["argv"] + ["--seed", "1"] for entry in _load(CONTRACT_PATH).values()),
         *([cmd, "--preset", p] for cmd in ("visibility-map", "keyrate-sweep") for p in PRESET_NAMES),
@@ -80,7 +68,6 @@ def _commands(config_dir: str) -> list[list[str]]:
         ["hom-dip", "--preset", "paper-fig6", "--pulses", "1000", "--seed", "1"],
         ["hom-dip", "--preset", "paper-fig6", "--pulses", "50000000000000", "--seed", "7"],
         ["hom-dip", "--pulses", "0"],
-        ["visibility-map", "--config", herald_path],
     ]
 
 
@@ -111,11 +98,7 @@ def snapshot() -> dict:
     from helpers import law_cases
     from relaysim.montecarlo import compile_scenario, expected_rates, joint_law
 
-    entries = {}
-    with tempfile.TemporaryDirectory() as config_dir:
-        for argv in _commands(config_dir):
-            name = " ".join(os.path.basename(a) if a.endswith(".json") else a for a in argv)
-            entries[f"cli {name}"] = _run_cli(argv)
+    entries = {f"cli {' '.join(argv)}": _run_cli(argv) for argv in _commands()}
     for case, scenario in law_cases():
         params = compile_scenario(scenario)
         for label, overlap in (("delay", None), ("0", 0.0), ("0.37", 0.37), ("1", 1.0)):

@@ -336,18 +336,22 @@ _EXTREMES = (0.0, -1.0, 5e-324, 1e-308, 1e308)
 
 
 def test_extreme_float_values_exit_0_or_name_a_key(tmp_path, monkeypatch, capsys):
-    # Every float key at each of _EXTREMES, and an anchor whose calibrated
-    # slope makes gamma * V overflow, through each subcommand that reads it.
-    # These failed before: a photon_fwhm_pm of 5e-324 and a gate_rate_hz of
-    # 1e-308 ended in a ZeroDivisionError, that anchor and a tiny
-    # spdc_fwhm_nm in "math domain error", and the dip fit of a tiny
-    # dip_fwhm_time_ps or a huge scan range in numpy's overflow warning; a
-    # map_herald_dark_prob under the null efficiency, a negative
-    # sweep_min_km or measured_insertion_loss_db, and a pair source with no
-    # thermal law named no key.
+    # Every float key at each of _EXTREMES, and the anchors below, through
+    # each subcommand that reads it.  These failed before: a photon_fwhm_pm
+    # of 5e-324 and a gate_rate_hz of 1e-308 ended in a ZeroDivisionError,
+    # the anchors (the first makes the calibrated gamma * V overflow, the
+    # others the starting slope 0.8 * kappa*Lc / V) and a tiny spdc_fwhm_nm
+    # in "math domain error", and the dip fit of a tiny dip_fwhm_time_ps or
+    # a huge scan range in numpy's overflow warning; a negative sweep_min_km
+    # or measured_insertion_loss_db and a pair source with no thermal law
+    # named no key.
     readers = _keys_read(monkeypatch, capsys)
     float_keys = [f.name for f in fields(ScenarioConfig) if f.type in ("float", "float | None")]
-    documents = [*({key: value} for key in float_keys for value in _EXTREMES), {"coupler_c1_anchors": [[1e-308, 0.5]]}]
+    anchors = ([[1e-308, 0.5]], [[5e-324, 0.5]], [[1e-320, 0.5]], [[0.0, 1.0], [1e-310, 0.5]])
+    documents = [
+        *({key: value} for key in float_keys for value in _EXTREMES),
+        *({"coupler_c1_anchors": anchor_list} for anchor_list in anchors),
+    ]
     cases = [(document, argv) for document in documents for argv in _READERS if not readers[argv].isdisjoint(document)]
     failures = []
     for document, argv in cases:
@@ -392,6 +396,14 @@ _REJECTIONS = [
             ),
             ('{"coupler_c2_anchors": [[0.0, 1.0], [25.0, 1.5]]}', "coupler_c2_anchors"),
         )
+    ),
+    # "ValueError: math domain error": the starting slope 0.8 * kappa*Lc / V
+    # overflowed, and the fit took sin(inf).
+    (
+        ("coupler-curve",),
+        '{"coupler_c2_anchors": [[0.0, 1.0], [1e-310, 0.5]]}',
+        "CalibrationError: coupler_c2_anchors: anchor voltage 1e-310 V is too small: the fit's starting "
+        "slope overflows",
     ),
     # With mu * eta = 0 the direct link's zero-distance rate is all dark
     # counts, and the table printed direct = 1.0 at every distance.
@@ -449,20 +461,17 @@ _REJECTIONS = [
         "ConfigurationError: configuration key 'spdc_lineshape' was removed: no preset chose a gaussian; "
         "the pair spectrum is the sinc^2 phase-matching envelope",
     ),
-    # Printed the dark-free limit, V = 0.5483870967741935, whatever the dark
-    # probability; then herald_condition's ValueError named no key.
-    *(
-        (
-            ("visibility-map",),
-            text,
-            "ConfigurationError: map_herald_dark_prob must be 0 when map_herald_efficiency is null, got 0.5: "
-            "the vanishing-efficiency herald takes no dark clicks",
-        )
-        for text in (
-            '{"map_herald_dark_prob": 0.5}',
-            '{"map_herald_efficiency": null, "map_herald_dark_prob": 0.5, '
-            '"map_na_values": [0.05], "map_nb_values": [0.02]}',
-        )
+    (
+        ("visibility-map",),
+        '{"map_herald_efficiency": null}',
+        "ConfigurationError: configuration key 'map_herald_efficiency' was removed: every preset left it "
+        "null; the map heralds arm b in the vanishing-efficiency limit",
+    ),
+    (
+        ("visibility-map",),
+        '{"map_herald_dark_prob": 0.5}',
+        "ConfigurationError: configuration key 'map_herald_dark_prob' was removed: the map's "
+        "vanishing-efficiency herald takes no dark clicks",
     ),
     # "grids must be nonempty" named neither grid.
     *(
@@ -470,26 +479,19 @@ _REJECTIONS = [
         for key in ("map_na_values", "map_nb_values")
     ),
     # An UndefinedConditioningError or UndefinedVisibilityError that named
-    # neither a key nor the grid point.  An efficiency of 1e-320 rounds
-    # 1 - efficiency to 1.0: the click law's form cancels, and no pair clicks.
-    *(
-        (
-            ("visibility-map",),
-            text,
-            "ConfigurationError: map_nb_values, map_herald_efficiency and map_herald_dark_prob: "
-            f"herald click probability is zero; conditioning is undefined at N_b = {nb}",
-        )
-        for text, nb in (
-            ('{"map_nb_values": [0.0]}', 0.0),
-            ('{"map_herald_efficiency": 0.0}', 0.005),
-            ('{"map_herald_efficiency": 1e-320, "map_nb_values": [0.01]}', 0.01),
-        )
+    # neither a key nor the grid point.  At N_b = 5e-324 the heralded law's
+    # two-pair weight 2 N_b^2 / (1 + N_b)^3 underflows to 0.
+    (
+        ("visibility-map",),
+        '{"map_nb_values": [0.0]}',
+        "ConfigurationError: map_nb_values: herald click probability is zero; conditioning is undefined "
+        "at N_b = 0.0",
     ),
     (
         ("visibility-map",),
-        '{"map_na_values": [0.0], "map_nb_values": [1e-200], "map_herald_efficiency": 1.0}',
+        '{"map_na_values": [0.0], "map_nb_values": [5e-324]}',
         "ConfigurationError: map_na_values and map_nb_values: out-of-dip coincidence probability is zero; "
-        "visibility undefined at N_a = 0.0, N_b = 1e-200",
+        "visibility undefined at N_a = 0.0, N_b = 5e-324",
     ),
     (("mc-run",), '{"no_such_key": 1}', "ConfigurationError: unknown configuration key 'no_such_key'"),
     (
@@ -677,8 +679,6 @@ _REJECTIONS = [
             ("hom-dip", "loss_propagation_front_db", -1, ">= 0"),
             ("keyrate-sweep", "loss_propagation_back_db", -1, ">= 0"),
             ("keyrate-sweep", "measured_insertion_loss_db", -1, ">= 0"),
-            ("visibility-map", "map_herald_efficiency", 1.5, "in [0, 1]"),
-            ("visibility-map", "map_herald_dark_prob", 2, "in [0, 1]"),
         )
     ),
     # An OverflowError in coherence_time, squaring the wavelength.

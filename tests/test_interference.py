@@ -58,13 +58,13 @@ def test_visibility_in_unit_interval_and_product_bound():
 
 
 def test_visibility_map_operating_point_low_eta():
-    rows = visibility_map([0.05], [0.02], None, 0.0)
+    rows = visibility_map([0.05], [0.02])
     assert rows[0][2] == pytest.approx(V_LOW_ETA, abs=1e-3)
 
 
 def test_visibility_map_monotone_in_nb():
     nb_grid = [0.005, 0.01, 0.02, 0.04, 0.08]
-    rows = visibility_map([0.05], nb_grid, None, 0.0)
+    rows = visibility_map([0.05], nb_grid)
     values = [v for _, _, v in rows]
     assert all(a >= b - 1e-12 for a, b in zip(values, values[1:]))
 

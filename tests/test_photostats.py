@@ -4,6 +4,7 @@ import pytest
 
 from relaysim.photostats import (
     apply_loss,
+    binomial,
     custom,
     herald_condition,
     poisson,
@@ -127,6 +128,16 @@ def test_herald_dark_mixes_unconditioned():
     # As the efficiency goes to 0 at a fixed dark probability the conditioned
     # law tends to the unconditioned one, not to n p(n)/mean.
     assert herald_condition(thermal(0.02), 1e-12, 0.5).pmf == pytest.approx(thermal(0.02).pmf, rel=1e-9)
+
+
+def test_binomial_law():
+    assert binomial(0, 0.3) == [1.0]
+    assert binomial(3, 0.0) == [1.0, 0.0, 0.0, 0.0]
+    assert binomial(3, 1.0) == [0.0, 0.0, 0.0, 1.0]
+    assert binomial(2, 0.5) == [0.25, 0.5, 0.25]
+    law = binomial(20, 0.37)
+    assert math.fsum(law) == pytest.approx(1.0, abs=1e-15)
+    assert math.fsum(k * b for k, b in enumerate(law)) == pytest.approx(20 * 0.37, rel=1e-14)
 
 
 def test_apply_loss_thermal_stays_thermal():

@@ -134,6 +134,14 @@ REJECTIONS = {
         ("no anchor", ([], HALF_PI), "at least one (voltage, ratio) anchor is required"),
         ("infinite voltage", ([(0.0, 1.0), (INF, 0.5)], HALF_PI), "anchor voltage inf is not finite"),
         ("nan voltage", ([(NAN, 0.5)], HALF_PI), "anchor voltage nan is not finite"),
+        # Each ended in "math domain error": the starting slope overflowed, and the fit took sin(inf).
+        *(
+            (
+                f"subnormal voltage {v_ref!r}", (anchors, HALF_PI),
+                f"anchor voltage {v_ref!r} V is too small: the fit's starting slope overflows",
+            )
+            for anchors, v_ref in (([(5e-324, 0.5)], 5e-324), ([(0.0, 1.0), (-1e-310, 0.5)], 1e-310))
+        ),
     ]),
     **_rows("ChipLayout", ChipLayout, ConfigurationError, [
         (
@@ -261,13 +269,13 @@ REJECTIONS = {
     # Each names the arm of the first empty grid or mean with no thermal law, arm a's first.
     **{
         f"visibility_map arm {arm} empty grid": (
-            partial(visibility_map, *grids, None, 0.0), GridMeanError, "the grid must be nonempty"
+            partial(visibility_map, *grids), GridMeanError, "the grid must be nonempty"
         )
         for arm, grids in (("a", ([], [])), ("b", ([0.01], [])))
     },
     **{
         f"visibility_map arm {arm} mean {mean}": (
-            partial(visibility_map, *grids, 1.0, 0.0), GridMeanError, _lost_mass("thermal", mean, lost)
+            partial(visibility_map, *grids), GridMeanError, _lost_mass("thermal", mean, lost)
         )
         for arm, grids, mean, lost in (
             ("a", ([0.01, 30.0], [0.7]), 30.0, "0.502"),
@@ -276,10 +284,10 @@ REJECTIONS = {
     },
     # Each named no grid point.
     "visibility_map no herald click": (
-        partial(visibility_map, [0.01], [0.01, 0.0], None, 0.0), UndefinedConditioningError, f"{_NO_HERALD} at N_b = 0.0"
+        partial(visibility_map, [0.01], [0.01, 0.0]), UndefinedConditioningError, f"{_NO_HERALD} at N_b = 0.0"
     ),
     "visibility_map vacuum": (
-        partial(visibility_map, [0.01, 0.0], [1e-200], 1.0, 0.0), UndefinedVisibilityError,
+        partial(visibility_map, [0.01, 0.0], [1e-200]), UndefinedVisibilityError,
         "out-of-dip coincidence probability is zero; visibility undefined at N_a = 0.0, N_b = 1e-200",
     ),
     **_rows("dip_profile", dip_profile, ValueError, [
@@ -467,8 +475,8 @@ def test_every_config_field_is_numeric_or_exact():
     # Every field the non-finite rows skip is an int.
     types = Counter(f.type for f in fields(ScenarioConfig))
     assert {t: n for t, n in types.items() if t in _NUMBER_SLOTS} == {
-        "float": 44,
-        "float | None": 3,
+        "float": 43,
+        "float | None": 2,
         "tuple[float, ...]": 2,
         "tuple[tuple[float, float], ...]": 2,
     }
