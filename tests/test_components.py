@@ -145,6 +145,15 @@ def test_fit_whose_best_slope_is_zero_terminates():
     assert cal.residual_rms <= rms_residual(anchors, oracle)
 
 
+def test_smallest_anchor_voltage_with_a_finite_starting_slope_calibrates():
+    # The fit starts at 0.8 kappa*Lc / V: finite at 1e-308 V, where the
+    # calibration ends within 2e-3 of the anchor ratio; at 5e-324 V it
+    # overflows and the anchor is rejected.
+    cal = calibrate_coupler([(1e-308, 0.5)], kappa_lc_rad=math.pi / 2)
+    assert math.isfinite(cal.model.gamma_rad_per_v)
+    assert coupler_ratio(cal.model, 1e-308) == pytest.approx(0.5, abs=2e-3)
+
+
 # ---------------------------------------------------------------------------
 # Chip layout / losses
 # ---------------------------------------------------------------------------

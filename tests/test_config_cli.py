@@ -399,11 +399,17 @@ _REJECTIONS = [
     ),
     # "ValueError: math domain error": the starting slope 0.8 * kappa*Lc / V
     # overflowed, and the fit took sin(inf).
-    (
-        ("coupler-curve",),
-        '{"coupler_c2_anchors": [[0.0, 1.0], [1e-310, 0.5]]}',
-        "CalibrationError: coupler_c2_anchors: anchor voltage 1e-310 V is too small: the fit's starting "
-        "slope overflows",
+    *(
+        (
+            ("coupler-curve",),
+            f'{{"{key}": {anchors}}}',
+            f"CalibrationError: {key}: anchor voltage {v_ref} V is too small: the fit's starting slope overflows",
+        )
+        for key, anchors, v_ref in (
+            ("coupler_c1_anchors", "[[5e-324, 0.5]]", "5e-324"),
+            ("coupler_c1_anchors", "[[1e-320, 0.5]]", "1e-320"),
+            ("coupler_c2_anchors", "[[0.0, 1.0], [1e-310, 0.5]]", "1e-310"),
+        )
     ),
     # With mu * eta = 0 the direct link's zero-distance rate is all dark
     # counts, and the table printed direct = 1.0 at every distance.

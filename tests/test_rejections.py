@@ -111,10 +111,12 @@ _REMOVED_KEYS = {
     "pair_number_cutoff": "folding the tail onto it moved the dip with no warning; laws span 0-20 pairs",
     "spdc_lineshape": "no preset chose a gaussian; the pair spectrum is the sinc^2 phase-matching envelope",
     "photon_lineshape": "only the coherence time read it; the dip's overlap, timing factor and fit are gaussian",
+    "map_herald_efficiency": "every preset left it null; the map heralds arm b in the vanishing-efficiency limit",
+    "map_herald_dark_prob": "the map's vanishing-efficiency herald takes no dark clicks",
 }
 # Numeric keys since removed: a non-finite value is rejected by the key's
 # removal too, before any coercion.
-_REMOVED_NUMERIC_KEYS = ("monitor_arm_loss_db", "relay_position")
+_REMOVED_NUMERIC_KEYS = ("monitor_arm_loss_db", "relay_position", "map_herald_efficiency", "map_herald_dark_prob")
 
 _UNKNOWN_VARIANT = (
     "unknown variant 'quantum_carrier_pigeon'; expected one of "
@@ -140,7 +142,9 @@ REJECTIONS = {
                 f"subnormal voltage {v_ref!r}", (anchors, HALF_PI),
                 f"anchor voltage {v_ref!r} V is too small: the fit's starting slope overflows",
             )
-            for anchors, v_ref in (([(5e-324, 0.5)], 5e-324), ([(0.0, 1.0), (-1e-310, 0.5)], 1e-310))
+            for anchors, v_ref in (
+                ([(5e-324, 0.5)], 5e-324), ([(1e-320, 0.5)], 1e-320), ([(0.0, 1.0), (-1e-310, 0.5)], 1e-310),
+            )
         ),
     ]),
     **_rows("ChipLayout", ChipLayout, ConfigurationError, [
