@@ -162,10 +162,9 @@ def _cmd_hom_dip(args) -> int:
     from .montecarlo import ScanSpanError, scan_dip
 
     cfg = _load(args)
-    scenario = cfg.to_scenario()
     positions = _grid(cfg, "dip_scan_min_mm", "dip_scan_max_mm", "dip_scan_points", 3)
     try:
-        result = scan_dip(scenario, positions, args.pulses, seed=args.seed)
+        result = scan_dip(cfg, positions, args.pulses, seed=args.seed)
     except ScanSpanError as exc:
         raise ConfigurationError(f"dip_scan_min_mm and dip_scan_max_mm are too close: {exc}") from None
     if result.resolution_warning is not None:
@@ -236,7 +235,7 @@ def _report_rows(report: CountsReport, net: NetRates) -> list[tuple[str, object]
 def _cmd_mc_run(args) -> int:
     from .montecarlo import run, subtract_accidentals
 
-    report = run(_load(args).to_scenario(), args.pulses, seed=args.seed)
+    report = run(_load(args), args.pulses, seed=args.seed)
     if report.resolution_warning is not None:
         print(report.resolution_warning, file=sys.stderr)
     net = subtract_accidentals(report)

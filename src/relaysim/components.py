@@ -118,21 +118,26 @@ _GAMMA_FIT_MAX_STEPS = 100
 def _gamma_fit_state(anchors, kappa_lc_rad: float, gamma: float) -> tuple[float, float]:
     """Sum of squared anchor residuals at gamma, and the Gauss-Newton step from there.
 
-    The slope of the cross ratio is dT/dgamma = dT/ds * gamma V^2 / s, with
-    s = hypot(kappa*Lc, gamma V) and T = (kappa*Lc / s)^2 sin^2(s).
+    The step is taken in ln(gamma), which makes it scale-free: the slope of
+    the cross ratio is dT/dln(gamma) = dT/ds * (gamma V)^2 / s, with
+    s = hypot(kappa*Lc, gamma V) and T = (kappa*Lc / s)^2 sin^2(s), and it
+    reads V only through the detuning gamma V.  The slope in gamma itself,
+    this one over gamma, scales as V, and its square underflows or overflows
+    for anchors far from 1 V, where the step would be 0.
     """
     model = CouplerModel(kappa_lc_rad, gamma)
     cost = num = den = 0.0
     for v, r in anchors:
         res = coupler_ratio(model, v) - r
-        s = math.hypot(kappa_lc_rad, gamma * v)
+        detuning = gamma * v
+        s = math.hypot(kappa_lc_rad, detuning)
         sin_s = math.sin(s)
         dt_ds = 2.0 * (kappa_lc_rad / s) ** 2 * sin_s * (math.cos(s) - sin_s / s)
-        slope = dt_ds * (gamma * v * v / s)
+        slope = dt_ds * (detuning * detuning / s)
         cost += res * res
         num += res * slope
         den += slope * slope
-    return cost, (-num / den if den else 0.0)
+    return cost, (-num / den * gamma if den else 0.0)
 
 
 def _fit_gamma(anchors, kappa_lc_rad: float, gamma: float) -> float:
@@ -153,9 +158,10 @@ def _fit_gamma(anchors, kappa_lc_rad: float, gamma: float) -> float:
             trial = gamma + step
             if trial in seen:
                 return gamma
-            trial_cost, trial_step = _gamma_fit_state(anchors, kappa_lc_rad, trial)
-            if trial_cost <= cost:
-                break
+            if trial < math.inf:  # a slope doubled past the float range counts as a cost that grew
+                trial_cost, trial_step = _gamma_fit_state(anchors, kappa_lc_rad, trial)
+                if trial_cost <= cost:
+                    break
             step *= 0.5
         gamma, cost, step = trial, trial_cost, trial_step
     return gamma
@@ -183,7 +189,10 @@ def calibrate_coupler(anchor_points, kappa_lc_rad: float) -> CouplerCalibration:
     Anchors only at zero voltage leave gamma unconstrained at 0, and the
     calibration says so in gamma_constrained.  The fit starts at
     0.8 kappa*Lc / |V| at the largest nonzero |V|; anchors where that
-    overflows (below about 7e-309 V at kappa*Lc = pi/2) are rejected.
+    overflows (below about 7e-309 V at kappa*Lc = pi/2) are rejected.  The
+    slope is scale-free: the solver steps in ln(gamma), so anchors far from
+    1 V, such as a single one at 1e-200 V or 1e200 V, fit as well as one at
+    30 V.
     """
     model = CouplerModel(kappa_lc_rad, 0.0)  # rejects a bad kappa*Lc before anchors are judged by it
     anchors = tuple((float(v), float(r)) for v, r in anchor_points)

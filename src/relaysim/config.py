@@ -31,7 +31,6 @@ from .units import SpectralMode
 
 if TYPE_CHECKING:
     from .linkbudget import LinkParams
-    from .montecarlo import Scenario
 
 SCHEMA_VERSION = 2
 
@@ -49,7 +48,12 @@ _BOUNDS = {
 
 @record
 class ScenarioConfig:
-    """Versioned, flat configuration mirroring all model parameters."""
+    """The chip description that the engines read: versioned, flat, every model parameter.
+
+    `compile_scenario` and the Monte Carlo, enumeration, closed-form and
+    dip-scan engines take it directly and build their models through the
+    builders below; `to_link_params` gives the link budget's.
+    """
 
     schema_version: int = SCHEMA_VERSION
 
@@ -207,31 +211,13 @@ class ScenarioConfig:
             self.checked(f"{name}_insertion_loss_db", ">= 0"),
         )
 
-    def to_scenario(self) -> Scenario:
-        from .montecarlo import Scenario  # deferred: only the two sampling studies need it
+    def to_scenario(self) -> ScenarioConfig:
+        """This config: the engines read it directly.
 
-        det = self.detector()
-        return Scenario(
-            pump_repetition_rate_hz=self.pump_repetition_rate_hz,
-            pump_duration_ps=self.pump_duration_ps,
-            gate_rate_hz=self.gate_rate_hz,
-            external_source=self.source("external"),
-            chip_source=self.source("chip"),
-            photon_mode=self.photon_mode(),
-            dip_fwhm_time_ps=self.dip_fwhm_time_ps,
-            coupler_c1=self.calibration("coupler_c1_anchors").model,
-            coupler_c2=self.calibration("coupler_c2_anchors").model,
-            coupler_c1_voltage_v=self.coupler_c1_voltage_v,
-            coupler_c2_voltage_v=self.coupler_c2_voltage_v,
-            layout=self.chip_layout(),
-            alice_arm_loss_db=self.alice_arm_loss_db,
-            filter_ab=self.passband("filter_ab"),
-            filter_c=self.passband("filter_c"),
-            detector_a=det,
-            detector_b=det,
-            detector_c=det,
-            delay_mm=self.delay_mm,
-        )
+        A shim for the benchmark only (`perfbench/run.py` calls it and traces
+        it by name); ROADMAP item 3a deletes it.
+        """
+        return self
 
     def to_link_params(self) -> LinkParams:
         from .linkbudget import LinkParams  # deferred: only the key-rate study needs it

@@ -3,9 +3,11 @@
 One external heralded-style source feeds chip port 1; the on-chip source
 feeds pairs through coupler C1; the surviving photons interfere at coupler
 C2 and are counted on gated detectors D_a, D_b (outputs A, B) and D_c (the
-herald at port C).  Reported tallies are singles, two-fold and three-fold
-coincidences, at the scenario delay and at a far-delay reference, from which
-raw and accidental-subtracted dip visibilities follow.
+herald at port C).  Every engine reads the chip from a `ScenarioConfig`,
+which `compile_scenario` reduces to per-arm probabilities.  Reported tallies
+are singles, two-fold and three-fold coincidences, at the config's delay and
+at a far-delay reference, from which raw and accidental-subtracted dip
+visibilities follow.
 
 Gated pulses are independent and identically distributed, and every tally
 is a function of one pulse's joint click pattern (A, B, C).  `joint_law`
@@ -22,7 +24,7 @@ closed form `analytic_visibility` all read one set of `_model_inputs`.
 
 numpy is imported in three places only: `joint_law`'s einsum, the Generator
 draws (`_generator`) and `CounterRng` with its `_mix64`.  Compiling a
-scenario, the enumeration, the closed form and the photon ledger are
+config, the enumeration, the closed form and the photon ledger are
 standard-library Python: sums are sequential or `math.fsum`, which is
 correctly rounded in any order, and powers are `**`.  So `expected_rates`,
 `analytic_visibility` and the ledger run without loading numpy, and their
@@ -43,16 +45,7 @@ from collections.abc import Callable
 from itertools import accumulate
 from typing import TYPE_CHECKING
 
-from .components import (
-    ChipLayout,
-    ConfigurationError,
-    CouplerModel,
-    DetectorModel,
-    FilterModel,
-    SpdcSource,
-    coupler_ratio,
-    detector_clicks,
-)
+from .components import ConfigurationError, SpdcSource, coupler_ratio, detector_clicks
 from .config import ScenarioConfig
 from .interference import DipFit, FitFailureError, FOUR_LN2, fit_dip, v_statistics, v_timing
 from .photostats import (
@@ -65,7 +58,7 @@ from .photostats import (
     thermal,
 )
 from .records import record
-from .units import SpectralMode, coherence_time, db_to_linear, delay_to_path
+from .units import coherence_time, db_to_linear, delay_to_path
 
 if TYPE_CHECKING:
     import numpy as np
@@ -138,60 +131,42 @@ class CounterRng:
 
 
 # ---------------------------------------------------------------------------
-# Scenario
+# Compiling a config
 # ---------------------------------------------------------------------------
 
-_DEFAULTS = ScenarioConfig()
+def Scenario(
+    *, external_source, chip_source, layout, detector_a, detector_b, detector_c, detector_monitor=None, **keys
+) -> ScenarioConfig:
+    """The config that the benchmark's bench scenario states in records (`perfbench/run.py`).
 
-
-@record
-class Scenario:
-    """Full experiment description for one Monte Carlo run.
-
-    `ScenarioConfig` states the model's defaults, and `_DEFAULTS.to_scenario()`
-    is the default scenario.  The defaults below read `_DEFAULTS` through the
-    builders `to_scenario` calls.  They remain only because the benchmark's
-    bench scenario (`perfbench/run.py`) builds a Scenario without them.
+    A shim for the benchmark only; ROADMAP item 3a deletes it.  It reads the
+    sources' pairs_per_mw and pump_power_mw, the layout's four segments and
+    measured_insertion_db, and one detector for A, B and C; detector_monitor
+    is accepted and read by nothing.  Every other key is a config key.
     """
-
-    pump_duration_ps: float
-    gate_rate_hz: float
-
-    external_source: SpdcSource
-    chip_source: SpdcSource
-    layout: ChipLayout
-
-    detector_a: DetectorModel
-    detector_b: DetectorModel
-    detector_c: DetectorModel
-
-    pump_repetition_rate_hz: float = _DEFAULTS.pump_repetition_rate_hz
-
-    # Explicit pair-number distributions override the sources' thermal laws.
-    external_distribution: PhotonNumberDistribution | None = None
-    chip_distribution: PhotonNumberDistribution | None = None
-
-    photon_mode: SpectralMode = _DEFAULTS.photon_mode()
-    dip_fwhm_time_ps: float | None = _DEFAULTS.dip_fwhm_time_ps
-
-    coupler_c1: CouplerModel = _DEFAULTS.calibration("coupler_c1_anchors").model
-    coupler_c2: CouplerModel = _DEFAULTS.calibration("coupler_c2_anchors").model
-    coupler_c1_voltage_v: float = _DEFAULTS.coupler_c1_voltage_v
-    coupler_c2_voltage_v: float = _DEFAULTS.coupler_c2_voltage_v
-
-    alice_arm_loss_db: float = _DEFAULTS.alice_arm_loss_db
-    filter_ab: FilterModel = _DEFAULTS.passband("filter_ab")
-    filter_c: FilterModel = _DEFAULTS.passband("filter_c")
-
-    # Accepted and read by nothing; the benchmark's bench scenario still passes it.
-    detector_monitor: DetectorModel | None = None
-
-    delay_mm: float = _DEFAULTS.delay_mm
+    if not detector_a == detector_b == detector_c:
+        raise ConfigurationError("the bench scenario states one detector for A, B and C")
+    segments = layout.segments
+    return ScenarioConfig(
+        external_pairs_per_mw=external_source.pairs_per_mw,
+        external_pump_power_mw=external_source.pump_power_mw,
+        chip_pairs_per_mw=chip_source.pairs_per_mw,
+        chip_pump_power_mw=chip_source.pump_power_mw,
+        loss_fiber_to_chip_db=segments["fiber_to_chip"],
+        loss_chip_to_fiber_db=segments["chip_to_fiber"],
+        loss_propagation_front_db=segments["prop_front"],
+        loss_propagation_back_db=segments["prop_back"],
+        measured_insertion_loss_db=layout.measured_insertion_db,
+        detector_efficiency=detector_a.efficiency,
+        detector_dark_prob_per_ns=detector_a.dark_prob_per_ns,
+        detector_gate_window_ns=detector_a.gate_window_ns,
+        **keys,
+    )
 
 
 @record
 class SimParams:
-    """Scenario compiled to per-arm probabilities and routing fractions."""
+    """A config compiled to per-arm probabilities and routing fractions."""
 
     p_gate: float
     pmf_a: tuple[float, ...]  # external pair number, at most N_MAX pairs
@@ -243,32 +218,49 @@ def _pair_pmf(pmf) -> tuple[float, ...]:
     return tuple(p / total for p in diffs)
 
 
-def compile_scenario(scenario: Scenario) -> SimParams:
-    """Validate a scenario and reduce it to per-arm probabilities."""
-    if not (scenario.gate_rate_hz > 0 and scenario.pump_repetition_rate_hz > 0):
+def compile_scenario(
+    cfg: ScenarioConfig,
+    external_distribution: PhotonNumberDistribution | None = None,
+    chip_distribution: PhotonNumberDistribution | None = None,
+) -> SimParams:
+    """Validate a configuration and reduce it to per-arm probabilities.
+
+    The models come from the config's builders, so a rejected value names its
+    key, and every compile calibrates both couplers.  Explicit pair-number
+    distributions override the sources' thermal laws.
+    """
+    detector = cfg.detector()
+    external_source, chip_source = cfg.source("external"), cfg.source("chip")
+    photon_mode = cfg.photon_mode()
+    coupler_c1 = cfg.calibration("coupler_c1_anchors").model
+    coupler_c2 = cfg.calibration("coupler_c2_anchors").model
+    layout = cfg.chip_layout()
+    filter_ab, filter_c = cfg.passband("filter_ab"), cfg.passband("filter_c")
+
+    if not (cfg.gate_rate_hz > 0 and cfg.pump_repetition_rate_hz > 0):
         raise ConfigurationError(
             "pump_repetition_rate_hz and gate_rate_hz must be > 0, got "
-            f"{scenario.pump_repetition_rate_hz} and {scenario.gate_rate_hz}"
+            f"{cfg.pump_repetition_rate_hz} and {cfg.gate_rate_hz}"
         )
-    if scenario.gate_rate_hz > scenario.pump_repetition_rate_hz:
+    if cfg.gate_rate_hz > cfg.pump_repetition_rate_hz:
         raise ConfigurationError(
             "gate_rate_hz must be <= pump_repetition_rate_hz, got "
-            f"{scenario.gate_rate_hz} > {scenario.pump_repetition_rate_hz}"
+            f"{cfg.gate_rate_hz} > {cfg.pump_repetition_rate_hz}"
         )
-    p_gate = scenario.gate_rate_hz / scenario.pump_repetition_rate_hz
+    p_gate = cfg.gate_rate_hz / cfg.pump_repetition_rate_hz
     if not p_gate > 0:  # the quotient can underflow to 0
         raise ConfigurationError(
             "pump_repetition_rate_hz and gate_rate_hz must give a gate probability > 0, got "
-            f"{scenario.gate_rate_hz} / {scenario.pump_repetition_rate_hz} = {p_gate}"
+            f"{cfg.gate_rate_hz} / {cfg.pump_repetition_rate_hz} = {p_gate}"
         )
-    if not scenario.pump_duration_ps >= 0:
-        raise ConfigurationError(f"pump_duration_ps must be >= 0, got {scenario.pump_duration_ps}")
-    if not math.isfinite(scenario.delay_mm):
-        raise ConfigurationError(f"delay_mm must be finite, got {scenario.delay_mm}")
-    if not scenario.alice_arm_loss_db >= 0:
-        raise ConfigurationError(f"alice_arm_loss_db must be >= 0, got {scenario.alice_arm_loss_db}")
+    if not cfg.pump_duration_ps >= 0:
+        raise ConfigurationError(f"pump_duration_ps must be >= 0, got {cfg.pump_duration_ps}")
+    if not math.isfinite(cfg.delay_mm):
+        raise ConfigurationError(f"delay_mm must be finite, got {cfg.delay_mm}")
+    if not cfg.alice_arm_loss_db >= 0:
+        raise ConfigurationError(f"alice_arm_loss_db must be >= 0, got {cfg.alice_arm_loss_db}")
     try:
-        tau_c_ps = coherence_time(scenario.photon_mode)
+        tau_c_ps = coherence_time(photon_mode)
     except ValueError as exc:  # a center wavelength whose square overflows or underflows
         raise ConfigurationError(f"photon_center_wavelength_nm: {exc}") from None
     if not 0 < tau_c_ps < math.inf:  # the quotient by the bandwidth can underflow or overflow
@@ -276,17 +268,17 @@ def compile_scenario(scenario: Scenario) -> SimParams:
             "photon_center_wavelength_nm and photon_fwhm_pm must give a coherence time that is finite and > 0, "
             f"got {tau_c_ps} ps"
         )
-    tau_ps = tau_c_ps if scenario.dip_fwhm_time_ps is None else scenario.dip_fwhm_time_ps
+    tau_ps = tau_c_ps if cfg.dip_fwhm_time_ps is None else cfg.dip_fwhm_time_ps
     # An override that is not > 0, or one so small (below about 2.5e-312 ps)
     # that its path underflows to 0 mm, fails here.
     fwhm_mm = delay_to_path(tau_ps) if tau_ps > 0 else 0.0
     if not fwhm_mm > 0:
-        raise ConfigurationError(f"dip_fwhm_time_ps must be > 0, got {scenario.dip_fwhm_time_ps}")
+        raise ConfigurationError(f"dip_fwhm_time_ps must be > 0, got {cfg.dip_fwhm_time_ps}")
 
-    lam_signal = scenario.photon_mode.center_wavelength_nm
+    lam_signal = photon_mode.center_wavelength_nm
     # Energy-matched partner of the interfering photons (chip pair).  Photons
     # at or past twice the pairs' center frequency leave it no energy.
-    inverse_partner = 2.0 / scenario.chip_source.spectrum.center_wavelength_nm - 1.0 / lam_signal
+    inverse_partner = 2.0 / chip_source.spectrum.center_wavelength_nm - 1.0 / lam_signal
     lam_partner = 1.0 / inverse_partner if inverse_partner else math.inf
     if not 0 < lam_partner < math.inf:
         raise ConfigurationError(
@@ -295,10 +287,10 @@ def compile_scenario(scenario: Scenario) -> SimParams:
         )
     # Each output passes its own photons and, for clean heralding, blocks the other's.
     for name, band, lam, photons, must_pass in (
-        ("filter_ab", scenario.filter_ab, lam_signal, "interfering", True),
-        ("filter_c", scenario.filter_c, lam_partner, "partner", True),
-        ("filter_ab", scenario.filter_ab, lam_partner, "partner", False),
-        ("filter_c", scenario.filter_c, lam_signal, "interfering", False),
+        ("filter_ab", filter_ab, lam_signal, "interfering", True),
+        ("filter_c", filter_c, lam_partner, "partner", True),
+        ("filter_ab", filter_ab, lam_partner, "partner", False),
+        ("filter_c", filter_c, lam_signal, "interfering", False),
     ):
         if band.passes(lam) != must_pass:
             raise ConfigurationError(
@@ -307,25 +299,19 @@ def compile_scenario(scenario: Scenario) -> SimParams:
                 f"got a {band.fwhm_pm!r} pm band at {band.center_nm!r} nm"
             )
 
-    dist_a = _pair_distribution(scenario.external_distribution, scenario.external_source, "external")
-    dist_b = _pair_distribution(scenario.chip_distribution, scenario.chip_source, "chip")
+    dist_a = _pair_distribution(external_distribution, external_source, "external")
+    dist_b = _pair_distribution(chip_distribution, chip_source, "chip")
     if dist_a.n_max > N_MAX or dist_b.n_max > N_MAX:
         raise ConfigurationError(f"pair distributions must be truncated at <= {N_MAX}")
 
-    t1 = coupler_ratio(scenario.coupler_c1, scenario.coupler_c1_voltage_v)
-    t2 = coupler_ratio(scenario.coupler_c2, scenario.coupler_c2_voltage_v)
+    t1 = coupler_ratio(coupler_c1, cfg.coupler_c1_voltage_v)
+    t2 = coupler_ratio(coupler_c2, cfg.coupler_c2_voltage_v)
 
     # Cross port of C1 continues toward C2; bar port exits at port C.
-    q_a = db_to_linear(scenario.alice_arm_loss_db) * scenario.layout.path_transmission("alice_to_c2")
-    q_b = t1 * scenario.layout.path_transmission("chipsrc_to_c2")
-    p_c = (
-        (1.0 - t1)
-        * scenario.layout.path_transmission("chipsrc_to_c")
-        * db_to_linear(scenario.filter_c.insertion_loss_db)
-    )
-    s_post = scenario.layout.path_transmission("c2_to_out") * db_to_linear(
-        scenario.filter_ab.insertion_loss_db
-    )
+    q_a = db_to_linear(cfg.alice_arm_loss_db) * layout.path_transmission("alice_to_c2")
+    q_b = t1 * layout.path_transmission("chipsrc_to_c2")
+    p_c = (1.0 - t1) * layout.path_transmission("chipsrc_to_c") * db_to_linear(filter_c.insertion_loss_db)
+    s_post = layout.path_transmission("c2_to_out") * db_to_linear(filter_ab.insertion_loss_db)
 
     return SimParams(
         p_gate=p_gate,
@@ -336,15 +322,15 @@ def compile_scenario(scenario: Scenario) -> SimParams:
         p_c_arrive=p_c,
         s_post=s_post,
         cross2=t2,
-        eta_a=scenario.detector_a.efficiency,
-        eta_b=scenario.detector_b.efficiency,
-        eta_c=scenario.detector_c.efficiency,
-        dark_a=scenario.detector_a.dark_prob_per_gate,
-        dark_b=scenario.detector_b.dark_prob_per_gate,
-        dark_c=scenario.detector_c.dark_prob_per_gate,
-        overlap_peak=v_timing(scenario.pump_duration_ps, tau_c_ps),
+        eta_a=detector.efficiency,
+        eta_b=detector.efficiency,
+        eta_c=detector.efficiency,
+        dark_a=detector.dark_prob_per_gate,
+        dark_b=detector.dark_prob_per_gate,
+        dark_c=detector.dark_prob_per_gate,
+        overlap_peak=v_timing(cfg.pump_duration_ps, tau_c_ps),
         fwhm_mm=fwhm_mm,
-        delay_mm=scenario.delay_mm,
+        delay_mm=cfg.delay_mm,
     )
 
 
@@ -501,7 +487,7 @@ def _sample_leg(params: SimParams, n_pulses: int, key: int, law: np.ndarray) -> 
 
 @record
 class CountsReport:
-    """Tallies at the scenario delay (dip leg) and at far delay (reference leg)."""
+    """Tallies at the config's delay (dip leg) and at far delay (reference leg)."""
 
     pulses_simulated: int
     seed: int
@@ -593,26 +579,27 @@ def subtract_accidentals(report: CountsReport) -> NetRates:
     return NetRates(acc3_dip, acc3_ref, vis, err, vis2)
 
 
-def run(scenario: Scenario, n_pulses: int, seed: int = 1, workers: int = 1) -> CountsReport:
-    """Simulate n_pulses laser pulses at the scenario delay and at far delay.
+def run(cfg: ScenarioConfig, n_pulses: int, seed: int = 1, workers: int = 1, **laws) -> CountsReport:
+    """Simulate n_pulses laser pulses at the config's delay and at far delay.
 
-    Deterministic for fixed (scenario, n_pulses, seed); the cost does not
+    Deterministic for fixed (cfg, n_pulses, seed, laws); the cost does not
     grow with n_pulses.  The far-delay reference leg (temporal overlap zero)
     uses an independent stream and provides the out-of-dip baseline from
     which the report's visibilities are derived.  `workers` is accepted for
     compatibility and has no effect: each leg is two draws in one process.
+    laws are `compile_scenario`'s pair-law overrides.
     """
     if not 1 <= n_pulses <= MAX_PULSES:
         raise ValueError(f"n_pulses must be in [1, {MAX_PULSES}], got {n_pulses}")
     _check_seed(seed)
-    params = compile_scenario(scenario)
+    params = compile_scenario(cfg, **laws)
     dip_law = joint_law(params, params.overlap_at(params.delay_mm))
     ref_law = joint_law(params, 0.0)
     dip = _sample_leg(params, n_pulses, derive_key(seed, "dip"), dip_law)
     return CountsReport(
         pulses_simulated=n_pulses,
         seed=seed,
-        delay_mm=scenario.delay_mm,
+        delay_mm=cfg.delay_mm,
         dip=dip,
         ref=_sample_leg(params, n_pulses, derive_key(seed, "ref"), ref_law),
         ledger=PhotonLedger(*(dip.gated * flow for flow in _ledger_per_gate(params))),
@@ -630,7 +617,7 @@ RESOLVABLE_REF_TRIPLES = 10.0
 def _resolution_warning(params: SimParams, n_pulses: int, p_dip: float, p_ref: float) -> str | None:
     """A one-line warning when n_pulses per leg cannot resolve the dip, else None.
 
-    p_dip and p_ref are the per-gate three-fold probabilities at the scenario
+    p_dip and p_ref are the per-gate three-fold probabilities at the config's
     delay and at far delay.  The reference leg is expected to hold
     n_pulses * p_gate * p_ref three-folds.  Below RESOLVABLE_REF_TRIPLES the
     warning names the pulse count that gives a raw-visibility sigma of
@@ -672,18 +659,18 @@ class ExpectedRates:
     p_threefold_abc: float
 
 
-def expected_rates(scenario: Scenario, overlap: float | None = None) -> ExpectedRates:
+def expected_rates(cfg: ScenarioConfig, overlap: float | None = None, **laws) -> ExpectedRates:
     """Enumerate the pulse model exactly, over every photon pattern of the pair laws.
 
     This is the n -> infinity surrogate for the Monte Carlo engine: the same
     source statistics, routing rules, and detection model, summed over all
     photon patterns instead of sampled.  overlap is the temporal overlap of
     the interfering photons, in [0, 1] (ValueError otherwise); it defaults to
-    the scenario delay's.
+    that at the config's delay.  laws are `compile_scenario`'s pair-law overrides.
     """
     if overlap is not None and not 0.0 <= overlap <= 1.0:
         raise ValueError(f"overlap must be in [0, 1], got {overlap}")
-    params = compile_scenario(scenario)
+    params = compile_scenario(cfg, **laws)
     if overlap is None:
         overlap = params.overlap_at(params.delay_mm)
     return _rate_table(params)(overlap)
@@ -752,7 +739,7 @@ def _rate_table(params: SimParams) -> Callable[[float], ExpectedRates]:
     return rates_at
 
 
-def analytic_visibility(scenario: Scenario) -> float:
+def analytic_visibility(cfg: ScenarioConfig, **laws) -> float:
     """Closed-form three-fold dip visibility: the statistics factor times the timing factor.
 
     The statistics factor evaluates the coincidence bounds on the photon
@@ -761,8 +748,9 @@ def analytic_visibility(scenario: Scenario) -> float:
     herald click, normalised.  The latter is the chip law conditioned on the
     herald click and thinned by the b-arm survival: both weight the pattern
     of n pairs and k photons at C2 by p(n) Bin(k | n, q_b) P[herald | n].
+    laws are `compile_scenario`'s pair-law overrides.
     """
-    params = compile_scenario(scenario)
+    params = compile_scenario(cfg, **laws)
     pk_a, _, pk_b_herald, *_ = _model_inputs(params)
     if not sum(pk_b_herald) > 0.0:
         raise UndefinedConditioningError("herald click probability is zero; conditioning is undefined")
@@ -795,7 +783,7 @@ class DipScanResult:
 
 
 def scan_dip(
-    scenario: Scenario,
+    cfg: ScenarioConfig,
     positions_mm,
     n_pulses_per_point: int,
     seed: int = 1,
@@ -821,7 +809,7 @@ def scan_dip(
     non_finite = [x for x in positions if not math.isfinite(x)]
     if non_finite:
         raise ValueError(f"scan positions must be finite, got {non_finite[0]}")
-    params = compile_scenario(scenario)
+    params = compile_scenario(cfg)
     span = max(positions) - min(positions)
     if not span > 2.0 * params.fwhm_mm:
         raise ScanSpanError(

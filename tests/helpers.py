@@ -1,11 +1,17 @@
-"""Scenarios and a closed form shared by the Monte Carlo, acceptance and rejection tests."""
+"""Configs and a closed form shared by the Monte Carlo, acceptance and rejection tests.
+
+A case is (name, config, laws): laws are the pair-law overrides that
+`compile_scenario` and the engines take as keywords.
+"""
 
 import math
 import random
 
+import pytest
+
 from relaysim.config import ScenarioConfig, load_preset
 from relaysim.interference import v_statistics
-from relaysim.montecarlo import Scenario, compile_scenario
+from relaysim.montecarlo import compile_scenario
 from relaysim.photostats import apply_loss, custom, herald_condition, thermal
 from relaysim.records import replace
 
@@ -35,8 +41,8 @@ def bench_scenario(
     pump_ps: float = 0.0,
     delay_mm: float = 0.0,
     gate_rate_hz: float = 76e6,
-) -> Scenario:
-    """Bright bench scenario: every pulse gated, losses and darks as given."""
+) -> ScenarioConfig:
+    """Bright bench config: every pulse gated, losses and darks as given."""
     return replace(
         BENCH,
         gate_rate_hz=gate_rate_hz,
@@ -48,22 +54,24 @@ def bench_scenario(
         detector_dark_prob_per_ns=dark_per_ns,
         detector_gate_window_ns=gate_window_ns,
         delay_mm=delay_mm,
-    ).to_scenario()
+    )
 
 
-def single_photon_scenario(delay_mm: float) -> Scenario:
-    """Exactly one photon into each interference port, ideal instruments.
+# Exactly one pair from each source: the laws of `single_photon_scenario`.
+ONE_PHOTON = {"external_distribution": custom([0.0, 1.0]), "chip_distribution": custom([0.0, 1.0])}
+
+
+def single_photon_scenario(delay_mm: float) -> ScenarioConfig:
+    """Ideal instruments for exactly one photon into each interference port (the ONE_PHOTON laws).
 
     Coupler C1 at zero bias routes the full chip-pair flux toward the
     interference coupler, so no herald photons exist; the two-fold A&B
     coincidence is the observable.
     """
-    one = custom([0.0, 1.0])
-    scenario = replace(BENCH, detector_efficiency=1.0, coupler_c1_voltage_v=0.0, delay_mm=delay_mm).to_scenario()
-    return replace(scenario, external_distribution=one, chip_distribution=one)
+    return replace(BENCH, detector_efficiency=1.0, coupler_c1_voltage_v=0.0, delay_mm=delay_mm)
 
 
-def oracle_scenarios() -> list[tuple[str, Scenario]]:
+def oracle_scenarios() -> list[tuple[str, ScenarioConfig]]:
     """Scenarios inside the low-mean-number approximation regime.
 
     Coupler-level mean photon numbers stay at or below ~0.01 so the two-photon
@@ -82,26 +90,26 @@ def oracle_scenarios() -> list[tuple[str, Scenario]]:
     ]
 
 
-def law_cases() -> list[tuple[str, Scenario]]:
-    """Named scenarios that every exact-law check runs over."""
+def law_cases() -> list[tuple[str, ScenarioConfig, dict]]:
+    """Named (config, laws) cases that every exact-law check runs over."""
     return [
-        *oracle_scenarios(),
-        ("darks", bench_scenario(0.02, 0.01, dark_per_ns=1e-4, gate_window_ns=10.0)),
-        ("unbalanced_c2", replace(bench_scenario(0.05, 0.02), coupler_c2_voltage_v=20.0)),
-        ("bright_darks", bench_scenario(0.05, 0.02, dark_per_ns=1e-4)),
-        ("paper-fig6", load_preset("paper-fig6").to_scenario()),
+        *((name, cfg, {}) for name, cfg in oracle_scenarios()),
+        ("darks", bench_scenario(0.02, 0.01, dark_per_ns=1e-4, gate_window_ns=10.0), {}),
+        ("unbalanced_c2", replace(bench_scenario(0.05, 0.02), coupler_c2_voltage_v=20.0), {}),
+        ("bright_darks", bench_scenario(0.05, 0.02, dark_per_ns=1e-4), {}),
+        ("paper-fig6", load_preset("paper-fig6"), {}),
         # Pair distributions shorter than N_MAX + 1.
-        ("single_photon", single_photon_scenario(0.0)),
+        ("single_photon", single_photon_scenario(0.0), ONE_PHOTON),
     ]
 
 
-def random_bench_cases(seed: int, count: int) -> list[tuple[str, Scenario]]:
+def random_bench_cases(seed: int, count: int) -> list[tuple[str, ScenarioConfig, dict]]:
     """Bench scenarios at random means (1e-4 to 0.56 pairs), efficiency, darks, delay and coupler voltages."""
     rnd = random.Random(seed)
     log_mean = (math.log10(1e-4), math.log10(0.56))
     cases = []
     for i in range(count):
-        scenario = bench_scenario(
+        cfg = bench_scenario(
             10 ** rnd.uniform(*log_mean),
             10 ** rnd.uniform(*log_mean),
             eta=rnd.uniform(0.05, 1.0),
@@ -109,17 +117,21 @@ def random_bench_cases(seed: int, count: int) -> list[tuple[str, Scenario]]:
             delay_mm=rnd.uniform(-10.0, 10.0),
         )
         c1_v, c2_v = rnd.uniform(0.0, 60.0), rnd.uniform(0.0, 60.0)
-        cases.append((f"random{seed}_{i}", replace(scenario, coupler_c1_voltage_v=c1_v, coupler_c2_voltage_v=c2_v)))
+        cases.append((f"random{seed}_{i}", replace(cfg, coupler_c1_voltage_v=c1_v, coupler_c2_voltage_v=c2_v), {}))
     return cases
 
 
-def photostats_closed_form(scenario) -> float:
+def case_params(cases) -> list:
+    """pytest params of (name, config, laws) cases, each with the id `<name>-scenario<index>`."""
+    return [pytest.param(*case, id=f"{case[0]}-scenario{i}") for i, case in enumerate(cases)]
+
+
+def photostats_closed_form(cfg: ScenarioConfig, external_distribution=None, chip_distribution=None) -> float:
     """The closed form composed from photostats: the sources' pair laws built
     again, the chip law conditioned on the herald click, then both thinned."""
-    params = compile_scenario(scenario)
-    dist_a, dist_b = scenario.external_distribution, scenario.chip_distribution
-    dist_a = thermal(scenario.external_source.mean_pairs) if dist_a is None else dist_a
-    dist_b = thermal(scenario.chip_source.mean_pairs) if dist_b is None else dist_b
+    params = compile_scenario(cfg, external_distribution, chip_distribution)
+    dist_a = thermal(cfg.source("external").mean_pairs) if external_distribution is None else external_distribution
+    dist_b = thermal(cfg.source("chip").mean_pairs) if chip_distribution is None else chip_distribution
     dist_b = herald_condition(dist_b, params.p_c_arrive * params.eta_c, params.dark_c)
     v_stat = v_statistics(apply_loss(dist_a, params.q_a), apply_loss(dist_b, params.q_b))
     return v_stat * params.overlap_peak

@@ -99,15 +99,15 @@ def snapshot() -> dict:
     from relaysim.montecarlo import compile_scenario, expected_rates, joint_law
 
     entries = {f"cli {' '.join(argv)}": _run_cli(argv) for argv in _commands()}
-    for case, scenario in law_cases():
-        params = compile_scenario(scenario)
+    for case, scenario, laws in law_cases():
+        params = compile_scenario(scenario, **laws)
         for label, overlap in (("delay", None), ("0", 0.0), ("0.37", 0.37), ("1", 1.0)):
             law_overlap = params.overlap_at(params.delay_mm) if overlap is None else overlap
             entries[f"joint_law {case} overlap={label}"] = _guarded(
                 lambda: _law_bytes_and_values(joint_law(params, law_overlap))
             )
             entries[f"expected_rates {case} overlap={label}"] = _guarded(
-                lambda: _rates_bytes_and_values(expected_rates(scenario, overlap))
+                lambda: _rates_bytes_and_values(expected_rates(scenario, overlap, **laws))
             )
     return entries
 

@@ -111,8 +111,8 @@ def test_criterion_06_oracle_equivalence():
         assert len(scenarios) >= 5
         lines = []
         for name, scenario in scenarios:
-            assert scenario.external_source.mean_pairs <= 0.05
-            assert scenario.chip_source.mean_pairs <= 0.05
+            assert scenario.source("external").mean_pairs <= 0.05
+            assert scenario.source("chip").mean_pairs <= 0.05
             report = run(scenario, 10_000_000, seed=101)
             assert report.dip.gated == report.ref.gated == 10_000_000
             net = subtract_accidentals(report)

@@ -23,7 +23,6 @@ from relaysim.units import SpectralMode
 
 # The default config's models.
 CONFIG = ScenarioConfig()
-SCENARIO = CONFIG.to_scenario()
 LAYOUT = CONFIG.chip_layout()
 DETECTOR = CONFIG.detector()
 
@@ -147,11 +146,27 @@ def test_fit_whose_best_slope_is_zero_terminates():
 
 def test_smallest_anchor_voltage_with_a_finite_starting_slope_calibrates():
     # The fit starts at 0.8 kappa*Lc / V: finite at 1e-308 V, where the
-    # calibration ends within 2e-3 of the anchor ratio; at 5e-324 V it
-    # overflows and the anchor is rejected.
+    # calibration fits the anchor ratio; at 5e-324 V it overflows and the
+    # anchor is rejected.
     cal = calibrate_coupler([(1e-308, 0.5)], kappa_lc_rad=math.pi / 2)
     assert math.isfinite(cal.model.gamma_rad_per_v)
-    assert coupler_ratio(cal.model, 1e-308) == pytest.approx(0.5, abs=2e-3)
+    assert coupler_ratio(cal.model, 1e-308) == pytest.approx(0.5, abs=1e-12)
+    # Full extinction there needs a slope of 2.7e308, past the float range:
+    # the fit stops at a finite slope short of it.
+    cal = calibrate_coupler([(1e-308, 0.0)], kappa_lc_rad=math.pi / 2)
+    assert math.isfinite(cal.model.gamma_rad_per_v) and cal.residual_rms > 0.1
+
+
+@pytest.mark.parametrize("voltage", [1e-300, 1e-200, 1e200, 1e300])
+def test_fit_is_scale_free_in_the_anchor_voltage(voltage):
+    # The slope in gamma scales as V: its square underflowed at 1e-200 V and
+    # overflowed at 1e200 V, the step was 0, and the fit stopped at its start
+    # with residual_rms 0.4988.  Stepping in ln(gamma), each anchor fits as
+    # the one at 30 V does, at the same detuning gamma V.
+    at_30 = calibrate_coupler([(30.0, 0.0)], math.pi / 2)
+    cal = calibrate_coupler([(voltage, 0.0)], math.pi / 2)
+    assert cal.residual_rms == at_30.residual_rms < 1e-30
+    assert cal.model.gamma_rad_per_v * voltage == pytest.approx(at_30.model.gamma_rad_per_v * 30.0, rel=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -246,13 +261,8 @@ def test_filter_band_edges():
 
 def test_filter_insertion_loss_applied_in_band():
     # In-band photons survive with the filters' insertion-loss transmission.
-    base = SCENARIO
-    lossy = replace(
-        base,
-        filter_ab=FilterModel(1530.0, 200.0, insertion_loss_db=3.0),
-        filter_c=FilterModel(1534.0, 800.0, insertion_loss_db=3.0),
-    )
-    p0, p1 = compile_scenario(base), compile_scenario(lossy)
+    lossy = replace(CONFIG, filter_ab_insertion_loss_db=3.0, filter_c_insertion_loss_db=3.0)
+    p0, p1 = compile_scenario(CONFIG), compile_scenario(lossy)
     assert p1.s_post == pytest.approx(p0.s_post * 10 ** -0.3, rel=1e-12)
     assert p1.p_c_arrive == pytest.approx(p0.p_c_arrive * 10 ** -0.3, rel=1e-12)
 

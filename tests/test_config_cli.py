@@ -29,20 +29,18 @@ from relaysim.units import delay_to_path
 
 def test_defaults_build_valid_models():
     cfg = ScenarioConfig()
-    scenario = cfg.to_scenario()
-    compile_scenario(scenario)  # validates
+    compile_scenario(cfg)  # validates
     params = cfg.to_link_params()
     assert params.fiber_loss_db_per_km == 0.2
     assert params.detector.dark_prob_per_gate == pytest.approx(1e-6, rel=1e-6)
 
 
 def test_default_config_builds_the_default_records():
-    # Scenario's defaults read the config.  components sits below config in
-    # the imports, so these two record defaults repeat the config's values.
+    # components sits below config in the imports, so these two record
+    # defaults repeat the config's values.
     cfg = ScenarioConfig()
-    scenario = cfg.to_scenario()
-    assert scenario.external_source.spectrum == vars(SpdcSource)["spectrum"] == cfg.spdc_mode()
-    assert scenario.layout.measured_insertion_db == vars(ChipLayout)["measured_insertion_db"]
+    assert cfg.source("external").spectrum == vars(SpdcSource)["spectrum"] == cfg.spdc_mode()
+    assert cfg.chip_layout().measured_insertion_db == vars(ChipLayout)["measured_insertion_db"]
 
 
 def test_round_trip_is_identity():
@@ -76,17 +74,16 @@ def test_every_preset_is_schema_valid():
     for name in PRESET_NAMES:
         cfg = load_preset(name)
         assert cfg.schema_version == SCHEMA_VERSION
-        compile_scenario(cfg.to_scenario())
+        compile_scenario(cfg)
 
 
 def test_preset_fig6_pins_operating_point():
     cfg = load_preset("paper-fig6")
-    sc = cfg.to_scenario()
-    assert sc.external_source.mean_pairs == pytest.approx(0.05, rel=1e-9)
-    assert sc.chip_source.mean_pairs == pytest.approx(0.02, rel=1e-9)
-    assert compile_scenario(sc).fwhm_mm == delay_to_path(20.0)
-    assert sc.detector_a.efficiency == 0.1
-    assert sc.detector_a.dark_prob_per_ns == 1e-5
+    assert cfg.source("external").mean_pairs == pytest.approx(0.05, rel=1e-9)
+    assert cfg.source("chip").mean_pairs == pytest.approx(0.02, rel=1e-9)
+    assert compile_scenario(cfg).fwhm_mm == delay_to_path(20.0)
+    assert cfg.detector().efficiency == 0.1
+    assert cfg.detector().dark_prob_per_ns == 1e-5
 
 
 def test_preset_fig2_pins_link_parameters():
@@ -899,7 +896,7 @@ def _cli(*argv) -> tuple[str, ...]:
 _EXACT_MODEL = (
     "from relaysim.config import load_preset\n"
     "from relaysim.montecarlo import _ledger_per_gate, analytic_visibility, compile_scenario, expected_rates\n"
-    "scenario = load_preset('paper-fig6').to_scenario()\n"
+    "scenario = load_preset('paper-fig6')\n"
     "_ledger_per_gate(compile_scenario(scenario))\n"
     "expected_rates(scenario)\n"
     "expected_rates(scenario, overlap=0.0)\n"

@@ -15,7 +15,7 @@ import pytest
 from scipy.stats import chi2
 
 from enumeration_reference import _click_probs, reference_rates
-from helpers import bench_scenario, law_cases, random_bench_cases
+from helpers import bench_scenario, case_params, law_cases, random_bench_cases
 from pulse_reference import LEDGER, click_table
 from relaysim.components import DetectorModel, detector_click_prob, detector_clicks
 from relaysim.config import load_preset
@@ -40,14 +40,14 @@ ALPHA = 1e-3
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("overlap", [None, 0.0], ids=["dip", "ref"])
-@pytest.mark.parametrize("name,scenario", law_cases())
-def test_law_marginals_match_enumeration(name, scenario, overlap):
-    params = compile_scenario(scenario)
+@pytest.mark.parametrize("name,scenario,laws", case_params(law_cases()))
+def test_law_marginals_match_enumeration(name, scenario, laws, overlap):
+    params = compile_scenario(scenario, **laws)
     law = joint_law(params, params.overlap_at(params.delay_mm) if overlap is None else overlap)
     assert law.shape == (2, 2, 2)
     assert law.min() >= 0.0
     assert abs(law.sum() - 1.0) <= 1e-12
-    exact = expected_rates(scenario, overlap=overlap)
+    exact = expected_rates(scenario, overlap=overlap, **laws)
     # The worst case over these cases and legs is 6.8e-16.  Power: scaling
     # the overlap by 1 + 1e-13 moves a three-fold or two-fold marginal past
     # 1e-14 in all 13 cases (at 1e-12, only 2 of them).
@@ -65,7 +65,7 @@ def test_law_marginals_match_enumeration(name, scenario, overlap):
 # The enumeration against its cell-by-cell reference
 # ---------------------------------------------------------------------------
 
-# None is the scenario delay's overlap; 1e-300 is nonzero but below the
+# None is the config delay's overlap; 1e-300 is nonzero but below the
 # rounding of the one-plus-one coincidence probability.
 OVERLAPS = [None, 0.0, 0.37, 1.0, 0.999999, 1e-300]
 
@@ -89,17 +89,17 @@ def test_click_table_matches_reference_bit_for_bit():
 
 
 @pytest.mark.parametrize("overlap", OVERLAPS)
-@pytest.mark.parametrize("name,scenario", law_cases() + random_bench_cases(seed=31, count=4))
-def test_enumeration_matches_reference_bit_for_bit(name, scenario, overlap):
-    params = compile_scenario(scenario)
+@pytest.mark.parametrize("name,scenario,laws", case_params(law_cases() + random_bench_cases(seed=31, count=4)))
+def test_enumeration_matches_reference_bit_for_bit(name, scenario, laws, overlap):
+    params = compile_scenario(scenario, **laws)
     at = params.overlap_at(params.delay_mm) if overlap is None else overlap
-    assert expected_rates(scenario, overlap=overlap) == reference_rates(params, at)
+    assert expected_rates(scenario, overlap=overlap, **laws) == reference_rates(params, at)
 
 
-@pytest.mark.parametrize("name,scenario", law_cases())
-def test_rate_table_matches_reference_on_reuse(name, scenario):
+@pytest.mark.parametrize("name,scenario,laws", case_params(law_cases()))
+def test_rate_table_matches_reference_on_reuse(name, scenario, laws):
     # One table serves every overlap: the one-plus-one row is refilled on each call.
-    params = compile_scenario(scenario)
+    params = compile_scenario(scenario, **laws)
     rates_at = _rate_table(params)
     for overlap in (1.0, 0.0, 0.37, 1.0):
         assert rates_at(overlap) == reference_rates(params, overlap)
@@ -107,11 +107,10 @@ def test_rate_table_matches_reference_on_reuse(name, scenario):
 
 def test_analytic_scan_matches_reference_bit_for_bit():
     cfg = load_preset("paper-fig6")
-    sc = cfg.to_scenario()
-    params = compile_scenario(sc)
+    params = compile_scenario(cfg)
     positions = np.linspace(cfg.dip_scan_min_mm, cfg.dip_scan_max_mm, cfg.dip_scan_points)
     assert len(positions) == 13
-    result = scan_dip(sc, positions, 0)
+    result = scan_dip(cfg, positions, 0)
     for pos, rate in zip(positions, result.rates):
         assert rate == reference_rates(params, params.overlap_at(float(pos))).p_threefold_abc
 
@@ -172,12 +171,11 @@ def test_injected_overlap_bias_is_caught(factor, caught):
     pairs make the dip deep, so the 2 % overlap cut raises the three-fold
     cell by 10 %; unbiased, the same scenario passes.
     """
-    sc = replace(
+    params = compile_scenario(
         bench_scenario(0.1, 0.1, eta=0.9),
         external_distribution=custom([0.5, 0.5]),
         chip_distribution=custom([0.5, 0.45, 0.05]),
     )
-    params = compile_scenario(sc)
     overlap = params.overlap_at(params.delay_mm)
     table, _ = click_table(params, 400_000, derive_key(7, "reference"), factor * overlap)
     assert (chi_square_p(table, joint_law(params, overlap)) < ALPHA) == caught

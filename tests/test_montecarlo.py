@@ -1,13 +1,22 @@
 import math
+import statistics
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from helpers import bench_scenario, law_cases, oracle_scenarios, photostats_closed_form, single_photon_scenario
+from helpers import (
+    ONE_PHOTON,
+    bench_scenario,
+    case_params,
+    law_cases,
+    oracle_scenarios,
+    photostats_closed_form,
+    single_photon_scenario,
+)
 from relaysim import montecarlo
 from relaysim.cli import main
-from relaysim.components import DetectorModel
+from relaysim.components import ChipLayout, DetectorModel, SpdcSource
 from relaysim.config import load_preset
 from relaysim.montecarlo import (
     CounterRng,
@@ -15,7 +24,6 @@ from relaysim.montecarlo import (
     compile_scenario,
     derive_key,
     expected_rates,
-    joint_law,
     run,
     scan_dip,
     subtract_accidentals,
@@ -57,7 +65,7 @@ def test_derive_key_separates_streams():
 
 def test_perfect_bunching_at_zero_delay():
     # One photon in each port, perfect overlap: never a cross-output coincidence.
-    report = run(single_photon_scenario(0.0), 20_000, seed=3)
+    report = run(single_photon_scenario(0.0), 20_000, seed=3, **ONE_PHOTON)
     assert report.dip.twofold_ab == 0
     assert report.dip.threefold_abc == 0
     # Three photons per pulse (external + chip pair); the pair partner is
@@ -74,7 +82,7 @@ def test_distinguishable_photons_coincide_half_the_time():
     Power: every one of the 50,000 pulses is gated, so the 3 sigma band,
     0.0067, catches a 1.3 % bias in the two-fold rate.
     """
-    report = run(single_photon_scenario(500.0), 50_000, seed=3)
+    report = run(single_photon_scenario(500.0), 50_000, seed=3, **ONE_PHOTON)
     rate = report.dip.twofold_ab / report.dip.gated
     assert rate == pytest.approx(0.5, abs=3.0 * math.sqrt(0.25 / 50_000))
 
@@ -82,7 +90,7 @@ def test_distinguishable_photons_coincide_half_the_time():
 def test_overlap_peak_is_timing_bound():
     sc = bench_scenario(0.01, 0.01, pump_ps=2.5)
     params = compile_scenario(sc)
-    tau_c = coherence_time(sc.photon_mode)
+    tau_c = coherence_time(sc.photon_mode())
     assert params.overlap_peak == pytest.approx(1.0 / math.sqrt((2.5 / tau_c) ** 2 + 1.0), rel=1e-12)
     assert params.overlap_at(1e9) == pytest.approx(0.0, abs=1e-12)
 
@@ -160,7 +168,7 @@ MARGIN = 0.001
 
 def gap_cases():
     oracle = [(name, sc, (-0.014, -0.006)) for name, sc in oracle_scenarios()]
-    return oracle + [("paper-fig6", load_preset("paper-fig6").to_scenario(), (-0.044, -0.044))]
+    return oracle + [("paper-fig6", load_preset("paper-fig6"), (-0.044, -0.044))]
 
 
 @pytest.mark.parametrize("name,scenario,stated", gap_cases())
@@ -183,11 +191,11 @@ def test_closed_form_gap_to_exact_visibility(name, scenario, stated):
     assert stated[0] - MARGIN <= gap <= stated[1] + MARGIN
 
 
-@pytest.mark.parametrize("name,scenario", [case for case in law_cases() if case[0] != "single_photon"])
-def test_closed_form_matches_photostats_composition(name, scenario):
+@pytest.mark.parametrize("name,scenario,laws", case_params([c for c in law_cases() if c[0] != "single_photon"]))
+def test_closed_form_matches_photostats_composition(name, scenario, laws):
     # It reads the engines' normalised cumulative-sum pmfs, not the raw
     # thermal pmf: the worst relative difference over these cases is 2.1e-12.
-    assert analytic_visibility(scenario) == pytest.approx(photostats_closed_form(scenario), rel=1e-11)
+    assert analytic_visibility(scenario, **laws) == pytest.approx(photostats_closed_form(scenario, **laws), rel=1e-11)
 
 
 def test_closed_form_builds_the_pair_laws_once(monkeypatch):
@@ -198,7 +206,7 @@ def test_closed_form_builds_the_pair_laws_once(monkeypatch):
             return _original(*args)
 
         monkeypatch.setattr(montecarlo, name, counted)
-    analytic_visibility(load_preset("paper-fig6").to_scenario())
+    analytic_visibility(load_preset("paper-fig6"))
     assert counts == {"compile_scenario": 1, "thermal": 2}
 
 
@@ -316,15 +324,23 @@ def test_worker_count_does_not_change_tallies():
 
 
 def test_detector_monitor_does_not_change_the_law():
-    # `Scenario.detector_monitor` is accepted for compatibility and has no effect.
-    sc = bench_scenario(0.05, 0.02, dark_per_ns=1e-4)
-    other = replace(sc, detector_monitor=DetectorModel(efficiency=0.3, dark_prob_per_ns=1e-3, gate_window_ns=1.0))
-    params, params_other = compile_scenario(sc), compile_scenario(other)
-    for f in fields(params):
-        assert np.array_equal(getattr(params, f.name), getattr(params_other, f.name)), f.name
-    for overlap in (0.0, params.overlap_at(params.delay_mm), 1.0):
-        assert np.array_equal(joint_law(params, overlap), joint_law(params_other, overlap))
-    assert run(sc, 200_000, seed=33) == run(other, 200_000, seed=33)
+    # The benchmark's `Scenario` shim accepts `detector_monitor` and reads
+    # nothing from it: the config it returns, all that the engines read, is
+    # the same with any monitor.
+    det = DetectorModel(efficiency=0.8, dark_prob_per_ns=1e-4, gate_window_ns=1.0)
+    records = dict(
+        external_source=SpdcSource(pairs_per_mw=0.05, pump_power_mw=1.0),
+        chip_source=SpdcSource(pairs_per_mw=0.02, pump_power_mw=1.0),
+        layout=ChipLayout(dict.fromkeys(("fiber_to_chip", "chip_to_fiber", "prop_front", "prop_back"), 0.0)),
+        detector_a=det,
+        detector_b=det,
+        detector_c=det,
+        gate_rate_hz=76e6,
+        pump_duration_ps=0.0,
+    )
+    monitor = DetectorModel(efficiency=0.3, dark_prob_per_ns=1e-3, gate_window_ns=1.0)
+    stated = bench_scenario(0.05, 0.02, dark_per_ns=1e-4)
+    assert montecarlo.Scenario(**records) == montecarlo.Scenario(**records, detector_monitor=monitor) == stated
 
 
 # ---------------------------------------------------------------------------
@@ -343,7 +359,7 @@ def test_zero_darks_net_equals_raw():
 
     # The textbook dip: no two-fold at zero delay against a counted
     # reference is a perfect dip, raw as well as net.
-    report = run(single_photon_scenario(0.0), 10**5, seed=1)
+    report = run(single_photon_scenario(0.0), 10**5, seed=1, **ONE_PHOTON)
     assert report.dip.twofold_ab == 0 and report.ref.twofold_ab > 0
     assert report.raw_twofold_visibility == subtract_accidentals(report).net_twofold_visibility == 1.0
 
@@ -458,7 +474,7 @@ def test_scan_with_no_counts_reports_fit_failure():
     # every sampled rate is 0, so there is no dip to fit.
     cfg = load_preset("paper-fig6")
     positions = np.linspace(cfg.dip_scan_min_mm, cfg.dip_scan_max_mm, cfg.dip_scan_points)
-    result = scan_dip(cfg.to_scenario(), positions, 2_000_000, seed=7)
+    result = scan_dip(cfg, positions, 2_000_000, seed=7)
     assert result.rates == (0.0,) * len(positions)
     assert result.fit is None
     assert "no positive rate" in result.fit_failed
@@ -466,12 +482,12 @@ def test_scan_with_no_counts_reports_fit_failure():
 
 @pytest.mark.parametrize("overlap", [0.0, 1.0])
 def test_expected_rates_accepts_unit_interval_ends(overlap):
-    rates = expected_rates(load_preset("paper-fig6").to_scenario(), overlap=overlap)
+    rates = expected_rates(load_preset("paper-fig6"), overlap=overlap)
     assert 0.0 < rates.p_threefold_abc < rates.p_twofold_ab
 
 
 # ---------------------------------------------------------------------------
-# Scenario validation
+# Config validation
 # ---------------------------------------------------------------------------
 
 def test_seed_range_endpoints_run():
@@ -486,8 +502,7 @@ def test_largest_pulse_count_runs():
 
 
 def test_pair_laws_at_the_cutoff_are_kept():
-    sc = replace(bench_scenario(0.01, 0.01), external_distribution=custom([0.0] * 20 + [1.0]))
-    params = compile_scenario(sc)
+    params = compile_scenario(bench_scenario(0.01, 0.01), external_distribution=custom([0.0] * 20 + [1.0]))
     assert len(params.pmf_a) == 21
     # Just inside the mass check on both sources: mean 0.59 loses 9.1e-10.
     compile_scenario(bench_scenario(0.59, 0.59))
@@ -508,12 +523,12 @@ def test_resolution_warning():
     assert scan_dip(bright, positions, 100).resolution_warning == message
     assert scan_dip(bright, positions, 0).resolution_warning is None
     # No herald photons and no darks: no pulse count gives a reference three-fold.
-    warning = run(single_photon_scenario(500.0), 10**12).resolution_warning
+    warning = run(single_photon_scenario(500.0), 10**12, **ONE_PHOTON).resolution_warning
     assert warning.endswith("probability is zero")
     # At paper-fig6 and 2 Hz a leg can still draw the count named; at 0.5 Hz
     # the warning named 1.7e+19 pulses, which `run` rejects, and at 1e-300 Hz
     # "inf pulses".
-    paper = load_preset("paper-fig6").to_scenario()
+    paper = load_preset("paper-fig6")
     assert run(replace(paper, gate_rate_hz=2.0), 1000).resolution_warning.endswith("needs about 4.2e+18 pulses")
     for gate_rate_hz in (0.5, 1e-300):
         scenario = replace(paper, gate_rate_hz=gate_rate_hz)
@@ -522,6 +537,42 @@ def test_resolution_warning():
             f"; no pulse count a leg can draw (at most {montecarlo.MAX_PULSES}) reaches sigma_V = 0.05"
         ), warning
         assert scan_dip(scenario, positions, 1000).resolution_warning == warning
+
+
+RAW_V_SEEDS = 400
+
+
+@pytest.mark.parametrize("ref_triples", [30, 130])
+def test_raw_visibility_bias_and_error_coverage(ref_triples):
+    """State the raw three-fold V's bias and its error bar's coverage at paper-fig6.
+
+    At N expected reference three-folds the raw V, a ratio of Poisson
+    counts, reads low by about (1 - V) / N to first order: -0.0168 at
+    N = 30 and -0.0039 at N = 130, against the exact V 0.4973.  Over
+    RAW_V_SEEDS seeds the mean bias must lie within 3 standard errors of
+    that, and the share of runs whose raw_visibility_err covers the exact V
+    within 3 binomial errors of the nominal 68.3 %.  Power: the raw V's sd
+    is 0.168 and 0.074, so a bias 0.025 (N = 30) or 0.011 (N = 130) off
+    the stated one fails; 3 binomial errors are 0.070, the shift in the
+    expected coverage of an error bar 14 % too small or 16 % too large
+    (one 15 % too small fails at N = 30 and passes at N = 130).  Measured with seeds
+    1-600 at the same pulse counts: bias -0.0196 (se 0.0068) and -0.0053
+    (se 0.0030), coverage 0.688 and 0.710.  Run with -s to see the figures.
+    """
+    cfg = load_preset("paper-fig6")
+    params = compile_scenario(cfg)
+    p_dip, p_ref = (expected_rates(cfg, overlap=o).p_threefold_abc for o in (None, 0.0))
+    exact = 1.0 - p_dip / p_ref
+    pulses = round(ref_triples / (params.p_gate * p_ref))
+    readings = [run(cfg, pulses, seed=seed) for seed in range(1, RAW_V_SEEDS + 1)]
+    values = [r.raw_visibility for r in readings]
+    assert not any(math.isnan(v) for v in values)
+    bias, se = statistics.fmean(values) - exact, statistics.stdev(values) / math.sqrt(RAW_V_SEEDS)
+    coverage = statistics.fmean(abs(r.raw_visibility - exact) <= r.raw_visibility_err for r in readings)
+    print(f"N_ref {ref_triples}: bias {bias:+.4f} (se {se:.4f}), coverage {coverage:.3f}")
+    assert abs(bias + (1.0 - exact) / ref_triples) <= 3.0 * se
+    nominal = math.erf(1.0 / math.sqrt(2.0))
+    assert abs(coverage - nominal) <= 3.0 * math.sqrt(nominal * (1.0 - nominal) / RAW_V_SEEDS)
 
 
 _BUILDS = ("compile_scenario", "joint_law", "_ledger_per_gate", "_rate_table", "_model_inputs")

@@ -20,6 +20,8 @@ import pytest
 
 from relaysim import montecarlo
 from relaysim.cli import main
+from relaysim.components import DetectorModel
+from relaysim.config import ScenarioConfig, load_preset
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 CONTRACT = json.loads((PERFBENCH / "cli_contract.json").read_text(encoding="utf-8"))
@@ -62,6 +64,39 @@ def test_mc_workload_in_process(bench, workload):
     report = montecarlo.run(inputs["scenario"], inputs["pulses"], seed=11, workers=1)
     montecarlo.subtract_accidentals(report)
     assert bench.check_tallies(bench.report_counts(report), inputs) == []
+
+
+def test_bench_scenarios_are_the_configs_they_state(bench, monkeypatch):
+    # mc-bright's bench scenario goes through the `Scenario` shim and mc-fig6's
+    # preset through `ScenarioConfig.to_scenario`; neither may change what
+    # the engines are given.  The monitor detector is read by nothing.
+    stated = ScenarioConfig(
+        gate_rate_hz=76e6,
+        pump_duration_ps=0.0,
+        external_pairs_per_mw=0.01,
+        external_pump_power_mw=1.0,
+        chip_pairs_per_mw=0.005,
+        chip_pump_power_mw=1.0,
+        loss_fiber_to_chip_db=0.0,
+        loss_chip_to_fiber_db=0.0,
+        loss_propagation_front_db=0.0,
+        loss_propagation_back_db=0.0,
+        detector_efficiency=0.8,
+        detector_dark_prob_per_ns=1e-5,
+        detector_gate_window_ns=20.0,
+    )
+    assert bench._bench_scenario() == stated
+
+    shim, records = montecarlo.Scenario, {}
+    monkeypatch.setattr(montecarlo, "Scenario", lambda **kwargs: records.update(kwargs))
+    bench._bench_scenario()
+    assert "detector_monitor" in records
+    monitor = DetectorModel(efficiency=0.3, dark_prob_per_ns=1e-3, gate_window_ns=1.0)
+    assert shim(**{**records, "detector_monitor": monitor}) == stated
+    assert shim(**{**records, "detector_monitor": None}) == stated
+
+    fig6 = load_preset("paper-fig6")
+    assert fig6.to_scenario() is fig6
 
 
 def test_mc_run_report_parses(bench, capsys):

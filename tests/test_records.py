@@ -38,27 +38,25 @@ def _record_classes() -> dict:
 def _samples() -> dict:
     """One instance of every record class, each built by the code that builds it in use."""
     config = load_preset("paper-fig6")
-    scenario = config.to_scenario()
-    report = run(scenario, 10**6, seed=1)
+    report = run(config, 10**6, seed=1)
     link = config.to_link_params()
     built = [
         config,
-        scenario,
-        scenario.chip_source,
-        scenario.photon_mode,
-        scenario.coupler_c1,
-        scenario.layout,
-        scenario.filter_c,
-        scenario.detector_a,
+        config.source("chip"),
+        config.photon_mode(),
+        config.calibration("coupler_c1_anchors").model,
+        config.chip_layout(),
+        config.passband("filter_c"),
+        config.detector(),
         calibrate_coupler(config.coupler_c1_anchors, config.coupler_kappa_lc_rad),
         thermal(0.05),
-        compile_scenario(scenario),
-        expected_rates(scenario),
+        compile_scenario(config),
+        expected_rates(config),
         report,
         report.dip,
         report.ledger,
         subtract_accidentals(report),
-        scan_dip(scenario, [-9.0 + 1.5 * i for i in range(13)], 0),
+        scan_dip(config, [-9.0 + 1.5 * i for i in range(13)], 0),
         dip_profile(0.5, 17.0, 1.0, [-1.0, 0.0, 1.0]),
         link,
         link_rates("standard_relay", link, 100.0),
@@ -90,7 +88,7 @@ def _values(x) -> list:
 
 
 def test_every_record_class_has_a_sample():
-    assert len(CLASSES) == 22
+    assert len(CLASSES) == 21
     assert sorted(SAMPLES) == sorted(CLASSES)
     for name, x in SAMPLES.items():
         assert type(x) is CLASSES[name]
@@ -192,28 +190,12 @@ def test_defaults_are_hashable(name):
 
 
 # The fields that may carry a default.  The config states each model default
-# once.  The Scenario defaults below read it, and remain only because the
-# benchmark's bench scenario builds a Scenario without them.  SpdcSource and
-# ChipLayout repeat the config's value, since components sits below config in
-# the imports.  The last three are None defaults that no config key states.
+# once.  SpdcSource and ChipLayout repeat the config's value, since
+# components sits below config in the imports.
 ALLOWED_DEFAULTS = {
     *(f"ScenarioConfig.{f.name}" for f in fields(ScenarioConfig)),
-    "Scenario.pump_repetition_rate_hz",
-    "Scenario.photon_mode",
-    "Scenario.dip_fwhm_time_ps",
-    "Scenario.coupler_c1",
-    "Scenario.coupler_c2",
-    "Scenario.coupler_c1_voltage_v",
-    "Scenario.coupler_c2_voltage_v",
-    "Scenario.alice_arm_loss_db",
-    "Scenario.filter_ab",
-    "Scenario.filter_c",
-    "Scenario.delay_mm",
     "SpdcSource.spectrum",
     "ChipLayout.measured_insertion_db",
-    "Scenario.external_distribution",
-    "Scenario.chip_distribution",
-    "Scenario.detector_monitor",
 }
 
 

@@ -18,7 +18,7 @@ from functools import partial
 
 import pytest
 
-from helpers import bench_scenario, photostats_closed_form, single_photon_scenario
+from helpers import ONE_PHOTON, bench_scenario, photostats_closed_form, single_photon_scenario
 from relaysim.components import (
     CalibrationError,
     ChipLayout,
@@ -57,15 +57,15 @@ HALF_PI = math.pi / 2
 MAX_PULSES, MAX_SEED = 2**63 - 1, 2**64 - 1
 
 CONFIG = ScenarioConfig()
-SCENARIO = CONFIG.to_scenario()
 LAYOUT = CONFIG.chip_layout()
 DETECTOR = CONFIG.detector()
 LINK = CONFIG.to_link_params()
 BENCH = bench_scenario(0.01, 0.01)
-FIG6 = load_preset("paper-fig6").to_scenario()
+FIG6 = load_preset("paper-fig6")
 SCAN = (-30.0, -15.0, 0.0, 15.0, 30.0)
 NO_SIGNAL = replace(LINK, mean_photon_per_pulse=0.0)
 BLIND = replace(LINK, detector=replace(LINK.detector, efficiency=0.0))
+_PAST_N_MAX = custom([0.0] * 21 + [1.0])  # a pair law one pair past N_MAX
 
 
 def _rows(name: str, call, cls: type, cases) -> dict:
@@ -325,49 +325,44 @@ REJECTIONS = {
     # ----- Monte Carlo --------------------------------------------------
     **_rows("compile_scenario", compile_scenario, ConfigurationError, [
         (
-            "gate_rate_hz nan", (replace(SCENARIO, gate_rate_hz=NAN),),
+            "gate_rate_hz nan", (replace(CONFIG, gate_rate_hz=NAN),),
             "pump_repetition_rate_hz and gate_rate_hz must be > 0, got 76000000.0 and nan",
         ),
         (
-            "pump_repetition_rate_hz nan", (replace(SCENARIO, pump_repetition_rate_hz=NAN),),
+            "pump_repetition_rate_hz nan", (replace(CONFIG, pump_repetition_rate_hz=NAN),),
             "pump_repetition_rate_hz and gate_rate_hz must be > 0, got nan and 600000.0",
         ),
         (
             "gate_rate_hz above pump rate", (replace(BENCH, gate_rate_hz=100e6),),
             "gate_rate_hz must be <= pump_repetition_rate_hz, got 100000000.0 > 76000000.0",
         ),
-        ("pump_duration_ps nan", (replace(SCENARIO, pump_duration_ps=NAN),), "pump_duration_ps must be >= 0, got nan"),
+        ("pump_duration_ps nan", (replace(CONFIG, pump_duration_ps=NAN),), "pump_duration_ps must be >= 0, got nan"),
         ("delay_mm nan", (replace(BENCH, delay_mm=NAN),), "delay_mm must be finite, got nan"),
         (
-            "alice_arm_loss_db nan", (replace(SCENARIO, alice_arm_loss_db=NAN),),
+            "alice_arm_loss_db nan", (replace(CONFIG, alice_arm_loss_db=NAN),),
             "alice_arm_loss_db must be >= 0, got nan",
         ),
-        ("dip_fwhm_time_ps nan", (replace(SCENARIO, dip_fwhm_time_ps=NAN),), "dip_fwhm_time_ps must be > 0, got nan"),
+        ("dip_fwhm_time_ps nan", (replace(CONFIG, dip_fwhm_time_ps=NAN),), "dip_fwhm_time_ps must be > 0, got nan"),
         # A ZeroDivisionError at twice the photon wavelength; past it the
         # filter check reported a negative partner wavelength.
         *(
             (
-                f"partner at {label}", (replace(SCENARIO, chip_source=replace(SCENARIO.chip_source, spectrum=mode)),),
+                f"partner at {label}", (replace(CONFIG, spdc_center_wavelength_nm=center_nm),),
                 "spdc_center_wavelength_nm and photon_center_wavelength_nm must give a partner wavelength "
                 f"that is finite and > 0, got {partner} nm",
             )
-            for label, mode, partner in (
-                ("3060 nm", SpectralMode(3060.0, 80_000.0), "inf"),
-                ("3100 nm", SpectralMode(3100.0, 80_000.0), "-118575.00000000063"),
-            )
+            for label, center_nm, partner in (("3060 nm", 3060.0, "inf"), ("3100 nm", 3100.0, "-118575.00000000063"))
         ),
         # Overlapping signal and partner filter bands break clean heralding.
         (
-            "filter_c passes the signal", (replace(BENCH, filter_c=FilterModel(1532.0, 8000.0, 0.0)),),
+            "filter_c passes the signal", (replace(BENCH, filter_c_center_nm=1532.0, filter_c_fwhm_pm=8000.0),),
             "filter_c_center_nm and filter_c_fwhm_pm must block the interfering photons at 1530.0 nm, "
             "got a 8000.0 pm band at 1532.0 nm",
         ),
+        # The pair-law overrides: compile_scenario's external and chip laws.
         *(
-            (
-                f"{name} law past n_max", (replace(BENCH, **{f"{name}_distribution": custom([0.0] * 21 + [1.0])}),),
-                "pair distributions must be truncated at <= 20",
-            )
-            for name in ("external", "chip")
+            (f"{name} law past n_max", (BENCH, *laws), "pair distributions must be truncated at <= 20")
+            for name, laws in (("external", (_PAST_N_MAX,)), ("chip", (None, _PAST_N_MAX)))
         ),
         *(
             (
@@ -378,10 +373,14 @@ REJECTIONS = {
         ),
     ]),
     "analytic_visibility without herald photons": (
-        partial(analytic_visibility, single_photon_scenario(0.0)), UndefinedConditioningError, _NO_HERALD
+        partial(analytic_visibility, single_photon_scenario(0.0), **ONE_PHOTON),
+        UndefinedConditioningError,
+        _NO_HERALD,
     ),
     "photostats closed form without herald photons": (
-        partial(photostats_closed_form, single_photon_scenario(0.0)), UndefinedConditioningError, _NO_HERALD
+        partial(photostats_closed_form, single_photon_scenario(0.0), **ONE_PHOTON),
+        UndefinedConditioningError,
+        _NO_HERALD,
     ),
     # At overlap 2.0 the three-fold probability came out negative.
     **_rows("expected_rates", expected_rates, ValueError, [
@@ -409,7 +408,7 @@ REJECTIONS = {
         ),
         ("two positions", (BENCH, [0.0, 1.0], 0), "need at least 3 scan positions"),
         # A non-finite position has no rate to fit.
-        ("nan first position", (SCENARIO, [NAN, 0.0, 9.0], 0), "scan positions must be finite, got nan"),
+        ("nan first position", (CONFIG, [NAN, 0.0, 9.0], 0), "scan positions must be finite, got nan"),
         *(
             (
                 f"pulses {n} position {x}", (FIG6, [-30.0, x, 0.0, 30.0, 10.0], n),
